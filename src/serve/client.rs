@@ -298,16 +298,40 @@ impl GatewayClient {
 
     /// Detaches without finishing: the server parks the session's state
     /// under [`GatewayClient::token`] for a later
-    /// [`GatewayClient::resume`]. Returns the token and the events
-    /// received so far (the server re-delivers nothing — undelivered
-    /// events travel server-side with the checkpoint).
+    /// [`GatewayClient::resume`]. Reads until the server closes the
+    /// connection, so every event it streamed before parking is in the
+    /// returned list; whatever it had not streamed yet travels server-side
+    /// with the checkpoint and is delivered after the resume — between the
+    /// two, no event is lost or repeated.
     ///
     /// # Errors
     ///
-    /// I/O failures writing the bye frame.
+    /// I/O failures writing the bye frame; a server error frame.
     pub fn bye(mut self) -> Result<(u64, Vec<GestureEvent>), GatewayError> {
         self.write_frame(&Frame::Bye)?;
-        Ok((self.token, self.events))
+        loop {
+            match self.read_frame(Some(Duration::from_secs(10))) {
+                Ok(Frame::Event(event)) => self.events.push(event),
+                Ok(Frame::Error { code, message }) => {
+                    return Err(GatewayError::Server { code, message })
+                }
+                Ok(other) => {
+                    return Err(GatewayError::UnexpectedFrame(format!(
+                        "unexpected frame after bye: {other:?}"
+                    )))
+                }
+                // The server's goodbye is closing the connection.
+                Err(GatewayError::Io(e))
+                    if !matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    return Ok((self.token, self.events))
+                }
+                Err(e) => return Err(e),
+            }
+        }
     }
 
     /// The events received so far, in decision order.
@@ -347,23 +371,19 @@ impl GatewayClient {
     /// Non-blocking drain of whatever the server has already pushed:
     /// event frames are retained; an error frame fails the session.
     fn drain_pending(&mut self) -> Result<(), GatewayError> {
-        self.sock.set_read_timeout(Some(Duration::from_millis(1)))?;
+        self.sock.set_nonblocking(true)?;
         let mut buf = [0u8; 16 * 1024];
-        loop {
+        let drained = loop {
             match self.sock.read(&mut buf) {
-                Ok(0) => break,
+                Ok(0) => break Ok(()),
                 Ok(n) => self.decoder.feed(&buf[..n]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    break
-                }
-                Err(e) => return Err(GatewayError::Io(e)),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break Ok(()),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => break Err(e),
             }
-        }
+        };
+        self.sock.set_nonblocking(false)?;
+        drained?;
         while let Some(frame) = self.decoder.next_frame()? {
             match frame {
                 Frame::Event(event) => self.events.push(event),

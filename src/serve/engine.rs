@@ -214,16 +214,17 @@ impl Engine for InferenceEngine {
     fn submit(&self, windows: Tensor) -> Result<PendingResponse, ServeError> {
         let outcome = self.serve_checked(&windows)?;
         let n = windows.dims()[0];
-        let (tx, rx) = std::sync::mpsc::channel();
-        let _ = tx.send(Ok(RequestOutput {
-            logits: outcome.logits,
-            predictions: outcome.predictions,
-            queue_wait: Duration::ZERO,
-            batch_requests: 1,
-            batch_windows: n,
-            batch_latency: outcome.stats.total,
-        }));
-        Ok(PendingResponse { rx, windows: n })
+        Ok(PendingResponse::ready(
+            n,
+            Ok(RequestOutput {
+                logits: outcome.logits,
+                predictions: outcome.predictions,
+                queue_wait: Duration::ZERO,
+                batch_requests: 1,
+                batch_windows: n,
+                batch_latency: outcome.stats.total,
+            }),
+        ))
     }
 
     /// Identical to [`Engine::submit`]: the inline engine has no queue to

@@ -66,7 +66,7 @@ pub mod zoo;
 pub use client::{ClientSessionStats, ClientSummary, GatewayClient, GatewayError};
 pub use engine::{Engine, EngineStats};
 pub use proto::{ErrorCode, Frame, FrameDecoder, ProtoError};
-pub use queue::{PendingResponse, RequestOutput, ServeError};
+pub use queue::{PendingResponse, ReadyHook, RequestOutput, ServeError};
 pub use router::{
     HedgeConfig, PoolStats, ReplicaStats, RoutingPolicy, ShardedEngine, ShardedEngineBuilder,
     ShardedEngineConfig,
@@ -96,7 +96,7 @@ pub use zoo::{
 pub mod prelude {
     pub use super::client::{ClientSummary, GatewayClient, GatewayError};
     pub use super::engine::{Engine, EngineStats};
-    pub use super::queue::{PendingResponse, RequestOutput, ServeError};
+    pub use super::queue::{PendingResponse, ReadyHook, RequestOutput, ServeError};
     pub use super::router::{PoolStats, RoutingPolicy, ShardedEngine};
     pub use super::server::{
         ServerStats, SessionHandle, SessionOptions, StreamServer, StreamServerConfig, TcpGateway,

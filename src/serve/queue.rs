@@ -1,4 +1,5 @@
-//! The bounded MPSC request queue feeding the [`AsyncEngine`] worker pool.
+//! The bounded MPSC request queue feeding the [`AsyncEngine`] worker pool,
+//! and the one-shot completion slot each request's answer comes back in.
 //!
 //! Many client threads push requests concurrently (the **MP** side); the
 //! engine's workers pop them (the **SC** side is generalised to a small
@@ -13,7 +14,7 @@
 
 use bioformer_tensor::Tensor;
 use std::collections::VecDeque;
-use std::sync::{mpsc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Errors surfaced by the asynchronous serving path.
@@ -84,6 +85,67 @@ pub struct RequestOutput {
     pub batch_latency: Duration,
 }
 
+/// What a request resolves to.
+pub(crate) type Response = Result<RequestOutput, ServeError>;
+
+/// A wake-up a [`PendingResponse`] can carry: called once, by whichever
+/// thread completes the request. Shared (`Arc`) so a pipelining client
+/// registers the same hook on window after window without allocating.
+pub type ReadyHook = Arc<dyn Fn() + Send + Sync>;
+
+/// The one-shot completion slot behind a request: the response, whether it
+/// has been given, and the wake-up to fire when it is. One `Arc`
+/// allocation per request; nothing else on the completion path allocates.
+struct Slot {
+    state: Mutex<SlotState>,
+    completed: Condvar,
+}
+
+struct SlotState {
+    /// `Some` from completion until the client takes it.
+    response: Option<Response>,
+    /// Set by the first completion; later ones are ignored.
+    done: bool,
+    hook: Option<ReadyHook>,
+}
+
+impl Slot {
+    fn lock(&self) -> std::sync::MutexGuard<'_, SlotState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// The engine's end of a completion slot. Dropping it without responding
+/// (a worker died, the engine was torn down) completes the request as
+/// [`ServeError::Cancelled`], so no client waits forever.
+pub(crate) struct Responder(Arc<Slot>);
+
+impl Responder {
+    /// Completes the request; only the first completion counts. The
+    /// registered wake-up, if any, runs on this thread after the slot's
+    /// lock is released.
+    pub(crate) fn send(&self, response: Response) {
+        let mut st = self.0.lock();
+        if st.done {
+            return;
+        }
+        st.done = true;
+        st.response = Some(response);
+        let hook = st.hook.take();
+        drop(st);
+        self.0.completed.notify_all();
+        if let Some(hook) = hook {
+            hook();
+        }
+    }
+}
+
+impl Drop for Responder {
+    fn drop(&mut self) {
+        self.send(Err(ServeError::Cancelled));
+    }
+}
+
 /// One queued inference request (engine-internal).
 pub(crate) struct Request {
     /// Input windows `[n, channels, samples]` (`n` may be 0).
@@ -92,8 +154,8 @@ pub(crate) struct Request {
     pub(crate) deadline: Option<Instant>,
     /// When the request entered the queue.
     pub(crate) enqueued: Instant,
-    /// One-shot response channel back to the submitting client.
-    pub(crate) respond: mpsc::Sender<Result<RequestOutput, ServeError>>,
+    /// The one-shot completion slot back to the submitting client.
+    pub(crate) respond: Responder,
 }
 
 impl Request {
@@ -104,26 +166,85 @@ impl Request {
 }
 
 /// Client-side handle to an in-flight request submitted to an
-/// [`AsyncEngine`]; redeem it with [`PendingResponse::wait`].
+/// [`Engine`](super::Engine); redeem it with [`PendingResponse::wait`].
 ///
-/// [`AsyncEngine`]: super::AsyncEngine
-#[derive(Debug)]
+/// Costs one heap allocation per request (the shared completion slot).
 pub struct PendingResponse {
-    pub(crate) rx: mpsc::Receiver<Result<RequestOutput, ServeError>>,
-    pub(crate) windows: usize,
+    slot: Arc<Slot>,
+    windows: usize,
+}
+
+impl std::fmt::Debug for PendingResponse {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PendingResponse")
+            .field("windows", &self.windows)
+            .field("done", &self.slot.lock().done)
+            .finish()
+    }
 }
 
 impl PendingResponse {
+    /// A fresh completion slot for a request of `windows` windows: the
+    /// engine keeps the [`Responder`], the client gets the handle.
+    pub(crate) fn channel(windows: usize) -> (Responder, PendingResponse) {
+        let slot = Arc::new(Slot {
+            state: Mutex::new(SlotState {
+                response: None,
+                done: false,
+                hook: None,
+            }),
+            completed: Condvar::new(),
+        });
+        (
+            Responder(Arc::clone(&slot)),
+            PendingResponse { slot, windows },
+        )
+    }
+
+    /// A handle that is already resolved (the inline engine's submit).
+    pub(crate) fn ready(windows: usize, response: Response) -> PendingResponse {
+        let (responder, pending) = PendingResponse::channel(windows);
+        responder.send(response);
+        pending
+    }
+
     /// Number of windows in the submitted request.
     pub fn windows(&self) -> usize {
         self.windows
+    }
+
+    /// Registers `hook` to be called once, when the request completes
+    /// (served, rejected, or cancelled by a dying engine) — on the
+    /// completing thread, so it must be quick and must not block. If the
+    /// request has already completed, `hook` runs at once on the calling
+    /// thread. A later registration replaces an earlier one that has not
+    /// fired.
+    ///
+    /// This is what lets a pipelining client sleep until a response is
+    /// there instead of coming back to [`PendingResponse::try_wait`] on a
+    /// timer.
+    pub fn on_ready(&self, hook: ReadyHook) {
+        let mut st = self.slot.lock();
+        if st.done {
+            drop(st);
+            hook();
+        } else {
+            st.hook = Some(hook);
+        }
     }
 
     /// Blocks until the request is served (or rejected), consuming the
     /// handle. Returns [`ServeError::Cancelled`] if the engine died without
     /// responding.
     pub fn wait(self) -> Result<RequestOutput, ServeError> {
-        self.rx.recv().unwrap_or(Err(ServeError::Cancelled))
+        let mut st = self
+            .slot
+            .completed
+            .wait_while(self.slot.lock(), |st| !st.done)
+            .unwrap_or_else(|e| e.into_inner());
+        st.response
+            .take()
+            .expect("a completed slot holds its response")
     }
 
     /// Non-blocking poll: `Ok` with the response if the request has been
@@ -136,11 +257,8 @@ impl PendingResponse {
     /// without stalling on the oldest one.
     #[allow(clippy::result_large_err)]
     pub fn try_wait(self) -> Result<Result<RequestOutput, ServeError>, PendingResponse> {
-        match self.rx.try_recv() {
-            Ok(result) => Ok(result),
-            Err(mpsc::TryRecvError::Empty) => Err(self),
-            Err(mpsc::TryRecvError::Disconnected) => Ok(Err(ServeError::Cancelled)),
-        }
+        let taken = self.slot.lock().response.take();
+        taken.ok_or(self)
     }
 
     /// Bounded wait: blocks for at most `timeout`, then returns `Err(self)`
@@ -156,11 +274,15 @@ impl PendingResponse {
         self,
         timeout: Duration,
     ) -> Result<Result<RequestOutput, ServeError>, PendingResponse> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(result) => Ok(result),
-            Err(mpsc::RecvTimeoutError::Timeout) => Err(self),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Ok(Err(ServeError::Cancelled)),
-        }
+        let taken = self
+            .slot
+            .completed
+            .wait_timeout_while(self.slot.lock(), timeout, |st| !st.done)
+            .unwrap_or_else(|e| e.into_inner())
+            .0
+            .response
+            .take();
+        taken.ok_or(self)
     }
 }
 
@@ -307,18 +429,18 @@ impl RequestQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn dummy_request() -> (Request, PendingResponse) {
-        let (tx, rx) = mpsc::channel();
+        let (respond, pending) = PendingResponse::channel(1);
         (
             Request {
                 windows: Tensor::zeros(&[1, 2, 3]),
                 deadline: None,
                 enqueued: Instant::now(),
-                respond: tx,
+                respond,
             },
-            PendingResponse { rx, windows: 1 },
+            pending,
         )
     }
 
@@ -371,6 +493,114 @@ mod tests {
             Ok(Err(ServeError::Cancelled)) => {}
             other => panic!("expected Cancelled, got {other:?}"),
         }
+    }
+
+    fn output() -> RequestOutput {
+        RequestOutput {
+            logits: Tensor::zeros(&[1, 4]),
+            predictions: vec![0],
+            queue_wait: Duration::ZERO,
+            batch_requests: 1,
+            batch_windows: 1,
+            batch_latency: Duration::ZERO,
+        }
+    }
+
+    /// A hook that counts its calls.
+    fn counting_hook() -> (ReadyHook, Arc<AtomicUsize>) {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&calls);
+        let hook: ReadyHook = Arc::new(move || {
+            seen.fetch_add(1, Ordering::SeqCst);
+        });
+        (hook, calls)
+    }
+
+    #[test]
+    fn hook_registered_before_completion_fires_exactly_once() {
+        let (responder, pending) = PendingResponse::channel(1);
+        let (hook, calls) = counting_hook();
+        pending.on_ready(hook);
+        assert_eq!(calls.load(Ordering::SeqCst), 0, "nothing completed yet");
+        responder.send(Ok(output()));
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        // Only the first completion counts, and dropping the responder
+        // afterwards is not another one.
+        responder.send(Err(ServeError::QueueFull));
+        drop(responder);
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        assert!(pending.wait().is_ok(), "the first response is the answer");
+    }
+
+    #[test]
+    fn hook_registered_after_completion_fires_at_once() {
+        let (responder, pending) = PendingResponse::channel(1);
+        responder.send(Ok(output()));
+        let (hook, calls) = counting_hook();
+        pending.on_ready(hook);
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        drop(responder);
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        // An already-resolved handle (the inline engine's) behaves alike.
+        let ready = PendingResponse::ready(1, Ok(output()));
+        let (hook, calls) = counting_hook();
+        ready.on_ready(hook);
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_later_hook_replaces_an_unfired_one() {
+        let (responder, pending) = PendingResponse::channel(1);
+        let (first, first_calls) = counting_hook();
+        let (second, second_calls) = counting_hook();
+        pending.on_ready(first);
+        pending.on_ready(second);
+        responder.send(Ok(output()));
+        assert_eq!(first_calls.load(Ordering::SeqCst), 0);
+        assert_eq!(second_calls.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn dropped_responder_reads_as_cancelled_and_wakes() {
+        let (responder, pending) = PendingResponse::channel(1);
+        let (hook, calls) = counting_hook();
+        pending.on_ready(hook);
+        drop(responder);
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "a dead engine wakes too");
+        assert_eq!(pending.wait().unwrap_err(), ServeError::Cancelled);
+        let (responder, pending) = PendingResponse::channel(1);
+        drop(responder);
+        match pending.try_wait() {
+            Ok(Err(ServeError::Cancelled)) => {}
+            other => panic!("expected Cancelled, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn try_wait_hands_the_handle_back_until_the_response_is_there() {
+        let (responder, pending) = PendingResponse::channel(3);
+        let pending = pending.try_wait().expect_err("still in flight");
+        assert_eq!(pending.windows(), 3);
+        responder.send(Err(ServeError::DeadlineExpired));
+        match pending.try_wait() {
+            Ok(Err(ServeError::DeadlineExpired)) => {}
+            other => panic!("expected the response, got {other:?}"),
+        }
+    }
+
+    /// `wait` blocks across threads until the responder answers; the
+    /// channel makes the responder answer only once the waiter is running.
+    #[test]
+    fn wait_blocks_until_another_thread_responds() {
+        let (responder, pending) = PendingResponse::channel(1);
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            started_tx.send(()).unwrap();
+            pending.wait()
+        });
+        started_rx.recv().unwrap();
+        responder.send(Ok(output()));
+        assert!(waiter.join().unwrap().is_ok());
     }
 
     #[test]

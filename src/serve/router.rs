@@ -274,11 +274,9 @@ impl ShardedEngineBuilder {
     fn new() -> Self {
         ShardedEngineBuilder {
             cfg: ShardedEngineConfig::default(),
-            // One worker per replica is the norm, and the router derives
-            // each replica's linger from its observed traffic by default.
-            replica_cfg: AsyncEngineConfig::default()
-                .with_workers(1)
-                .with_adaptive_linger(Duration::from_millis(5)),
+            // One worker per replica is the norm (each replica derives
+            // its linger from its observed traffic, as every engine does).
+            replica_cfg: AsyncEngineConfig::default().with_workers(1),
             replicas: Vec::new(),
         }
     }

@@ -42,13 +42,13 @@
 
 use super::engine::{Engine, EngineStats};
 use super::proto::{encode_frame, ErrorCode, Frame, FrameDecoder};
-use super::queue::ServeError;
+use super::queue::{ReadyHook, ServeError};
 use super::stream::{GestureEvent, SessionCheckpoint, StreamConfig, StreamSession, StreamSummary};
 use super::trace::{LatencyBudget, LatencyTrace, StageRecorder, StageSummary};
 use super::zoo::{ModelZoo, ZooStats};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -357,6 +357,12 @@ struct Slot {
     inbound: VecDeque<Vec<f32>>,
     /// Events decided but not yet polled by the handle.
     events: Vec<GestureEvent>,
+    /// Set by the session's completion wake-up: an in-flight window has
+    /// been served and waits for the pump to absorb it.
+    ready: bool,
+    /// Wakes this session's handle — and nobody else's — when the pump
+    /// publishes events or the outcome, or frees inbound buffer space.
+    signal: Arc<Condvar>,
     /// Set when the handle was dropped (nobody will consume the end).
     detached: bool,
     /// Consumed by the pump when it instantiates the `StreamSession`.
@@ -367,6 +373,34 @@ struct Slot {
     /// Per-session counters (carried across reconnect seams).
     counters: SessionStats,
     last_activity: Instant,
+}
+
+impl Slot {
+    /// A freshly opened session's slot: streaming, nothing buffered.
+    fn open(
+        tenant: String,
+        model: String,
+        engine: Arc<dyn Engine>,
+        slo: Option<LatencyBudget>,
+    ) -> Slot {
+        Slot {
+            tenant,
+            model,
+            engine,
+            slo,
+            slo_flagged: false,
+            phase: Phase::Open,
+            inbound: VecDeque::new(),
+            events: Vec::new(),
+            ready: false,
+            signal: Arc::new(Condvar::new()),
+            detached: false,
+            resume_from: None,
+            decided_seen: 0,
+            counters: SessionStats::default(),
+            last_activity: Instant::now(),
+        }
+    }
 }
 
 /// A suspended session's parked state, keyed by its token.
@@ -420,10 +454,10 @@ impl Registry {
 struct Shared {
     cfg: StreamServerConfig,
     state: Mutex<Registry>,
-    /// Signals the pump: inbound chunks or lifecycle requests are waiting.
+    /// Signals the pump: inbound chunks, served windows or lifecycle
+    /// requests are waiting. (Handles are woken one by one, through their
+    /// slot's own `signal`.)
     work: Condvar,
-    /// Signals handles: buffer space freed, events or outcomes published.
-    room: Condvar,
     next_token: AtomicU64,
     shutdown: AtomicBool,
 }
@@ -490,7 +524,6 @@ impl StreamServer {
                 stages: StageRecorder::new(),
             }),
             work: Condvar::new(),
-            room: Condvar::new(),
             next_token: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
         });
@@ -551,44 +584,39 @@ impl StreamServer {
             .unwrap_or_else(|| self.zoo.default_model().to_string());
         let engine = self.zoo.resolve(Some(&model))?;
         let slo = opts.slo.or(self.shared.cfg.slo);
-        let mut reg = self.shared.lock();
+        let reg = self.shared.lock();
         if reg.live() >= self.shared.cfg.max_sessions {
             return Err(ServeError::Unavailable);
         }
+        let slot = Slot::open(tenant.to_string(), model, engine, slo);
+        let sessions = ServeCounters {
+            sessions: 1,
+            ..ServeCounters::default()
+        };
+        Ok(self.admit(reg, slot, &sessions))
+    }
+
+    /// Puts a fresh slot into the registry under a newly minted token,
+    /// counts it, wakes the pump and hands out the slot's handle.
+    fn admit(
+        &self,
+        mut reg: MutexGuard<'_, Registry>,
+        slot: Slot,
+        counted_as: &ServeCounters,
+    ) -> SessionHandle {
         let token = self.shared.next_token.fetch_add(1, Ordering::Relaxed);
-        reg.slots.insert(
-            token,
-            Slot {
-                tenant: tenant.to_string(),
-                model,
-                engine,
-                slo,
-                slo_flagged: false,
-                phase: Phase::Open,
-                inbound: VecDeque::new(),
-                events: Vec::new(),
-                detached: false,
-                resume_from: None,
-                decided_seen: 0,
-                counters: SessionStats::default(),
-                last_activity: Instant::now(),
-            },
-        );
-        reg.tally(
-            tenant,
-            &ServeCounters {
-                sessions: 1,
-                ..ServeCounters::default()
-            },
-        );
-        drop(reg);
-        self.shared.work.notify_all();
-        Ok(SessionHandle {
+        let handle = SessionHandle {
             shared: Arc::clone(&self.shared),
             token,
-            tenant: tenant.to_string(),
+            tenant: slot.tenant.clone(),
+            signal: Arc::clone(&slot.signal),
             consumed: false,
-        })
+        };
+        reg.tally(&slot.tenant, counted_as);
+        reg.slots.insert(token, slot);
+        drop(reg);
+        self.shared.work.notify_all();
+        handle
     }
 
     /// Reconnects to a suspended session: the parked checkpoint (decision
@@ -631,42 +659,20 @@ impl StreamServer {
                 return Err(e);
             }
         };
-        // A fresh token: the old one may still name an evicted zombie slot
-        // whose handle has not observed the eviction yet.
-        let token = self.shared.next_token.fetch_add(1, Ordering::Relaxed);
-        reg.slots.insert(
-            token,
-            Slot {
-                tenant: parked.tenant,
-                model: parked.model,
-                engine,
-                slo: self.shared.cfg.slo,
-                slo_flagged: false,
-                phase: Phase::Open,
-                inbound: VecDeque::new(),
-                events: parked.events,
-                detached: false,
-                resume_from: Some(parked.checkpoint),
-                decided_seen: parked.decided_seen,
-                counters: parked.counters,
-                last_activity: Instant::now(),
-            },
-        );
-        reg.tally(
-            tenant,
-            &ServeCounters {
-                reconnects: 1,
-                ..ServeCounters::default()
-            },
-        );
-        drop(reg);
-        self.shared.work.notify_all();
-        Ok(SessionHandle {
-            shared: Arc::clone(&self.shared),
-            token,
-            tenant: tenant.to_string(),
-            consumed: false,
-        })
+        // Under a fresh token: the old one may still name an evicted zombie
+        // slot whose handle has not observed the eviction yet.
+        let slot = Slot {
+            events: parked.events,
+            resume_from: Some(parked.checkpoint),
+            decided_seen: parked.decided_seen,
+            counters: parked.counters,
+            ..Slot::open(parked.tenant, parked.model, engine, self.shared.cfg.slo)
+        };
+        let reconnects = ServeCounters {
+            reconnects: 1,
+            ..ServeCounters::default()
+        };
+        Ok(self.admit(reg, slot, &reconnects))
     }
 
     /// A live snapshot of the server's statistics.
@@ -737,6 +743,8 @@ pub struct SessionHandle {
     shared: Arc<Shared>,
     token: u64,
     tenant: String,
+    /// The slot's condvar (kept here too: the slot may be gone).
+    signal: Arc<Condvar>,
     consumed: bool,
 }
 
@@ -773,6 +781,19 @@ impl SessionHandle {
         }
     }
 
+    /// Waits on this session's own condvar (a safety-net timeout bounds a
+    /// missed notification; every caller re-checks its condition).
+    fn park<'a>(
+        &self,
+        reg: MutexGuard<'a, Registry>,
+        timeout: Duration,
+    ) -> MutexGuard<'a, Registry> {
+        self.signal
+            .wait_timeout(reg, timeout)
+            .unwrap_or_else(|e| e.into_inner())
+            .0
+    }
+
     /// Queues one chunk of raw interleaved samples, blocking while the
     /// session's bounded inbound buffer is full (cooperative backpressure).
     ///
@@ -789,12 +810,7 @@ impl SessionHandle {
             if slot.inbound.len() < self.shared.cfg.inbound_chunks {
                 break;
             }
-            reg = self
-                .shared
-                .room
-                .wait_timeout(reg, Duration::from_millis(50))
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
+            reg = self.park(reg, Duration::from_millis(50));
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 return Err(ServeError::ShuttingDown);
             }
@@ -828,25 +844,85 @@ impl SessionHandle {
     }
 
     /// Takes the gesture events decided since the last poll (possibly
-    /// none).
+    /// none), without blocking.
+    ///
+    /// # Errors
+    ///
+    /// As [`SessionHandle::wait_events`].
+    pub fn poll_events(&self) -> Result<Vec<GestureEvent>, ServeError> {
+        self.wait_events(Duration::ZERO)
+    }
+
+    /// Takes the gesture events decided since the last call, blocking for
+    /// up to `timeout` while there are none and the stream is still open.
+    /// The pump wakes the caller the moment it publishes this session's
+    /// events or its outcome — other sessions' traffic does not. An empty
+    /// vector means the timeout passed, or the stream has ended (finished
+    /// or parked) with nothing left to deliver.
     ///
     /// # Errors
     ///
     /// Once the pending events are drained: [`ServeError::Evicted`] after
     /// an eviction, the failure error after an engine fault.
-    pub fn poll_events(&self) -> Result<Vec<GestureEvent>, ServeError> {
+    pub fn wait_events(&self, timeout: Duration) -> Result<Vec<GestureEvent>, ServeError> {
+        let start = Instant::now();
+        let mut reg = self.shared.lock();
+        loop {
+            let slot = reg
+                .slots
+                .get_mut(&self.token)
+                .ok_or(ServeError::ShuttingDown)?;
+            if !slot.events.is_empty() {
+                return Ok(std::mem::take(&mut slot.events));
+            }
+            match &slot.phase {
+                Phase::Done(SessionEnd::Evicted) => return Err(ServeError::Evicted),
+                Phase::Done(SessionEnd::Failed(e)) => return Err(e.clone()),
+                Phase::Done(_) => return Ok(Vec::new()),
+                _ => {}
+            }
+            let Some(left) = timeout
+                .checked_sub(start.elapsed())
+                .filter(|d| !d.is_zero())
+            else {
+                return Ok(Vec::new());
+            };
+            reg = self.park(reg, left);
+        }
+    }
+
+    /// Asks the pump to end the stream — `phase` is
+    /// [`Phase::FinishRequested`] or [`Phase::ByeRequested`] — without
+    /// waiting for it to happen.
+    fn request_end(&self, phase: Phase) -> Result<(), ServeError> {
         let mut reg = self.shared.lock();
         let slot = reg
             .slots
             .get_mut(&self.token)
             .ok_or(ServeError::ShuttingDown)?;
-        if !slot.events.is_empty() {
-            return Ok(std::mem::take(&mut slot.events));
+        Self::check_open(slot)?;
+        slot.phase = phase;
+        drop(reg);
+        self.shared.work.notify_all();
+        Ok(())
+    }
+
+    /// Waits for the stream's requested (or already reached) end and
+    /// consumes the slot.
+    fn wait_end(mut self) -> Result<(SessionEnd, SessionStats), ServeError> {
+        let mut reg = self.shared.lock();
+        loop {
+            let slot = reg.slots.get(&self.token).ok_or(ServeError::ShuttingDown)?;
+            if let Phase::Done(_) = slot.phase {
+                break;
+            }
+            reg = self.park(reg, Duration::from_millis(50));
         }
-        match &slot.phase {
-            Phase::Done(SessionEnd::Evicted) => Err(ServeError::Evicted),
-            Phase::Done(SessionEnd::Failed(e)) => Err(e.clone()),
-            _ => Ok(Vec::new()),
+        let slot = reg.slots.remove(&self.token).expect("checked above");
+        self.consumed = true;
+        match slot.phase {
+            Phase::Done(end) => Ok((end, slot.counters)),
+            phase => unreachable!("session end awaited in phase {phase:?}"),
         }
     }
 
@@ -860,44 +936,22 @@ impl SessionHandle {
     /// [`ServeError::Evicted`] if the idle timeout won the race, the
     /// stream's failure error after an engine fault,
     /// [`ServeError::ShuttingDown`] on server shutdown.
-    pub fn finish(mut self) -> Result<FinishReport, ServeError> {
-        let mut reg = self.shared.lock();
-        {
-            let slot = reg
-                .slots
-                .get_mut(&self.token)
-                .ok_or(ServeError::ShuttingDown)?;
-            Self::check_open(slot)?;
-            slot.phase = Phase::FinishRequested;
-        }
-        self.shared.work.notify_all();
-        loop {
-            {
-                let slot = reg
-                    .slots
-                    .get_mut(&self.token)
-                    .ok_or(ServeError::ShuttingDown)?;
-                if let Phase::Done(_) = slot.phase {
-                    break;
-                }
-            }
-            reg = self
-                .shared
-                .room
-                .wait_timeout(reg, Duration::from_millis(50))
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-        }
-        let slot = reg.slots.remove(&self.token).expect("checked above");
-        self.consumed = true;
-        match slot.phase {
-            Phase::Done(SessionEnd::Finished(summary)) => Ok(FinishReport {
+    pub fn finish(self) -> Result<FinishReport, ServeError> {
+        self.request_end(Phase::FinishRequested)?;
+        self.finished()
+    }
+
+    /// The second half of [`SessionHandle::finish`]: collects the report
+    /// of a stream whose finish has been requested.
+    fn finished(self) -> Result<FinishReport, ServeError> {
+        match self.wait_end()? {
+            (SessionEnd::Finished(summary), stats) => Ok(FinishReport {
                 summary: *summary,
-                stats: slot.counters,
+                stats,
             }),
-            Phase::Done(SessionEnd::Evicted) => Err(ServeError::Evicted),
-            Phase::Done(SessionEnd::Failed(e)) => Err(e),
-            phase => unreachable!("finish woke on non-final phase {phase:?}"),
+            (SessionEnd::Evicted, _) => Err(ServeError::Evicted),
+            (SessionEnd::Failed(e), _) => Err(e),
+            (SessionEnd::Parked, _) => unreachable!("a finishing session was parked"),
         }
     }
 
@@ -911,58 +965,23 @@ impl SessionHandle {
     ///
     /// The stream's failure error after an engine fault,
     /// [`ServeError::ShuttingDown`] on server shutdown.
-    pub fn disconnect(mut self) -> Result<u64, ServeError> {
-        let mut reg = self.shared.lock();
-        {
-            let slot = reg
-                .slots
-                .get_mut(&self.token)
-                .ok_or(ServeError::ShuttingDown)?;
-            match &slot.phase {
-                Phase::Open => slot.phase = Phase::ByeRequested,
-                Phase::Done(SessionEnd::Evicted) => {
-                    // Already suspended and parked by the idle timeout.
-                    reg.slots.remove(&self.token);
-                    self.consumed = true;
-                    return Ok(self.token);
-                }
-                Phase::Done(SessionEnd::Failed(e)) => {
-                    let e = e.clone();
-                    reg.slots.remove(&self.token);
-                    self.consumed = true;
-                    return Err(e);
-                }
-                _ => {
-                    return Err(ServeError::BadRequest(
-                        "session is already finishing or ended".into(),
-                    ))
-                }
-            }
+    pub fn disconnect(self) -> Result<u64, ServeError> {
+        match self.request_end(Phase::ByeRequested) {
+            // Evicted: already suspended and parked by the idle timeout.
+            Ok(()) | Err(ServeError::Evicted) => self.parked(),
+            // Dropping the handle frees whatever slot is left.
+            Err(e) => Err(e),
         }
-        self.shared.work.notify_all();
-        loop {
-            {
-                let slot = reg
-                    .slots
-                    .get_mut(&self.token)
-                    .ok_or(ServeError::ShuttingDown)?;
-                if let Phase::Done(_) = slot.phase {
-                    break;
-                }
-            }
-            reg = self
-                .shared
-                .room
-                .wait_timeout(reg, Duration::from_millis(50))
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-        }
-        let slot = reg.slots.remove(&self.token).expect("checked above");
-        self.consumed = true;
-        match slot.phase {
-            Phase::Done(SessionEnd::Parked) | Phase::Done(SessionEnd::Evicted) => Ok(self.token),
-            Phase::Done(SessionEnd::Failed(e)) => Err(e),
-            phase => unreachable!("disconnect woke on non-final phase {phase:?}"),
+    }
+
+    /// The second half of [`SessionHandle::disconnect`]: waits out the
+    /// parking of a stream that was asked to detach (or was evicted).
+    fn parked(self) -> Result<u64, ServeError> {
+        let token = self.token;
+        match self.wait_end()? {
+            (SessionEnd::Parked | SessionEnd::Evicted, _) => Ok(token),
+            (SessionEnd::Failed(e), _) => Err(e),
+            (SessionEnd::Finished(_), _) => unreachable!("a detaching session finished"),
         }
     }
 }
@@ -1002,6 +1021,8 @@ struct Work {
     /// The session's latency budget, checked after each served round.
     slo: Option<LatencyBudget>,
     resume_from: Option<SessionCheckpoint>,
+    /// May be empty: a round can be all about absorbing served windows
+    /// (the completion wake-up) or a lifecycle request.
     chunks: Vec<Vec<f32>>,
     end: Option<EndKind>,
     detached: bool,
@@ -1061,8 +1082,9 @@ fn pump_loop(shared: &Arc<Shared>) {
                 }
             }
             reg.parked.clear();
-            drop(reg);
-            shared.room.notify_all();
+            for slot in reg.slots.values() {
+                slot.signal.notify_all();
+            }
             return;
         }
         let now = Instant::now();
@@ -1081,6 +1103,7 @@ fn pump_loop(shared: &Arc<Shared>) {
                 Phase::Open => cfg.quantum,
                 _ => usize::MAX,
             };
+            let was_full = slot.inbound.len() >= cfg.inbound_chunks;
             let mut chunks = Vec::new();
             while chunks.len() < budget {
                 let Some(chunk) = slot.inbound.pop_front() else {
@@ -1088,6 +1111,11 @@ fn pump_loop(shared: &Arc<Shared>) {
                 };
                 chunks.push(chunk);
             }
+            if was_full && !chunks.is_empty() {
+                // A sender may be blocked on the buffer bound.
+                slot.signal.notify_all();
+            }
+            let ready = std::mem::take(&mut slot.ready);
             let end = match slot.phase {
                 Phase::FinishRequested if slot.inbound.is_empty() => Some(EndKind::Finish),
                 Phase::ByeRequested if slot.inbound.is_empty() => Some(EndKind::Park),
@@ -1102,7 +1130,7 @@ fn pump_loop(shared: &Arc<Shared>) {
                 _ => None,
             };
             let needs_session = !sessions.contains_key(&token);
-            if chunks.is_empty() && end.is_none() && !needs_session {
+            if chunks.is_empty() && end.is_none() && !needs_session && !ready {
                 continue;
             }
             batch.push(Work {
@@ -1141,11 +1169,13 @@ fn pump_loop(shared: &Arc<Shared>) {
         // keep queueing into their buffers meanwhile).
         let mut results: Vec<RoundResult> = Vec::with_capacity(batch.len());
         for work in batch {
-            results.push(serve_round(cfg, &mut sessions, work));
+            results.push(serve_round(shared, &mut sessions, work));
         }
 
-        // Phase 3 — write back events, counters and outcomes.
+        // Phase 3 — write back events, counters and outcomes; the handles
+        // concerned are woken once the lock is released.
         let mut reg = shared.lock();
+        let mut published: Vec<Arc<Condvar>> = Vec::new();
         for r in results {
             // Roll traces into the pool-wide recorder before the slot
             // lookup so a finished/evicted session's last round still
@@ -1172,6 +1202,9 @@ fn pump_loop(shared: &Arc<Shared>) {
             if r.slo_violation && !slot.slo_flagged {
                 slot.slo_flagged = true;
                 delta.slo_violations = 1;
+            }
+            if !r.events.is_empty() || r.outcome.is_some() {
+                published.push(Arc::clone(&slot.signal));
             }
             slot.events.extend(r.events);
             // Detachment may have happened while serving; honour the
@@ -1236,18 +1269,55 @@ fn pump_loop(shared: &Arc<Shared>) {
             reg.tally(&r.tenant, &delta);
         }
         drop(reg);
-        shared.room.notify_all();
+        for signal in published {
+            signal.notify_all();
+        }
     }
 }
 
+/// The wake-up a session carries on the window it is waiting for: marks
+/// the slot ready and signals the pump, from whichever thread completed the
+/// window. (`Weak`: a request still queued in an engine must not keep the
+/// server's state alive.)
+fn ready_hook(shared: &Arc<Shared>, token: u64) -> ReadyHook {
+    let shared = Arc::downgrade(shared);
+    Arc::new(move || {
+        let Some(shared) = shared.upgrade() else {
+            return;
+        };
+        if let Some(slot) = shared.lock().slots.get_mut(&token) {
+            slot.ready = true;
+        }
+        shared.work.notify_all();
+    })
+}
+
+/// Pushes a round's chunks into its session — or, when there are none,
+/// absorbs what the engine has served since the last round (the completion
+/// wake-up; a no-op before a lifecycle request).
+fn advance(
+    session: &mut StreamSession,
+    chunks: &[Vec<f32>],
+) -> Result<Vec<GestureEvent>, ServeError> {
+    if chunks.is_empty() {
+        return session.poll();
+    }
+    let mut events = Vec::new();
+    for chunk in chunks {
+        events.extend(session.push_samples(chunk)?);
+    }
+    Ok(events)
+}
+
 /// Serves one session's round: instantiate the session if needed, push the
-/// snapshotted chunks, check the latency budget, apply the lifecycle
-/// transition.
+/// snapshotted chunks or absorb what the engine has served, check the
+/// latency budget, apply the lifecycle transition.
 fn serve_round(
-    cfg: &StreamServerConfig,
+    shared: &Arc<Shared>,
     sessions: &mut BTreeMap<u64, StreamSession>,
     work: Work,
 ) -> RoundResult {
+    let cfg = &shared.cfg;
     let mut result = RoundResult {
         token: work.token,
         tenant: work.tenant,
@@ -1267,8 +1337,9 @@ fn serve_round(
             None => StreamSession::new(engine, cfg.stream.clone()),
         };
         match made {
-            Ok(session) => {
+            Ok(mut session) => {
                 result.decided_after = session.windows_decided() as u64;
+                session.wake_with(ready_hook(shared, work.token));
                 entry.insert(session);
             }
             Err(e) => {
@@ -1278,16 +1349,14 @@ fn serve_round(
         }
     }
     let session = sessions.get_mut(&work.token).expect("inserted above");
-    for chunk in &work.chunks {
-        result.chunks += 1;
-        result.samples += chunk.len() as u64;
-        match session.push_samples(chunk) {
-            Ok(events) => result.events.extend(events),
-            Err(e) => {
-                sessions.remove(&work.token);
-                result.outcome = Some(RoundEnd::Failed(e));
-                return result;
-            }
+    result.chunks = work.chunks.len() as u64;
+    result.samples = work.chunks.iter().map(|c| c.len() as u64).sum();
+    match advance(session, &work.chunks) {
+        Ok(events) => result.events = events,
+        Err(e) => {
+            sessions.remove(&work.token);
+            result.outcome = Some(RoundEnd::Failed(e));
+            return result;
         }
     }
     result.decided_after = session.windows_decided() as u64;
@@ -1358,7 +1427,12 @@ fn error_code(e: &ServeError) -> ErrorCode {
 
 /// The TCP front door: a `std::net` loopback listener translating the
 /// [`proto`](super::proto) frame protocol into [`StreamServer`] session
-/// calls, one thread per connection.
+/// calls. Each connection has a reader thread, blocked in `read` until the
+/// client sends something, and — while its session is open — a writer
+/// thread, parked in [`SessionHandle::wait_events`] until the pump
+/// publishes something for it. Nothing on the path polls, and the pump
+/// never touches a socket: a peer that stops reading stalls its own writer
+/// and nobody else.
 ///
 /// Failure semantics the fault-injection tests pin down:
 ///
@@ -1386,7 +1460,6 @@ impl TcpGateway {
     /// Propagates the bind failure.
     pub fn bind(server: Arc<StreamServer>, addr: &str) -> std::io::Result<TcpGateway> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let accept = {
@@ -1394,26 +1467,30 @@ impl TcpGateway {
             std::thread::Builder::new()
                 .name("gateway-accept".into())
                 .spawn(move || {
-                    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-                    while !stop.load(Ordering::SeqCst) {
-                        match listener.accept() {
-                            Ok((sock, _peer)) => {
-                                let server = Arc::clone(&server);
-                                let stop = Arc::clone(&stop);
-                                let conn = std::thread::Builder::new()
-                                    .name("gateway-conn".into())
-                                    .spawn(move || serve_connection(&server, sock, &stop))
-                                    .expect("spawn gateway connection thread");
-                                conns.push(conn);
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(2));
-                            }
-                            Err(_) => break,
+                    // Each connection's thread, with a handle on its socket
+                    // to shut it down by.
+                    let mut conns: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
+                    while let Ok((sock, _peer)) = listener.accept() {
+                        if stop.load(Ordering::SeqCst) {
+                            break;
                         }
-                        conns.retain(|c| !c.is_finished());
+                        conns.retain(|(conn, _)| !conn.is_finished());
+                        let Ok(closer) = sock.try_clone() else {
+                            continue;
+                        };
+                        let server = Arc::clone(&server);
+                        let conn = std::thread::Builder::new()
+                            .name("gateway-conn".into())
+                            .spawn(move || serve_connection(&server, sock))
+                            .expect("spawn gateway connection thread");
+                        conns.push((conn, closer));
                     }
-                    for conn in conns {
+                    // Readers block in `read` and writers may block in
+                    // `write`: shutting the sockets down releases both.
+                    for (_, sock) in &conns {
+                        let _ = sock.shutdown(Shutdown::Both);
+                    }
+                    for (conn, _) in conns {
                         let _ = conn.join();
                     }
                 })
@@ -1431,11 +1508,17 @@ impl TcpGateway {
         self.addr
     }
 
-    /// Stops accepting and joins every connection thread. Open sessions
-    /// are disconnected (parked), not finished.
+    /// Stops accepting, shuts every connection's socket down and joins its
+    /// threads. Open sessions are disconnected (parked), not finished.
     pub fn shutdown(&mut self) {
+        let Some(accept) = self.accept.take() else {
+            return;
+        };
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(accept) = self.accept.take() {
+        // The accept thread blocks in `accept`; a connection of our own
+        // wakes it up to see the flag. (If even that fails the thread is
+        // left to the process's exit rather than joined forever.)
+        if TcpStream::connect(self.addr).is_ok() {
             let _ = accept.join();
         }
     }
@@ -1469,224 +1552,258 @@ fn send_error(sock: &mut TcpStream, scratch: &mut Vec<u8>, code: ErrorCode, mess
     let _ = send_frame(sock, scratch, &Frame::Error { code, message });
 }
 
-/// Drains the handle's pending events onto the wire. `Ok(false)` means the
-/// socket died; `Err` carries a session-layer failure.
-fn flush_events(
-    sock: &mut TcpStream,
-    scratch: &mut Vec<u8>,
-    handle: &SessionHandle,
-) -> Result<bool, ServeError> {
-    for event in handle.poll_events()? {
-        if !send_frame(sock, scratch, &Frame::Event(event)) {
-            return Ok(false);
+/// Why a connection's reader stopped.
+enum ReadEnd {
+    /// The client sent `Finish`.
+    Finish,
+    /// The client sent `Bye`, or the socket closed (EOF, reset, gateway
+    /// shutdown): park the session.
+    Detach,
+    /// The client broke the protocol, or the session refused a chunk
+    /// (evicted, failed, shutting down): error frame, then park.
+    Failed(ErrorCode, String),
+}
+
+/// Blocks until the client has sent more bytes and feeds them to the
+/// decoder; `false` once the socket is closed (EOF, reset, shut down).
+fn read_more(sock: &mut TcpStream, decoder: &mut FrameDecoder, buf: &mut [u8]) -> bool {
+    loop {
+        match sock.read(buf) {
+            Ok(0) => return false,
+            Ok(n) => {
+                decoder.feed(&buf[..n]);
+                return true;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => return false,
         }
     }
-    Ok(true)
+}
+
+/// Reads until a `Hello` opens a session and acknowledges it; `None` when
+/// the connection ended (or was refused, with an error frame) first.
+fn handshake(
+    server: &StreamServer,
+    sock: &mut TcpStream,
+    decoder: &mut FrameDecoder,
+    scratch: &mut Vec<u8>,
+) -> Option<SessionHandle> {
+    let mut buf = [0u8; 1024];
+    let refusal = loop {
+        match decoder.next_frame() {
+            Ok(Some(Frame::Hello {
+                tenant,
+                resume,
+                model,
+            })) => {
+                let opened = match resume {
+                    None => server.connect_with(&tenant, SessionOptions { model, slo: None }),
+                    // On resume the parked session's model governs — the
+                    // stream must continue on the variant it started on,
+                    // so any model in the frame is ignored.
+                    Some(token) => server.resume(&tenant, token),
+                };
+                match opened {
+                    Ok(handle) => {
+                        let stream = server.stream_config();
+                        let ack = Frame::HelloAck {
+                            token: handle.token(),
+                            channels: stream.channels as u16,
+                            window: stream.window as u32,
+                            slide: stream.slide as u32,
+                        };
+                        // A dead socket drops (parks) the fresh session.
+                        return send_frame(sock, scratch, &ack).then_some(handle);
+                    }
+                    Err(e) => break (error_code(&e), e.to_string()),
+                }
+            }
+            Ok(Some(Frame::Bye)) => return None,
+            Ok(Some(Frame::Samples(_))) => {
+                break (ErrorCode::Protocol, "samples before hello".into())
+            }
+            Ok(Some(Frame::Finish)) => break (ErrorCode::Protocol, "finish before hello".into()),
+            Ok(Some(_)) => {
+                break (
+                    ErrorCode::Protocol,
+                    "server-to-client frame sent by client".into(),
+                )
+            }
+            Err(e) => break (ErrorCode::Protocol, e.to_string()),
+            Ok(None) if read_more(sock, decoder, &mut buf) => {}
+            Ok(None) => return None,
+        }
+    };
+    send_error(sock, scratch, refusal.0, refusal.1);
+    None
+}
+
+/// The reader of an open session: feeds sample chunks to the session until
+/// the client ends the stream one way or another.
+fn read_frames(
+    handle: &SessionHandle,
+    sock: &mut TcpStream,
+    decoder: &mut FrameDecoder,
+) -> ReadEnd {
+    let protocol = |why| ReadEnd::Failed(ErrorCode::Protocol, why);
+    let mut buf = [0u8; 16 * 1024];
+    loop {
+        match decoder.next_frame() {
+            Ok(Some(Frame::Samples(samples))) => {
+                if let Err(e) = handle.send(&samples) {
+                    return ReadEnd::Failed(error_code(&e), e.to_string());
+                }
+            }
+            Ok(Some(Frame::Finish)) => return ReadEnd::Finish,
+            Ok(Some(Frame::Bye)) => return ReadEnd::Detach,
+            Ok(Some(Frame::Hello { .. })) => {
+                return protocol("duplicate hello on an open session".into())
+            }
+            Ok(Some(_)) => return protocol("server-to-client frame sent by client".into()),
+            Err(e) => return protocol(e.to_string()),
+            Ok(None) if read_more(sock, decoder, &mut buf) => {}
+            Ok(None) => return ReadEnd::Detach,
+        }
+    }
+}
+
+/// The writer of an open session: parks until the pump publishes events
+/// for this session and writes them out, until the reader has asked for
+/// the stream's end (`closing`), the session fails, or the socket dies.
+/// Returns the session's failure, if that is what ended it.
+fn write_events(
+    handle: &SessionHandle,
+    sock: &mut TcpStream,
+    closing: &AtomicBool,
+) -> Option<ServeError> {
+    // A missed wake-up costs at most this; the pump's notification is what
+    // ends the wait.
+    const PARK: Duration = Duration::from_secs(1);
+    let mut scratch = Vec::new();
+    loop {
+        match handle.wait_events(PARK) {
+            Ok(events) => {
+                for event in events {
+                    if !send_frame(sock, &mut scratch, &Frame::Event(event)) {
+                        // Dead socket: release the reader too.
+                        let _ = sock.shutdown(Shutdown::Both);
+                        return None;
+                    }
+                }
+                // Whatever is decided from here on goes out with the
+                // closing exchange, or stays with the parked checkpoint.
+                if closing.load(Ordering::SeqCst) {
+                    return None;
+                }
+            }
+            Err(e) => {
+                // Evicted or failed under a silent client: stop the reader
+                // (the write side stays open for the error frame).
+                let _ = sock.shutdown(Shutdown::Read);
+                return Some(e);
+            }
+        }
+    }
 }
 
 /// Serves one TCP connection end-to-end (see [`TcpGateway`] for the
-/// failure semantics).
-fn serve_connection(server: &StreamServer, mut sock: TcpStream, stop: &AtomicBool) {
+/// failure semantics). This thread reads; while the session is open a
+/// second, scoped thread writes its events. The frames before (`HelloAck`)
+/// and after (the `Finish` closing exchange, error frames) are written here
+/// with the writer not yet started or already joined, so the wire sees one
+/// order.
+fn serve_connection(server: &StreamServer, mut sock: TcpStream) {
     let _ = sock.set_nodelay(true);
-    let _ = sock.set_read_timeout(Some(Duration::from_millis(5)));
     let mut decoder = FrameDecoder::new();
     let mut scratch = Vec::new();
-    let mut handle: Option<SessionHandle> = None;
-    let mut buf = [0u8; 16 * 1024];
-    // Parks the session (if any) on the way out.
-    macro_rules! bail {
-        () => {{
-            if let Some(h) = handle.take() {
-                let _ = h.disconnect();
+    if let Some(handle) = handshake(server, &mut sock, &mut decoder, &mut scratch) {
+        serve_session(handle, &mut sock, &mut decoder, &mut scratch);
+    }
+    // The accept thread still holds a handle on this socket: say goodbye
+    // explicitly rather than by dropping ours.
+    let _ = sock.shutdown(Shutdown::Both);
+}
+
+/// The open-session part of a connection: stream, then close.
+fn serve_session(
+    handle: SessionHandle,
+    sock: &mut TcpStream,
+    decoder: &mut FrameDecoder,
+    scratch: &mut Vec<u8>,
+) {
+    let Ok(mut events_sock) = sock.try_clone() else {
+        return;
+    };
+    let closing = AtomicBool::new(false);
+    let (end, requested, failure) = std::thread::scope(|scope| {
+        let writer = std::thread::Builder::new()
+            .name("gateway-writer".into())
+            .spawn_scoped(scope, || write_events(&handle, &mut events_sock, &closing))
+            .expect("spawn gateway writer thread");
+        let end = read_frames(&handle, sock, decoder);
+        // Ask for the stream's end; its outcome is what wakes the writer.
+        closing.store(true, Ordering::SeqCst);
+        let requested = handle.request_end(match end {
+            ReadEnd::Finish => Phase::FinishRequested,
+            _ => Phase::ByeRequested,
+        });
+        let failure = writer.join().expect("gateway writer thread panicked");
+        (end, requested, failure)
+    });
+    // A session that ended by itself (evicted, failed) beats whatever the
+    // reader saw of it.
+    let wire = |e: &ServeError| (error_code(e), e.to_string());
+    let error = match (&failure, end, &requested) {
+        (None, ReadEnd::Finish, Ok(())) => {
+            match handle.finished() {
+                Ok(report) => send_report(sock, scratch, &report),
+                Err(e) => send_error(sock, scratch, error_code(&e), e.to_string()),
             }
             return;
-        }};
+        }
+        (Some(e), _, _) | (None, ReadEnd::Finish, Err(e)) => Some(wire(e)),
+        (None, ReadEnd::Failed(code, why), _) => Some((code, why)),
+        (None, ReadEnd::Detach, _) => None,
+    };
+    if let Some((code, message)) = error {
+        send_error(sock, scratch, code, message);
     }
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            bail!();
+    // Wait out the parking that was asked for; a handle whose request was
+    // refused (the session had ended already) frees its slot by dropping.
+    if requested.is_ok() {
+        let _ = handle.parked();
+    }
+}
+
+/// The `Finish` closing exchange: the events not yet streamed, then the
+/// summary, the stage statistics and the session counters.
+fn send_report(sock: &mut TcpStream, scratch: &mut Vec<u8>, report: &FinishReport) {
+    for event in &report.summary.events {
+        if !send_frame(sock, scratch, &Frame::Event(event.clone())) {
+            return;
         }
-        // Push decided events out before reading more input.
-        if let Some(h) = &handle {
-            match flush_events(&mut sock, &mut scratch, h) {
-                Ok(true) => {}
-                Ok(false) => bail!(),
-                Err(e) => {
-                    send_error(&mut sock, &mut scratch, error_code(&e), e.to_string());
-                    // Evicted/failed sessions are already parked or dead —
-                    // consume the slot and drop the connection.
-                    if let Some(h) = handle.take() {
-                        let _ = h.disconnect();
-                    }
-                    return;
-                }
-            }
-        }
-        match sock.read(&mut buf) {
-            Ok(0) => bail!(), // EOF: mid-stream disconnect → park.
-            Ok(n) => decoder.feed(&buf[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
-            Err(_) => bail!(),
-        }
-        loop {
-            let frame = match decoder.next_frame() {
-                Ok(Some(frame)) => frame,
-                Ok(None) => break,
-                Err(proto_err) => {
-                    send_error(
-                        &mut sock,
-                        &mut scratch,
-                        ErrorCode::Protocol,
-                        proto_err.to_string(),
-                    );
-                    bail!();
-                }
-            };
-            match frame {
-                Frame::Hello {
-                    tenant,
-                    resume,
-                    model,
-                } if handle.is_none() => {
-                    let opened = match resume {
-                        None => server.connect_with(&tenant, SessionOptions { model, slo: None }),
-                        // On resume the parked session's model governs —
-                        // the stream must continue on the variant it
-                        // started on, so any model in the frame is ignored.
-                        Some(token) => server.resume(&tenant, token),
-                    };
-                    match opened {
-                        Ok(h) => {
-                            let stream = server.stream_config();
-                            let ack = Frame::HelloAck {
-                                token: h.token(),
-                                channels: stream.channels as u16,
-                                window: stream.window as u32,
-                                slide: stream.slide as u32,
-                            };
-                            handle = Some(h);
-                            if !send_frame(&mut sock, &mut scratch, &ack) {
-                                bail!();
-                            }
-                        }
-                        Err(e) => {
-                            send_error(&mut sock, &mut scratch, error_code(&e), e.to_string());
-                            return;
-                        }
-                    }
-                }
-                Frame::Samples(samples) => {
-                    let Some(h) = &handle else {
-                        send_error(
-                            &mut sock,
-                            &mut scratch,
-                            ErrorCode::Protocol,
-                            "samples before hello".into(),
-                        );
-                        return;
-                    };
-                    if let Err(e) = h.send(&samples) {
-                        send_error(&mut sock, &mut scratch, error_code(&e), e.to_string());
-                        if let Some(h) = handle.take() {
-                            let _ = h.disconnect();
-                        }
-                        return;
-                    }
-                }
-                Frame::Finish => {
-                    let Some(h) = handle.take() else {
-                        send_error(
-                            &mut sock,
-                            &mut scratch,
-                            ErrorCode::Protocol,
-                            "finish before hello".into(),
-                        );
-                        return;
-                    };
-                    match h.finish() {
-                        Ok(report) => {
-                            for event in &report.summary.events {
-                                if !send_frame(
-                                    &mut sock,
-                                    &mut scratch,
-                                    &Frame::Event(event.clone()),
-                                ) {
-                                    return;
-                                }
-                            }
-                            let predictions = report
-                                .summary
-                                .predictions
-                                .iter()
-                                .zip(&report.summary.confidences)
-                                .map(|(&class, &conf)| (class as u64, conf))
-                                .collect();
-                            let _ = send_frame(
-                                &mut sock,
-                                &mut scratch,
-                                &Frame::Summary {
-                                    windows: report.summary.windows as u64,
-                                    predictions,
-                                },
-                            );
-                            let _ = send_frame(
-                                &mut sock,
-                                &mut scratch,
-                                &Frame::Stats(report.summary.stages),
-                            );
-                            let _ = send_frame(
-                                &mut sock,
-                                &mut scratch,
-                                &Frame::SessionStats {
-                                    windows: report.stats.windows,
-                                    chunks: report.stats.chunks,
-                                    samples: report.stats.samples,
-                                    events: report.stats.events,
-                                },
-                            );
-                        }
-                        Err(e) => {
-                            send_error(&mut sock, &mut scratch, error_code(&e), e.to_string())
-                        }
-                    }
-                    return;
-                }
-                Frame::Bye => {
-                    if let Some(h) = handle.take() {
-                        let _ = h.disconnect();
-                    }
-                    return;
-                }
-                Frame::Hello { .. } => {
-                    send_error(
-                        &mut sock,
-                        &mut scratch,
-                        ErrorCode::Protocol,
-                        "duplicate hello on an open session".into(),
-                    );
-                    bail!();
-                }
-                // Server-to-client frames arriving at the server are a
-                // protocol violation.
-                Frame::HelloAck { .. }
-                | Frame::Event(_)
-                | Frame::Summary { .. }
-                | Frame::Stats(_)
-                | Frame::SessionStats { .. }
-                | Frame::Error { .. } => {
-                    send_error(
-                        &mut sock,
-                        &mut scratch,
-                        ErrorCode::Protocol,
-                        "server-to-client frame sent by client".into(),
-                    );
-                    bail!();
-                }
-            }
-        }
+    }
+    let predictions = report
+        .summary
+        .predictions
+        .iter()
+        .zip(&report.summary.confidences)
+        .map(|(&class, &conf)| (class as u64, conf))
+        .collect();
+    let closing = [
+        Frame::Summary {
+            windows: report.summary.windows as u64,
+            predictions,
+        },
+        Frame::Stats(report.summary.stages),
+        Frame::SessionStats {
+            windows: report.stats.windows,
+            chunks: report.stats.chunks,
+            samples: report.stats.samples,
+            events: report.stats.events,
+        },
+    ];
+    for frame in &closing {
+        let _ = send_frame(sock, scratch, frame);
     }
 }

@@ -35,7 +35,7 @@
 //! holds the property tests.
 
 use super::engine::Engine;
-use super::queue::{RequestOutput, ServeError};
+use super::queue::{ReadyHook, RequestOutput, ServeError};
 use super::trace::{LatencyTrace, StageRecorder, StageSummary};
 use bioformer_semg::windowing::OnlineWindower;
 use bioformer_semg::{CalibrationConfig, Gesture, Normalizer, SessionCalibrator};
@@ -578,9 +578,17 @@ struct Inflight {
     /// pay a per-window copy.
     window: Option<Tensor>,
     retries_left: usize,
-    /// Time the window's samples spent buffering before it was complete
-    /// (carried through retries into the decision-latency trace).
+    /// Carried through retries into the decision-latency trace.
+    timing: WindowTiming,
+}
+
+/// What the session itself times of a window on its way to the engine.
+#[derive(Debug, Clone, Copy)]
+struct WindowTiming {
+    /// Time the window's samples spent buffering before it was complete.
     buffering: Duration,
+    /// When the window was first submitted.
+    submitted: Instant,
 }
 
 /// Stage timings of one absorbed window, retained until the decision
@@ -656,6 +664,9 @@ pub struct StreamSession {
     /// Traces not yet handed to [`StreamSession::drain_new_traces`]
     /// (bounded at [`TRACE_BACKLOG`]; preallocated, never grown).
     pending_traces: VecDeque<LatencyTrace>,
+    /// Called when the window [`StreamSession::poll`] is waiting on has
+    /// been served (see [`StreamSession::wake_with`]).
+    ready_hook: Option<ReadyHook>,
 }
 
 impl StreamSession {
@@ -726,6 +737,7 @@ impl StreamSession {
             mark_cap,
             recorder: StageRecorder::new(),
             pending_traces: VecDeque::with_capacity(TRACE_BACKLOG),
+            ready_hook: None,
         })
     }
 
@@ -825,6 +837,37 @@ impl StreamSession {
         }
         self.drain(false, &mut events)?;
         Ok(events)
+    }
+
+    /// Absorbs, without blocking, whatever the front of the in-flight
+    /// queue has finished since the last push or poll — window order,
+    /// retries and the lookahead bound exactly as in
+    /// [`StreamSession::push_samples`] — and returns the events decided.
+    /// Makes no heap allocation when nothing has finished.
+    ///
+    /// A session whose owner sleeps between bursts pairs this with
+    /// [`StreamSession::wake_with`]: a decided window then reaches the
+    /// decision layer when it is served, not when the next samples arrive.
+    ///
+    /// # Errors
+    ///
+    /// As [`StreamSession::push_samples`].
+    pub fn poll(&mut self) -> Result<Vec<GestureEvent>, ServeError> {
+        let mut events = Vec::new();
+        self.drain(false, &mut events)?;
+        Ok(events)
+    }
+
+    /// Registers the wake-up of this session's owner: whenever a push or
+    /// poll leaves a window in flight, `hook` is called — on the thread
+    /// that completes it, or at once if it completed meanwhile — as soon as
+    /// the oldest such window has been served, i.e. as soon as
+    /// [`StreamSession::poll`] has something to absorb. Windows are
+    /// absorbed in order, so only the oldest one's completion matters; the
+    /// hook rides that window's [`PendingResponse`](super::PendingResponse)
+    /// and so passes through every engine decorator.
+    pub fn wake_with(&mut self, hook: ReadyHook) {
+        self.ready_hook = Some(hook);
     }
 
     /// Ends the stream: waits out every in-flight window, closes the final
@@ -960,7 +1003,10 @@ impl StreamSession {
             pending,
             window: retry_copy,
             retries_left: self.retries,
-            buffering,
+            timing: WindowTiming {
+                buffering,
+                submitted: now,
+            },
         });
         Ok(())
     }
@@ -974,12 +1020,12 @@ impl StreamSession {
         result: Result<RequestOutput, ServeError>,
         window: Option<Tensor>,
         retries_left: usize,
-        buffering: Duration,
+        timing: WindowTiming,
         events: &mut Vec<GestureEvent>,
     ) -> Result<(), ServeError> {
         match (result, window) {
             (Ok(out), _) => {
-                self.absorb(out, buffering, events);
+                self.absorb(out, timing, events);
                 Ok(())
             }
             (Err(ServeError::Cancelled), Some(window)) if retries_left > 0 => {
@@ -988,7 +1034,7 @@ impl StreamSession {
                     pending,
                     window: Some(window),
                     retries_left: retries_left - 1,
-                    buffering,
+                    timing,
                 });
                 Ok(())
             }
@@ -1004,22 +1050,27 @@ impl StreamSession {
             pending,
             window,
             retries_left,
-            buffering,
+            timing,
         }) = self.inflight.pop_front()
         {
             let must_wait = drain_all || self.inflight.len() >= self.lookahead;
             if must_wait {
                 let result = pending.wait();
-                self.resolve(result, window, retries_left, buffering, events)?;
+                self.resolve(result, window, retries_left, timing, events)?;
             } else {
                 match pending.try_wait() {
-                    Ok(result) => self.resolve(result, window, retries_left, buffering, events)?,
+                    Ok(result) => self.resolve(result, window, retries_left, timing, events)?,
                     Err(pending) => {
+                        // Still in flight, and next in line: have its
+                        // completion wake the session's owner.
+                        if let Some(hook) = &self.ready_hook {
+                            pending.on_ready(Arc::clone(hook));
+                        }
                         self.inflight.push_front(Inflight {
                             pending,
                             window,
                             retries_left,
-                            buffering,
+                            timing,
                         });
                         break;
                     }
@@ -1031,20 +1082,26 @@ impl StreamSession {
 
     /// Feeds one served window into the decision layer, marking its stage
     /// timings so any event it triggers can be traced.
-    fn absorb(&mut self, out: RequestOutput, buffering: Duration, events: &mut Vec<GestureEvent>) {
+    fn absorb(&mut self, out: RequestOutput, timing: WindowTiming, events: &mut Vec<GestureEvent>) {
         debug_assert_eq!(out.predictions.len(), 1, "stream requests hold one window");
         let class = out.predictions[0];
         let conf = confidence(out.logits.row(0), class);
         if self.marks.len() == self.mark_cap {
             self.marks.pop_front();
         }
+        let absorbed = Instant::now();
         self.marks.push_back(WindowMark {
             window: self.predictions.len(),
             class,
-            buffering,
-            queueing: out.queue_wait,
+            buffering: timing.buffering,
+            // Everything between submission and this moment that was not
+            // the backend: the engine's queue, and the response waiting
+            // for this session to come and take it.
+            queueing: absorbed
+                .saturating_duration_since(timing.submitted)
+                .saturating_sub(out.batch_latency),
             compute: out.batch_latency,
-            absorbed: Instant::now(),
+            absorbed,
         });
         self.predictions.push(class);
         self.confidences.push(conf);

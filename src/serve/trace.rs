@@ -14,8 +14,9 @@
 //!
 //! * **buffering** — samples waiting for enough new frames to complete the
 //!   next window (scales with the stream's `slide`);
-//! * **queueing** — window submitted → batch execution starts (engine queue
-//!   wait: linger, backlog, busy workers);
+//! * **queueing** — window submitted → prediction absorbed, less the
+//!   compute stage (engine queue wait: linger, backlog, busy workers; then
+//!   the served response waiting for its session to take it);
 //! * **compute** — the coalesced batch's backend execution;
 //! * **smoothing** — decision available → debounced emission (the majority
 //!   vote / min-hold delay, plus any lookahead pipelining).
@@ -50,7 +51,8 @@ pub const DEFAULT_TRACE_WINDOW: usize = 1024;
 pub struct LatencyTrace {
     /// Samples waiting for the triggering window to fill (window cadence).
     pub buffering: Duration,
-    /// Triggering window's submit → batch execution start (queue wait).
+    /// Triggering window's submit → absorption into the decision layer,
+    /// less `compute`: the wait before the backend and the wait after it.
     pub queueing: Duration,
     /// Triggering window's coalesced-batch backend execution.
     pub compute: Duration,
@@ -90,7 +92,7 @@ pub struct StageStats {
 pub struct StageSummary {
     /// Samples waiting for a full window.
     pub buffering: StageStats,
-    /// Window submission → batch start.
+    /// Window submission → absorption, less compute.
     pub queueing: StageStats,
     /// Coalesced-batch backend execution.
     pub compute: StageStats,

@@ -15,7 +15,7 @@ use super::queue::{PendingResponse, Request, RequestOutput, RequestQueue, ServeE
 use super::{predict_chunked, GestureClassifier, LatencyStats, DEFAULT_MICRO_BATCH};
 use bioformer_tensor::{Tensor, TensorArena};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -40,9 +40,9 @@ pub enum LingerPolicy {
 /// Tuning knobs for [`AsyncEngine`] (and, per replica, for
 /// [`ShardedEngine`](super::ShardedEngine)).
 ///
-/// The defaults favour throughput under concurrency: a small linger lets a
-/// worker wait for other clients' requests to share a batch, which costs at
-/// most `linger` of extra latency when traffic is sparse.
+/// The defaults coalesce where there is something to coalesce: the linger
+/// is derived from the replica's own traffic ([`LingerPolicy::Adaptive`]),
+/// so a lone window is served at once and a burst still shares a batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AsyncEngineConfig {
     /// Worker threads consuming the queue (≥ 1). One worker per backend
@@ -65,13 +65,19 @@ pub struct AsyncEngineConfig {
     pub queue_capacity: usize,
 }
 
+/// The default linger: the bootstrap value and the cap of the default
+/// adaptive policy.
+const DEFAULT_LINGER: Duration = Duration::from_micros(500);
+
 impl Default for AsyncEngineConfig {
     fn default() -> Self {
         AsyncEngineConfig {
             workers: 2,
             micro_batch: DEFAULT_MICRO_BATCH,
-            linger: Duration::from_micros(500),
-            linger_policy: LingerPolicy::Fixed,
+            linger: DEFAULT_LINGER,
+            linger_policy: LingerPolicy::Adaptive {
+                max: DEFAULT_LINGER,
+            },
             queue_capacity: 256,
         }
     }
@@ -652,15 +658,15 @@ impl Replica {
         }
         st.validating += 1;
         drop(st);
-        let (tx, rx) = mpsc::channel();
+        let (respond, pending) = PendingResponse::channel(n);
         Ok((
             Request {
                 windows,
                 deadline,
                 enqueued: Instant::now(),
-                respond: tx,
+                respond,
             },
-            PendingResponse { rx, windows: n },
+            pending,
             (c, s),
         ))
     }
@@ -998,7 +1004,7 @@ fn worker_loop(
             if late {
                 expired += 1;
                 total -= req.windows.dims()[0];
-                let _ = req.respond.send(Err(ServeError::DeadlineExpired));
+                req.respond.send(Err(ServeError::DeadlineExpired));
             }
             !late
         });
@@ -1052,7 +1058,7 @@ fn worker_loop(
                 // woken by the cancellation already sees the failure.
                 shared.note_batch_failure();
                 for req in &batch {
-                    let _ = req.respond.send(Err(ServeError::Cancelled));
+                    req.respond.send(Err(ServeError::Cancelled));
                 }
                 continue;
             }
@@ -1074,7 +1080,7 @@ fn admit(
 ) {
     if req.deadline.is_some_and(|d| Instant::now() > d) {
         *expired += 1;
-        let _ = req.respond.send(Err(ServeError::DeadlineExpired));
+        req.respond.send(Err(ServeError::DeadlineExpired));
         return;
     }
     if let Some(first) = batch.first() {
@@ -1082,7 +1088,7 @@ fn admit(
             *rejected += 1;
             let (c, s) = req.shape();
             let (ec, es) = first.shape();
-            let _ = req.respond.send(Err(ServeError::BadRequest(format!(
+            req.respond.send(Err(ServeError::BadRequest(format!(
                 "window shape [{c}, {s}] does not match batch shape [{ec}, {es}]"
             ))));
             return;
@@ -1147,7 +1153,7 @@ fn run_batch(
         } else {
             slice.argmax_rows()
         };
-        let _ = req.respond.send(Ok(RequestOutput {
+        req.respond.send(Ok(RequestOutput {
             logits: slice,
             predictions,
             queue_wait: exec_start.saturating_duration_since(req.enqueued),
@@ -1313,8 +1319,8 @@ mod tests {
     /// the rider gets `BadRequest`, the batch survives.
     #[test]
     fn admit_rejects_shape_mismatch_within_a_batch() {
-        let (tx_a, _rx_a) = mpsc::channel();
-        let (tx_b, rx_b) = mpsc::channel();
+        let (tx_a, _rx_a) = PendingResponse::channel(2);
+        let (tx_b, rx_b) = PendingResponse::channel(1);
         let mut batch = Vec::new();
         let (mut total, mut expired, mut rejected) = (0usize, 0usize, 0usize);
         admit(
@@ -1345,7 +1351,7 @@ mod tests {
         assert_eq!(total, 2);
         assert_eq!(rejected, 1);
         assert!(matches!(
-            rx_b.try_recv().unwrap(),
+            rx_b.try_wait().unwrap(),
             Err(ServeError::BadRequest(_))
         ));
     }
@@ -1592,7 +1598,7 @@ mod tests {
             let mut receivers = Vec::new();
             let mut row = 0usize;
             for &n in sizes {
-                let (tx, rx) = mpsc::channel();
+                let (tx, rx) = PendingResponse::channel(n);
                 batch.push(Request {
                     windows: Tensor::from_vec(
                         full.data()[row * sample_len..(row + n) * sample_len].to_vec(),
@@ -1617,7 +1623,7 @@ mod tests {
             assert_eq!(latencies.len(), total.div_ceil(micro));
 
             for (rx, row, n) in receivers {
-                let out = rx.try_recv().expect("every request gets a response");
+                let out = rx.try_wait().expect("every request gets a response");
                 let out = out.expect("request must be served");
                 prop_assert_eq!(out.logits.dims(), &[n, classes]);
                 prop_assert_eq!(out.predictions.len(), n);

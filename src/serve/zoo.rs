@@ -30,7 +30,7 @@
 //!   the rest of the serving stack ([`ZooStats::rollup_consistent`]).
 
 use super::engine::{Engine, EngineStats};
-use super::queue::{PendingResponse, RequestOutput, ServeError};
+use super::queue::{PendingResponse, RequestOutput, Responder, ServeError};
 use super::stream::confidence;
 use super::trace::{LatencyTrace, StageRecorder, StageSummary};
 use bioformer_tensor::Tensor;
@@ -232,13 +232,13 @@ impl ShadowCore {
 /// untouched, then (if the duplicate was accepted) compare the candidate's.
 enum CollectorJob {
     Compare {
-        forward: mpsc::Sender<Result<RequestOutput, ServeError>>,
+        forward: Responder,
         incumbent: PendingResponse,
         candidate: Option<PendingResponse>,
     },
     /// Latency-only recording for a Split-arm response.
     RecordArm {
-        forward: mpsc::Sender<Result<RequestOutput, ServeError>>,
+        forward: Responder,
         response: PendingResponse,
         candidate_arm: bool,
     },
@@ -344,17 +344,16 @@ impl ShadowEngine {
                         c.dropped += 1;
                     }
                 }
-                let (tx, rx) = mpsc::channel();
-                let job = CollectorJob::Compare {
-                    forward: tx,
+                let (forward, pending) = PendingResponse::channel(n);
+                // If the collector is gone (engine dropped mid-flight) the
+                // job — and with it the responder — drops here, and the
+                // caller sees Cancelled.
+                let _ = self.jobs.send(CollectorJob::Compare {
+                    forward,
                     incumbent,
                     candidate,
-                };
-                if self.jobs.send(job).is_err() {
-                    // Collector is gone (engine dropped mid-flight): the
-                    // caller sees Cancelled via the disconnected channel.
-                }
-                Ok(PendingResponse { rx, windows: n })
+                });
+                Ok(pending)
             }
             RouteMode::Split(f) => {
                 let (candidate_arm, response) = {
@@ -376,14 +375,13 @@ impl ShadowEngine {
                         (false, submit(&*self.incumbent, windows)?)
                     }
                 };
-                let (tx, rx) = mpsc::channel();
-                let job = CollectorJob::RecordArm {
-                    forward: tx,
+                let (forward, pending) = PendingResponse::channel(n);
+                let _ = self.jobs.send(CollectorJob::RecordArm {
+                    forward,
                     response,
                     candidate_arm,
-                };
-                let _ = self.jobs.send(job);
-                Ok(PendingResponse { rx, windows: n })
+                });
+                Ok(pending)
             }
         }
     }
@@ -429,11 +427,11 @@ fn collector_loop(
                 // the candidate.
                 let inc_out = match inc_result {
                     Ok(out) => {
-                        let _ = forward.send(Ok(out.clone()));
+                        forward.send(Ok(out.clone()));
                         Some(out)
                     }
                     Err(e) => {
-                        let _ = forward.send(Err(e));
+                        forward.send(Err(e));
                         None
                     }
                 };
@@ -477,14 +475,14 @@ fn collector_loop(
                 candidate_arm,
             } => match response.wait() {
                 Ok(out) => {
-                    let _ = forward.send(Ok(out.clone()));
+                    forward.send(Ok(out.clone()));
                     core.record_arm(candidate_arm, &out);
                     if candidate_arm {
                         core.lock_counters().resolved += 1;
                     }
                 }
                 Err(e) => {
-                    let _ = forward.send(Err(e));
+                    forward.send(Err(e));
                     if candidate_arm {
                         core.lock_counters().dropped += 1;
                     }

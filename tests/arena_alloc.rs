@@ -10,19 +10,23 @@
 //! dims inline.
 //!
 //! The counter is gated on a thread-local flag so the test harness's other
-//! threads cannot pollute the measurement.
+//! threads cannot pollute the measurement. What the tests do share is the
+//! process-wide kernel thread cap; [`serial_kernels`] serialises them on it.
+
+mod common;
 
 use bioformers::core::{Bioformer, BioformerConfig};
 use bioformers::nn::serialize::state_dict;
 use bioformers::nn::InferForward;
 use bioformers::quant::QuantBioformer;
 use bioformers::serve::{
-    DecisionPolicy, GestureClassifier, InferenceEngine, LatencyTrace, StageRecorder, StreamConfig,
-    StreamSession,
+    DecisionPolicy, GestureClassifier, InferenceEngine, LatencyTrace, ReadyHook, StageRecorder,
+    StreamConfig, StreamSession,
 };
 use bioformers::tensor::{parallel, Tensor, TensorArena};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 thread_local! {
@@ -77,6 +81,26 @@ fn count_allocations(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(|c| c.get())
 }
 
+/// Pins the kernels to the caller's thread (thread spawns allocate) for as
+/// long as the guard lives, and keeps every other test of this binary that
+/// wants the same out meanwhile. The cap is process-wide and the tests run
+/// on parallel threads: unserialised, one test restoring the default cap
+/// puts a neighbour's measured forward back on the threaded path — or
+/// makes it the first caller of `available_parallelism`, which reads
+/// cgroup files into fresh allocations. That was the one-in-three flake.
+fn serial_kernels() -> impl Drop {
+    struct Guard(#[allow(dead_code)] MutexGuard<'static, ()>);
+    impl Drop for Guard {
+        fn drop(&mut self) {
+            parallel::set_max_threads(0);
+        }
+    }
+    static LOCK: Mutex<()> = Mutex::new(());
+    let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    parallel::set_max_threads(1);
+    Guard(guard)
+}
+
 fn window(batch: usize, seed: u64) -> Tensor {
     let mut state = seed | 1;
     Tensor::from_fn(&[batch, 14, 300], |_| {
@@ -99,9 +123,7 @@ fn quant_model() -> QuantBioformer {
 
 #[test]
 fn steady_state_bioformer_forward_makes_zero_heap_allocations() {
-    // Force the serial kernel path: thread spawns allocate, and a bio1
-    // single-window forward never crosses the parallel threshold anyway.
-    parallel::set_max_threads(1);
+    let _serial = serial_kernels();
     let model = Bioformer::new(&BioformerConfig::bio1());
     let x = window(1, 3);
     let mut arena = TensorArena::new();
@@ -131,7 +153,6 @@ fn steady_state_bioformer_forward_makes_zero_heap_allocations() {
             "steady-state forward #{trial} hit the heap {steady} times"
         );
     }
-    parallel::set_max_threads(0);
 }
 
 /// Autotuned kernels keep the allocation-free steady state: tuning (and
@@ -140,7 +161,7 @@ fn steady_state_bioformer_forward_makes_zero_heap_allocations() {
 /// default one — never.
 #[test]
 fn steady_state_tuned_forward_makes_zero_heap_allocations() {
-    parallel::set_max_threads(1);
+    let _serial = serial_kernels();
     let mut model = Bioformer::new(&BioformerConfig::bio1());
     let (compute, _table) = bioformers::serve::tuned_compute(&model);
     model.set_backend(compute);
@@ -160,12 +181,11 @@ fn steady_state_tuned_forward_makes_zero_heap_allocations() {
             "tuned steady-state forward #{trial} hit the heap {steady} times"
         );
     }
-    parallel::set_max_threads(0);
 }
 
 #[test]
 fn steady_state_batched_forward_makes_zero_heap_allocations() {
-    parallel::set_max_threads(1);
+    let _serial = serial_kernels();
     let model = Bioformer::new(&BioformerConfig::bio1());
     let x = window(8, 5);
     let mut arena = TensorArena::new();
@@ -178,12 +198,11 @@ fn steady_state_batched_forward_makes_zero_heap_allocations() {
         arena.recycle(y);
     });
     assert_eq!(steady, 0, "batched steady-state forward hit the heap");
-    parallel::set_max_threads(0);
 }
 
 #[test]
 fn steady_state_quant_forward_makes_zero_heap_allocations() {
-    parallel::set_max_threads(1);
+    let _serial = serial_kernels();
     let qmodel = quant_model();
     let x = window(1, 7);
     let mut arena = TensorArena::new();
@@ -212,7 +231,6 @@ fn steady_state_quant_forward_makes_zero_heap_allocations() {
             "steady-state int8 forward #{trial} hit the heap {steady} times"
         );
     }
-    parallel::set_max_threads(0);
 }
 
 /// The decision-latency trace recorder is allocation-free from the very
@@ -250,7 +268,7 @@ fn stage_recorder_records_traces_with_zero_heap_allocations() {
 /// (alternating classes force two traced events per push).
 #[test]
 fn traced_stream_session_per_push_allocations_stay_constant() {
-    parallel::set_max_threads(1);
+    let _serial = serial_kernels();
     let model = Bioformer::new(&BioformerConfig::bio1());
 
     // Find two window signals the model classifies differently, so every
@@ -337,12 +355,11 @@ fn traced_stream_session_per_push_allocations_stay_constant() {
     );
     let stages = session.stage_stats();
     assert!(stages.count() >= 8, "recorder missed the traced events");
-    parallel::set_max_threads(0);
 }
 
 #[test]
 fn steady_state_batched_quant_forward_makes_zero_heap_allocations() {
-    parallel::set_max_threads(1);
+    let _serial = serial_kernels();
     let qmodel = quant_model();
     let x = window(8, 9);
     let mut arena = TensorArena::new();
@@ -355,5 +372,81 @@ fn steady_state_batched_quant_forward_makes_zero_heap_allocations() {
         arena.recycle(y);
     });
     assert_eq!(steady, 0, "batched steady-state int8 forward hit the heap");
-    parallel::set_max_threads(0);
+}
+
+/// A trivial classifier: class = sign of the window's first sample.
+struct FirstSample;
+
+impl GestureClassifier for FirstSample {
+    fn predict_batch(&self, windows: &Tensor) -> Tensor {
+        let n = windows.dims()[0];
+        let len = windows.data().len() / n.max(1);
+        Tensor::from_fn(&[n, 2], |i| {
+            let x = windows.data()[(i / 2) * len];
+            if i % 2 == 0 {
+                x
+            } else {
+                -x
+            }
+        })
+    }
+
+    fn num_classes(&self) -> usize {
+        2
+    }
+
+    fn name(&self) -> &str {
+        "first-sample"
+    }
+}
+
+/// The completion-driven path's idle cost: polling a session whose window
+/// is still in flight — check the front of the queue, re-register the
+/// wake-up on it, put it back — touches the heap not once. The backend is
+/// held at a gate, so "in flight" is a fact, not a hope; once the gate
+/// opens the wake-up fires exactly once and the poll that follows absorbs
+/// the window. (A request's completion slot itself is one allocation, made
+/// at submission; see `PendingResponse`.)
+#[test]
+fn polling_a_session_with_a_window_in_flight_makes_zero_heap_allocations() {
+    let (backend, gate, entered) = common::gated(FirstSample);
+    let engine = common::async_engine(backend);
+    let cfg = StreamConfig::new(2, 4)
+        .with_lookahead(2)
+        .with_policy(DecisionPolicy {
+            vote_depth: 1,
+            min_hold: 0,
+            confidence_floor: 0.0,
+        });
+    let mut session = StreamSession::new(engine, cfg).expect("valid stream config");
+    let (woken, wake_ups) = mpsc::channel();
+    let woken = Mutex::new(woken);
+    let hook: ReadyHook = Arc::new(move || {
+        let _ = woken.lock().unwrap().send(());
+    });
+    session.wake_with(hook);
+
+    let events = session.push_samples(&[1.0; 8]).expect("push");
+    assert!(events.is_empty(), "the window is not served yet");
+    entered
+        .recv_timeout(common::PATIENCE)
+        .expect("the window reaches the backend");
+    let allocations = count_allocations(|| {
+        for _ in 0..1000 {
+            assert!(session.poll().expect("poll").is_empty());
+        }
+    });
+    assert_eq!(allocations, 0, "an idle poll hit the heap");
+    assert_eq!(session.pending(), 1);
+
+    gate.open();
+    wake_ups
+        .recv_timeout(common::PATIENCE)
+        .expect("the completion wakes the session's owner");
+    assert_eq!(session.poll().expect("poll").len(), 1, "the Started event");
+    assert_eq!(session.pending(), 0);
+    assert!(
+        wake_ups.try_recv().is_err(),
+        "one window in flight, one wake-up"
+    );
 }

@@ -10,7 +10,12 @@
 //! the slot; an idle-timeout eviction surfaces as a typed error frame and
 //! the resumed connection continues the stream seamlessly; protocol
 //! garbage kills one connection with an explicit error frame, not the
-//! server.
+//! server; a decided window reaches a client that has gone silent; a peer
+//! that never reads stalls nobody but itself.
+
+mod common;
+
+use common::{async_engine, PATIENCE};
 
 use bioformers::serve::proto::{
     encode_frame, ErrorCode, Frame, FrameDecoder, ProtoError, MAX_FRAME,
@@ -314,10 +319,66 @@ fn stream_cfg() -> StreamConfig {
 }
 
 fn gateway(cfg: StreamServerConfig) -> (Arc<StreamServer>, TcpGateway) {
-    let engine: Arc<dyn Engine> = Arc::new(InferenceEngine::new(Box::new(MockBackend)));
+    gateway_over(Arc::new(InferenceEngine::new(Box::new(MockBackend))), cfg)
+}
+
+fn gateway_over(
+    engine: Arc<dyn Engine>,
+    cfg: StreamServerConfig,
+) -> (Arc<StreamServer>, TcpGateway) {
     let server = Arc::new(StreamServer::start(engine, cfg).expect("server"));
     let gw = TcpGateway::bind(Arc::clone(&server), "127.0.0.1:0").expect("bind loopback");
     (server, gw)
+}
+
+/// A client speaking the frame protocol by hand, for what `GatewayClient`
+/// does not do: block on the next frame, or never read at all.
+struct RawClient {
+    sock: std::net::TcpStream,
+    decoder: FrameDecoder,
+}
+
+impl RawClient {
+    /// Connects and opens a session for `tenant`.
+    fn open(gw: &TcpGateway, tenant: &str) -> RawClient {
+        let sock = std::net::TcpStream::connect(gw.local_addr()).expect("raw connect");
+        sock.set_nodelay(true).expect("nodelay");
+        sock.set_read_timeout(Some(PATIENCE)).expect("read timeout");
+        let mut client = RawClient {
+            sock,
+            decoder: FrameDecoder::new(),
+        };
+        client.send(&Frame::Hello {
+            tenant: tenant.to_string(),
+            resume: None,
+            model: None,
+        });
+        match client.next_frame() {
+            Frame::HelloAck { .. } => client,
+            other => panic!("expected HelloAck, got {other:?}"),
+        }
+    }
+
+    fn send(&mut self, frame: &Frame) {
+        let mut wire = Vec::new();
+        encode_frame(frame, &mut wire).expect("encodable");
+        self.sock.write_all(&wire).expect("raw write");
+    }
+
+    /// Blocks until the server's next frame is in.
+    fn next_frame(&mut self) -> Frame {
+        let mut buf = [0u8; 4096];
+        loop {
+            if let Some(frame) = self.decoder.next_frame().expect("valid server frames") {
+                return frame;
+            }
+            match self.sock.read(&mut buf) {
+                Ok(0) => panic!("the server closed the connection"),
+                Ok(n) => self.decoder.feed(&buf[..n]),
+                Err(e) => panic!("no frame from the server: {e}"),
+            }
+        }
+    }
 }
 
 /// The uninterrupted in-process reference for `stream`.
@@ -566,17 +627,13 @@ fn tcp_bye_then_resume_round_trips() {
     for chunk in stream[..cut].chunks(CHUNK) {
         client.send_samples(chunk).expect("send");
     }
-    // Settle and drain before detaching, so nothing is in flight on the
-    // socket when it closes.
-    std::thread::sleep(Duration::from_millis(200));
-    client.send_samples(&[]).expect("drain");
-    // `bye` returns every event this connection delivered.
+    // `bye` reads until the server has parked the session and closed the
+    // connection: it returns every event this connection delivered, and
+    // the token is ready to resume with.
     let (token, events) = client.bye().expect("bye");
 
-    let mut resumed = retry(
-        || GatewayClient::resume(gw.local_addr(), "commuter", token),
-        "resume after bye",
-    );
+    let mut resumed =
+        GatewayClient::resume(gw.local_addr(), "commuter", token).expect("resume after bye");
     for chunk in stream[cut..].chunks(CHUNK) {
         resumed.send_samples(chunk).expect("resumed send");
     }
@@ -589,4 +646,131 @@ fn tcp_bye_then_resume_round_trips() {
         &all_events,
         &reference(&stream),
     );
+}
+
+/// Tentpole, over the wire: one burst holding exactly one window, then the
+/// client goes silent. The backend is held at its gate until the window is
+/// known to be in flight; once the gate opens, the `Started` frame must
+/// arrive with no further input — pushed by the completion through the
+/// pump to the connection's writer, not discovered by anyone's next poll.
+#[test]
+fn tcp_served_window_reaches_a_client_that_has_gone_silent() {
+    let (backend, gate, entered) = common::gated(MockBackend);
+    let (_server, gw) = gateway_over(
+        async_engine(backend),
+        StreamServerConfig::new(stream_cfg().with_lookahead(2)),
+    );
+    let stream = signal(1, 5);
+    let mut client = RawClient::open(&gw, "silent");
+    client.send(&Frame::Samples(stream.clone()));
+    entered
+        .recv_timeout(PATIENCE)
+        .expect("the window reaches the backend");
+    gate.open();
+    match client.next_frame() {
+        Frame::Event(event) => assert_eq!(event, reference(&stream).events[0]),
+        other => panic!("expected the window's Started event, got {other:?}"),
+    }
+}
+
+/// A peer that uploads a flood and never reads a byte back: its events
+/// pile up until its connection's writer blocks in `write` — and that is
+/// all that happens. Its own upload is still read to the end (the reader
+/// is another thread), a neighbour's event still makes the round trip (the
+/// pump never touches a socket), and the gateway still shuts down (closing
+/// the socket releases the stuck writer).
+#[test]
+fn tcp_peer_that_never_reads_stalls_only_its_own_writer() {
+    // Every change of prediction is an event: some 40 bytes out per window.
+    let flicker = StreamConfig::new(CHANNELS, WINDOW)
+        .with_lookahead(0)
+        .with_policy(DecisionPolicy {
+            vote_depth: 1,
+            min_hold: 0,
+            confidence_floor: 0.0,
+        });
+    let (server, mut gw) = gateway(StreamServerConfig::new(flicker));
+
+    // 48 frames of 4096 windows: 12 MB up and several MB of events back,
+    // more than the socket buffers between the two can hold.
+    let mut hoarder = RawClient::open(&gw, "hoarder");
+    hoarder
+        .sock
+        .set_write_timeout(Some(PATIENCE))
+        .expect("write timeout");
+    let flood = Frame::Samples(signal(4096, 77));
+    for _ in 0..48 {
+        hoarder.send(&flood);
+    }
+
+    let stream = signal(1, 78);
+    let mut neighbour = RawClient::open(&gw, "neighbour");
+    neighbour.send(&Frame::Samples(stream.clone()));
+    match neighbour.next_frame() {
+        Frame::Event(GestureEvent::Started { window: 0, .. }) => {}
+        other => panic!("expected the neighbour's first event, got {other:?}"),
+    }
+
+    gw.shutdown();
+    let hoarded = server
+        .stats()
+        .per_tenant
+        .iter()
+        .find(|t| t.tenant == "hoarder")
+        .map(|t| t.counters.events)
+        .expect("hoarder's counters");
+    assert!(
+        hoarded > 100_000,
+        "the flood must outgrow the socket buffers, got {hoarded} events"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Ordering and no-loss over the wire: for any chunking and lookahead,
+    /// with or without a `Bye`/resume seam at an arbitrary sample, the
+    /// `Event` frames streamed during upload, then those the closing
+    /// exchange carries, are the offline timeline bit for bit — nothing
+    /// repeated, nothing dropped, whichever of the connection's two
+    /// threads an event went out through.
+    #[test]
+    fn tcp_event_frames_then_the_finish_report_are_the_offline_timeline(seed in 1u64..u64::MAX) {
+        let mut state = seed;
+        let windows = 3 + (xorshift(&mut state) as usize) % 24;
+        let stream = signal(windows, xorshift(&mut state));
+        let lookahead = (xorshift(&mut state) as usize) % 4;
+        let max_chunk = 1 + (xorshift(&mut state) as usize) % (3 * CHUNK);
+        let seam = xorshift(&mut state).is_multiple_of(2)
+            .then(|| (xorshift(&mut state) as usize) % stream.len());
+        let (_server, gw) = gateway_over(
+            async_engine(MockBackend),
+            StreamServerConfig::new(stream_cfg().with_lookahead(lookahead)),
+        );
+
+        let mut client = GatewayClient::connect(gw.local_addr(), "wearer").expect("connect");
+        let mut events = Vec::new();
+        let mut at = 0;
+        while at < stream.len() {
+            let mut end = (at + 1 + (xorshift(&mut state) as usize) % max_chunk).min(stream.len());
+            if let Some(seam) = seam.filter(|&seam| at < seam && seam < end) {
+                end = seam;
+            }
+            client.send_samples(&stream[at..end]).expect("send");
+            at = end;
+            if seam == Some(at) {
+                let (token, seen) = client.bye().expect("bye");
+                events.extend(seen);
+                client = GatewayClient::resume(gw.local_addr(), "wearer", token).expect("resume");
+            }
+        }
+        let summary = client.finish().expect("finish");
+        events.extend(summary.events.clone());
+        assert_matches_reference(
+            summary.windows,
+            &summary.predictions,
+            &events,
+            &reference(&stream),
+        );
+    }
 }

@@ -4,9 +4,16 @@
 //!
 //! These tests run the server in-process over a fast mock backend so the
 //! scheduling properties (round-robin quanta, bounded buffers, eviction
-//! timing) are exercised without model-inference noise; the TCP wire path
+//! timing) are exercised without model-inference noise. Nothing here
+//! sleeps and re-checks: a test waits for its own session's events or
+//! outcome in `SessionHandle::wait_events`, and for another session's
+//! lifecycle request behind a later request of its own (`barrier`); the TCP wire path
 //! is covered by `tests/serving_gateway.rs`, and stream/offline
 //! bit-equivalence of the underlying sessions by `tests/serving_stream.rs`.
+
+mod common;
+
+use common::{async_engine, PATIENCE};
 
 use bioformers::serve::{
     DecisionPolicy, Engine, GestureClassifier, GestureEvent, InferenceEngine, LatencyBudget,
@@ -14,8 +21,9 @@ use bioformers::serve::{
     StreamServerConfig, StreamSession, StreamSummary,
 };
 use bioformers::tensor::Tensor;
+use proptest::prelude::*;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const CHANNELS: usize = 2;
 const WINDOW: usize = 8;
@@ -95,15 +103,28 @@ fn reference(stream: &[f32]) -> StreamSummary {
     summary
 }
 
-/// Polls until `f` succeeds or the deadline passes.
-fn wait_for<T>(mut f: impl FnMut() -> Option<T>, what: &str) -> T {
-    let deadline = Instant::now() + Duration::from_secs(10);
+/// Returns once the pump has applied every lifecycle request (finish,
+/// disconnect, dropped handle) made before the call: a session of the
+/// barrier's own is opened and disconnected, the pump serves requests in
+/// the order they were made, and writes a round's outcomes back together.
+/// Needs a free slot.
+fn barrier(server: &StreamServer) {
+    server
+        .connect("barrier")
+        .expect("barrier connect")
+        .disconnect()
+        .expect("barrier disconnect");
+}
+
+/// Collects the session's events until it reports its eviction.
+fn events_until_evicted(handle: &SessionHandle, events: &mut Vec<GestureEvent>) {
     loop {
-        if let Some(v) = f() {
-            return v;
+        match handle.wait_events(PATIENCE) {
+            Ok(more) if more.is_empty() => panic!("the session was not evicted"),
+            Ok(more) => events.extend(more),
+            Err(ServeError::Evicted) => return,
+            Err(e) => panic!("unexpected error while waiting for the eviction: {e}"),
         }
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(5));
     }
 }
 
@@ -196,10 +217,13 @@ fn flooding_session_cannot_starve_the_pool() {
 fn mid_stream_disconnect_frees_the_slot() {
     let server = StreamServer::start(
         mock_engine(),
-        StreamServerConfig::new(stream_cfg()).with_max_sessions(1),
+        StreamServerConfig::new(stream_cfg()).with_max_sessions(2),
     )
     .expect("server");
 
+    // A session of the test's own takes the other slot; its disconnect is
+    // later the barrier behind alice's dropped handle.
+    let probe = server.connect("probe").expect("probe connect");
     let stream = signal(12, 42);
     let handle = server.connect("alice").expect("first connect");
     let token = handle.token();
@@ -208,34 +232,27 @@ fn mid_stream_disconnect_frees_the_slot() {
     assert_eq!(
         server.connect("bob").unwrap_err(),
         ServeError::Unavailable,
-        "second session must not fit a 1-slot pool"
+        "a third session must not fit a 2-slot pool"
     );
     drop(handle); // Mid-stream disconnect: no finish, no bye.
 
-    // The slot frees as soon as the pump parks the checkpoint.
-    let bob = wait_for(
-        || server.connect("bob").ok(),
-        "slot to free after disconnect",
-    );
-    assert_eq!(server.stats().parked_sessions, 1);
-    assert_eq!(server.stats().totals.disconnects, 1);
+    // The drop left a detach request behind; the probe's own, made after
+    // it, returns once the pump has applied both.
+    probe.disconnect().expect("probe disconnect");
+    let bob = server.connect("bob").expect("alice's slot is free");
+    assert_eq!(server.stats().parked_sessions, 2);
+    assert_eq!(server.stats().totals.disconnects, 2);
     drop(bob);
     // Wait out bob's detach too, so the pool has a free slot again and the
     // next check exercises the token validation, not the slot count.
-    wait_for(
-        || (server.stats().live_sessions == 0).then_some(()),
-        "bob's slot to free",
-    );
+    barrier(&server);
+    assert_eq!(server.stats().live_sessions, 0);
 
     // Nobody can steal the parked session.
     let err = server.resume("mallory", token).unwrap_err();
     assert!(matches!(err, ServeError::BadRequest(_)), "got {err:?}");
 
-    // Alice resumes once bob's dropped handle frees the slot again.
-    let alice = wait_for(
-        || server.resume("alice", token).ok(),
-        "resume after bob detaches",
-    );
+    let alice = server.resume("alice", token).expect("resume");
     for chunk in stream[6 * CHUNK..].chunks(CHUNK) {
         alice.send(chunk).expect("resumed send");
     }
@@ -281,17 +298,7 @@ fn idle_eviction_then_resume_keeps_the_event_timeline_intact() {
     }
     // Go silent; the eviction must fire on its own.
     let token = handle.token();
-    wait_for(
-        || match handle.poll_events() {
-            Err(ServeError::Evicted) => Some(()),
-            Ok(more) => {
-                events.extend(more);
-                None
-            }
-            Err(e) => panic!("unexpected poll error {e}"),
-        },
-        "idle eviction",
-    );
+    events_until_evicted(&handle, &mut events);
     // Every session entry point now reports the eviction.
     assert_eq!(handle.send(&stream[cut..cut + 1]), Err(ServeError::Evicted));
     assert_eq!(server.stats().totals.evictions, 1);
@@ -348,14 +355,10 @@ fn per_tenant_stats_roll_up_into_pool_totals() {
     }
     let b_token = b.disconnect().expect("disconnect b");
 
-    let stats = wait_for(
-        || {
-            let s = server.stats();
-            // Wait until the pump has drained everything we queued.
-            (s.totals.windows == 26).then_some(s)
-        },
-        "all windows decided",
-    );
+    // `finish` and `disconnect` return once the pump has drained
+    // everything queued before them.
+    let stats = server.stats();
+    assert_eq!(stats.totals.windows, 26);
     assert!(
         stats.rollup_consistent(),
         "totals != sum(per_tenant): {stats:?}"
@@ -470,10 +473,7 @@ fn slo_violation_flags_once_and_respects_per_session_override() {
     }
     let report = handle.finish().expect("finish");
     assert_eq!(report.summary.windows, 12, "flagging must not drop work");
-    wait_for(
-        || (server.stats().totals.slo_violations == 1).then_some(()),
-        "slo violation flag",
-    );
+    assert_eq!(server.stats().totals.slo_violations, 1);
 
     // A lenient per-session override wins over the strict server default.
     let lenient = server
@@ -509,44 +509,32 @@ fn slo_eviction_parks_a_resumable_session() {
     )
     .expect("server");
 
+    // The first window's `Started` is the first traced event, and with it
+    // the (zero) budget is blown.
     let handle = server.connect("hog").expect("connect");
     let token = handle.token();
-    wait_for(
-        || match handle.send(&signal(1, 7)) {
-            Err(ServeError::Evicted) => Some(()),
-            Ok(()) => None,
-            Err(e) => panic!("unexpected send error {e}"),
-        },
-        "slo eviction",
-    );
-    wait_for(
-        || {
-            let s = server.stats();
-            (s.totals.evictions == 1 && s.totals.slo_violations == 1 && s.parked_sessions == 1)
-                .then_some(())
-        },
-        "slo eviction counters",
+    handle.send(&signal(1, 7)).expect("send");
+    events_until_evicted(&handle, &mut Vec::new());
+    assert_eq!(handle.send(&signal(1, 7)), Err(ServeError::Evicted));
+    let s = server.stats();
+    assert_eq!(
+        (
+            s.totals.evictions,
+            s.totals.slo_violations,
+            s.parked_sessions
+        ),
+        (1, 1, 1)
     );
 
     // The parked checkpoint resumes — and because its stage recorder came
     // back with it, the very next round re-evaluates the (still zero)
     // budget against real history and evicts again.
     let resumed = server.resume("hog", token).expect("resume");
-    wait_for(
-        || match resumed.send(&signal(1, 8)) {
-            Err(ServeError::Evicted) => Some(()),
-            Ok(()) => None,
-            Err(e) => panic!("unexpected resumed send error {e}"),
-        },
-        "second slo eviction",
-    );
-    wait_for(
-        || {
-            let s = server.stats();
-            (s.totals.evictions == 2 && s.totals.slo_violations == 2).then_some(())
-        },
-        "second eviction counters",
-    );
+    // Not an error if the eviction has already won the race.
+    let _ = resumed.send(&signal(1, 8));
+    events_until_evicted(&resumed, &mut Vec::new());
+    let s = server.stats();
+    assert_eq!((s.totals.evictions, s.totals.slo_violations), (2, 2));
     let stats = server.stats();
     assert_eq!(stats.totals.reconnects, 1);
     assert!(stats.rollup_consistent());
@@ -605,4 +593,148 @@ fn sessions_select_zoo_models_and_zoo_stats_roll_up() {
         (false, 6),
         "named session routes to beta"
     );
+}
+
+/// Tentpole: a window's decision reaches a client that sends nothing more.
+/// Exactly one window's samples go in; the backend is held at its gate, so
+/// the window is in flight when the pump goes back to sleep. Opening the
+/// gate is then the only thing that happens — and the completion alone
+/// must carry the `Started` event to `wait_events`. (It used to wait for
+/// the session's next chunk, or for `finish`.)
+#[test]
+fn a_served_window_reaches_a_client_that_has_gone_silent() {
+    let (backend, gate, entered) = common::gated(MockBackend);
+    let server = StreamServer::start(
+        async_engine(backend),
+        StreamServerConfig::new(stream_cfg().with_lookahead(2)),
+    )
+    .expect("server");
+    let stream = signal(1, 5);
+    let handle = server.connect("silent").expect("connect");
+    handle.send(&stream).expect("send");
+    entered
+        .recv_timeout(PATIENCE)
+        .expect("the window reaches the backend");
+    assert_eq!(
+        handle.poll_events().expect("poll"),
+        Vec::new(),
+        "nothing is decided while the backend holds the window"
+    );
+    gate.open();
+    let events = handle.wait_events(PATIENCE).expect("wait_events");
+    assert_eq!(
+        events,
+        reference(&stream).events[..1],
+        "the window's Started event, and nothing else"
+    );
+    // The stream is still open and idle: a bounded wait comes back empty.
+    assert_eq!(handle.wait_events(Duration::from_millis(1)), Ok(Vec::new()));
+}
+
+/// Idle eviction racing a completion: one window is in flight behind the
+/// gate while the session's idle timeout runs out, and the gate opens a
+/// little before, around or after that moment. (The sleep only moves the
+/// race; every interleaving must give the same answer.) Wherever the
+/// window's events end up — streamed before the eviction, or parked with
+/// the checkpoint and delivered after the resume — the whole timeline is
+/// the uninterrupted stream's, with nothing lost and nothing repeated.
+#[test]
+fn idle_eviction_racing_a_completion_loses_no_event() {
+    let stream = signal(8, 2024);
+    let expect = reference(&stream);
+    for open_after_ms in [0, 10, 25, 30, 35, 60] {
+        let (backend, gate, entered) = common::gated(MockBackend);
+        let server = StreamServer::start(
+            async_engine(backend),
+            StreamServerConfig::new(stream_cfg().with_lookahead(2))
+                .with_idle_timeout(Some(Duration::from_millis(30))),
+        )
+        .expect("server");
+        let handle = server.connect("racer").expect("connect");
+        let token = handle.token();
+        handle.send(&stream[..CHUNK]).expect("send");
+        entered
+            .recv_timeout(PATIENCE)
+            .expect("the window reaches the backend");
+        std::thread::sleep(Duration::from_millis(open_after_ms));
+        gate.open();
+
+        let mut events = Vec::new();
+        events_until_evicted(&handle, &mut events);
+        let resumed = server.resume("racer", token).expect("resume");
+        for chunk in stream[CHUNK..].chunks(CHUNK) {
+            resumed.send(chunk).expect("resumed send");
+            events.extend(resumed.poll_events().expect("resumed poll"));
+        }
+        let summary = finish_collect(resumed, &mut events);
+        assert_eq!(summary.predictions, expect.predictions);
+        assert_eq!(
+            summary.events, expect.events,
+            "gate opened {open_after_ms} ms into a 30 ms idle timeout"
+        );
+    }
+}
+
+fn xorshift(state: &mut u64) -> u64 {
+    *state ^= *state >> 12;
+    *state ^= *state << 25;
+    *state ^= *state >> 27;
+    state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Ordering and no-loss: however the stream is chunked, however deep
+    /// the lookahead, whether events are taken as they come or left for
+    /// the report, and with or without a disconnect/resume seam at an
+    /// arbitrary sample, the events streamed to the handle followed by the
+    /// finish report's are the offline timeline bit for bit — over an
+    /// engine whose answers arrive by completion wake-up.
+    #[test]
+    fn streamed_events_then_the_finish_report_are_the_offline_timeline(seed in 1u64..u64::MAX) {
+        let mut state = seed;
+        let windows = 3 + (xorshift(&mut state) as usize) % 24;
+        let stream = signal(windows, xorshift(&mut state));
+        let lookahead = (xorshift(&mut state) as usize) % 4;
+        let max_chunk = 1 + (xorshift(&mut state) as usize) % (3 * CHUNK);
+        let seam = xorshift(&mut state).is_multiple_of(2)
+            .then(|| (xorshift(&mut state) as usize) % stream.len());
+        let server = StreamServer::start(
+            async_engine(MockBackend),
+            StreamServerConfig::new(stream_cfg().with_lookahead(lookahead)),
+        )
+        .expect("server");
+
+        let mut handle = server.connect("wearer").expect("connect");
+        let mut events = Vec::new();
+        let mut at = 0;
+        while at < stream.len() {
+            let mut end = (at + 1 + (xorshift(&mut state) as usize) % max_chunk).min(stream.len());
+            if let Some(seam) = seam.filter(|&seam| at < seam && seam < end) {
+                end = seam;
+            }
+            handle.send(&stream[at..end]).expect("send");
+            at = end;
+            match xorshift(&mut state) % 3 {
+                0 => events.extend(handle.poll_events().expect("poll")),
+                1 => events.extend(
+                    handle.wait_events(Duration::from_micros(200)).expect("wait"),
+                ),
+                _ => {}
+            }
+            if seam == Some(at) {
+                // Undelivered events travel with the checkpoint.
+                let token = handle.disconnect().expect("disconnect");
+                handle = server.resume("wearer", token).expect("resume");
+            }
+        }
+        let summary = finish_collect(handle, &mut events);
+        let expect = reference(&stream);
+        prop_assert_eq!(summary.windows, expect.windows);
+        prop_assert_eq!(&summary.predictions, &expect.predictions);
+        prop_assert_eq!(&summary.confidences, &expect.confidences);
+        prop_assert_eq!(&summary.events, &expect.events);
+        prop_assert!(server.stats().rollup_consistent());
+    }
 }
