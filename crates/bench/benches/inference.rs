@@ -8,17 +8,20 @@
 //!   serving steady state runs them), with the packed kernel measured
 //!   twice: through the portable (safe) tile and through the
 //!   runtime-dispatched SIMD tile (`packed_safe_*` vs `packed_*`).
-//! * `qgemm` — the bio1-shaped **int8** GEMMs, scalar dot tile vs the
-//!   production dispatched path (`scalar_*` vs `simd_*`) — on VNNI hosts
-//!   the latter is the whole-GEMM 4×4-blocked `vpdpbusd` kernel. This is
-//!   the ≥2× int8-kernel speedup claim of the SIMD layer, measured
-//!   directly.
+//! * `qgemm` — the bio1-shaped **int8** GEMMs over row-major operands,
+//!   scalar dot tile vs the dispatched entry point (`scalar_*` vs
+//!   `simd_*`) — on SIMD hosts the latter is the whole-GEMM kernel, which
+//!   stages `B` into the packed lane layout and runs the packed
+//!   register-block body. This is the ≥2× int8-kernel speedup claim of the
+//!   SIMD layer, measured directly. (The packed-weight GEMMs a converted
+//!   model runs are in `benches/quant_kernels.rs`.)
 //! * `fp32_inference` — Bioformer bio1 per-window latency and per-batch
 //!   throughput at batch 1/8/32, through the arena-threaded
 //!   `forward_infer_in` path a serving worker uses (weights packed once,
 //!   scratch recycled). TEMPONet rides along as the CNN baseline.
-//! * `int8_inference` — the integer-only pipeline at batch 1/8/32 through
-//!   the same arena-threaded `forward_infer_in` path (zero steady-state
+//! * `int8_inference` — the integer-only pipeline (the planned forward:
+//!   packed weights, fixed slab) at batch 1/8/32 through the same
+//!   arena-threaded `forward_infer_in` path (zero steady-state
 //!   allocations), for the int8-vs-fp32 per-window comparison.
 //! * `tuned-vs-fixed` — the `ComputeBackend` seam with the default plan
 //!   vs an autotuned `TuneTable` (`bioformer_tensor::tune`), at the bio1
@@ -151,8 +154,8 @@ fn bench_qgemm(c: &mut Criterion) {
         let bt = qcodes(n * k, 2);
         let mut out = vec![0i32; m * n];
         // `scalar` pins the portable tile through the generic driver;
-        // `simd` runs the production entry point, which dispatches to the
-        // whole-GEMM VNNI kernel (or the AVX2 tile) on capable hosts.
+        // `simd` runs the dispatched entry point: the whole-GEMM kernel on
+        // SIMD hosts.
         let scalar_tile = select(Some(Tier::Portable)).qdot_tile;
         g.bench_function(&format!("scalar_{label}"), |b| {
             b.iter(|| {

@@ -1,101 +1,173 @@
-//! A recycling scratch allocator for the integer inference path.
+//! The scratch slab of the integer inference path.
 //!
-//! The int8 forward graph allocates the same ladder of intermediates as
-//! the fp32 one — quantized activations, attention scores, probability
-//! rows — but in `i8` codes and `i32` accumulators, which the f32
-//! `bioformer_tensor::TensorArena` cannot pool. [`QuantArena`] is its
-//! integer twin: two typed pools with the same best-fit recycle
-//! discipline, so a warmed [`crate::QuantBioformer`] forward performs
+//! A converted [`crate::QuantBioformer`] knows, at conversion time, every
+//! intermediate buffer one window needs and how long each is
+//! (its slab layout). [`QuantArena`] owns the memory: one run of `i8` codes
+//! and one of `i32` accumulators, grown to the layout on the first (cold)
+//! call — its single miss — and carved into the same named regions at the
+//! same offsets on every call after that. There is no pool to search, no
+//! buffer to zero and nothing to hand back, so a warmed forward performs
 //! **zero** heap allocations (pinned by the allocation-counting test in
-//! the umbrella crate).
+//! the umbrella crate) and touches no allocator bookkeeping at all.
 //!
 //! Not thread-safe by design: each worker owns one arena and `&mut`
 //! threading keeps the borrow checker, not a lock, in charge.
 
-/// Allocation counters of a [`QuantArena`] (both pools combined).
+/// Region lengths of one model's slab, fixed at conversion time. The `i8`
+/// regions are laid out in field order, then the `i32` ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct QuantArenaStats {
-    /// Requests served from a pool without touching the heap.
-    pub hits: usize,
-    /// Requests that had to allocate a buffer on the heap.
-    pub misses: usize,
-    /// Buffers returned via the `recycle_*` methods.
-    pub recycled: usize,
+pub(crate) struct SlabLayout {
+    /// The window, quantized, channel-major `[C, W]`.
+    pub input: usize,
+    /// Its im2col image `[N, C·F]`.
+    pub im2col: usize,
+    /// The residual stream `[S, E]` (a block reads it and writes it back).
+    pub tokens: usize,
+    /// LayerNorm output `[S, E]` (`ln1`, then `ln2`).
+    pub norm: usize,
+    /// Queries `[S, H·P]`.
+    pub q: usize,
+    /// Keys `[S, H·P]`.
+    pub k: usize,
+    /// Values, transposed `[H·P, Sp]` (token axis zero-padded to `Sp`).
+    pub vt: usize,
+    /// One head's probabilities `[S, Sp]` (columns `S..Sp` stay zero).
+    pub probs: usize,
+    /// Concatenated head outputs `[S, H·P]`.
+    pub att: usize,
+    /// Projection output `[S, E]` (`wo`, then `fc2`).
+    pub proj: usize,
+    /// First residual sum `[S, E]`.
+    pub res1: usize,
+    /// FFN hidden activations `[S, hidden]`.
+    pub hidden: usize,
+    /// The normalised class row `[E]`.
+    pub cls: usize,
+    /// One head's score accumulators `[S, S]` (`i32`).
+    pub scores: usize,
+    /// Classifier accumulators `[classes]` (`i32`).
+    pub logits: usize,
 }
 
-/// A pool of reusable `i8`/`i32` buffers backing integer inference
-/// scratch.
+impl SlabLayout {
+    /// Total `i8` codes.
+    pub fn codes(&self) -> usize {
+        self.input
+            + self.im2col
+            + self.tokens
+            + self.norm
+            + self.q
+            + self.k
+            + self.vt
+            + self.probs
+            + self.att
+            + self.proj
+            + self.res1
+            + self.hidden
+            + self.cls
+    }
+
+    /// Total `i32` accumulators.
+    pub fn accs(&self) -> usize {
+        self.scores + self.logits
+    }
+
+    /// Slab size in bytes.
+    pub fn bytes(&self) -> usize {
+        self.codes() + 4 * self.accs()
+    }
+}
+
+/// The slab carved into its regions (see [`SlabLayout`] for what each
+/// holds).
+pub(crate) struct Slab<'a> {
+    pub input: &'a mut [i8],
+    pub im2col: &'a mut [i8],
+    pub tokens: &'a mut [i8],
+    pub norm: &'a mut [i8],
+    pub q: &'a mut [i8],
+    pub k: &'a mut [i8],
+    pub vt: &'a mut [i8],
+    pub probs: &'a mut [i8],
+    pub att: &'a mut [i8],
+    pub proj: &'a mut [i8],
+    pub res1: &'a mut [i8],
+    pub hidden: &'a mut [i8],
+    pub cls: &'a mut [i8],
+    pub scores: &'a mut [i32],
+    pub logits: &'a mut [i32],
+}
+
+/// Splits the next `len` elements off the front of `rest`.
+fn take<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(len);
+    *rest = tail;
+    head
+}
+
+/// Slab counters of a [`QuantArena`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct QuantArenaStats {
+    /// Forwards served from the slab as it stood.
+    pub hits: usize,
+    /// Forwards that had to (re)build the slab on the heap: the cold call,
+    /// and any call that follows one for a differently shaped model.
+    pub misses: usize,
+}
+
+/// The integer inference scratch: one slab, sized and zeroed on the cold
+/// call and reused verbatim afterwards.
 #[derive(Debug, Default)]
 pub struct QuantArena {
-    free_i8: Vec<Vec<i8>>,
-    free_i32: Vec<Vec<i32>>,
+    codes: Vec<i8>,
+    accs: Vec<i32>,
+    /// The layout the slab was last built for.
+    layout: SlabLayout,
     stats: QuantArenaStats,
 }
 
-/// Best-fit take from one pool: the smallest pooled buffer whose capacity
-/// suffices, so a small request does not burn the one big buffer a later
-/// large request needs.
-fn take_best<T: Copy + Default>(
-    free: &mut Vec<Vec<T>>,
-    len: usize,
-    stats: &mut QuantArenaStats,
-) -> Vec<T> {
-    let mut best: Option<(usize, usize)> = None; // (index, capacity)
-    for (i, buf) in free.iter().enumerate() {
-        let cap = buf.capacity();
-        if cap >= len && best.is_none_or(|(_, c)| cap < c) {
-            best = Some((i, cap));
-        }
-    }
-    match best {
-        Some((i, _)) => {
-            stats.hits += 1;
-            let mut buf = free.swap_remove(i);
-            buf.clear();
-            buf.resize(len, T::default());
-            buf
-        }
-        None => {
-            stats.misses += 1;
-            vec![T::default(); len]
-        }
-    }
-}
-
-fn put_back<T>(free: &mut Vec<Vec<T>>, buf: Vec<T>, stats: &mut QuantArenaStats) {
-    if buf.capacity() > 0 {
-        stats.recycled += 1;
-        free.push(buf);
-    }
-}
-
 impl QuantArena {
-    /// An empty arena; buffers are acquired lazily on first use.
+    /// An empty arena; the slab is built on first use.
     pub fn new() -> Self {
         QuantArena::default()
     }
 
-    /// Takes a zero-initialised `i8` buffer of exactly `len` codes.
-    pub fn alloc_i8(&mut self, len: usize) -> Vec<i8> {
-        take_best(&mut self.free_i8, len, &mut self.stats)
+    /// The slab carved for `layout`. A layout other than the one the slab
+    /// was built for rebuilds it zero-filled — regions a model never
+    /// writes (the padding columns of `vt` and `probs`) are only ever zero
+    /// because no other layout has written through them.
+    pub(crate) fn carve(&mut self, layout: &SlabLayout) -> Slab<'_> {
+        if self.layout == *layout {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
+            self.layout = *layout;
+            self.codes.clear();
+            self.codes.resize(layout.codes(), 0);
+            self.accs.clear();
+            self.accs.resize(layout.accs(), 0);
+        }
+        let (mut codes, mut accs) = (&mut self.codes[..], &mut self.accs[..]);
+        Slab {
+            input: take(&mut codes, layout.input),
+            im2col: take(&mut codes, layout.im2col),
+            tokens: take(&mut codes, layout.tokens),
+            norm: take(&mut codes, layout.norm),
+            q: take(&mut codes, layout.q),
+            k: take(&mut codes, layout.k),
+            vt: take(&mut codes, layout.vt),
+            probs: take(&mut codes, layout.probs),
+            att: take(&mut codes, layout.att),
+            proj: take(&mut codes, layout.proj),
+            res1: take(&mut codes, layout.res1),
+            hidden: take(&mut codes, layout.hidden),
+            cls: take(&mut codes, layout.cls),
+            scores: take(&mut accs, layout.scores),
+            logits: take(&mut accs, layout.logits),
+        }
     }
 
-    /// Takes a zero-initialised `i32` buffer of exactly `len` accumulators.
-    pub fn alloc_i32(&mut self, len: usize) -> Vec<i32> {
-        take_best(&mut self.free_i32, len, &mut self.stats)
-    }
-
-    /// Returns an `i8` buffer to the pool.
-    pub fn recycle_i8(&mut self, buf: Vec<i8>) {
-        put_back(&mut self.free_i8, buf, &mut self.stats);
-    }
-
-    /// Returns an `i32` buffer to the pool.
-    pub fn recycle_i32(&mut self, buf: Vec<i32>) {
-        put_back(&mut self.free_i32, buf, &mut self.stats);
-    }
-
-    /// Allocation counters since construction (or the last
+    /// Slab counters since construction (or the last
     /// [`QuantArena::reset_stats`]).
     pub fn stats(&self) -> QuantArenaStats {
         self.stats
@@ -106,94 +178,90 @@ impl QuantArena {
     pub fn reset_stats(&mut self) {
         self.stats = QuantArenaStats::default();
     }
-
-    /// Number of buffers currently pooled (both pools).
-    pub fn pooled(&self) -> usize {
-        self.free_i8.len() + self.free_i32.len()
-    }
-
-    /// Drops every pooled buffer (frees the memory).
-    pub fn clear(&mut self) {
-        self.free_i8.clear();
-        self.free_i32.clear();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn reuse_after_recycle_is_a_hit() {
-        let mut arena = QuantArena::new();
-        let b = arena.alloc_i8(16);
-        assert_eq!(arena.stats().misses, 1);
-        arena.recycle_i8(b);
-        let b2 = arena.alloc_i8(9);
-        assert_eq!(arena.stats().hits, 1);
-        assert_eq!(b2.len(), 9);
-        assert!(b2.iter().all(|&v| v == 0));
-    }
-
-    #[test]
-    fn pools_are_typed_and_independent() {
-        let mut arena = QuantArena::new();
-        let a = arena.alloc_i8(8);
-        arena.recycle_i8(a);
-        // An i32 request must not be served by the pooled i8 buffer.
-        let _ = arena.alloc_i32(4);
-        assert_eq!(arena.stats().misses, 2);
-        assert_eq!(arena.pooled(), 1);
-    }
-
-    #[test]
-    fn alloc_zeroes_previous_contents() {
-        let mut arena = QuantArena::new();
-        let mut b = arena.alloc_i32(4);
-        b.fill(-7);
-        arena.recycle_i32(b);
-        let b2 = arena.alloc_i32(4);
-        assert!(b2.iter().all(|&v| v == 0));
-    }
-
-    #[test]
-    fn best_fit_prefers_smallest_sufficient_buffer() {
-        let mut arena = QuantArena::new();
-        let big = arena.alloc_i8(100);
-        let small = arena.alloc_i8(10);
-        arena.recycle_i8(big);
-        arena.recycle_i8(small);
-        let _ = arena.alloc_i8(10); // takes the 10-capacity buffer…
-        let _ = arena.alloc_i8(64); // …leaving the 100-capacity one.
-        assert_eq!(arena.stats().hits, 2);
-    }
-
-    #[test]
-    fn steady_state_has_no_misses() {
-        let mut arena = QuantArena::new();
-        for _ in 0..2 {
-            let a = arena.alloc_i8(256);
-            let b = arena.alloc_i32(64);
-            arena.recycle_i8(a);
-            arena.recycle_i32(b);
+    fn layout(scale: usize) -> SlabLayout {
+        SlabLayout {
+            input: 12 * scale,
+            im2col: 12 * scale,
+            tokens: 8 * scale,
+            norm: 8 * scale,
+            q: 6 * scale,
+            k: 6 * scale,
+            vt: 9 * scale,
+            probs: 5 * scale,
+            att: 6 * scale,
+            proj: 8 * scale,
+            res1: 8 * scale,
+            hidden: 10 * scale,
+            cls: 4 * scale,
+            scores: 16 * scale,
+            logits: 3 * scale,
         }
+    }
+
+    #[test]
+    fn cold_call_is_the_single_miss() {
+        let mut arena = QuantArena::new();
+        let l = layout(3);
+        for _ in 0..5 {
+            let slab = arena.carve(&l);
+            assert_eq!(slab.vt.len(), l.vt);
+            assert_eq!(slab.scores.len(), l.scores);
+        }
+        assert_eq!(arena.stats(), QuantArenaStats { hits: 4, misses: 1 });
         arena.reset_stats();
-        for _ in 0..10 {
-            let a = arena.alloc_i8(256);
-            let b = arena.alloc_i32(64);
-            arena.recycle_i8(a);
-            arena.recycle_i32(b);
-        }
+        let _ = arena.carve(&l);
         assert_eq!(arena.stats().misses, 0, "steady state must not allocate");
-        assert_eq!(arena.stats().hits, 20);
     }
 
     #[test]
-    fn zero_len_buffers_are_fine() {
+    fn regions_are_disjoint_and_cover_the_slab() {
         let mut arena = QuantArena::new();
-        let b = arena.alloc_i8(0);
-        assert!(b.is_empty());
-        arena.recycle_i8(b); // capacity 0: silently dropped
-        assert_eq!(arena.pooled(), 0);
+        let l = layout(1);
+        let slab = arena.carve(&l);
+        let codes = [
+            slab.input.len(),
+            slab.im2col.len(),
+            slab.tokens.len(),
+            slab.norm.len(),
+            slab.q.len(),
+            slab.k.len(),
+            slab.vt.len(),
+            slab.probs.len(),
+            slab.att.len(),
+            slab.proj.len(),
+            slab.res1.len(),
+            slab.hidden.len(),
+            slab.cls.len(),
+        ];
+        assert_eq!(codes.iter().sum::<usize>(), l.codes());
+        assert_eq!(slab.scores.len() + slab.logits.len(), l.accs());
+        // Distinct regions: a write through one is invisible in the next.
+        slab.vt.fill(7);
+        assert!(slab.probs.iter().all(|&v| v == 0));
+    }
+
+    /// A slab last used by another shape must come back zeroed: the plan
+    /// relies on never-written padding staying zero.
+    #[test]
+    fn a_different_layout_rebuilds_zeroed() {
+        let mut arena = QuantArena::new();
+        let small = layout(1);
+        arena.carve(&small).probs.fill(-1);
+        arena.carve(&small).scores.fill(-1);
+        let big = layout(2);
+        let slab = arena.carve(&big);
+        assert!(slab.probs.iter().all(|&v| v == 0));
+        assert!(slab.scores.iter().all(|&v| v == 0));
+        assert_eq!(arena.stats().misses, 2);
+        // Back to the first shape: rebuilt again, not trusted.
+        let slab = arena.carve(&small);
+        assert!(slab.probs.iter().all(|&v| v == 0));
+        assert_eq!(arena.stats().misses, 3);
     }
 }

@@ -7,9 +7,20 @@
 //! constants involving the input scale are computed **once at conversion
 //! time**; the per-inference path is pure i32/i64 arithmetic, mirroring
 //! what executes on the MCU.
+//!
+//! The scalar bodies here ([`ISoftmax::apply_row_scalar`],
+//! [`ILayerNorm::apply_row_scalar`], [`IGelu::apply`]) are the definition
+//! of each operator, the portable tier, and the oracle. On SIMD tiers
+//! [`ISoftmax::apply_row`] and [`ILayerNorm::apply_row`] hand their
+//! per-element loops to the dispatched lanes of [`bioformer_simd::ibert`]
+//! — bit-identical, and declining (back to the scalar body) whenever a
+//! constant or a row falls outside the range the 32-bit lanes can hold —
+//! and the converted model evaluates GELU through [`IGelu::table`].
 
 use crate::qtensor::QParams;
 use crate::requant::FixedMultiplier;
+use bioformer_simd::ibert::LN_FBITS;
+use bioformer_simd::{ExpLanes, Kernels, NormLanes};
 
 /// Exact unsigned division by a precomputed reciprocal.
 ///
@@ -68,16 +79,6 @@ pub fn i_sqrt(n: i64) -> i64 {
     }
 }
 
-/// Second-order integer polynomial `a(x+b)² + c` (I-BERT I-POLY).
-///
-/// Returns the quantized output and its (possibly negative) scale `a·s²`.
-fn i_poly(q: i64, s: f64, a: f64, b: f64, c: f64) -> (i64, f64) {
-    let q_b = (b / s).floor() as i64;
-    let q_c = (c / (a * s * s)).floor() as i64;
-    let out = (q + q_b) * (q + q_b) + q_c;
-    (out, a * s * s)
-}
-
 /// Integer exponential for non-positive arguments (I-BERT I-EXP).
 ///
 /// Decomposes `x = −z·ln2 + p` with `p ∈ (−ln2, 0]`, evaluates a
@@ -87,7 +88,10 @@ pub struct IExp {
     q_ln2: i64,
     /// Reciprocal of `q_ln2` for the divide-free range reduction.
     r_ln2: Recip,
-    s_in: f64,
+    /// `⌊b/s⌋` of the second-order polynomial `a(x+b)² + c` (I-POLY).
+    q_b: i64,
+    /// `⌊c/(a·s²)⌋` of the same polynomial.
+    q_c: i64,
     /// Scale of the returned integer (`a·s²` of the exp polynomial).
     pub s_out: f64,
 }
@@ -110,7 +114,8 @@ impl IExp {
         IExp {
             q_ln2,
             r_ln2: Recip::new(q_ln2 as u64),
-            s_in,
+            q_b: (EXP_B / s_in).floor() as i64,
+            q_c: (EXP_C / s_out).floor() as i64,
             s_out,
         }
     }
@@ -120,7 +125,7 @@ impl IExp {
         debug_assert!(q <= 0, "IExp argument must be non-positive");
         let z = (self.r_ln2.div((-q) as u64) as i64).min(62);
         let p = q + z * self.q_ln2; // in (-ln2/s, 0]
-        let (l, _) = i_poly(p, self.s_in, EXP_A, EXP_B, EXP_C);
+        let l = (p + self.q_b) * (p + self.q_b) + self.q_c;
         (l.max(0)) >> z
     }
 }
@@ -134,6 +139,8 @@ impl IExp {
 #[derive(Debug, Clone, Copy)]
 pub struct ISoftmax {
     exp: IExp,
+    /// The i-exp constants as SIMD lanes, when they fit 32 bits.
+    lanes: Option<ExpLanes>,
 }
 
 impl ISoftmax {
@@ -145,18 +152,40 @@ impl ISoftmax {
 
     /// Prepares constants for score accumulators at scale `s_in`.
     pub fn new(s_in: f64) -> Self {
+        let exp = IExp::new(s_in);
         ISoftmax {
-            exp: IExp::new(s_in),
+            exp,
+            lanes: ExpLanes::new(exp.q_ln2, exp.q_b, exp.q_c),
         }
     }
 
-    /// Applies softmax to one row of score accumulators.
+    /// Applies softmax to one row of score accumulators, through the
+    /// runtime-dispatched kernel table.
+    pub fn apply_row(&self, scores: &[i32], out: &mut [i8]) {
+        self.apply_row_with(bioformer_simd::kernels(), scores, out);
+    }
+
+    /// [`ISoftmax::apply_row`] on an explicitly chosen kernel table — the
+    /// hook tier-parity tests use. The SIMD body is bit-identical to
+    /// [`ISoftmax::apply_row_scalar`] and hands back to it when it
+    /// declines a row.
+    pub fn apply_row_with(&self, kernels: &Kernels, scores: &[i32], out: &mut [i8]) {
+        debug_assert_eq!(scores.len(), out.len());
+        if let (Some(body), Some(lanes)) = (kernels.softmax_row, &self.lanes) {
+            if body(lanes, scores, out) {
+                return;
+            }
+        }
+        self.apply_row_scalar(scores, out);
+    }
+
+    /// The scalar operator: the portable tier and the oracle.
     ///
     /// Allocation-free: exponentials are staged on the stack for rows up
     /// to 128 wide (every attention row the Bioformer configs produce) and
     /// recomputed in the normalisation pass beyond that — [`IExp::apply`]
     /// is deterministic, so both strategies are bit-identical.
-    pub fn apply_row(&self, scores: &[i32], out: &mut [i8]) {
+    pub fn apply_row_scalar(&self, scores: &[i32], out: &mut [i8]) {
         debug_assert_eq!(scores.len(), out.len());
         let max = scores.iter().copied().max().unwrap_or(0) as i64;
         let mut inline = [0i64; 128];
@@ -257,6 +286,13 @@ impl IGelu {
         sign * (-l)
     }
 
+    /// GELU of every int8 code, indexed by the code's bit pattern
+    /// (`table[q as u8]`) — what a converted model looks values up in
+    /// instead of evaluating the polynomial per activation.
+    pub fn table(&self) -> [i8; 256] {
+        std::array::from_fn(|code| self.apply(code as u8 as i8))
+    }
+
     /// GELU of one int8 value.
     pub fn apply(&self, q: i8) -> i8 {
         let q = q as i64;
@@ -278,13 +314,19 @@ pub struct ILayerNorm {
     q_gamma: Vec<i32>,
     /// Per-feature β at scale `s_γ / 2^FBITS`.
     q_beta: Vec<i64>,
+    /// `q_beta` narrowed for the SIMD lanes, when `γ·x̂ + β` provably
+    /// fits i32 for every feature.
+    beta_lanes: Option<Vec<i32>>,
     /// Requantization from `s_γ/2^FBITS` to the output grid.
     mult: FixedMultiplier,
     out_zp: i32,
 }
 
 /// Fraction bits of the normalised activation `x̂`.
-const FBITS: u32 = 10;
+const FBITS: u32 = LN_FBITS;
+
+/// Largest `|γ·x̂|`: `|γ| ≤ 127`, `|x − mean| ≤ 255`, `std ≥ 1`.
+const GAMMA_XHAT_MAX: i64 = 127 * (255 << FBITS);
 
 impl ILayerNorm {
     /// Prepares an integer LayerNorm from fp32 affine parameters and the
@@ -302,12 +344,16 @@ impl ILayerNorm {
             .map(|&g| ((g as f64 / s_gamma).round() as i32).clamp(-127, 127))
             .collect();
         let s_acc = s_gamma / (1u64 << FBITS) as f64;
-        let q_beta = beta
+        let q_beta: Vec<i64> = beta
             .iter()
             .map(|&b| (b as f64 / s_acc).round() as i64)
             .collect();
+        let narrow = q_beta
+            .iter()
+            .all(|b| b.abs() <= i32::MAX as i64 - GAMMA_XHAT_MAX);
         ILayerNorm {
             q_gamma,
+            beta_lanes: narrow.then(|| q_beta.iter().map(|&b| b as i32).collect()),
             q_beta,
             mult: FixedMultiplier::encode(s_acc / out.scale as f64),
             out_zp: out.zero_point,
@@ -319,26 +365,76 @@ impl ILayerNorm {
         self.q_gamma.len()
     }
 
-    /// Normalises one row of int8 activations (the input zero-point and
-    /// scale cancel inside the normalisation, so only raw codes are
-    /// needed).
-    pub fn apply_row(&self, row: &[i8], out: &mut [i8]) {
+    /// Integer mean (rounded to nearest) and standard deviation (`≥ 1`)
+    /// of one row. The two reductions run in i32 over chunks short enough
+    /// that neither can overflow (`4096·255² < 2^31`) — exact, and narrow
+    /// enough for the compiler to vectorize — and are widened per chunk.
+    fn moments(row: &[i8]) -> (i64, i64) {
+        const CHUNK: usize = 4096;
         let n = row.len() as i64;
-        debug_assert_eq!(row.len(), self.q_gamma.len());
-        let sum: i64 = row.iter().map(|&v| v as i64).sum();
+        let sum: i64 = row
+            .chunks(CHUNK)
+            .map(|c| c.iter().map(|&v| v as i32).sum::<i32>() as i64)
+            .sum();
         // Round-to-nearest mean keeps the centering unbiased.
         let mean = (2 * sum + n) / (2 * n);
-        let mut var: i64 = 0;
-        for &v in row {
-            let c = v as i64 - mean;
-            var += c * c;
-        }
+        let centre = mean as i32;
+        let mut var: i64 = row
+            .chunks(CHUNK)
+            .map(|c| {
+                let squares = c.iter().map(|&v| {
+                    let d = v as i32 - centre;
+                    d * d
+                });
+                squares.sum::<i32>() as i64
+            })
+            .sum();
         var /= n;
-        let std = i_sqrt(var).max(1);
+        (mean, i_sqrt(var).max(1))
+    }
+
+    /// Normalises one row of int8 activations (the input zero-point and
+    /// scale cancel inside the normalisation, so only raw codes are
+    /// needed), through the runtime-dispatched kernel table.
+    pub fn apply_row(&self, row: &[i8], out: &mut [i8]) {
+        self.apply_row_with(bioformer_simd::kernels(), row, out);
+    }
+
+    /// [`ILayerNorm::apply_row`] on an explicitly chosen kernel table —
+    /// the hook tier-parity tests use. The mean and deviation are always
+    /// reduced in scalar integers; the SIMD lanes take the leading whole
+    /// vectors of the element pass and the scalar loop the remainder, both
+    /// bit-identical to [`ILayerNorm::apply_row_scalar`].
+    pub fn apply_row_with(&self, kernels: &Kernels, row: &[i8], out: &mut [i8]) {
+        debug_assert_eq!(row.len(), self.q_gamma.len());
+        let (mean, std) = Self::moments(row);
+        let done = match (kernels.layernorm_row, &self.beta_lanes) {
+            (Some(body), Some(beta)) => {
+                let lanes = NormLanes {
+                    gamma: &self.q_gamma,
+                    beta,
+                    rq: self.mult.requant(self.out_zp),
+                };
+                body(&lanes, mean as i32, std as i32, row, out)
+            }
+            _ => 0,
+        };
+        self.finish_row(mean, std, done, row, out);
+    }
+
+    /// The scalar operator: the portable tier and the oracle.
+    pub fn apply_row_scalar(&self, row: &[i8], out: &mut [i8]) {
+        debug_assert_eq!(row.len(), self.q_gamma.len());
+        let (mean, std) = Self::moments(row);
+        self.finish_row(mean, std, 0, row, out);
+    }
+
+    /// The scalar element pass over features `from..`.
+    fn finish_row(&self, mean: i64, std: i64, from: usize, row: &[i8], out: &mut [i8]) {
         // One reciprocal per row replaces a hardware divide per element;
         // signed truncating division is recovered via |c| and the sign.
         let r_std = Recip::new(std as u64);
-        for (i, (&v, o)) in row.iter().zip(out.iter_mut()).enumerate() {
+        for (i, (&v, o)) in row.iter().zip(out.iter_mut()).enumerate().skip(from) {
             let c = v as i64 - mean;
             // scale 2^-FBITS, dimensionless; == (c << FBITS) / std
             let xhat = r_std.div(c.unsigned_abs() << FBITS) as i64 * c.signum();

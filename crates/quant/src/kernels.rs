@@ -10,27 +10,26 @@
 //!
 //! # Kernel structure
 //!
-//! The GEMM core walks each `A` row against [`QNR`]-wide tiles of `B` rows
-//! with `i32` register accumulators and hands each finished accumulator to
-//! a store callback. The dot tile itself is **dispatched**: it comes from
-//! the [`bioformer_simd`] runtime-selected kernel table — a `vpdpbusd`
-//! (VNNI) tile where the CPU has one, an AVX2 widen–multiply–add
-//! (`vpmovsxbw` + `vpmaddwd`) tile otherwise, and the original scalar
-//! reduction as the portable fallback. An earlier revision kept the scalar
-//! reduction on purpose ("hand-blocking measured slower"): that held for
-//! safe-Rust blocking tricks, which only perturb what LLVM's
-//! auto-vectoriser sees, but not for explicit `std::arch` kernels — the
-//! widening instructions the quantized path needs are exactly the ones the
-//! auto-vectoriser won't reliably emit from scalar int8 code. Integer
-//! addition is associative, so every dispatch tier is **bit-for-bit**
-//! identical to a naive triple loop — pinned by property tests and the
-//! cross-tier parity suite (`tests/simd_kernels.rs`).
+//! The drivers in this module multiply **row-major** operands: each `A`
+//! row against [`QNR`]-wide tiles of `B` rows through the dispatched
+//! [`bioformer_simd`] dot tile (a `vpdpbusd` tile on VNNI hosts, an AVX2
+//! widen–multiply–add tile otherwise, the scalar reduction as the portable
+//! fallback), or in one call through the tier's whole-GEMM kernel. They are
+//! what the attention products run on, whose right-hand side is an
+//! activation, and the reference the packed kernels are tested against.
+//! The converted model's **weight** products do not come through here:
+//! [`crate::layers::QLinear`] and [`crate::layers::QConv1d`] pack their
+//! weights once and call the tier's packed kernel
+//! ([`bioformer_simd::packed`]). Integer addition is associative, so every
+//! dispatch tier and both families are **bit-for-bit** identical to a
+//! naive triple loop — pinned by property tests and the cross-tier parity
+//! suite (`tests/simd_kernels.rs`).
 //!
-//! Requantization fuses into the store loop ([`qgemm_requant_into`]): each
+//! Requantization fuses into the store ([`qgemm_requant_into`]): each
 //! `i32` accumulator goes straight to an `i8` code while still in a
-//! register, with no intermediate `Vec<i32>` materialised per output tile.
-//! The convolution ([`qconv1d_i32`]) lowers to im2col + the same GEMM
-//! core, so it inherits whichever tile the dispatch selected.
+//! register, with no intermediate `Vec<i32>` materialised. The standalone
+//! convolution ([`qconv1d_i32`]) lowers to im2col + the same GEMM core, so
+//! it inherits whichever tile the dispatch selected.
 
 use crate::qtensor::{QParams, QTensor};
 use crate::requant::FixedMultiplier;
@@ -40,7 +39,7 @@ use crate::requant::FixedMultiplier;
 // this crate); they are re-exported here so the public API — and the single
 // definition the bit-exactness contracts rely on — is unchanged.
 pub use bioformer_tensor::qgemm::{
-    qgemm_i32_into, qgemm_i32_into_with, qgemm_i32_tile_into, qgemm_i32_whole_into,
+    qgemm_i32_into, qgemm_i32_into_with, qgemm_i32_tile_into, qgemm_i32_whole_into, qgemm_nt_into,
     qgemm_requant_into, qgemm_requant_tile_into, qgemm_requant_whole_into, QNR,
 };
 
@@ -232,42 +231,6 @@ pub fn qconv1d_i32_into(
     }
 }
 
-/// [`qconv1d_i32_into`] with the GEMM routed through a
-/// [`ComputeBackend`](bioformer_tensor::backend::ComputeBackend) (the
-/// backend's int8 plan for the lowered `[out_ch, in_ch·kernel] ·
-/// [out_len, in_ch·kernel]ᵀ` shape picks the kernel). Bit-identical to the
-/// direct form for every plan.
-///
-/// # Panics
-///
-/// Panics on inconsistent dimensions.
-#[allow(clippy::too_many_arguments)]
-pub fn qconv1d_i32_into_on(
-    backend: &dyn bioformer_tensor::backend::ComputeBackend,
-    x: &[i8],
-    w: &[i8],
-    bias: &[i32],
-    in_ch: usize,
-    len: usize,
-    out_ch: usize,
-    kernel: usize,
-    stride: usize,
-    im2col: &mut [i8],
-    out: &mut [i32],
-) {
-    assert_eq!(w.len(), out_ch * in_ch * kernel, "qconv: weight size");
-    assert_eq!(bias.len(), out_ch, "qconv: bias size");
-    let out_len = conv1d_out_len(len, kernel, stride);
-    assert_eq!(out.len(), out_ch * out_len, "qconv: output size");
-    qconv1d_im2col(x, in_ch, len, kernel, stride, im2col);
-    backend.qgemm_i32(w, im2col, None, out_ch, in_ch * kernel, out_len, out);
-    for (row, &bv) in out.chunks_exact_mut(out_len).zip(bias.iter()) {
-        for o in row {
-            *o += bv;
-        }
-    }
-}
-
 /// int8 1-D convolution over `[in_ch, len]` with i32 accumulation.
 /// Out-of-range (padding) taps contribute zero, consistent with symmetric
 /// activation quantization where real 0 ↦ code 0.
@@ -307,9 +270,52 @@ pub fn qconv1d_i32(
     y
 }
 
+/// An integer residual connection prepared once: both operands' scale
+/// hand-offs to the output grid encoded as fixed-point multipliers at
+/// conversion time, so the per-window path is multiply, shift, add.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QAdd {
+    ma: FixedMultiplier,
+    mb: FixedMultiplier,
+    za: i32,
+    zb: i32,
+    zo: i32,
+}
+
+impl QAdd {
+    /// Prepares `out = a + b` for operands on grids `pa`, `pb` and a sum
+    /// on grid `out_params`.
+    pub fn new(pa: QParams, pb: QParams, out_params: QParams) -> Self {
+        QAdd {
+            ma: FixedMultiplier::encode(pa.scale as f64 / out_params.scale as f64),
+            mb: FixedMultiplier::encode(pb.scale as f64 / out_params.scale as f64),
+            za: pa.zero_point,
+            zb: pb.zero_point,
+            zo: out_params.zero_point,
+        }
+    }
+
+    /// Requantizes both code slices onto the output grid and adds them
+    /// with saturation.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the slice lengths disagree.
+    pub fn apply(&self, a: &[i8], b: &[i8], out: &mut [i8]) {
+        assert_eq!(a.len(), b.len(), "qadd: length mismatch");
+        assert_eq!(a.len(), out.len(), "qadd: output length mismatch");
+        let QAdd { ma, mb, za, zb, zo } = *self;
+        for ((o, &qa), &qb) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
+            let ra = ma.apply(qa as i32 - za);
+            let rb = mb.apply(qb as i32 - zb);
+            *o = (ra + rb + zo).clamp(-128, 127) as i8;
+        }
+    }
+}
+
 /// Requantizes two int8 code slices onto a common output grid and adds
-/// them with saturation, into a caller-provided buffer — the
-/// allocation-free core of [`qadd`].
+/// them with saturation, into a caller-provided buffer — [`QAdd`] built
+/// and applied in one call, for callers that add once.
 ///
 /// # Panics
 ///
@@ -322,16 +328,7 @@ pub fn qadd_into(
     out_params: QParams,
     out: &mut [i8],
 ) {
-    assert_eq!(a.len(), b.len(), "qadd: length mismatch");
-    assert_eq!(a.len(), out.len(), "qadd: output length mismatch");
-    let ma = FixedMultiplier::encode(pa.scale as f64 / out_params.scale as f64);
-    let mb = FixedMultiplier::encode(pb.scale as f64 / out_params.scale as f64);
-    let (za, zb, zo) = (pa.zero_point, pb.zero_point, out_params.zero_point);
-    for ((o, &qa), &qb) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
-        let ra = ma.apply(qa as i32 - za);
-        let rb = mb.apply(qb as i32 - zb);
-        *o = (ra + rb + zo).clamp(-128, 127) as i8;
-    }
+    QAdd::new(pa, pb, out_params).apply(a, b, out);
 }
 
 /// Requantizes two int8 tensors onto a common output grid and adds them

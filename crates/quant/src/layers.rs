@@ -1,60 +1,63 @@
 //! Quantized layer building blocks (Linear, Conv1d).
+//!
+//! Both layers pack their int8 weights **once**, at construction, into the
+//! k-by-4-interleaved panel layout of [`bioformer_simd::packed`] (bias and
+//! the `vpdpbusd` correction folded in), and every forward is one call to
+//! the tier's packed kernel with the requantization done in its store.
+//! The layout is shared by all SIMD tiers, so a layer is built the same
+//! way on every host and there is no kernel choice left to plan.
 
-use crate::kernels::{conv1d_out_len, qconv1d_i32_into_on, requantize_vec};
+use crate::kernels::{conv1d_out_len, qconv1d_im2col};
 use crate::qtensor::{QParams, QTensor};
 use crate::requant::FixedMultiplier;
-use bioformer_tensor::backend::{default_backend, ComputeBackend};
+use bioformer_simd::{Kernels, PackedQB, QMat, QOut, Requant};
 use bioformer_tensor::Tensor;
-use std::sync::Arc;
+
+/// Symmetric int8 codes of `w` (any shape, flattened) and the i32 bias at
+/// the accumulator scale `s_in · s_w`, which is returned too.
+fn quantize_weights(w: &Tensor, b: &Tensor, in_params: QParams) -> (Vec<i8>, Vec<i32>, f64) {
+    let wp = QParams::symmetric(w.abs_max());
+    let mut codes = vec![0i8; w.len()];
+    wp.quantize_slice(w.data(), &mut codes);
+    let acc_scale = in_params.scale as f64 * wp.scale as f64;
+    let bias = b
+        .data()
+        .iter()
+        .map(|&v| (v as f64 / acc_scale).round() as i32)
+        .collect();
+    (codes, bias, acc_scale)
+}
 
 /// An int8 affine layer: symmetric int8 weights `[out, in]`, i32 bias at
 /// the accumulator scale, fixed-point requantization to the output grid.
 #[derive(Debug, Clone)]
 pub struct QLinear {
-    weight: QTensor,
-    bias: Vec<i32>,
+    packed: PackedQB,
     mult: FixedMultiplier,
     out_params: QParams,
     /// Accumulator scale `s_in · s_w` (kept for layers that consume raw
     /// accumulators, e.g. the classifier head).
     acc_scale: f64,
-    /// Compute backend the int8 GEMMs route through.
-    backend: Arc<dyn ComputeBackend>,
 }
 
 impl QLinear {
     /// Quantizes an fp32 linear layer given calibrated input/output
-    /// activation parameters.
+    /// activation parameters, and packs the weights.
     ///
     /// # Panics
     ///
     /// Panics on inconsistent weight/bias shapes.
     pub fn from_float(w: &Tensor, b: &Tensor, in_params: QParams, out_params: QParams) -> Self {
         assert_eq!(w.shape().rank(), 2, "QLinear: weight must be [out, in]");
-        let out_features = w.dims()[0];
+        let (out_features, in_features) = (w.dims()[0], w.dims()[1]);
         assert_eq!(b.dims(), &[out_features], "QLinear: bias shape");
-        let wp = QParams::symmetric(w.abs_max());
-        let weight = QTensor::quantize(w, wp);
-        let acc_scale = in_params.scale as f64 * wp.scale as f64;
-        let bias = b
-            .data()
-            .iter()
-            .map(|&v| (v as f64 / acc_scale).round() as i32)
-            .collect();
+        let (codes, bias, acc_scale) = quantize_weights(w, b, in_params);
         QLinear {
-            weight,
-            bias,
+            packed: PackedQB::from_rows(&codes, out_features, in_features, Some(&bias)),
             mult: FixedMultiplier::encode(acc_scale / out_params.scale as f64),
             out_params,
             acc_scale,
-            backend: default_backend(),
         }
-    }
-
-    /// Installs a compute backend; its int8 plans pick the GEMM kernel
-    /// (all plans are bit-identical, so outputs never change).
-    pub fn set_backend(&mut self, backend: Arc<dyn ComputeBackend>) {
-        self.backend = backend;
     }
 
     /// Output activation parameters.
@@ -69,38 +72,58 @@ impl QLinear {
 
     /// Output width.
     pub fn out_features(&self) -> usize {
-        self.weight.dims()[0]
+        self.packed.n()
     }
 
     /// Input width.
     pub fn in_features(&self) -> usize {
-        self.weight.dims()[1]
+        self.packed.k()
+    }
+
+    /// The packed weights (with bias), for callers that drive the packed
+    /// kernel themselves — strided inputs, transposed or offset outputs.
+    pub fn packed(&self) -> &PackedQB {
+        &self.packed
+    }
+
+    /// The store descriptor that lands accumulators on the output grid.
+    pub fn requant(&self) -> Requant {
+        self.mult.requant(self.out_params.zero_point)
     }
 
     /// int8 forward over raw `[rows, in]` codes into a caller-provided
     /// `[rows, out]` buffer — the allocation-free core of
-    /// [`QLinear::forward`], requantized in a single fused pass.
+    /// [`QLinear::forward`]: one packed-kernel call, requantized in its
+    /// store.
     ///
     /// # Panics
     ///
     /// Panics when slice lengths disagree with `rows` and the layer shape.
     pub fn forward_into(&self, x: &[i8], rows: usize, out: &mut [i8]) {
-        self.backend.qgemm_requant(
-            x,
-            self.weight.data(),
-            Some(&self.bias),
+        self.forward_into_with(bioformer_simd::kernels(), x, rows, out);
+    }
+
+    /// [`QLinear::forward_into`] on an explicitly chosen kernel table —
+    /// the hook tier-parity tests use.
+    ///
+    /// # Panics
+    ///
+    /// Panics when slice lengths disagree with `rows` and the layer shape.
+    pub fn forward_into_with(&self, kernels: &Kernels, x: &[i8], rows: usize, out: &mut [i8]) {
+        let (k, n) = (self.in_features(), self.out_features());
+        assert_eq!(x.len(), rows * k, "QLinear: input size");
+        assert_eq!(out.len(), rows * n, "QLinear: output size");
+        let rq = self.requant();
+        (kernels.qgemm_packed)(
+            QMat::dense(x, k),
             rows,
-            self.in_features(),
-            self.out_features(),
-            self.mult,
-            self.out_params.zero_point,
-            out,
+            &self.packed,
+            QOut::Rows { out, ld: n, rq },
         );
     }
 
     /// int8 forward over `[rows, in]`, requantized to the output grid in a
-    /// single fused pass (no intermediate i32 buffer; the backend's
-    /// `qgemm_requant` fuses requantization into the store).
+    /// single fused pass (no intermediate i32 buffer).
     pub fn forward(&self, x: &QTensor) -> QTensor {
         let (rows, k) = (x.dims()[0], x.dims()[1]);
         assert_eq!(k, self.in_features(), "QLinear: input width mismatch");
@@ -117,14 +140,23 @@ impl QLinear {
     ///
     /// Panics when slice lengths disagree with `rows` and the layer shape.
     pub fn forward_acc_into(&self, x: &[i8], rows: usize, out: &mut [i32]) {
-        self.backend.qgemm_i32(
-            x,
-            self.weight.data(),
-            Some(&self.bias),
+        self.forward_acc_into_with(bioformer_simd::kernels(), x, rows, out);
+    }
+
+    /// [`QLinear::forward_acc_into`] on an explicitly chosen kernel table.
+    ///
+    /// # Panics
+    ///
+    /// Panics when slice lengths disagree with `rows` and the layer shape.
+    pub fn forward_acc_into_with(&self, kernels: &Kernels, x: &[i8], rows: usize, out: &mut [i32]) {
+        let (k, n) = (self.in_features(), self.out_features());
+        assert_eq!(x.len(), rows * k, "QLinear: input size");
+        assert_eq!(out.len(), rows * n, "QLinear: output size");
+        (kernels.qgemm_packed)(
+            QMat::dense(x, k),
             rows,
-            self.in_features(),
-            self.out_features(),
-            out,
+            &self.packed,
+            QOut::Acc { out, ld: n },
         );
     }
 
@@ -140,21 +172,25 @@ impl QLinear {
 }
 
 /// An int8 1-D convolution (no padding/dilation — the Bioformer patch
-/// embedding is a plain strided conv).
+/// embedding is a plain strided conv), lowered to im2col + the packed
+/// GEMM with the **weights** as the packed side: the product comes out
+/// position-major (`[out_len, out_ch]`, i.e. as tokens), and the
+/// channel-major layout of [`QConv1d::forward_into`] is the same product
+/// stored transposed.
 #[derive(Debug, Clone)]
 pub struct QConv1d {
-    weight: QTensor,
-    bias: Vec<i32>,
+    /// Weights `[out_ch, in_ch·kernel]`, packed, with the bias.
+    packed: PackedQB,
+    in_ch: usize,
     stride: usize,
     kernel: usize,
     mult: FixedMultiplier,
     out_params: QParams,
-    /// Compute backend the lowered im2col GEMM routes through.
-    backend: Arc<dyn ComputeBackend>,
 }
 
 impl QConv1d {
-    /// Quantizes an fp32 convolution (`w: [out, in, kernel]`).
+    /// Quantizes an fp32 convolution (`w: [out, in, kernel]`) and packs
+    /// the weights.
     ///
     /// # Panics
     ///
@@ -167,31 +203,17 @@ impl QConv1d {
         out_params: QParams,
     ) -> Self {
         assert_eq!(w.shape().rank(), 3, "QConv1d: weight must be [out, in, k]");
-        let out_ch = w.dims()[0];
+        let (out_ch, in_ch, kernel) = (w.dims()[0], w.dims()[1], w.dims()[2]);
         assert_eq!(b.dims(), &[out_ch], "QConv1d: bias shape");
-        let wp = QParams::symmetric(w.abs_max());
-        let weight = QTensor::quantize(w, wp);
-        let acc_scale = in_params.scale as f64 * wp.scale as f64;
-        let bias = b
-            .data()
-            .iter()
-            .map(|&v| (v as f64 / acc_scale).round() as i32)
-            .collect();
+        let (codes, bias, acc_scale) = quantize_weights(w, b, in_params);
         QConv1d {
-            weight,
-            bias,
+            packed: PackedQB::from_rows(&codes, out_ch, in_ch * kernel, Some(&bias)),
+            in_ch,
             stride,
-            kernel: w.dims()[2],
+            kernel,
             mult: FixedMultiplier::encode(acc_scale / out_params.scale as f64),
             out_params,
-            backend: default_backend(),
         }
-    }
-
-    /// Installs a compute backend; its int8 plan for the lowered GEMM
-    /// shape picks the kernel (all plans are bit-identical).
-    pub fn set_backend(&mut self, backend: Arc<dyn ComputeBackend>) {
-        self.backend = backend;
     }
 
     /// Output activation parameters.
@@ -201,7 +223,7 @@ impl QConv1d {
 
     /// Output channels.
     pub fn out_channels(&self) -> usize {
-        self.weight.dims()[0]
+        self.packed.n()
     }
 
     /// Output length for an input of `len` samples.
@@ -215,10 +237,32 @@ impl QConv1d {
         self.out_len(len) * in_ch * self.kernel
     }
 
+    /// Gathers the im2col image of a raw `[in_ch, len]` sample: one row of
+    /// `in_ch·kernel` codes per output position.
+    ///
+    /// # Panics
+    ///
+    /// Panics when slice lengths disagree with the layer shape.
+    pub fn im2col_into(&self, x: &[i8], len: usize, im2col: &mut [i8]) {
+        qconv1d_im2col(x, self.in_ch, len, self.kernel, self.stride, im2col);
+    }
+
+    /// The packed weights (with bias): columns are output channels, the
+    /// contraction runs over an im2col row.
+    pub fn packed(&self) -> &PackedQB {
+        &self.packed
+    }
+
+    /// The store descriptor that lands accumulators on the output grid.
+    pub fn requant(&self) -> Requant {
+        self.mult.requant(self.out_params.zero_point)
+    }
+
     /// int8 forward over a raw `[in_ch, len]` sample into a caller-provided
     /// `[out_ch, out_len]` buffer — the allocation-free core of
-    /// [`QConv1d::forward`]. `im2col` ([`QConv1d::im2col_len`] codes) and
-    /// `acc` (`out.len()` accumulators) are scratch.
+    /// [`QConv1d::forward`]. `im2col` ([`QConv1d::im2col_len`] codes) is
+    /// scratch; `acc` is no longer touched (the kernel requantizes in its
+    /// store) and only has to match `out` in length.
     ///
     /// # Panics
     ///
@@ -232,54 +276,39 @@ impl QConv1d {
         acc: &mut [i32],
         out: &mut [i8],
     ) {
-        assert_eq!(in_ch, self.weight.dims()[1], "QConv1d: channel mismatch");
+        assert_eq!(in_ch, self.in_ch, "QConv1d: channel mismatch");
         assert_eq!(out.len(), acc.len(), "QConv1d: out/acc length mismatch");
-        qconv1d_i32_into_on(
-            self.backend.as_ref(),
-            x,
-            self.weight.data(),
-            &self.bias,
-            in_ch,
-            len,
-            self.out_channels(),
-            self.kernel,
-            self.stride,
-            im2col,
-            acc,
+        let positions = self.out_len(len);
+        assert_eq!(
+            out.len(),
+            self.out_channels() * positions,
+            "QConv1d: output size"
         );
-        let zp = self.out_params.zero_point;
-        for (o, &a) in out.iter_mut().zip(acc.iter()) {
-            *o = self.mult.requantize_to_i8(a, zp);
-        }
+        self.im2col_into(x, len, im2col);
+        let rq = self.requant();
+        (bioformer_simd::kernels().qgemm_packed)(
+            QMat::dense(im2col, self.packed.k()),
+            positions,
+            &self.packed,
+            QOut::Cols {
+                out,
+                ld: positions,
+                rq,
+            },
+        );
     }
 
     /// int8 forward over a single `[in_ch, len]` sample, producing
     /// `[out_ch, out_len]`.
     pub fn forward(&self, x: &QTensor) -> QTensor {
         let (in_ch, len) = (x.dims()[0], x.dims()[1]);
-        assert_eq!(in_ch, self.weight.dims()[1], "QConv1d: channel mismatch");
         let out_ch = self.out_channels();
         let out_len = self.out_len(len);
         let mut im2col = vec![0i8; self.im2col_len(in_ch, len)];
         let mut acc = vec![0i32; out_ch * out_len];
-        qconv1d_i32_into_on(
-            self.backend.as_ref(),
-            x.data(),
-            self.weight.data(),
-            &self.bias,
-            in_ch,
-            len,
-            out_ch,
-            self.kernel,
-            self.stride,
-            &mut im2col,
-            &mut acc,
-        );
-        QTensor::from_raw(
-            requantize_vec(&acc, self.mult, self.out_params.zero_point),
-            &[out_ch, out_len],
-            self.out_params,
-        )
+        let mut out = vec![0i8; out_ch * out_len];
+        self.forward_into(x.data(), in_ch, len, &mut im2col, &mut acc, &mut out);
+        QTensor::from_raw(out, &[out_ch, out_len], self.out_params)
     }
 }
 

@@ -8,16 +8,19 @@
 //! * [`observer`] — min/max range calibration over representative data.
 //! * [`requant`] — gemmlowp-style fixed-point requantization
 //!   (int32 multiplier + right shift; no floating point on the hot path).
-//! * [`kernels`] — integer GEMM/conv with i32 accumulation, dispatched
-//!   through the runtime-selected SIMD tiles of `bioformer_simd`.
-//! * [`arena`] — [`arena::QuantArena`]: typed `i8`/`i32` buffer pools that
-//!   make warmed integer forwards allocation-free.
+//! * [`kernels`] — integer GEMM/conv over row-major operands with i32
+//!   accumulation, dispatched through the runtime-selected SIMD kernels of
+//!   `bioformer_simd`, and the prepared residual add.
+//! * [`arena`] — [`arena::QuantArena`]: the one slab, laid out at
+//!   conversion time, that makes warmed integer forwards allocation-free.
 //! * [`ibert`] — integer-only softmax (i-exp), GELU (i-erf) and LayerNorm
 //!   (integer Newton square root), after Kim et al., *I-BERT: Integer-only
 //!   BERT Quantization* (ICML 2021).
-//! * [`layers`] — quantized Linear / Conv1d / residual-add building blocks.
-//! * [`model`] — [`model::QuantBioformer`]: a fully integer inference
-//!   pipeline converted from a trained fp32 [`bioformer_core::Bioformer`].
+//! * [`layers`] — quantized Linear / Conv1d building blocks over weights
+//!   packed once for the SIMD kernels.
+//! * [`model`] — [`model::QuantBioformer`]: a fully integer, fully planned
+//!   inference pipeline converted from a trained fp32
+//!   [`bioformer_core::Bioformer`].
 //! * [`qat`] — weight fake-quantization ("QAT-lite") to recover accuracy
 //!   before conversion, standing in for the paper's few epochs of
 //!   quantization-aware training.

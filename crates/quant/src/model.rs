@@ -1,7 +1,7 @@
 //! The fully-quantized Bioformer: conversion from a trained fp32 model and
 //! integer-only inference.
 //!
-//! Conversion has three stages:
+//! Conversion has four stages:
 //!
 //! 1. A **float shadow** of the network is rebuilt from the model's state
 //!    dict and verified (in tests) to reproduce `Bioformer::forward`
@@ -11,21 +11,44 @@
 //! 3. Each kernel is converted: weights to symmetric int8, biases to i32 at
 //!    the accumulator scale, nonlinearities to their I-BERT integer forms,
 //!    and every scale hand-off to a fixed-point multiplier.
+//! 4. The forward is **planned**: every weight matrix is packed into the
+//!    SIMD kernels' layout, GELU becomes a 256-entry table, the residual
+//!    multipliers are encoded, and every intermediate buffer gets a fixed
+//!    place in one slab ([`crate::arena`]). Nothing about *how* to run a
+//!    window is decided per window.
 //!
 //! The resulting [`QuantBioformer`] executes inference **entirely in
 //! integer arithmetic** (i8 operands, i32/i64 accumulation); floats appear
-//! only when dequantizing the final logits for reporting.
+//! only when quantizing the input window and dequantizing the final logits.
+//!
+//! # The plan a window runs
+//!
+//! ```text
+//! quantize window → im2col → packed conv GEMM ─→ tokens [S,E] (+ class row)
+//! per block:
+//!   LN ─→ packed Wq, Wk → q, k [S,H·P]     packed Wv → vᵀ [H·P,Sp] (stored transposed)
+//!   per head, straight off q/k/vᵀ through strided operands:
+//!       scores = q_h·k_hᵀ → integer softmax → probs·v_h → att[:, h·P..]
+//!   packed Wo → + residual → LN → packed fc1 → GELU table → packed fc2 → + residual
+//! class row → LN → packed head → logits
+//! ```
+//!
+//! The packed GEMMs requantize in their stores; the per-head products are
+//! the one place an activation multiplies an activation, and run on the
+//! row-major kernels the backend's int8 plan selects
+//! ([`QuantBioformer::gemm_shapes`]).
 
-use crate::arena::QuantArena;
+use crate::arena::{QuantArena, SlabLayout};
 use crate::ibert::{IGelu, ILayerNorm, ISoftmax};
-use crate::kernels::qadd_into;
+use crate::kernels::{qgemm_nt_into, QAdd};
 use crate::layers::{QConv1d, QLinear};
 use crate::observer::MinMaxObserver;
 use crate::qtensor::QParams;
 use crate::requant::FixedMultiplier;
 use bioformer_core::BioformerConfig;
 use bioformer_nn::serialize::StateDict;
-use bioformer_tensor::backend::{default_backend, ComputeBackend};
+use bioformer_simd::{Kernels, QMat, QOut, Requant};
+use bioformer_tensor::backend::{default_backend, ComputeBackend, Int8Kernel};
 use bioformer_tensor::conv::{conv1d_forward, Conv1dSpec};
 use bioformer_tensor::ops::{layernorm_forward, softmax_rows};
 use bioformer_tensor::tune::GemmShape;
@@ -217,7 +240,7 @@ impl FloatShadow {
     }
 }
 
-/// One quantized encoder block.
+/// One quantized encoder block, as planned.
 #[derive(Debug, Clone)]
 struct QBlock {
     /// `ln1` (its output grid — the projections' input grid — is baked
@@ -227,18 +250,20 @@ struct QBlock {
     wk: QLinear,
     wv: QLinear,
     softmax: ISoftmax,
-    av_mult: FixedMultiplier,
-    att_params: QParams,
+    /// Lands `probs · v` accumulators on the attention-output grid.
+    av: Requant,
     wo: QLinear,
-    res1_params: QParams,
+    /// `res1 = tokens + wo`.
+    add1: QAdd,
     /// `ln2` (output grid baked in, as for `ln1`).
     ln2: ILayerNorm,
     fc1: QLinear,
-    /// Integer GELU (its output grid — `fc2`'s input grid — is baked into
-    /// the i-erf tables).
-    gelu: IGelu,
+    /// Integer GELU of every `fc1` code (its output grid — `fc2`'s input
+    /// grid — is baked into the i-erf constants).
+    gelu: [i8; 256],
     fc2: QLinear,
-    res2_params: QParams,
+    /// `tokens = res1 + fc2`.
+    add2: QAdd,
 }
 
 /// A Bioformer converted to integer-only int8 inference.
@@ -250,20 +275,23 @@ pub struct QuantBioformer {
     class_token: Vec<i8>,
     blocks: Vec<QBlock>,
     lnf: ILayerNorm,
-    /// Activation grid emitted by the final LayerNorm (head input grid).
-    lnf_params: QParams,
     head: QLinear,
-    /// Pool of integer scratch arenas backing the arena-less public
-    /// forward APIs: each call pops a warmed arena (or lazily creates one)
-    /// and pushes it back, so steady-state forwards through
-    /// `forward_window` / `forward_batch` / the serving path stay
-    /// allocation-free without any API change. A `Mutex` rather than a
-    /// thread-local so arenas warmed by one worker thread are reusable by
-    /// the next.
+    /// Where every intermediate of one window lives in the arena's slab.
+    layout: SlabLayout,
+    /// Pool of scratch arenas backing the arena-less public forward APIs:
+    /// each call pops a warmed arena (or lazily creates one) and pushes it
+    /// back, so steady-state forwards through `forward_window` /
+    /// `forward_batch` / the serving path stay allocation-free without any
+    /// API change. A `Mutex` rather than a thread-local so arenas warmed
+    /// by one worker thread are reusable by the next.
     scratch: Mutex<Vec<QuantArena>>,
-    /// Compute backend the attention GEMMs (and, via the layers, every
-    /// int8 GEMM) route through.
+    /// Compute backend whose int8 plans pick the kernel of the per-head
+    /// attention products (the packed weight GEMMs have nothing to plan).
     backend: Arc<dyn ComputeBackend>,
+    /// The backend's plan for `q_h·k_hᵀ` / `probs·v_h`, resolved when the
+    /// backend is installed: `true` = whole-GEMM kernel where available.
+    scores_whole: bool,
+    av_whole: bool,
 }
 
 impl Clone for QuantBioformer {
@@ -278,12 +306,39 @@ impl Clone for QuantBioformer {
             class_token: self.class_token.clone(),
             blocks: self.blocks.clone(),
             lnf: self.lnf.clone(),
-            lnf_params: self.lnf_params,
             head: self.head.clone(),
+            layout: self.layout,
             scratch: Mutex::new(Vec::new()),
             backend: self.backend.clone(),
+            scores_whole: self.scores_whole,
+            av_whole: self.av_whole,
         }
     }
+}
+
+/// Token-axis length of the `A·V` contraction: the sequence length padded
+/// to the kernels' k-group. `probs` rows and `vᵀ` rows are zero beyond
+/// `S`, which contributes exactly zero to every integer dot product and
+/// keeps the product on whole k-groups.
+fn padded_seq(cfg: &BioformerConfig) -> usize {
+    cfg.seq_len()
+        .next_multiple_of(bioformer_simd::packed::QKGROUP)
+}
+
+/// The two per-head attention products: `q_h·k_hᵀ` and `probs·v_h`
+/// (contraction padded to the k-group).
+fn attention_shapes(cfg: &BioformerConfig) -> [GemmShape; 2] {
+    let (s, p) = (cfg.seq_len(), cfg.head_dim);
+    [
+        GemmShape::int8(s, p, s),
+        GemmShape::int8(s, padded_seq(cfg), p),
+    ]
+}
+
+/// Whether `backend` plans the whole-GEMM kernel (where the tier has one)
+/// for each attention product, rather than forcing the dot-tile loop.
+fn attention_plans(backend: &dyn ComputeBackend, cfg: &BioformerConfig) -> [bool; 2] {
+    attention_shapes(cfg).map(|g| backend.plan_int8(g.m, g.k, g.n) != Int8Kernel::Tile)
 }
 
 impl QuantBioformer {
@@ -340,6 +395,9 @@ impl QuantBioformer {
             .collect();
 
         let mut blocks = Vec::with_capacity(cfg.depth);
+        // Grid the residual stream is on when a block reads it: the patch
+        // grid at entry, then each block's res2 grid.
+        let mut tok_p = patch_params;
         for (l, blk) in shadow.blocks.iter().enumerate() {
             let pre = |name: &str| format!("b{l}.{name}");
             let ln1_p = params(&pre("ln1"));
@@ -361,20 +419,43 @@ impl QuantBioformer {
                 wk: QLinear::from_float(&blk.wk.0, &blk.wk.1, ln1_p, k_p),
                 wv: QLinear::from_float(&blk.wv.0, &blk.wv.1, ln1_p, v_p),
                 softmax: ISoftmax::new(score_scale),
-                av_mult: FixedMultiplier::encode(av_scale / att_p.scale as f64),
-                att_params: att_p,
+                av: FixedMultiplier::encode(av_scale / att_p.scale as f64)
+                    .requant(att_p.zero_point),
                 wo: QLinear::from_float(&blk.wo.0, &blk.wo.1, att_p, wo_p),
-                res1_params: res1_p,
+                add1: QAdd::new(tok_p, wo_p, res1_p),
                 ln2: ILayerNorm::new(blk.ln2_g.data(), blk.ln2_b.data(), ln2_p),
                 fc1: QLinear::from_float(&blk.fc1.0, &blk.fc1.1, ln2_p, fc1_p),
-                gelu: IGelu::new(fc1_p.scale as f64, gelu_p),
+                gelu: IGelu::new(fc1_p.scale as f64, gelu_p).table(),
                 fc2: QLinear::from_float(&blk.fc2.0, &blk.fc2.1, gelu_p, fc2_p),
-                res2_params: res2_p,
+                add2: QAdd::new(res1_p, fc2_p, res2_p),
             });
+            tok_p = res2_p;
         }
         let lnf_p = params("ln_f");
         let lnf = ILayerNorm::new(shadow.lnf_g.data(), shadow.lnf_b.data(), lnf_p);
         let head = QLinear::from_float(&shadow.head.0, &shadow.head.1, lnf_p, lnf_p);
+
+        let (s, sp) = (cfg.seq_len(), padded_seq(cfg));
+        let (e, inner) = (cfg.embed, cfg.inner());
+        let layout = SlabLayout {
+            input: cfg.channels * cfg.window,
+            im2col: patch.im2col_len(cfg.channels, cfg.window),
+            tokens: s * e,
+            norm: s * e,
+            q: s * inner,
+            k: s * inner,
+            vt: inner * sp,
+            probs: s * sp,
+            att: s * inner,
+            proj: s * e,
+            res1: s * e,
+            hidden: s * cfg.hidden,
+            cls: e,
+            scores: s * s,
+            logits: cfg.classes,
+        };
+        let backend = default_backend();
+        let [scores_whole, av_whole] = attention_plans(backend.as_ref(), cfg);
         Ok(QuantBioformer {
             cfg: cfg.clone(),
             input_params,
@@ -382,10 +463,12 @@ impl QuantBioformer {
             class_token,
             blocks,
             lnf,
-            lnf_params: lnf_p,
             head,
+            layout,
             scratch: Mutex::new(Vec::new()),
-            backend: default_backend(),
+            backend,
+            scores_whole,
+            av_whole,
         })
     }
 
@@ -394,53 +477,63 @@ impl QuantBioformer {
         &self.cfg
     }
 
-    /// Installs a compute backend on the attention GEMMs, the patch conv
-    /// and every quantized linear. Int8 plans are bit-identical across
+    /// Installs a compute backend. Its int8 plans pick the kernel of the
+    /// per-head attention products — the one product family whose
+    /// right-hand side is an activation; the weight GEMMs run the packed
+    /// kernel whatever the backend. Plans are bit-identical across
     /// kernels, so outputs never change — only which kernel runs.
     pub fn set_backend(&mut self, backend: Arc<dyn ComputeBackend>) {
-        self.patch.set_backend(backend.clone());
-        for blk in &mut self.blocks {
-            blk.wq.set_backend(backend.clone());
-            blk.wk.set_backend(backend.clone());
-            blk.wv.set_backend(backend.clone());
-            blk.wo.set_backend(backend.clone());
-            blk.fc1.set_backend(backend.clone());
-            blk.fc2.set_backend(backend.clone());
-        }
-        self.head.set_backend(backend.clone());
+        [self.scores_whole, self.av_whole] = attention_plans(backend.as_ref(), &self.cfg);
         self.backend = backend;
     }
 
-    /// The compute backend the integer pipeline routes through.
+    /// The compute backend the attention products are planned by.
     pub fn backend(&self) -> &Arc<dyn ComputeBackend> {
         &self.backend
     }
 
-    /// One-line description of the installed backend (tuning state
-    /// included) — surfaced through `EngineStats`.
+    /// One-line description of what this model dispatched — the installed
+    /// backend (tuning state included), then the plan: SIMD tier, steps
+    /// per window, packed-weight bytes and slab bytes. Surfaced through
+    /// `EngineStats`.
     pub fn compute_report(&self) -> String {
-        self.backend.describe()
+        let packed: usize = self.packed_weights().map(|w| w.bytes()).sum();
+        format!(
+            "{} int8-plan[tier={} steps={} packed={}B slab={}B]",
+            self.backend.describe(),
+            bioformer_simd::kernels().name,
+            self.plan_steps(),
+            packed,
+            self.layout.bytes(),
+        )
     }
 
-    /// Every distinct int8 GEMM shape the integer pipeline executes — the
-    /// autotuner's work-list. All shapes are exact: the pipeline runs one
-    /// window at a time, so every row count is fixed by the config.
+    /// Every packed weight matrix of the plan.
+    fn packed_weights(&self) -> impl Iterator<Item = &bioformer_simd::PackedQB> {
+        let blocks = self.blocks.iter().flat_map(|b| {
+            [&b.wq, &b.wk, &b.wv, &b.wo, &b.fc1, &b.fc2]
+                .into_iter()
+                .map(QLinear::packed)
+        });
+        std::iter::once(self.patch.packed())
+            .chain(blocks)
+            .chain(std::iter::once(self.head.packed()))
+    }
+
+    /// Kernel invocations one window makes: embed (quantize, im2col, conv
+    /// GEMM), per block 11 layer steps plus three per head, then the final
+    /// LayerNorm and the head.
+    fn plan_steps(&self) -> usize {
+        3 + self.cfg.depth * (11 + 3 * self.cfg.heads) + 2
+    }
+
+    /// Every int8 GEMM shape the plan leaves to the backend's int8 plan —
+    /// the autotuner's work-list: the per-head attention products. The
+    /// weight GEMMs are packed and have one kernel per tier, so there is
+    /// nothing to tune. Shapes are exact: the pipeline runs one window at a
+    /// time, so every row count is fixed by the config.
     pub fn gemm_shapes(&self) -> Vec<GemmShape> {
-        let cfg = &self.cfg;
-        let s = cfg.seq_len();
-        let sp = s.next_multiple_of(bioformer_simd::QK);
-        let (e, p) = (cfg.embed, cfg.head_dim);
-        vec![
-            // Patch conv lowering: A = weights [E, C·F], B = im2col.
-            GemmShape::int8(e, cfg.channels * cfg.filter, cfg.tokens()),
-            GemmShape::int8(s, e, cfg.inner()), // wq / wk / wv
-            GemmShape::int8(s, p, s),           // per-head Q·Kᵀ
-            GemmShape::int8(s, sp, p),          // per-head A·V (k padded)
-            GemmShape::int8(s, cfg.inner(), e), // wo
-            GemmShape::int8(s, e, cfg.hidden),  // fc1
-            GemmShape::int8(s, cfg.hidden, e),  // fc2
-            GemmShape::int8(1, e, cfg.classes), // head (class row only)
-        ]
+        attention_shapes(&self.cfg).to_vec()
     }
 
     /// Pops a scratch arena from the internal pool (lazily creating one on
@@ -456,184 +549,135 @@ impl QuantBioformer {
         pool.push(arena);
     }
 
-    /// The integer forward core: one `[channels·window]` fp32 sample
-    /// (already normalised) in, `[classes]` fp32 logits out, with every
-    /// intermediate buffer drawn from `arena` and recycled before
-    /// returning. With a warmed arena this performs **zero** heap
-    /// allocations (pinned by an allocation-counting test in the umbrella
-    /// crate). All heavy kernels — projections, attention scores, A·V,
-    /// FFN, the im2col patch conv — run the dispatched SIMD int8 tiles.
+    /// The integer forward: one `[channels·window]` fp32 sample (already
+    /// normalised) in, `[classes]` fp32 logits out, executing the plan
+    /// over `arena`'s slab. After the arena's cold call this performs
+    /// **zero** heap allocations (pinned by an allocation-counting test in
+    /// the umbrella crate) and no allocator bookkeeping of any kind.
     ///
     /// # Panics
     ///
     /// Panics when `x` or `out` disagree with the configured window /
     /// class count.
     pub fn forward_logits_into(&self, x: &[f32], arena: &mut QuantArena, out: &mut [f32]) {
+        self.forward_logits_into_with(bioformer_simd::kernels(), x, arena, out);
+    }
+
+    /// [`QuantBioformer::forward_logits_into`] on an explicitly chosen
+    /// kernel table — the hook tier-parity tests use to pin the plan to the
+    /// portable tier. Logits are bit-identical on every tier.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x` or `out` disagree with the configured window /
+    /// class count.
+    pub fn forward_logits_into_with(
+        &self,
+        kernels: &Kernels,
+        x: &[f32],
+        arena: &mut QuantArena,
+        out: &mut [f32],
+    ) {
         let cfg = &self.cfg;
         assert_eq!(x.len(), cfg.channels * cfg.window, "window size");
         assert_eq!(out.len(), cfg.classes, "logit buffer size");
-        let (in_ch, len) = (cfg.channels, cfg.window);
-        // Quantize the input window onto the calibrated activation grid.
-        let mut xq = arena.alloc_i8(x.len());
-        for (q, &v) in xq.iter_mut().zip(x.iter()) {
-            *q = self.input_params.quantize(v);
-        }
-        // Patch embedding: strided conv via im2col + int8 GEMM → [E, N].
-        let e = self.patch.out_channels();
-        let n = self.patch.out_len(len);
-        let mut im2col = arena.alloc_i8(self.patch.im2col_len(in_ch, len));
-        let mut conv_acc = arena.alloc_i32(e * n);
-        let mut conv = arena.alloc_i8(e * n);
-        self.patch
-            .forward_into(&xq, in_ch, len, &mut im2col, &mut conv_acc, &mut conv);
-        arena.recycle_i8(xq);
-        arena.recycle_i8(im2col);
-        arena.recycle_i32(conv_acc);
+        let buf = arena.carve(&self.layout);
+        let (s, sp) = (cfg.seq_len(), padded_seq(cfg));
+        let (e, p, inner) = (cfg.embed, cfg.head_dim, cfg.inner());
+        let n = s - 1;
 
-        // tokens [S, E] = convᵀ with the class token appended.
-        let s = n + 1;
-        let mut tokens = arena.alloc_i8(s * e);
-        for ei in 0..e {
-            for ni in 0..n {
-                tokens[ni * e + ei] = conv[ei * n + ni];
-            }
-        }
-        tokens[n * e..(n + 1) * e].copy_from_slice(&self.class_token);
-        arena.recycle_i8(conv);
-        // Grid the token codes currently live on (patch grid at entry,
-        // then each block's res2 grid).
-        let mut tok_params = self.patch.out_params();
+        // Embed: quantize the window onto the calibrated grid, gather the
+        // patches, and let the packed conv write tokens [N, E] directly;
+        // the class token is the last row.
+        self.input_params.quantize_slice(x, buf.input);
+        self.patch.im2col_into(buf.input, cfg.window, buf.im2col);
+        (kernels.qgemm_packed)(
+            QMat::dense(buf.im2col, self.patch.packed().k()),
+            n,
+            self.patch.packed(),
+            QOut::Rows {
+                out: &mut buf.tokens[..n * e],
+                ld: e,
+                rq: self.patch.requant(),
+            },
+        );
+        buf.tokens[n * e..].copy_from_slice(&self.class_token);
 
-        let (h, p) = (cfg.heads, cfg.head_dim);
-        let inner = h * p;
         for blk in &self.blocks {
-            // ln1 (output grid was baked into the ILayerNorm multiplier).
-            let mut ln1 = arena.alloc_i8(s * e);
-            for (xr, or) in tokens.chunks_exact(e).zip(ln1.chunks_exact_mut(e)) {
-                blk.ln1.apply_row(xr, or);
+            for (xr, or) in buf.tokens.chunks_exact(e).zip(buf.norm.chunks_exact_mut(e)) {
+                blk.ln1.apply_row_with(kernels, xr, or);
             }
-            let mut q = arena.alloc_i8(s * inner);
-            let mut k = arena.alloc_i8(s * inner);
-            let mut v = arena.alloc_i8(s * inner);
-            blk.wq.forward_into(&ln1, s, &mut q);
-            blk.wk.forward_into(&ln1, s, &mut k);
-            blk.wv.forward_into(&ln1, s, &mut v);
-            arena.recycle_i8(ln1);
-
-            let mut att = arena.alloc_i8(s * inner);
-            // Per-head scratch, reused across heads (identical sizes).
-            // The A·V GEMM contracts over the token dimension (k = S = 31
-            // for bio1), so its operands `probs`/`vt` get their rows
-            // zero-padded to the SIMD int8 chunk: padding contributes
-            // exactly zero to every integer dot product, and the
-            // microkernel runs full-width steps instead of its tail path.
-            let sp = s.next_multiple_of(bioformer_simd::QK);
-            let mut qh = arena.alloc_i8(s * p);
-            let mut kh = arena.alloc_i8(s * p);
-            let mut vt = arena.alloc_i8(p * sp);
-            let mut scores = arena.alloc_i32(s * s);
-            let mut probs = arena.alloc_i8(s * sp);
-            let mut av8 = arena.alloc_i8(s * p);
-            for hi in 0..h {
-                // Slice head hi ([S, P]) out of the packed projections;
-                // V goes directly to its transpose [P, S] since the A·V
-                // GEMM wants a Bᵀ right-hand side.
-                for si in 0..s {
-                    let row = si * inner + hi * p;
-                    qh[si * p..(si + 1) * p].copy_from_slice(&q[row..row + p]);
-                    kh[si * p..(si + 1) * p].copy_from_slice(&k[row..row + p]);
-                    for pi in 0..p {
-                        vt[pi * sp + si] = v[row + pi];
-                    }
-                }
-                // scores [S, S] = qh · khᵀ (both [S, P]).
-                self.backend.qgemm_i32(&qh, &kh, None, s, p, s, &mut scores);
-                // integer softmax per row.
-                for (sr, pr) in scores.chunks_exact(s).zip(probs.chunks_exact_mut(sp)) {
-                    blk.softmax.apply_row(sr, &mut pr[..s]);
-                }
-                // A·V accumulated and requantized in one fused pass (no
-                // i32 intermediate), contracting over the padded k = sp.
-                self.backend.qgemm_requant(
-                    &probs,
-                    &vt,
-                    None,
-                    s,
-                    sp,
-                    p,
-                    blk.av_mult,
-                    blk.att_params.zero_point,
-                    &mut av8,
-                );
-                for si in 0..s {
-                    att[si * inner + hi * p..si * inner + (hi + 1) * p]
-                        .copy_from_slice(&av8[si * p..(si + 1) * p]);
-                }
-            }
-            arena.recycle_i8(qh);
-            arena.recycle_i8(kh);
-            arena.recycle_i8(vt);
-            arena.recycle_i32(scores);
-            arena.recycle_i8(probs);
-            arena.recycle_i8(av8);
-            arena.recycle_i8(q);
-            arena.recycle_i8(k);
-            arena.recycle_i8(v);
-
-            let mut wo = arena.alloc_i8(s * e);
-            blk.wo.forward_into(&att, s, &mut wo);
-            arena.recycle_i8(att);
-            let mut res1 = arena.alloc_i8(s * e);
-            qadd_into(
-                &tokens,
-                tok_params,
-                &wo,
-                blk.wo.out_params(),
-                blk.res1_params,
-                &mut res1,
+            blk.wq.forward_into_with(kernels, buf.norm, s, buf.q);
+            blk.wk.forward_into_with(kernels, buf.norm, s, buf.k);
+            // V lands transposed — [H·P, Sp], the Bᵀ right-hand side the
+            // A·V product wants — straight out of the projection's store.
+            (kernels.qgemm_packed)(
+                QMat::dense(buf.norm, e),
+                s,
+                blk.wv.packed(),
+                QOut::Cols {
+                    out: buf.vt,
+                    ld: sp,
+                    rq: blk.wv.requant(),
+                },
             );
-            arena.recycle_i8(wo);
 
-            let mut ln2 = arena.alloc_i8(s * e);
-            for (xr, or) in res1.chunks_exact(e).zip(ln2.chunks_exact_mut(e)) {
-                blk.ln2.apply_row(xr, or);
+            // One head at a time, read in place through strided operands,
+            // so the head's S×S tile never leaves the cache between its
+            // three steps.
+            for h in 0..cfg.heads {
+                let q_h = QMat {
+                    data: &buf.q[h * p..],
+                    ld: inner,
+                };
+                let k_h = QMat {
+                    data: &buf.k[h * p..],
+                    ld: inner,
+                };
+                let scores = QOut::Acc {
+                    out: buf.scores,
+                    ld: s,
+                };
+                qgemm_nt_into(kernels, self.scores_whole, q_h, k_h, None, s, p, s, scores);
+                for (sr, pr) in buf
+                    .scores
+                    .chunks_exact(s)
+                    .zip(buf.probs.chunks_exact_mut(sp))
+                {
+                    blk.softmax.apply_row_with(kernels, sr, &mut pr[..s]);
+                }
+                let vt_h = QMat::dense(&buf.vt[h * p * sp..(h + 1) * p * sp], sp);
+                let att_h = QOut::Rows {
+                    out: &mut buf.att[h * p..],
+                    ld: inner,
+                    rq: blk.av,
+                };
+                let probs = QMat::dense(buf.probs, sp);
+                qgemm_nt_into(kernels, self.av_whole, probs, vt_h, None, s, sp, p, att_h);
             }
-            let hidden = blk.fc1.out_features();
-            let mut fc1 = arena.alloc_i8(s * hidden);
-            blk.fc1.forward_into(&ln2, s, &mut fc1);
-            arena.recycle_i8(ln2);
-            // Integer GELU element-wise, in place: fc1 codes → gelu codes.
-            for c in fc1.iter_mut() {
-                *c = blk.gelu.apply(*c);
+
+            blk.wo.forward_into_with(kernels, buf.att, s, buf.proj);
+            blk.add1.apply(buf.tokens, buf.proj, buf.res1);
+            for (xr, or) in buf.res1.chunks_exact(e).zip(buf.norm.chunks_exact_mut(e)) {
+                blk.ln2.apply_row_with(kernels, xr, or);
             }
-            let mut fc2 = arena.alloc_i8(s * e);
-            blk.fc2.forward_into(&fc1, s, &mut fc2);
-            arena.recycle_i8(fc1);
+            blk.fc1.forward_into_with(kernels, buf.norm, s, buf.hidden);
+            for c in buf.hidden.iter_mut() {
+                *c = blk.gelu[*c as u8 as usize];
+            }
+            blk.fc2.forward_into_with(kernels, buf.hidden, s, buf.proj);
             // res2 lands back in the token buffer for the next block.
-            qadd_into(
-                &res1,
-                blk.res1_params,
-                &fc2,
-                blk.fc2.out_params(),
-                blk.res2_params,
-                &mut tokens,
-            );
-            arena.recycle_i8(res1);
-            arena.recycle_i8(fc2);
-            tok_params = blk.res2_params;
+            blk.add2.apply(buf.res1, buf.proj, buf.tokens);
         }
-        let _ = tok_params; // grid of the final tokens; lnf has it baked in
-                            // Class row → final LN → head accumulators → fp32 logits.
-        let mut lnf = arena.alloc_i8(e);
-        self.lnf.apply_row(&tokens[(s - 1) * e..s * e], &mut lnf);
-        let mut acc = arena.alloc_i32(cfg.classes);
-        self.head.forward_acc_into(&lnf, 1, &mut acc);
-        for (o, &a) in out.iter_mut().zip(acc.iter()) {
+
+        // Class row → final LN → head accumulators → fp32 logits.
+        self.lnf
+            .apply_row_with(kernels, &buf.tokens[n * e..], buf.cls);
+        self.head
+            .forward_acc_into_with(kernels, buf.cls, 1, buf.logits);
+        for (o, &a) in out.iter_mut().zip(buf.logits.iter()) {
             *o = (a as f64 * self.head.acc_scale()) as f32;
         }
-        arena.recycle_i8(tokens);
-        arena.recycle_i8(lnf);
-        arena.recycle_i32(acc);
     }
 
     /// Integer inference over one `[channels, window]` fp32 sample

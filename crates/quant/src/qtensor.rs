@@ -60,6 +60,31 @@ impl QParams {
         q.clamp(-128, 127) as i8
     }
 
+    /// Quantizes a slice: `dst[i] = self.quantize(src[i])`, written so the
+    /// compiler vectorizes it. [`QParams::quantize`]'s saturating
+    /// float→int cast compiles to a compare-and-branch per element; here
+    /// the rounded value is clamped to the int8 window *as a float* (NaN
+    /// to 0, as the cast does) and converted by adding `1.5·2^23`, whose
+    /// mantissa then holds the integer — exact for every value in the
+    /// window. The result is bit-identical to `quantize` (whenever the
+    /// latter's `+ zero_point` does not itself overflow i32).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the slice lengths differ.
+    pub fn quantize_slice(&self, src: &[f32], dst: &mut [i8]) {
+        assert_eq!(src.len(), dst.len(), "quantize_slice: length mismatch");
+        const MAGIC: f32 = 12_582_912.0;
+        let zp = self.zero_point;
+        let (lo, hi) = ((-128 - zp) as f32, (127 - zp) as f32);
+        for (q, &x) in dst.iter_mut().zip(src) {
+            let r = (x / self.scale).round();
+            let r = if r.is_nan() { 0.0 } else { r };
+            let window = r.max(lo).min(hi);
+            *q = ((window + MAGIC).to_bits() as i32 - MAGIC.to_bits() as i32 + zp) as i8;
+        }
+    }
+
     /// Dequantizes one int8 value.
     pub fn dequantize(&self, q: i8) -> f32 {
         self.scale * (q as i32 - self.zero_point) as f32
@@ -79,7 +104,11 @@ impl QTensor {
     pub fn quantize(t: &Tensor, params: QParams) -> Self {
         QTensor {
             dims: t.dims().to_vec(),
-            data: t.data().iter().map(|&v| params.quantize(v)).collect(),
+            data: {
+                let mut codes = vec![0i8; t.len()];
+                params.quantize_slice(t.data(), &mut codes);
+                codes
+            },
             params,
         }
     }
@@ -145,6 +174,33 @@ pub fn fake_quantize(t: &Tensor, params: QParams) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quantize_slice_matches_quantize() {
+        let mut xs: Vec<f32> = (-4000..4000).map(|i| i as f32 * 0.0371).collect();
+        // Exact halves, the value just below one, specials and overflow.
+        xs.extend([0.5, -0.5, 1.5, -1.5, 2.5, 0.49999997, -0.49999997]);
+        xs.extend([f32::NAN, 0.0, -0.0]);
+        // Values past i32 saturate the reference's cast; its `+ zero_point`
+        // then only stays in range on symmetric grids.
+        let huge = [f32::INFINITY, f32::NEG_INFINITY, 1e30, -1e30];
+        for p in [
+            QParams::symmetric(1.0),
+            QParams::symmetric(3.7),
+            QParams::unit(),
+            QParams::affine(-1.0, 3.0),
+            QParams::affine(-7.0, 0.5),
+        ] {
+            let mut xs = xs.clone();
+            if p.zero_point == 0 {
+                xs.extend(huge);
+            }
+            let want: Vec<i8> = xs.iter().map(|&x| p.quantize(x)).collect();
+            let mut got = vec![0i8; xs.len()];
+            p.quantize_slice(&xs, &mut got);
+            assert_eq!(got, want, "{p:?}");
+        }
+    }
 
     #[test]
     fn symmetric_roundtrip_error_bounded() {

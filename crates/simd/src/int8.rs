@@ -1,5 +1,5 @@
-//! int8 `1×QNR` dot-product tiles — the inner kernel of the quantized GEMM
-//! in `bioformer_quant::kernels`.
+//! int8 `1×QNR` dot-product tiles over **row-major** operands — the inner
+//! kernel of the generic quantized GEMM loop in `bioformer_tensor::qgemm`.
 //!
 //! All variants share one contract: given one `A` row (`a.len() == k`) and
 //! `jw ≤ QNR` consecutive `B` rows packed back-to-back
@@ -17,11 +17,10 @@
 //!   the bias is removed exactly with a `vpdpbusd`-computed column sum:
 //!   `Σ a·b = Σ (a+128)·b − 128·Σ b`. The saturating `vpmaddubsw` idiom is
 //!   deliberately **not** used: `u8·s8` pair sums can exceed i16 range.
-//! * [`qgemm_vnni`] hoists the dispatch boundary from a tile to the whole
-//!   GEMM ([`crate::QgemmI32Fn`]): a 4×4 register block (16 independent
-//!   `vpdpbusd` chains, each `B` load shared across 4 `A` rows) with the
-//!   `128·Σ b` corrections computed once per `B` row instead of once per
-//!   tile visit — the production int8 GEMM path on VNNI hosts.
+//!
+//! The tiles serve the generic GEMM loop — products too large for the
+//! whole-GEMM kernels, the forced `Tile` plan, hosts without AVX2. Every
+//! other int8 product runs on the packed layout of [`crate::packed`].
 
 use crate::QNR;
 
@@ -45,12 +44,12 @@ pub fn avx2_supported() -> bool {
 }
 
 #[cfg(target_arch = "x86_64")]
-fn avx512_vnni_supported() -> bool {
+pub(crate) fn avx512_vnni_supported() -> bool {
     is_x86_feature_detected!("avx512vnni") && is_x86_feature_detected!("avx512vl")
 }
 
 #[cfg(target_arch = "x86_64")]
-fn avx_vnni_supported() -> bool {
+pub(crate) fn avx_vnni_supported() -> bool {
     is_x86_feature_detected!("avxvnni")
 }
 
@@ -329,225 +328,6 @@ unsafe fn tile_vnni_avx_impl(a: &[i8], b_tile: &[i8], k: usize, jw: usize, out: 
     unsafe { vnni_tile_body!(_mm256_dpbusd_avx_epi32, a, b_tile, k, jw, out) }
 }
 
-/// Whole-GEMM portable oracle: the naive triple loop, exported for the
-/// parity tests of [`qgemm_vnni`].
-///
-/// # Panics
-///
-/// Panics on inconsistent slice lengths.
-pub fn qgemm_portable(a: &[i8], b: &[i8], m: usize, k: usize, n: usize, out: &mut [i32]) {
-    check_qgemm_args(a, b, m, k, n, out);
-    for i in 0..m {
-        for j in 0..n {
-            let mut s = 0i32;
-            for kk in 0..k {
-                s += a[i * k + kk] as i32 * b[j * k + kk] as i32;
-            }
-            out[i * n + j] = s;
-        }
-    }
-}
-
-#[inline(always)]
-fn check_qgemm_args(a: &[i8], b: &[i8], m: usize, k: usize, n: usize, out: &mut [i32]) {
-    assert_eq!(a.len(), m * k, "int8 qgemm: A size");
-    assert_eq!(b.len(), n * k, "int8 qgemm: B size");
-    assert_eq!(out.len(), m * n, "int8 qgemm: out size");
-    assert!(n <= crate::QGEMM_N_CAP, "int8 qgemm: n {n} over cap");
-    assert!(k <= crate::QGEMM_K_CAP, "int8 qgemm: k {k} over cap");
-}
-
-/// Whole-GEMM VNNI kernel ([`crate::QgemmI32Fn`]): `vpdpbusd` over a 4×4
-/// register block (16 independent accumulator chains, each `B` load shared
-/// across 4 `A` rows), with the `128·Σb` bias corrections hoisted to one
-/// pass per `B` row. Row/column remainders run the self-correcting
-/// [`tile_vnni`] body — still exact, and off the hot path. Falls back to
-/// [`qgemm_portable`] when no `vpdpbusd` encoding is present (the dispatch
-/// table only installs this entry on VNNI hosts, so the fallback is for
-/// direct callers like the parity tests).
-///
-/// # Panics
-///
-/// Panics on inconsistent slice lengths or a shape over
-/// [`crate::QGEMM_N_CAP`] / [`crate::QGEMM_K_CAP`].
-pub fn qgemm_vnni(a: &[i8], b: &[i8], m: usize, k: usize, n: usize, out: &mut [i32]) {
-    check_qgemm_args(a, b, m, k, n, out);
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx512_vnni_supported() {
-            // SAFETY: AVX-512-VNNI+VL availability checked above; bounds
-            // checked by `check_qgemm_args`.
-            unsafe { qgemm_vnni512_impl(a, b, m, k, n, out) };
-            return;
-        }
-        if avx_vnni_supported() {
-            // SAFETY: AVX-VNNI availability checked above; bounds checked
-            // by `check_qgemm_args`.
-            unsafe { qgemm_vnni_avx_impl(a, b, m, k, n, out) };
-            return;
-        }
-    }
-    qgemm_portable(a, b, m, k, n, out);
-}
-
-/// Shared whole-GEMM `vpdpbusd` body, parameterised over the dot-product
-/// intrinsic and the matching single-row tile used for the remainders.
-#[cfg(target_arch = "x86_64")]
-macro_rules! vnni_qgemm_body {
-    ($dp:ident, $tile:ident, $a:ident, $b:ident, $m:ident, $k:ident, $n:ident, $out:ident) => {{
-        use core::arch::x86_64::*;
-        let ap = $a.as_ptr();
-        let bp = $b.as_ptr();
-        let chunks = $k / 32;
-        let tail = chunks * 32;
-        let rem = $k - tail;
-        let sign = _mm256_set1_epi8(-128i8);
-        let ones = _mm256_set1_epi8(1);
-        // Extent of the full 4-wide column / 4-high row blocks; the
-        // remainders run the self-correcting single-row tile below.
-        let nb = $n & !(QNR - 1);
-        let mb = $m & !3;
-
-        // Zero-padded k-tails of the B rows, gathered ONCE per GEMM — the
-        // main loop revisits every B row per row-block, and re-padding in
-        // the tail step (8 stack copies per 4×4 block) measurably dominated
-        // ragged-k products like the patch conv (k = 140). Deliberately
-        // uninitialised: rows are written (tail codes + explicit zero fill)
-        // before any read, and nothing touches it when `rem == 0`.
-        let mut btail = core::mem::MaybeUninit::<[i8; crate::QGEMM_N_CAP * 32]>::uninit();
-        let btp = btail.as_mut_ptr() as *mut i8;
-        if rem > 0 {
-            for j in 0..nb {
-                core::ptr::copy_nonoverlapping(bp.add(j * $k + tail), btp.add(j * 32), rem);
-                core::ptr::write_bytes(btp.add(j * 32 + rem), 0, 32 - rem);
-            }
-        }
-
-        // 128·Σb per B row of the full column blocks, computed once for
-        // the whole GEMM (one virtual all-ones A row) instead of once per
-        // (row, tile) visit.
-        let mut bcorr = [0i32; crate::QGEMM_N_CAP];
-        let mut j = 0usize;
-        while j < nb {
-            let mut bsum = [_mm256_setzero_si256(); QNR];
-            for c in 0..chunks {
-                for lj in 0..QNR {
-                    let bv = _mm256_loadu_si256(bp.add((j + lj) * $k + c * 32) as *const __m256i);
-                    bsum[lj] = $dp(bsum[lj], ones, bv);
-                }
-            }
-            if rem > 0 {
-                for lj in 0..QNR {
-                    let bv = _mm256_loadu_si256(btp.add((j + lj) * 32) as *const __m256i);
-                    bsum[lj] = $dp(bsum[lj], ones, bv);
-                }
-            }
-            let corr = _mm_slli_epi32(hsum4_epi32(bsum), 7);
-            _mm_storeu_si128(bcorr.as_mut_ptr().add(j) as *mut __m128i, corr);
-            j += QNR;
-        }
-
-        let mut i = 0usize;
-        while i < mb {
-            // Biased k-tails of this row-block's A rows, padded once and
-            // reused across every column block.
-            let mut au_tail = [_mm256_setzero_si256(); 4];
-            if rem > 0 {
-                for (r, aur) in au_tail.iter_mut().enumerate() {
-                    let a_pad = padded::<i8, 32>(&$a[(i + r) * $k + tail..(i + r + 1) * $k]);
-                    let av = _mm256_loadu_si256(a_pad.as_ptr() as *const __m256i);
-                    *aur = _mm256_xor_si256(av, sign);
-                }
-            }
-            let mut j = 0usize;
-            while j < nb {
-                let mut acc = [[_mm256_setzero_si256(); QNR]; 4];
-                for c in 0..chunks {
-                    let mut au = [_mm256_setzero_si256(); 4];
-                    for (r, aur) in au.iter_mut().enumerate() {
-                        let av =
-                            _mm256_loadu_si256(ap.add((i + r) * $k + c * 32) as *const __m256i);
-                        *aur = _mm256_xor_si256(av, sign);
-                    }
-                    for lj in 0..QNR {
-                        let bv =
-                            _mm256_loadu_si256(bp.add((j + lj) * $k + c * 32) as *const __m256i);
-                        for r in 0..4 {
-                            acc[r][lj] = $dp(acc[r][lj], au[r], bv);
-                        }
-                    }
-                }
-                if rem > 0 {
-                    for lj in 0..QNR {
-                        let bv = _mm256_loadu_si256(btp.add((j + lj) * 32) as *const __m256i);
-                        for r in 0..4 {
-                            acc[r][lj] = $dp(acc[r][lj], au_tail[r], bv);
-                        }
-                    }
-                }
-                let corr = _mm_loadu_si128(bcorr.as_ptr().add(j) as *const __m128i);
-                for (r, accr) in acc.iter().enumerate() {
-                    let res = _mm_sub_epi32(hsum4_epi32(*accr), corr);
-                    _mm_storeu_si128($out.as_mut_ptr().add((i + r) * $n + j) as *mut __m128i, res);
-                }
-                j += QNR;
-            }
-            if nb < $n {
-                let jw = $n - nb;
-                let b_tile = &$b[nb * $k..$n * $k];
-                for r in 0..4 {
-                    let mut t = [0i32; QNR];
-                    $tile(&$a[(i + r) * $k..(i + r + 1) * $k], b_tile, $k, jw, &mut t);
-                    $out[(i + r) * $n + nb..(i + r) * $n + $n].copy_from_slice(&t[..jw]);
-                }
-            }
-            i += 4;
-        }
-        for i in mb..$m {
-            let a_row = &$a[i * $k..(i + 1) * $k];
-            let mut j = 0usize;
-            while j < $n {
-                let jw = ($n - j).min(QNR);
-                let mut t = [0i32; QNR];
-                $tile(a_row, &$b[j * $k..(j + jw) * $k], $k, jw, &mut t);
-                $out[i * $n + j..i * $n + j + jw].copy_from_slice(&t[..jw]);
-                j += jw;
-            }
-        }
-    }};
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512vnni,avx512vl,avx2")]
-unsafe fn qgemm_vnni512_impl(a: &[i8], b: &[i8], m: usize, k: usize, n: usize, out: &mut [i32]) {
-    // SAFETY (whole body): caller validated the slice sizes and caps;
-    // every 32-byte load starts at offset ≤ its row end − 32, or reads a
-    // 32-byte stack buffer; every 16-byte store targets a full 4-wide
-    // block inside `out`/`bcorr`.
-    unsafe { vnni_qgemm_body!(_mm256_dpbusd_epi32, tile_vnni512_impl, a, b, m, k, n, out) }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avxvnni,avx2")]
-unsafe fn qgemm_vnni_avx_impl(a: &[i8], b: &[i8], m: usize, k: usize, n: usize, out: &mut [i32]) {
-    // SAFETY (whole body): caller validated the slice sizes and caps;
-    // every 32-byte load starts at offset ≤ its row end − 32, or reads a
-    // 32-byte stack buffer; every 16-byte store targets a full 4-wide
-    // block inside `out`/`bcorr`.
-    unsafe {
-        vnni_qgemm_body!(
-            _mm256_dpbusd_avx_epi32,
-            tile_vnni_avx_impl,
-            a,
-            b,
-            m,
-            k,
-            n,
-            out
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -641,49 +421,5 @@ mod tests {
     fn bad_tile_size_panics() {
         let mut out = [0i32; QNR];
         tile_portable(&[0; 4], &[0; 4], 4, 2, &mut out);
-    }
-
-    /// The whole-GEMM VNNI kernel must be bit-exact against the portable
-    /// triple loop across ragged shapes (row/column/k remainders, tiny and
-    /// degenerate dims, and the bio1 hot shapes).
-    #[test]
-    fn qgemm_vnni_is_bit_exact() {
-        for &(m, k, n) in &[
-            (0usize, 5usize, 3usize),
-            (1, 0, 1),
-            (1, 1, 1),
-            (3, 7, 2),
-            (4, 32, 4),
-            (5, 31, 9),
-            (7, 33, 13),
-            (8, 64, 16),
-            (31, 64, 37),
-            (31, 32, 31),
-            (6, 420, 11),
-        ] {
-            let a = qfilled(m * k, 91 + (m * k) as u64);
-            let b = qfilled(n * k, 92 + (n * k) as u64);
-            let mut want = vec![i32::MIN; m * n];
-            let mut got = vec![i32::MIN; m * n];
-            qgemm_portable(&a, &b, m, k, n, &mut want);
-            qgemm_vnni(&a, &b, m, k, n, &mut got);
-            assert_eq!(got, want, "shape ({m},{k},{n})");
-        }
-    }
-
-    /// Extreme codes through the whole-GEMM kernel: the biased u8 operand
-    /// hits 255 against alternating ±max B codes.
-    #[test]
-    fn qgemm_vnni_extreme_codes() {
-        let (m, k, n) = (5usize, 64usize, 9usize);
-        let a = vec![-128i8; m * k];
-        let b: Vec<i8> = (0..n * k)
-            .map(|i| if i % 2 == 0 { 127 } else { -128 })
-            .collect();
-        let mut want = vec![0i32; m * n];
-        let mut got = vec![0i32; m * n];
-        qgemm_portable(&a, &b, m, k, n, &mut want);
-        qgemm_vnni(&a, &b, m, k, n, &mut got);
-        assert_eq!(got, want);
     }
 }

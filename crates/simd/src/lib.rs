@@ -25,6 +25,14 @@
 //!   **bit-identical** to the scalar reduction. (The classic saturating
 //!   `vpmaddubsw` idiom was rejected: `u8·s8` pair sums can exceed i16
 //!   range, which would break the bit-exactness contract.)
+//! * **int8 against packed weights** ([`packed`]): weights are laid out
+//!   once, k-by-4 interleaved in 16-column panels, so every accumulator
+//!   lane is an output column — no horizontal sums, the `vpdpbusd` bias
+//!   correction folded into the i32 bias at pack time, requantization
+//!   done in registers by the store ([`qout`]).
+//! * **I-BERT non-linearities** ([`ibert`]): the per-element loops of the
+//!   integer softmax and LayerNorm as AVX2 lanes, bit-identical to the
+//!   scalar operators in `bioformer_quant::ibert`.
 //! * **fp32**: the [`MR`]`×`[`NR`] register tile of the packed GEMM as a
 //!   dense run of broadcast-FMAs — 8 `ymm` accumulators on AVX2/FMA, 4
 //!   `zmm` accumulators on AVX-512F.
@@ -54,7 +62,14 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod fp32;
+pub mod ibert;
 pub mod int8;
+pub mod packed;
+pub mod qout;
+
+pub use ibert::{ExpLanes, NormLanes};
+pub use packed::{qgemm_nt_fits, PackedQB};
+pub use qout::{QMat, QOut, Requant};
 
 use std::sync::OnceLock;
 
@@ -67,13 +82,6 @@ pub const NR: usize = 16;
 
 /// `B` rows per int8 dot tile (matches `bioformer_quant::kernels::QNR`).
 pub const QNR: usize = 4;
-
-/// Widest k-step any int8 tier consumes per SIMD iteration (the VNNI
-/// `vpdpbusd` path eats 32 codes). Callers that control their own buffer
-/// layout can zero-pad the k dimension to a multiple of this so every
-/// tile runs full-width steps; zero codes contribute exactly zero to the
-/// integer dot product, so the padding never changes a result.
-pub const QK: usize = 32;
 
 /// fp32 microkernel: given `mr ≤ MR` rows of `A` (`a.len() == mr·k`, row
 /// stride `k`) and one zero-padded packed panel (`panel.len() == k·NR`,
@@ -88,25 +96,46 @@ pub type Fp32TileFn = fn(a: &[f32], k: usize, panel: &[f32], mr: usize, acc: &mu
 /// (entries `jw..QNR` are left untouched).
 pub type QdotTileFn = fn(a: &[i8], b_tile: &[i8], k: usize, jw: usize, out: &mut [i32; QNR]);
 
-/// Whole-GEMM int8 kernel (the VNNI fast path): writes the exact signed
-/// accumulators `out[i·n+j] = Σ_kk a[i·k+kk] · b[j·k+kk]` for the full
-/// `C[m,n] = A[m,k]·B[n,k]ᵀ` product in **one call**. Hoisting the
-/// dispatch boundary from a `1×QNR` tile to the whole GEMM is what makes
-/// `vpdpbusd` pay off: the `128·Σb` bias corrections are computed once per
-/// `B` row (not once per tile visit), a 4×4 register block gives 16
-/// independent dot-accumulate chains (a single-row tile has too few to
-/// hide the instruction latency), and the per-tile indirect-call overhead
-/// disappears. Callers must respect [`QGEMM_N_CAP`] / [`QGEMM_K_CAP`] and
-/// fall back to the tile path beyond them.
-pub type QgemmI32Fn = fn(a: &[i8], b: &[i8], m: usize, k: usize, n: usize, out: &mut [i32]);
+/// Whole-GEMM int8 kernel over row-major, possibly strided operands (for
+/// activation × activation products): stores
+/// `Σ_kk a[i,kk] · b[j,kk] (+ bias[j])` for the full
+/// `C[m,n] = A[m,k]·B[n,k]ᵀ` product through `out` in **one call**.
+/// Hoisting the dispatch boundary from a `1×QNR` tile to the whole GEMM is
+/// what lets a kernel treat an operand it cannot pack ahead of time like
+/// one it can: `B` is gathered once into the packed lane layout, the
+/// `128·Σb` bias corrections are derived once per call (not once per tile
+/// visit), and the packed register-block body — no horizontal sums,
+/// requantizing store — does the rest. Products that do not fit
+/// ([`packed::qgemm_nt_fits`]) run the portable loop.
+pub type QgemmNtFn =
+    fn(a: QMat<'_>, b: QMat<'_>, bias: Option<&[i32]>, m: usize, k: usize, n: usize, out: QOut<'_>);
 
-/// Largest `n` a [`QgemmI32Fn`] accepts (bounds its stack-resident
-/// correction table). Covers every GEMM in the workspace.
+/// Packed-weight int8 GEMM: `C[m,n] = A[m,k] · Wᵀ + bias` against a
+/// [`PackedQB`] (weights, bias and the folded `vpdpbusd` correction),
+/// stored through `out`. Bit-identical across tiers.
+pub type QgemmPackedFn = fn(a: QMat<'_>, m: usize, b: &PackedQB, out: QOut<'_>);
+
+/// SIMD body of the integer softmax over one row; `false` means "declined,
+/// run the scalar code" (see [`ibert::softmax_row_avx2`]).
+pub type SoftmaxRowFn = fn(c: &ExpLanes, scores: &[i32], out: &mut [i8]) -> bool;
+
+/// SIMD element pass of the integer LayerNorm over one row; returns how
+/// many leading elements it wrote (see [`ibert::layernorm_row_avx2`]).
+pub type LayerNormRowFn =
+    fn(c: &NormLanes<'_>, mean: i32, std: i32, row: &[i8], out: &mut [i8]) -> usize;
+
+/// Largest `n` the SIMD [`QgemmNtFn`] kernels run (bounds their
+/// stack-resident seed table). Covers every GEMM in the workspace.
 pub const QGEMM_N_CAP: usize = 512;
 
-/// Largest `k` a [`QgemmI32Fn`] accepts (keeps the biased u8×s8 partial
-/// sums far inside i32: `255·127·k < 2^31` needs `k < 66k`).
-pub const QGEMM_K_CAP: usize = 8192;
+/// Largest `k` the SIMD [`QgemmNtFn`] kernels run (keeps the biased u8×s8
+/// partial sums far inside i32: `255·127·k < 2^31` needs `k < 66k`).
+pub const QGEMM_K_CAP: usize = 2048;
+
+/// Largest packed image (padded `n` × padded `k`, in bytes) the SIMD
+/// [`QgemmNtFn`] kernels stage on their stack; see
+/// [`packed::qgemm_nt_fits`].
+pub const QGEMM_AREA_CAP: usize = 32 * 1024;
 
 /// The resolved microkernel set for this process.
 #[derive(Clone, Copy)]
@@ -117,12 +146,18 @@ pub struct Kernels {
     pub fp32_tile: Fp32TileFn,
     /// int8 `1×QNR` dot tile.
     pub qdot_tile: QdotTileFn,
-    /// Whole-GEMM int8 kernel, present only on tiers where hoisting the
-    /// loop structure into the kernel wins (VNNI). `None` means "drive
-    /// [`Kernels::qdot_tile`] from the generic GEMM loop" — the portable
-    /// and AVX2 tiles carry no per-visit correction work to hoist.
-    pub qgemm_i32: Option<QgemmI32Fn>,
-    /// `true` when both entries are the portable fallbacks.
+    /// Whole-GEMM int8 kernel over row-major operands, present on the
+    /// SIMD tiers. `None` means "drive [`Kernels::qdot_tile`] from the
+    /// generic GEMM loop" — all the portable tier has.
+    pub qgemm_nt: Option<QgemmNtFn>,
+    /// Packed-weight int8 GEMM (every tier has one).
+    pub qgemm_packed: QgemmPackedFn,
+    /// SIMD integer-softmax row body; `None` on the portable tier, where
+    /// the scalar operator is the implementation.
+    pub softmax_row: Option<SoftmaxRowFn>,
+    /// SIMD integer-LayerNorm element pass; `None` on the portable tier.
+    pub layernorm_row: Option<LayerNormRowFn>,
+    /// `true` when every entry is a portable fallback.
     pub portable: bool,
 }
 
@@ -173,7 +208,22 @@ pub fn select(cap: Option<Tier>) -> Kernels {
     } else {
         ("portable", int8::tile_portable)
     };
-    let qgemm_i32: Option<QgemmI32Fn> = int8_vnni.then_some(int8::qgemm_vnni as _);
+    let qgemm_nt: Option<QgemmNtFn> = if int8_vnni {
+        Some(packed::qgemm_nt_vnni)
+    } else if int8_avx2 {
+        Some(packed::qgemm_nt_avx2)
+    } else {
+        None
+    };
+    let qgemm_packed: QgemmPackedFn = if int8_vnni {
+        packed::qgemm_packed_vnni
+    } else if int8_avx2 {
+        packed::qgemm_packed_avx2
+    } else {
+        packed::qgemm_packed_portable
+    };
+    let softmax_row: Option<SoftmaxRowFn> = int8_avx2.then_some(ibert::softmax_row_avx2 as _);
+    let layernorm_row: Option<LayerNormRowFn> = int8_avx2.then_some(ibert::layernorm_row_avx2 as _);
 
     let name = match (fp32_name, int8_name) {
         ("portable", "portable") => "portable",
@@ -189,7 +239,10 @@ pub fn select(cap: Option<Tier>) -> Kernels {
         name,
         fp32_tile,
         qdot_tile,
-        qgemm_i32,
+        qgemm_nt,
+        qgemm_packed,
+        softmax_row,
+        layernorm_row,
         portable: fp32_name == "portable" && int8_name == "portable",
     }
 }

@@ -1,5 +1,8 @@
-//! The `ComputeBackend` seam: every fp32 and int8 GEMM in the nn/quant
-//! layers routes through this trait instead of naming a kernel directly.
+//! The `ComputeBackend` seam: every fp32 GEMM in the nn layers runs
+//! through this trait instead of naming a kernel directly, and the int8
+//! pipeline asks it which kernel its activation × activation products run
+//! ([`ComputeBackend::plan_int8`]; int8 *weight* products are packed for
+//! one kernel per SIMD tier and have no choice to make).
 //!
 //! # Why a seam
 //!
@@ -25,7 +28,6 @@
 use std::sync::{Arc, OnceLock};
 
 use crate::pack::{self, Epilogue, PackedB, MAX_MR, MAX_NR, MR, NR};
-use crate::qgemm::{self, FixedMultiplier};
 use crate::tune::TuneTable;
 
 /// Register-tile geometry of a packed fp32 GEMM: `mr` rows of `A` per
@@ -127,7 +129,7 @@ pub enum Int8Kernel {
     /// (the pre-seam behavior).
     #[default]
     Dispatch,
-    /// Force the VNNI whole-GEMM kernel (falls back to the tile path when
+    /// Force the tier's whole-GEMM kernel (falls back to the tile path when
     /// the kernel is absent or the shape exceeds its caps).
     WholeGemm,
     /// Force the dispatched `1×QNR` dot tile driven by the generic loop.
@@ -248,7 +250,11 @@ pub trait ComputeBackend: Send + Sync + std::fmt::Debug {
     /// The fp32 plan for an `[m,k]·[k,n]` GEMM (`m = 0` = unknown/varies).
     fn plan_fp32(&self, m: usize, k: usize, n: usize) -> GemmPlan;
 
-    /// The int8 kernel for an `[m,k]·[n,k]ᵀ` GEMM (`m = 0` = unknown).
+    /// The int8 kernel for an `[m,k]·[n,k]ᵀ` GEMM over row-major operands
+    /// (`m = 0` = unknown) — consulted by callers of
+    /// [`crate::qgemm::qgemm_nt_into`], i.e. for products whose right-hand
+    /// side is an activation. Weight products run the packed kernel and
+    /// have nothing to plan.
     fn plan_int8(&self, m: usize, k: usize, n: usize) -> Int8Kernel;
 
     /// Packs a row-major `B[k, n]` for the given plan into `dst`
@@ -319,61 +325,6 @@ pub trait ComputeBackend: Send + Sync + std::fmt::Debug {
         assert_eq!(out.len(), m, "matvec: out size");
         for (i, o) in out.iter_mut().enumerate() {
             *o = crate::matmul::dot_unrolled(&a[i * k..(i + 1) * k], v);
-        }
-    }
-
-    /// int8 `C[m,n] = A[m,k] · B[n,k]ᵀ (+ bias)` with i32 accumulators,
-    /// under this backend's plan for the shape. Bit-identical across all
-    /// plans.
-    #[allow(clippy::too_many_arguments)] // mirrors the qgemm driver signature
-    fn qgemm_i32(
-        &self,
-        a: &[i8],
-        b: &[i8],
-        bias: Option<&[i32]>,
-        m: usize,
-        k: usize,
-        n: usize,
-        out: &mut [i32],
-    ) {
-        match self.plan_int8(m, k, n) {
-            Int8Kernel::Dispatch => qgemm::qgemm_i32_into(a, b, bias, m, k, n, out),
-            Int8Kernel::WholeGemm => {
-                if !qgemm::qgemm_i32_whole_into(a, b, bias, m, k, n, out) {
-                    qgemm::qgemm_i32_tile_into(a, b, bias, m, k, n, out);
-                }
-            }
-            Int8Kernel::Tile => qgemm::qgemm_i32_tile_into(a, b, bias, m, k, n, out),
-        }
-    }
-
-    /// int8 GEMM with fused requantization to int8, under this backend's
-    /// plan for the shape. Bit-identical across all plans.
-    #[allow(clippy::too_many_arguments)]
-    fn qgemm_requant(
-        &self,
-        a: &[i8],
-        b: &[i8],
-        bias: Option<&[i32]>,
-        m: usize,
-        k: usize,
-        n: usize,
-        mult: FixedMultiplier,
-        zero_point: i32,
-        out: &mut [i8],
-    ) {
-        match self.plan_int8(m, k, n) {
-            Int8Kernel::Dispatch => {
-                qgemm::qgemm_requant_into(a, b, bias, m, k, n, mult, zero_point, out)
-            }
-            Int8Kernel::WholeGemm => {
-                if !qgemm::qgemm_requant_whole_into(a, b, bias, m, k, n, mult, zero_point, out) {
-                    qgemm::qgemm_requant_tile_into(a, b, bias, m, k, n, mult, zero_point, out);
-                }
-            }
-            Int8Kernel::Tile => {
-                qgemm::qgemm_requant_tile_into(a, b, bias, m, k, n, mult, zero_point, out)
-            }
         }
     }
 }
@@ -542,33 +493,5 @@ mod tests {
             &crate::tensor::Tensor::from_vec(v.clone(), &[k]),
         );
         assert_eq!(out, want.data());
-    }
-
-    #[test]
-    fn backend_qgemm_bit_exact_across_int8_plans() {
-        #[derive(Debug)]
-        struct Forced(Int8Kernel);
-        impl ComputeBackend for Forced {
-            fn name(&self) -> &'static str {
-                "forced"
-            }
-            fn plan_fp32(&self, _m: usize, _k: usize, _n: usize) -> GemmPlan {
-                GemmPlan::default()
-            }
-            fn plan_int8(&self, _m: usize, _k: usize, _n: usize) -> Int8Kernel {
-                self.0
-            }
-        }
-        let (m, k, n) = (6, 31, 17);
-        let a: Vec<i8> = (0..m * k).map(|i| (i % 255) as i8).collect();
-        let b: Vec<i8> = (0..n * k).map(|i| ((i * 7) % 251) as i8 ^ 3).collect();
-        let bias: Vec<i32> = (0..n as i32).collect();
-        let mut reference = vec![0i32; m * n];
-        Forced(Int8Kernel::Tile).qgemm_i32(&a, &b, Some(&bias), m, k, n, &mut reference);
-        for kernel in [Int8Kernel::Dispatch, Int8Kernel::WholeGemm] {
-            let mut out = vec![0i32; m * n];
-            Forced(kernel).qgemm_i32(&a, &b, Some(&bias), m, k, n, &mut out);
-            assert_eq!(out, reference, "{kernel:?} not bit-exact");
-        }
     }
 }

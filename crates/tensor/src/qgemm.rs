@@ -7,12 +7,25 @@
 //! them, so its public API is unchanged and there is exactly one definition
 //! of each kernel — the bit-exactness contracts cannot fork).
 //!
+//! Two families, by what the right-hand side is:
+//!
+//! * **Weights** are packed once into a [`bioformer_simd::PackedQB`] and
+//!   multiplied by the tier's [`bioformer_simd::QgemmPackedFn`] — no driver
+//!   is needed beyond the kernel call, so there is none here.
+//! * **Activations** (attention scores, `A·V`) stay row-major and go
+//!   through [`qgemm_nt_into`]: the whole-GEMM kernel where the tier has
+//!   one, else the dispatched `1×QNR` dot tile driven from the generic
+//!   loop. The dense `qgemm_*_into` entry points are this driver at
+//!   `ld == k`.
+//!
 //! Integer addition is associative, so every driver here — the dispatched
 //! path, the forced whole-GEMM path and the forced tile path — is
 //! **bit-for-bit identical** for any input; kernel selection is purely a
 //! performance decision, which is what makes int8 autotuning safe.
 
-use bioformer_simd::QdotTileFn;
+use bioformer_simd::{Kernels, QdotTileFn};
+
+pub use bioformer_simd::{QMat, QOut, Requant};
 
 /// Output columns processed per blocked-kernel step (one `A`-row pass feeds
 /// this many `i32` register accumulators).
@@ -77,44 +90,26 @@ impl FixedMultiplier {
         self.mantissa as f64 * 2f64.powi(-31 - self.shift)
     }
 
-    /// Applies the multiplier to an i32 accumulator with round-to-nearest.
-    ///
-    /// The full product is kept in i64 and rounded with a **single**
-    /// combined shift of `31 + shift` bits — splitting the shift (high-mul
-    /// then post-shift) would amplify the high-mul's rounding error by
-    /// `2^|shift|` for multipliers above 1.
+    /// Applies the multiplier to an i32 accumulator with round-to-nearest
+    /// ([`Requant::scale`] is the one definition of the arithmetic, shared
+    /// with the SIMD stores).
     pub fn apply(self, acc: i32) -> i32 {
-        let prod = acc as i64 * self.mantissa as i64;
-        let s = 31 + self.shift; // ≥ 1: encode() keeps shift > -31
-        debug_assert!(s >= 1, "unsupported multiplier magnitude");
-        // Round-half-up works for both signs under arithmetic shift.
-        ((prod + (1i64 << (s - 1))) >> s) as i32
+        self.requant(0).scale(acc)
     }
 
     /// Requantizes an accumulator to int8 with a zero-point, saturating.
     pub fn requantize_to_i8(self, acc: i32, zero_point: i32) -> i8 {
-        (self.apply(acc) + zero_point).clamp(-128, 127) as i8
+        self.requant(zero_point).to_i8(acc)
     }
-}
 
-/// The blocked int8 GEMM core: for row `a_row` (`k` codes) and the column
-/// tile starting at `B` row `j`, accumulates `QNR` dot products via the
-/// given SIMD tile and hands each `(local_column, accumulator)` pair to
-/// `store`.
-#[inline(always)]
-fn qdot_tile(
-    tile: QdotTileFn,
-    a_row: &[i8],
-    b: &[i8],
-    k: usize,
-    j: usize,
-    jw: usize,
-    mut store: impl FnMut(usize, i32),
-) {
-    let mut acc = [0i32; QNR];
-    tile(a_row, &b[j * k..(j + jw) * k], k, jw, &mut acc);
-    for (lj, &s) in acc.iter().enumerate().take(jw) {
-        store(lj, s);
+    /// This multiplier and an output zero point as the kernels' store
+    /// descriptor.
+    pub fn requant(self, zero_point: i32) -> Requant {
+        Requant {
+            mantissa: self.mantissa,
+            shift: self.shift,
+            zero_point,
+        }
     }
 }
 
@@ -123,6 +118,82 @@ fn check_qgemm_dims(a: &[i8], b: &[i8], bias: Option<&[i32]>, m: usize, k: usize
     assert_eq!(b.len(), n * k, "qgemm: B size");
     if let Some(bias) = bias {
         assert_eq!(bias.len(), n, "qgemm: bias size");
+    }
+}
+
+/// `kernels`' whole-GEMM kernel, when it has one that takes `(k, n)`.
+fn whole_gemm(kernels: &Kernels, k: usize, n: usize) -> Option<bioformer_simd::QgemmNtFn> {
+    kernels
+        .qgemm_nt
+        .filter(|_| bioformer_simd::qgemm_nt_fits(k, n))
+}
+
+/// The tile path over row-major operands: each `A` row against
+/// [`QNR`]-wide tiles of `B` rows through `tile`, every accumulator (plus
+/// bias) handed to `out`. The tile wants its `B` rows back to back, so a
+/// strided `B` is fed one row per call.
+#[allow(clippy::too_many_arguments)]
+fn qgemm_nt_tile(
+    tile: QdotTileFn,
+    a: QMat<'_>,
+    b: QMat<'_>,
+    bias: Option<&[i32]>,
+    m: usize,
+    k: usize,
+    n: usize,
+    mut out: QOut<'_>,
+) {
+    a.check(m, k, "qgemm A");
+    b.check(n, k, "qgemm B");
+    out.check(m, n);
+    let jw_max = if b.ld == k { QNR } else { 1 };
+    for i in 0..m {
+        let a_row = &a.data[i * a.ld..i * a.ld + k];
+        let mut j = 0usize;
+        while j < n {
+            let jw = (n - j).min(jw_max);
+            let mut acc = [0i32; QNR];
+            tile(
+                a_row,
+                &b.data[j * b.ld..(j + jw - 1) * b.ld + k],
+                k,
+                jw,
+                &mut acc,
+            );
+            for (lj, &s) in acc.iter().enumerate().take(jw) {
+                out.put(i, j + lj, s + bias.map_or(0, |bias| bias[j + lj]));
+            }
+            j += jw;
+        }
+    }
+}
+
+/// `C[m,n] = A[m,k] · B[n,k]ᵀ (+ bias)` over row-major, possibly strided
+/// operands, stored through `out` (raw accumulators, or requantized codes
+/// in either orientation) — the driver for products whose right-hand side
+/// is an activation. With `whole` set it runs `kernels`' whole-GEMM kernel
+/// when the tier has one and `(k, n)` fit its caps; otherwise (and always
+/// with `whole` unset) the tier's dot tile from the generic loop. Every
+/// combination is bit-identical.
+///
+/// # Panics
+///
+/// Panics when an operand or `out` cannot hold the stated shape.
+#[allow(clippy::too_many_arguments)]
+pub fn qgemm_nt_into(
+    kernels: &Kernels,
+    whole: bool,
+    a: QMat<'_>,
+    b: QMat<'_>,
+    bias: Option<&[i32]>,
+    m: usize,
+    k: usize,
+    n: usize,
+    out: QOut<'_>,
+) {
+    match whole_gemm(kernels, k, n).filter(|_| whole) {
+        Some(kernel) => kernel(a, b, bias, m, k, n, out),
+        None => qgemm_nt_tile(kernels.qdot_tile, a, b, bias, m, k, n, out),
     }
 }
 
@@ -146,23 +217,12 @@ pub fn qgemm_i32_into(
     n: usize,
     out: &mut [i32],
 ) {
-    if qgemm_i32_whole_into(a, b, bias, m, k, n, out) {
-        return;
+    if !qgemm_i32_whole_into(a, b, bias, m, k, n, out) {
+        qgemm_i32_tile_into(a, b, bias, m, k, n, out);
     }
-    // Resolve the dispatched tile once per GEMM, not once per tile.
-    qgemm_i32_into_with(
-        bioformer_simd::kernels().qdot_tile,
-        a,
-        b,
-        bias,
-        m,
-        k,
-        n,
-        out,
-    );
 }
 
-/// The forced whole-GEMM path of [`qgemm_i32_into`]: runs the VNNI
+/// The forced whole-GEMM path of [`qgemm_i32_into`]: runs the tier's
 /// whole-GEMM kernel when the dispatch table carries one and `(k, n)` fit
 /// its caps, returning `true`; returns `false` (leaving `out` untouched)
 /// when unavailable so the caller can fall back to the tile path.
@@ -180,25 +240,13 @@ pub fn qgemm_i32_whole_into(
     n: usize,
     out: &mut [i32],
 ) -> bool {
-    let kernels = bioformer_simd::kernels();
-    let Some(qg) = kernels.qgemm_i32 else {
+    let Some(kernel) = whole_gemm(bioformer_simd::kernels(), k, n) else {
         return false;
     };
-    if n > bioformer_simd::QGEMM_N_CAP || k > bioformer_simd::QGEMM_K_CAP {
-        return false;
-    }
     check_qgemm_dims(a, b, bias, m, k, n);
     assert_eq!(out.len(), m * n, "qgemm: out size");
-    qg(a, b, m, k, n, out);
-    if let Some(bias) = bias {
-        if n > 0 {
-            for row in out.chunks_exact_mut(n) {
-                for (o, &bv) in row.iter_mut().zip(bias.iter()) {
-                    *o += bv;
-                }
-            }
-        }
-    }
+    let (a, b) = (QMat::dense(a, k), QMat::dense(b, k));
+    kernel(a, b, bias, m, k, n, QOut::Acc { out, ld: n });
     true
 }
 
@@ -217,6 +265,7 @@ pub fn qgemm_i32_tile_into(
     n: usize,
     out: &mut [i32],
 ) {
+    // Resolve the dispatched tile once per GEMM, not once per tile.
     qgemm_i32_into_with(
         bioformer_simd::kernels().qdot_tile,
         a,
@@ -249,23 +298,13 @@ pub fn qgemm_i32_into_with(
 ) {
     check_qgemm_dims(a, b, bias, m, k, n);
     assert_eq!(out.len(), m * n, "qgemm: out size");
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        let mut j = 0usize;
-        while j < n {
-            let jw = (n - j).min(QNR);
-            qdot_tile(tile, a_row, b, k, j, jw, |lj, s| {
-                out_row[j + lj] = s + bias.map_or(0, |bias| bias[j + lj]);
-            });
-            j += jw;
-        }
-    }
+    let (a, b) = (QMat::dense(a, k), QMat::dense(b, k));
+    qgemm_nt_tile(tile, a, b, bias, m, k, n, QOut::Acc { out, ld: n });
 }
 
-/// int8 GEMM with the requantization **fused into the store loop**: each
-/// accumulator tile is scaled to the output grid while still in registers —
-/// no intermediate `Vec<i32>` is materialised. Bit-for-bit identical to
+/// int8 GEMM with the requantization **fused into the store**: each
+/// accumulator is scaled to the output grid while still in registers — no
+/// intermediate `Vec<i32>` is materialised. Bit-for-bit identical to
 /// [`qgemm_i32_into`] followed by per-element requantization. Uses the
 /// runtime-dispatched kernel table.
 ///
@@ -284,15 +323,16 @@ pub fn qgemm_requant_into(
     zero_point: i32,
     out: &mut [i8],
 ) {
-    if qgemm_requant_whole_into(a, b, bias, m, k, n, mult, zero_point, out) {
-        return;
+    if !qgemm_requant_whole_into(a, b, bias, m, k, n, mult, zero_point, out) {
+        qgemm_requant_tile_into(a, b, bias, m, k, n, mult, zero_point, out);
     }
-    qgemm_requant_tile_into(a, b, bias, m, k, n, mult, zero_point, out);
 }
 
-/// The forced whole-GEMM path of [`qgemm_requant_into`]: returns `false`
-/// (leaving `out` untouched) when the whole-GEMM kernel is unavailable or
-/// the shape exceeds its caps.
+/// The forced whole-GEMM path of [`qgemm_requant_into`]: one kernel call
+/// for the whole product (so the `128·Σb` corrections are derived once),
+/// requantized in the kernel's store. Returns `false` (leaving `out`
+/// untouched) when the whole-GEMM kernel is unavailable or the shape
+/// exceeds its caps.
 ///
 /// # Panics
 ///
@@ -309,38 +349,19 @@ pub fn qgemm_requant_whole_into(
     zero_point: i32,
     out: &mut [i8],
 ) -> bool {
-    let kernels = bioformer_simd::kernels();
-    let Some(qg) = kernels.qgemm_i32 else {
+    let Some(kernel) = whole_gemm(bioformer_simd::kernels(), k, n) else {
         return false;
     };
-    if n > bioformer_simd::QGEMM_N_CAP || k > bioformer_simd::QGEMM_K_CAP {
-        return false;
-    }
     check_qgemm_dims(a, b, bias, m, k, n);
     assert_eq!(out.len(), m * n, "qgemm: out size");
-    // The whole-GEMM kernel produces i32 accumulators; requantize from a
-    // fixed stack scratch, a few rows at a time, so the fused entry point
-    // stays allocation-free.
-    const SCRATCH_ROWS: usize = 4;
-    let mut scratch = [0i32; SCRATCH_ROWS * bioformer_simd::QGEMM_N_CAP];
-    let mut i = 0usize;
-    while i < m {
-        let mr = (m - i).min(SCRATCH_ROWS);
-        qg(&a[i * k..(i + mr) * k], b, mr, k, n, &mut scratch[..mr * n]);
-        for r in 0..mr {
-            let out_row = &mut out[(i + r) * n..(i + r + 1) * n];
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let acc = scratch[r * n + j] + bias.map_or(0, |bias| bias[j]);
-                *o = mult.requantize_to_i8(acc, zero_point);
-            }
-        }
-        i += mr;
-    }
+    let (a, b) = (QMat::dense(a, k), QMat::dense(b, k));
+    let rq = mult.requant(zero_point);
+    kernel(a, b, bias, m, k, n, QOut::Rows { out, ld: n, rq });
     true
 }
 
 /// The forced tile path of [`qgemm_requant_into`]: drives the dispatched
-/// dot tile with the requantization fused into its store callback.
+/// dot tile with the requantization fused into its store.
 ///
 /// # Panics
 ///
@@ -360,19 +381,9 @@ pub fn qgemm_requant_tile_into(
     check_qgemm_dims(a, b, bias, m, k, n);
     assert_eq!(out.len(), m * n, "qgemm: out size");
     let tile = bioformer_simd::kernels().qdot_tile;
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        let mut j = 0usize;
-        while j < n {
-            let jw = (n - j).min(QNR);
-            qdot_tile(tile, a_row, b, k, j, jw, |lj, s| {
-                let acc = s + bias.map_or(0, |bias| bias[j + lj]);
-                out_row[j + lj] = mult.requantize_to_i8(acc, zero_point);
-            });
-            j += jw;
-        }
-    }
+    let (a, b) = (QMat::dense(a, k), QMat::dense(b, k));
+    let rq = mult.requant(zero_point);
+    qgemm_nt_tile(tile, a, b, bias, m, k, n, QOut::Rows { out, ld: n, rq });
 }
 
 #[cfg(test)]

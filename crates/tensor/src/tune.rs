@@ -402,9 +402,8 @@ pub fn fp32_candidates() -> Vec<GemmPlan> {
 /// are the same code path, so there is nothing to race).
 pub fn int8_candidates(k: usize, n: usize) -> Vec<Int8Kernel> {
     let mut v = vec![Int8Kernel::Dispatch];
-    let whole_available = bioformer_simd::kernels().qgemm_i32.is_some()
-        && n <= bioformer_simd::QGEMM_N_CAP
-        && k <= bioformer_simd::QGEMM_K_CAP;
+    let whole_available =
+        bioformer_simd::kernels().qgemm_nt.is_some() && bioformer_simd::qgemm_nt_fits(k, n);
     if whole_available {
         v.push(Int8Kernel::Tile);
     }
