@@ -5,6 +5,11 @@
 //!      └─ append class token ──▶ [B, N+1, 64] ──d× TransformerBlock──▶
 //!      └─ take class row ──▶ LayerNorm ──▶ Linear(64→8) ──▶ logits
 //! ```
+//!
+//! The head reads the class row alone, so the inference forward computes
+//! nothing else it would discard: the patch GEMM writes token-major rows
+//! directly, and the last block produces only the class row (its keys and
+//! values still cover every token).
 
 use crate::config::BioformerConfig;
 use bioformer_nn::linear::FusedActivation;
@@ -121,6 +126,32 @@ impl Bioformer {
         &self.backend
     }
 
+    /// The patch-embedding convolution.
+    pub fn patch(&self) -> &Conv1d {
+        &self.patch
+    }
+
+    /// The learned class token (`[E]`), appended as each sample's last
+    /// token.
+    pub fn class_token(&self) -> &Param {
+        &self.class_token
+    }
+
+    /// The encoder blocks, input side first.
+    pub fn blocks(&self) -> &[TransformerBlock] {
+        &self.blocks
+    }
+
+    /// The LayerNorm applied to the class row before the head.
+    pub fn ln_final(&self) -> &LayerNorm {
+        &self.ln_final
+    }
+
+    /// The classifier head.
+    pub fn head(&self) -> &Linear {
+        &self.head
+    }
+
     /// One-line description of the installed backend (tuning state
     /// included) — surfaced through `EngineStats`.
     pub fn compute_report(&self) -> String {
@@ -147,18 +178,13 @@ impl Bioformer {
     }
 
     /// Transposes conv output `[B, E, N]` into token-major `[B, N, E]` and
-    /// appends the class token at position `N`.
+    /// appends the class token at position `N` (the training path; the
+    /// inference path has the patch GEMM write token-major directly).
     fn tokenize(&self, conv_out: &Tensor) -> Tensor {
         let (b, e, n) = (conv_out.dims()[0], conv_out.dims()[1], conv_out.dims()[2]);
-        let mut tokens = Tensor::zeros(&[b, n + 1, e]);
-        self.tokenize_into(conv_out.data(), b, e, n, tokens.data_mut());
-        tokens
-    }
-
-    /// Slice-level [`Bioformer::tokenize`] into a caller-provided
-    /// `[B, N+1, E]` buffer (every element is written).
-    fn tokenize_into(&self, src: &[f32], b: usize, e: usize, n: usize, dst: &mut [f32]) {
         let s = n + 1;
+        let mut tokens = Tensor::zeros(&[b, s, e]);
+        let (src, dst) = (conv_out.data(), tokens.data_mut());
         for bi in 0..b {
             for ei in 0..e {
                 let row = &src[(bi * e + ei) * n..(bi * e + ei + 1) * n];
@@ -169,6 +195,7 @@ impl Bioformer {
             let cls = self.class_token.value.data();
             dst[(bi * s + n) * e..(bi * s + n + 1) * e].copy_from_slice(cls);
         }
+        tokens
     }
 
     /// Splits token gradients back into the conv layout and the class-token
@@ -230,6 +257,14 @@ impl InferForward for Bioformer {
     /// scratch from `arena` and recycle it, so a warmed arena makes the
     /// whole pass allocation-free. [`InferForward::forward_infer`] is this
     /// over a throwaway arena, which pins the two paths together.
+    ///
+    /// Only the work the head reads is done: the patch GEMM stores each
+    /// sample's tokens straight into its token rows (no transposes), and
+    /// the last encoder block runs its queries, FFN and residuals for the
+    /// class row alone ([`TransformerBlock::forward_last_token_in`]),
+    /// handing `[B, E]` to the final LayerNorm. Every kept element is the
+    /// same arithmetic as in the full-row pass, so the logits are
+    /// bit-identical to it.
     fn forward_infer_in(&self, x: &Tensor, arena: &mut TensorArena) -> Tensor {
         assert_eq!(
             x.dims()[1],
@@ -238,26 +273,28 @@ impl InferForward for Bioformer {
         );
         assert_eq!(x.dims()[2], self.cfg.window, "Bioformer: window mismatch");
         let (b, e) = (x.dims()[0], self.cfg.embed);
-        let conv_out = self.patch.forward_infer_in(x, arena);
-        let n = conv_out.dims()[2];
-        let mut tokens = arena.tensor(&[b, n + 1, e]);
-        self.tokenize_into(conv_out.data(), b, e, n, tokens.data_mut());
-        arena.recycle(conv_out);
-        for blk in &self.blocks {
+        let n = self.patch.out_len(self.cfg.window);
+        let s = n + 1;
+        let mut tokens = arena.tensor(&[b, s, e]);
+        self.patch
+            .infer_tokens_into(x, tokens.data_mut(), s * e, arena);
+        let cls = self.class_token.value.data();
+        for sample in tokens.data_mut().chunks_mut(s * e) {
+            sample[n * e..].copy_from_slice(cls);
+        }
+        let (last, earlier) = self
+            .blocks
+            .split_last()
+            .expect("a validated config has depth ≥ 1");
+        for blk in earlier {
             let next = blk.forward_infer_in(&tokens, arena);
             arena.recycle(std::mem::replace(&mut tokens, next));
         }
-        // Class rows → final LN → head, each in arena scratch.
-        let s = n + 1;
-        let mut cls = arena.tensor(&[b, e]);
-        for bi in 0..b {
-            cls.data_mut()[bi * e..(bi + 1) * e]
-                .copy_from_slice(&tokens.data()[(bi * s + s - 1) * e..(bi * s + s) * e]);
-        }
+        let cls_rows = last.forward_last_token_in(&tokens, arena);
         arena.recycle(tokens);
         let mut normed = arena.tensor(&[b, e]);
-        self.ln_final.infer_into(cls.data(), normed.data_mut());
-        arena.recycle(cls);
+        self.ln_final.infer_into(cls_rows.data(), normed.data_mut());
+        arena.recycle(cls_rows);
         let logits = self
             .head
             .forward_infer_in(&normed, FusedActivation::None, arena);

@@ -10,11 +10,13 @@
 //! This reconstruction matches the published scale (paper Table I: 461 kB
 //! int8, 16 MMAC; ours ≈435 kB / ≈15.3 MMAC — the original's batch-norm
 //! layers are folded and its exact FC sizing is not public). The
-//! original's BatchNorm is replaced by per-sample [`GroupNorm1d`]
-//! (`groups = 1`): same deep-stack optimisation benefit, no running
-//! statistics to synchronise across data-parallel training shards, and at
-//! inference it folds into the convolutions exactly like BatchNorm, so
-//! deployed MACs/memory are unchanged.
+//! original's BatchNorm is replaced by per-sample [`GroupNorm1d`] with 4
+//! groups after every convolution: no running statistics to synchronise
+//! across data-parallel training shards. Unlike an eval-mode BatchNorm it
+//! does **not** fold into the convolutions — its mean and variance are
+//! computed from each input — so the network that runs keeps its 9 norm
+//! layers, while [`crate::descriptor::temponet_descriptor`] counts only
+//! the convolutions and the classifier.
 
 use bioformer_nn::{
     AvgPool1d, Conv1d, Dropout, GroupNorm1d, InferForward, Linear, Model, Param, Relu,
@@ -30,9 +32,9 @@ use std::sync::Arc;
 
 /// One TCN block: two dilated same-length convolutions and a strided
 /// down-sampling convolution, each followed by normalisation and ReLU.
-/// (The original uses BatchNorm; see [`GroupNorm1d`] for why this
-/// reconstruction normalises per sample — at inference both fold into the
-/// convolution, so deployed complexity is identical.)
+/// (The original uses BatchNorm; this reconstruction normalises per
+/// sample with a 4-group [`GroupNorm1d`], which stays a separate layer at
+/// inference because its statistics depend on the input.)
 #[derive(Debug, Clone)]
 struct TcnBlock {
     conv0: Conv1d,
@@ -338,9 +340,9 @@ mod tests {
     #[test]
     fn param_count_matches_descriptor_plus_foldable_norms() {
         let mut net = TempoNet::new(1);
-        // The descriptor counts deployed parameters; InstanceNorm affine
-        // params (2 per channel, 3 norms per block) fold into the convs at
-        // inference and do not ship.
+        // The descriptor counts the convolutions and the classifier only;
+        // the GroupNorm affine params (2 per channel, 3 norms per block)
+        // are not in it.
         let norm_params: usize = 2 * 3 * (32 + 64 + 128);
         assert_eq!(
             net.num_params(),

@@ -43,6 +43,43 @@ struct AttnCache {
     attn: Vec<Tensor>,
 }
 
+/// Which query rows an inference forward produces. Keys and values cover
+/// every row either way: each query attends over the whole sequence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum QueryRows {
+    /// Every token of every sample.
+    All,
+    /// Each sample's last token — where Bioformer, like ViT, keeps the
+    /// class token its head reads.
+    Last,
+}
+
+impl QueryRows {
+    /// Query rows per sample of a `seq`-token sequence.
+    pub(crate) fn per_sample(self, seq: usize) -> usize {
+        match self {
+            QueryRows::All => seq,
+            QueryRows::Last => 1,
+        }
+    }
+}
+
+/// Copies the `width`-wide column block at `col` of the row-major `src`
+/// (row stride `ld`) into the dense `dst`, one row per `width` floats.
+fn gather_cols(src: &[f32], ld: usize, col: usize, width: usize, dst: &mut [f32]) {
+    for (r, row) in dst.chunks_mut(width).enumerate() {
+        row.copy_from_slice(&src[r * ld + col..r * ld + col + width]);
+    }
+}
+
+/// Inverse of [`gather_cols`]: writes the dense `width`-wide rows of `src`
+/// into the column block at `col` of `dst` (row stride `ld`).
+fn scatter_cols(src: &[f32], width: usize, dst: &mut [f32], ld: usize, col: usize) {
+    for (r, row) in src.chunks(width).enumerate() {
+        dst[r * ld + col..r * ld + col + width].copy_from_slice(row);
+    }
+}
+
 impl MultiHeadSelfAttention {
     /// Creates an MHSA layer with `heads` heads of width `head_dim` over an
     /// embedding of width `embed`.
@@ -100,26 +137,18 @@ impl MultiHeadSelfAttention {
     /// Extracts head `h` of sample `b` from a `[batch·seq, heads·head_dim]`
     /// projection into a dense `[seq, head_dim]` matrix.
     fn head_slice(&self, proj: &Tensor, b: usize, h: usize, seq: usize) -> Tensor {
-        let inner = self.heads * self.head_dim;
-        let p = self.head_dim;
+        let (inner, p) = (self.heads * self.head_dim, self.head_dim);
         let mut out = Tensor::zeros(&[seq, p]);
-        for s in 0..seq {
-            let src =
-                &proj.data()[(b * seq + s) * inner + h * p..(b * seq + s) * inner + (h + 1) * p];
-            out.data_mut()[s * p..(s + 1) * p].copy_from_slice(src);
-        }
+        let sample = &proj.data()[b * seq * inner..(b + 1) * seq * inner];
+        gather_cols(sample, inner, h * p, p, out.data_mut());
         out
     }
 
     /// Scatters a `[seq, head_dim]` matrix back into head `h` of sample `b`.
     fn head_scatter(&self, dst: &mut Tensor, src: &Tensor, b: usize, h: usize, seq: usize) {
-        let inner = self.heads * self.head_dim;
-        let p = self.head_dim;
-        for s in 0..seq {
-            let d = &mut dst.data_mut()
-                [(b * seq + s) * inner + h * p..(b * seq + s) * inner + (h + 1) * p];
-            d.copy_from_slice(&src.data()[s * p..(s + 1) * p]);
-        }
+        let (inner, p) = (self.heads * self.head_dim, self.head_dim);
+        let sample = &mut dst.data_mut()[b * seq * inner..(b + 1) * seq * inner];
+        scatter_cols(src.data(), p, sample, inner, h * p);
     }
 
     /// Forward pass over `[batch, seq, embed]`.
@@ -184,46 +213,69 @@ impl MultiHeadSelfAttention {
         self.forward_infer_in(x, &mut TensorArena::new())
     }
 
-    /// Copies head `h` of sample `b` from a `[batch·seq, heads·head_dim]`
-    /// projection buffer into a dense `[seq, head_dim]` scratch slice.
-    fn gather_head(&self, proj: &[f32], b: usize, h: usize, seq: usize, dst: &mut [f32]) {
-        let inner = self.heads * self.head_dim;
-        let p = self.head_dim;
-        for s in 0..seq {
-            let at = (b * seq + s) * inner + h * p;
-            dst[s * p..(s + 1) * p].copy_from_slice(&proj[at..at + p]);
-        }
-    }
-
     /// Arena variant of [`MultiHeadSelfAttention::forward_infer`]: every
-    /// intermediate (projections, per-head slices, attention scores, packed
-    /// panels) is drawn from `arena` and recycled before returning;
-    /// projections run on the layers' cached packed weights with the bias
-    /// fused into the GEMM, and the `1/√P` scaling is fused into the score
-    /// GEMM's store loop. Bit-identical logits to the plain path.
+    /// intermediate (projections, attention scores, packed panels) is drawn
+    /// from `arena` and recycled before returning; projections run on the
+    /// layers' cached packed weights with the bias fused into the GEMM, and
+    /// the `1/√P` scaling is fused into the score GEMM's store loop.
+    /// Bit-identical logits to the plain path.
     ///
     /// # Panics
     ///
     /// Panics if `x` is not 3-D with the configured embedding width.
     pub fn forward_infer_in(&self, x: &Tensor, arena: &mut TensorArena) -> Tensor {
+        let mut out = self.infer_rows_in(x, QueryRows::All, arena);
+        out.reshape_in_place(x.dims());
+        out
+    }
+
+    /// The one inference body, for the query rows `rows` selects: returns
+    /// `[batch·q, embed]` with `q = rows.per_sample(seq)` rows per sample.
+    ///
+    /// Keys and values are projected over every row (each query attends
+    /// over the whole sequence); the queries, scores, softmax, `A·V` and
+    /// `Wo` run for the selected rows only. Each head's `Kᵀ` and `V` are
+    /// packed straight out of the strided projections. A single query row
+    /// per sample is read in place and its `A·V` row stored at the head's
+    /// column offset; a taller query block is gathered per head and its
+    /// product scattered back. Every output element is the same
+    /// ascending-`k` chain under the same plans whichever rows are
+    /// selected, so a row's bits do not depend on `rows`.
+    pub(crate) fn infer_rows_in(
+        &self,
+        x: &Tensor,
+        rows: QueryRows,
+        arena: &mut TensorArena,
+    ) -> Tensor {
         assert_eq!(x.shape().rank(), 3, "MHSA: input must be [B, S, C]");
         let (batch, seq, embed) = (x.dims()[0], x.dims()[1], x.dims()[2]);
         assert_eq!(embed, self.embed, "MHSA: embedding width mismatch");
-        let rows = batch * seq;
         let inner = self.heads * self.head_dim;
         let (s, p) = (seq, self.head_dim);
+        let qs = rows.per_sample(seq);
         let scale = 1.0 / (p as f32).sqrt();
 
         // Projections straight off the [B,S,E] buffer (row-major [rows, E]
         // by layout — no reshape copy).
-        let project = |lin: &Linear, arena: &mut TensorArena| {
-            let mut t = arena.alloc(rows * inner);
-            lin.infer_into(x.data(), rows, &mut t, FusedActivation::None);
+        let project = |lin: &Linear, x: &[f32], m: usize, arena: &mut TensorArena| {
+            let mut t = arena.alloc(m * inner);
+            lin.infer_into(x, m, &mut t, FusedActivation::None);
             t
         };
-        let q = project(&self.wq, arena);
-        let k = project(&self.wk, arena);
-        let v = project(&self.wv, arena);
+        let k = project(&self.wk, x.data(), batch * s, arena);
+        let v = project(&self.wv, x.data(), batch * s, arena);
+        let q = match rows {
+            QueryRows::All => project(&self.wq, x.data(), batch * s, arena),
+            QueryRows::Last => {
+                let mut xq = arena.alloc(batch * embed);
+                for (dst, sample) in xq.chunks_mut(embed).zip(x.data().chunks(s * embed)) {
+                    dst.copy_from_slice(&sample[(s - 1) * embed..]);
+                }
+                let q = project(&self.wq, &xq, batch, arena);
+                arena.recycle_vec(xq);
+                q
+            }
+        };
 
         // Backend plans for the two per-head GEMM shapes; packed-panel
         // sizes are plan-dependent, so resolve before allocating scratch.
@@ -231,62 +283,63 @@ impl MultiHeadSelfAttention {
         let plan_scores = bk.plan_fp32(s, p, s);
         let plan_av = bk.plan_fp32(s, s, p);
 
-        let mut concat = arena.tensor(&[rows, inner]);
+        let mut concat = arena.alloc(batch * qs * inner);
         // Per-head scratch, reused across every (batch, head) pair.
-        let mut qh = arena.alloc(s * p);
-        let mut kh = arena.alloc(s * p);
-        let mut vh = arena.alloc(s * p);
-        let mut kh_packed = arena.alloc(plan_scores.packed_len(p, s));
-        let mut vh_packed = arena.alloc(plan_av.packed_len(s, p));
-        let mut scores = arena.alloc(s * s);
-        let mut oh = arena.alloc(s * p);
+        let mut k_packed = arena.alloc(plan_scores.packed_len(p, s));
+        let mut v_packed = arena.alloc(plan_av.packed_len(s, p));
+        let mut scores = arena.alloc(qs * s);
+        let strided = qs > 1;
+        let (mut qh, mut oh) = if strided {
+            (arena.alloc(qs * p), arena.alloc(qs * p))
+        } else {
+            (Vec::new(), Vec::new())
+        };
         for b in 0..batch {
+            let kv = b * s * inner;
+            let q_rows = &q[b * qs * inner..(b + 1) * qs * inner];
+            let dst = &mut concat[b * qs * inner..(b + 1) * qs * inner];
             for h in 0..self.heads {
-                self.gather_head(&q, b, h, seq, &mut qh);
-                self.gather_head(&k, b, h, seq, &mut kh);
-                self.gather_head(&v, b, h, seq, &mut vh);
-                // scores[s,s] = (qh · khᵀ) · scale, scale fused into store.
-                bk.pack_b_t_into(plan_scores, &kh, s, p, &mut kh_packed);
+                let col = h * p;
+                bk.pack_b_t_into(plan_scores, &k[kv + col..], inner, s, p, &mut k_packed);
+                bk.pack_b_into(plan_av, &v[kv + col..], inner, s, p, &mut v_packed);
+                let qa: &[f32] = if strided {
+                    gather_cols(q_rows, inner, col, p, &mut qh);
+                    &qh
+                } else {
+                    &q_rows[col..col + p]
+                };
+                // scores[qs,s] = (q · Kᵀ) · scale, scale fused into store.
                 bk.gemm_with(
                     plan_scores,
-                    &qh,
-                    s,
+                    qa,
+                    qs,
                     p,
-                    &kh_packed,
+                    &k_packed,
                     s,
                     &mut scores,
                     Epilogue::Scale(scale),
                 );
                 softmax_rows_slice(&mut scores, s);
-                // oh[s,p] = probs · vh.
-                bk.pack_b_into(plan_av, &vh, s, p, &mut vh_packed);
-                bk.gemm_with(
-                    plan_av,
-                    &scores,
-                    s,
-                    s,
-                    &vh_packed,
-                    p,
-                    &mut oh,
-                    Epilogue::None,
-                );
-                // Scatter into head h's columns of concat.
-                let cd = concat.data_mut();
-                for si in 0..seq {
-                    let at = (b * seq + si) * inner + h * p;
-                    cd[at..at + p].copy_from_slice(&oh[si * p..(si + 1) * p]);
+                // [qs,p] = probs · V, into head h's columns of concat.
+                let av = if strided {
+                    &mut oh[..]
+                } else {
+                    &mut dst[col..col + p]
+                };
+                bk.gemm_with(plan_av, &scores, qs, s, &v_packed, p, av, Epilogue::None);
+                if strided {
+                    scatter_cols(&oh, p, dst, inner, col);
                 }
             }
         }
-        for buf in [q, k, v, qh, kh, vh, kh_packed, vh_packed, scores, oh] {
+        for buf in [q, k, v, qh, oh, k_packed, v_packed, scores] {
             arena.recycle_vec(buf);
         }
 
-        let mut out = arena.tensor(&[rows, embed]);
+        let mut out = arena.tensor(&[batch * qs, embed]);
         self.wo
-            .infer_into(concat.data(), rows, out.data_mut(), FusedActivation::None);
-        arena.recycle(concat);
-        out.reshape_in_place(&[batch, seq, embed]);
+            .infer_into(&concat, batch * qs, out.data_mut(), FusedActivation::None);
+        arena.recycle_vec(concat);
         out
     }
 

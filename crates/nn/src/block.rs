@@ -1,7 +1,7 @@
 //! Pre-LN transformer encoder block.
 
 use crate::activation::Gelu;
-use crate::attention::MultiHeadSelfAttention;
+use crate::attention::{MultiHeadSelfAttention, QueryRows};
 use crate::dropout::Dropout;
 use crate::layernorm::LayerNorm;
 use crate::linear::{FusedActivation, Linear};
@@ -149,27 +149,58 @@ impl TransformerBlock {
     ///
     /// Panics on embedding-width mismatch.
     pub fn forward_infer_in(&self, x: &Tensor, arena: &mut TensorArena) -> Tensor {
+        let mut out = self.infer_rows_in(x, QueryRows::All, arena);
+        out.reshape_in_place(x.dims());
+        out
+    }
+
+    /// [`TransformerBlock::forward_infer_in`] for each sample's last token
+    /// only — the class token a ViT-style head reads: `[batch, embed]`,
+    /// bit-identical to the last row of every sample of the full output.
+    /// LN₁ and the key/value projections still run over every token (the
+    /// class token attends over all of them); everything after runs for one
+    /// row per sample.
+    ///
+    /// The returned tensor is arena-owned; recycle it when consumed.
+    ///
+    /// # Panics
+    ///
+    /// Panics on embedding-width mismatch.
+    pub fn forward_last_token_in(&self, x: &Tensor, arena: &mut TensorArena) -> Tensor {
+        self.infer_rows_in(x, QueryRows::Last, arena)
+    }
+
+    /// The one inference body, for the query rows `rows` selects: returns
+    /// `[batch·q, embed]` with `q = rows.per_sample(seq)` rows per sample.
+    fn infer_rows_in(&self, x: &Tensor, rows: QueryRows, arena: &mut TensorArena) -> Tensor {
         let (batch, seq, embed) = (x.dims()[0], x.dims()[1], x.dims()[2]);
         assert_eq!(embed, self.embed, "TransformerBlock: width mismatch");
-        let rows = batch * seq;
+        let qs = rows.per_sample(seq);
+        let out_rows = batch * qs;
 
-        // Attention branch (dropout skipped: identity at inference).
-        // x's [B,S,E] buffer doubles as the [rows, E] row view — the
-        // layers below work on flattened rows, so no reshape copy is made.
-        let mut a = arena.tensor(&[rows, embed]);
+        // Attention branch (dropout skipped: identity at inference). LN₁
+        // covers every token because the keys and values read all of them;
+        // x's [B,S,E] buffer doubles as the [rows, E] row view.
+        let mut a = arena.tensor(&[batch * seq, embed]);
         self.ln1.infer_into(x.data(), a.data_mut());
         a.reshape_in_place(&[batch, seq, embed]);
-        let at = self.attn.forward_infer_in(&a, arena);
+        let mut r1 = self.attn.infer_rows_in(&a, rows, arena);
         arena.recycle(a);
-        // r1 = x + attn_out, in place on the attention output's buffer.
-        let mut r1 = at;
-        r1.reshape_in_place(&[rows, embed]);
-        for (o, &xv) in r1.data_mut().iter_mut().zip(x.data().iter()) {
-            *o += xv;
+        // r1 = x + attn_out over the query rows, in place on the attention
+        // output's buffer.
+        let xd = x.data();
+        for (r, sample) in r1
+            .data_mut()
+            .chunks_mut(qs * embed)
+            .zip(xd.chunks(seq * embed))
+        {
+            for (o, &xv) in r.iter_mut().zip(&sample[(seq - qs) * embed..]) {
+                *o += xv;
+            }
         }
 
         // FFN branch: GELU fused into fc1's store loop.
-        let mut f = arena.tensor(&[rows, embed]);
+        let mut f = arena.tensor(&[out_rows, embed]);
         self.ln2.infer_into(r1.data(), f.data_mut());
         let h = self.fc1.forward_infer_in(&f, FusedActivation::Gelu, arena);
         arena.recycle(f);
@@ -181,7 +212,6 @@ impl TransformerBlock {
             *o += fv;
         }
         arena.recycle(f2);
-        out.reshape_in_place(&[batch, seq, embed]);
         out
     }
 

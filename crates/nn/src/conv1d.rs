@@ -180,11 +180,10 @@ impl Conv1d {
         })
     }
 
-    /// Arena variant of [`Conv1d::forward_infer`]: each sample is lowered
-    /// into an arena im2col buffer and multiplied against the cached packed
-    /// weight with the bias fused into the GEMM store; the `[out_len, out]`
-    /// product is then transposed into the `[out, out_len]` output layout.
-    /// Bit-identical to the training-path arithmetic.
+    /// Arena variant of [`Conv1d::forward_infer`]: the token-major body
+    /// ([`Conv1d::infer_tokens_into`]) followed by a transpose of each
+    /// sample's `[out_len, out]` product into the `[out, out_len]` output
+    /// layout. Bit-identical to the training-path arithmetic.
     ///
     /// The returned tensor is arena-owned; recycle it when consumed.
     ///
@@ -193,15 +192,58 @@ impl Conv1d {
     /// Panics on shape mismatch.
     pub fn forward_infer_in(&self, x: &Tensor, arena: &mut TensorArena) -> Tensor {
         assert_eq!(x.shape().rank(), 3, "Conv1d: input must be [B, C, L]");
+        let (b, c_out) = (x.dims()[0], self.out_channels);
+        let out_len = self.out_len(x.dims()[2]);
+        let out_sample = c_out * out_len;
+        let mut yt = arena.alloc(b * out_sample);
+        self.infer_tokens_into(x, &mut yt, out_sample, arena);
+        let mut y = arena.tensor(&[b, c_out, out_len]);
+        for (yi, ti) in y
+            .data_mut()
+            .chunks_mut(out_sample)
+            .zip(yt.chunks(out_sample))
+        {
+            for ot in 0..out_len {
+                for oc in 0..c_out {
+                    yi[oc * out_len + ot] = ti[ot * c_out + oc];
+                }
+            }
+        }
+        arena.recycle_vec(yt);
+        y
+    }
+
+    /// The token-major inference body: each sample is lowered into an
+    /// arena im2col buffer and multiplied against the cached packed weight
+    /// with the bias fused into the GEMM store, and sample `i`'s
+    /// `[out_len, out]` product lands at `out[i·sample_stride..]`. A
+    /// stride wider than `out_len·out` leaves room behind each sample's
+    /// rows — Bioformer writes its class token there.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch, or if `out` is too short for `batch`
+    /// samples `sample_stride ≥ out_len·out` floats apart.
+    pub fn infer_tokens_into(
+        &self,
+        x: &Tensor,
+        out: &mut [f32],
+        sample_stride: usize,
+        arena: &mut TensorArena,
+    ) {
+        assert_eq!(x.shape().rank(), 3, "Conv1d: input must be [B, C, L]");
         let (b, c, len) = (x.dims()[0], x.dims()[1], x.dims()[2]);
         assert_eq!(c, self.in_channels, "Conv1d: channel mismatch");
         let out_len = self.out_len(len);
         let (c_out, ck) = (self.out_channels, c * self.kernel);
-        let mut y = arena.tensor(&[b, c_out, out_len]);
+        let rows = out_len * c_out;
+        assert!(sample_stride >= rows, "Conv1d: sample stride too small");
+        assert!(
+            b == 0 || out.len() >= (b - 1) * sample_stride + rows,
+            "Conv1d: output too short"
+        );
         let sample = c * len;
-        let out_sample = c_out * out_len;
         let mut cols = arena.alloc(out_len * ck);
-        let mut yt = arena.alloc(out_len * c_out);
         for i in 0..b {
             let xi = &x.data()[i * sample..(i + 1) * sample];
             im2col_into(xi, c, len, self.kernel, self.spec, &mut cols);
@@ -209,20 +251,11 @@ impl Conv1d {
                 &cols,
                 out_len,
                 self.packed_weight(),
-                &mut yt,
+                &mut out[i * sample_stride..i * sample_stride + rows],
                 Epilogue::Bias(self.bias.value.data()),
             );
-            // Transpose [out_len, out] → the conv layout [out, out_len].
-            let yi = &mut y.data_mut()[i * out_sample..(i + 1) * out_sample];
-            for ot in 0..out_len {
-                for oc in 0..c_out {
-                    yi[oc * out_len + ot] = yt[ot * c_out + oc];
-                }
-            }
         }
         arena.recycle_vec(cols);
-        arena.recycle_vec(yt);
-        y
     }
 
     /// Backward pass: accumulates weight/bias gradients, returns `dx`.

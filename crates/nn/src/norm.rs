@@ -12,11 +12,11 @@ use bioformer_tensor::Tensor;
 /// `groups == 1` normalises all channels jointly (preserving the relative
 /// channel amplitudes that carry the gesture information in sEMG);
 /// `groups == channels` is InstanceNorm. The TEMPONet reconstruction uses
-/// `groups == 1` in place of the original's BatchNorm: it gives the same
-/// deep-stack optimisation benefit, is independent of batch composition
-/// (no running statistics to synchronise across data-parallel shards), and
-/// folds into the preceding convolution at inference, so deployed MACs are
-/// unchanged.
+/// 4 groups in place of the original's BatchNorm: it is independent of
+/// batch composition (no running statistics to synchronise across
+/// data-parallel shards). Because its statistics are computed from each
+/// input, it does not fold into the preceding convolution at inference
+/// the way an eval-mode BatchNorm does: it runs as its own layer.
 #[derive(Debug, Clone)]
 pub struct GroupNorm1d {
     gamma: Param,

@@ -6,7 +6,9 @@
 //! widely-used variant that recovers most of the gap: after each training
 //! epoch, **weights are snapped to their int8 grid** so the optimiser
 //! learns parameters that survive quantization. Activation ranges are then
-//! calibrated post-hoc as usual. The deviation is recorded in DESIGN.md.
+//! calibrated post-hoc as usual. This deviates from the paper: activations
+//! see no simulated quantizer during training, so the int8 model's
+//! activation error is left to calibration.
 
 use crate::qtensor::{fake_quantize, QParams};
 use bioformer_nn::optim::Adam;

@@ -24,7 +24,10 @@ pub struct DatasetSpec {
     /// Master seed; all generated signals are deterministic in it.
     pub seed: u64,
 
-    // ---- difficulty calibration knobs (see DESIGN.md §7) ----
+    // ---- difficulty calibration knobs ----
+    // Hand-set, not fitted: the real DB6 recordings cannot be
+    // redistributed, so these only set how hard the synthetic corpus is
+    // (the paper's fp32 ceiling is ≈66 %).
     /// Std-dev of the per-session mixing-matrix random walk. Drives the
     /// accuracy decay across test sessions (Fig. 2).
     pub session_drift: f32,

@@ -257,18 +257,34 @@ pub trait ComputeBackend: Send + Sync + std::fmt::Debug {
     /// have nothing to plan.
     fn plan_int8(&self, m: usize, k: usize, n: usize) -> Int8Kernel;
 
-    /// Packs a row-major `B[k, n]` for the given plan into `dst`
-    /// (length `plan.packed_len(k, n)`).
-    fn pack_b_into(&self, plan: GemmPlan, b: &[f32], k: usize, n: usize, dst: &mut [f32]) {
+    /// Packs a `B[k, n]` whose rows lie `ld ≥ n` floats apart for the given
+    /// plan into `dst` (length `plan.packed_len(k, n)`).
+    fn pack_b_into(
+        &self,
+        plan: GemmPlan,
+        b: &[f32],
+        ld: usize,
+        k: usize,
+        n: usize,
+        dst: &mut [f32],
+    ) {
         let _ = self;
-        pack::pack_b_nr(b, k, n, plan.spec.nr, dst);
+        pack::pack_b_nr(b, ld, k, n, plan.spec.nr, dst);
     }
 
-    /// Packs a row-major `Bᵀ`-layout `bt[n, k]` for the given plan into
-    /// `dst` (length `plan.packed_len(k, n)`).
-    fn pack_b_t_into(&self, plan: GemmPlan, bt: &[f32], n: usize, k: usize, dst: &mut [f32]) {
+    /// Packs a `Bᵀ`-layout `bt[n, k]` whose rows lie `ld ≥ k` floats apart
+    /// for the given plan into `dst` (length `plan.packed_len(k, n)`).
+    fn pack_b_t_into(
+        &self,
+        plan: GemmPlan,
+        bt: &[f32],
+        ld: usize,
+        n: usize,
+        k: usize,
+        dst: &mut [f32],
+    ) {
         let _ = self;
-        pack::pack_b_t_nr(bt, n, k, plan.spec.nr, dst);
+        pack::pack_b_t_nr(bt, ld, n, k, plan.spec.nr, dst);
     }
 
     /// Packs a weight matrix in `Bᵀ` layout (`[out, in]`) once, under the

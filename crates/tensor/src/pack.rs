@@ -112,17 +112,32 @@ impl Epilogue<'_> {
 ///
 /// Panics if `b` or `dst` have the wrong length.
 pub fn pack_b(b: &[f32], k: usize, n: usize, dst: &mut [f32]) {
-    pack_b_nr(b, k, n, NR, dst);
+    assert_eq!(b.len(), k * n, "pack_b: source size");
+    pack_b_nr(b, n, k, n, NR, dst);
 }
 
-/// [`pack_b`] at an arbitrary panel width `nr` (`dst` must be
-/// [`packed_len_nr`]`(k, n, nr)` long).
+/// Number of floats a strided `rows × cols` source with row stride `ld`
+/// spans: every row but the last contributes `ld`.
+fn strided_span(rows: usize, cols: usize, ld: usize) -> usize {
+    if rows == 0 {
+        0
+    } else {
+        (rows - 1) * ld + cols
+    }
+}
+
+/// [`pack_b`] at an arbitrary panel width `nr` over a source whose rows
+/// lie `ld ≥ n` floats apart — `B` may be a column block of a wider
+/// row-major buffer, such as one head's `V` inside the `[seq, heads·P]`
+/// projection. `dst` must be [`packed_len_nr`]`(k, n, nr)` long; `b` must
+/// span at least `(k−1)·ld + n` floats.
 ///
 /// # Panics
 ///
-/// Panics if `b` or `dst` have the wrong length.
-pub fn pack_b_nr(b: &[f32], k: usize, n: usize, nr: usize, dst: &mut [f32]) {
-    assert_eq!(b.len(), k * n, "pack_b: source size");
+/// Panics if `ld < n` or `b` or `dst` have the wrong length.
+pub fn pack_b_nr(b: &[f32], ld: usize, k: usize, n: usize, nr: usize, dst: &mut [f32]) {
+    assert!(ld >= n, "pack_b: row stride {ld} < width {n}");
+    assert!(b.len() >= strided_span(k, n, ld), "pack_b: source size");
     assert_eq!(
         dst.len(),
         packed_len_nr(k, n, nr),
@@ -134,7 +149,7 @@ pub fn pack_b_nr(b: &[f32], k: usize, n: usize, nr: usize, dst: &mut [f32]) {
         let w = (n - j0).min(nr);
         let panel = &mut dst[p * k * nr..(p + 1) * k * nr];
         for kk in 0..k {
-            let src = &b[kk * n + j0..kk * n + j0 + w];
+            let src = &b[kk * ld + j0..kk * ld + j0 + w];
             let row = &mut panel[kk * nr..kk * nr + nr];
             row[..w].copy_from_slice(src);
             row[w..].fill(0.0);
@@ -150,17 +165,21 @@ pub fn pack_b_nr(b: &[f32], k: usize, n: usize, nr: usize, dst: &mut [f32]) {
 ///
 /// Panics if `bt` or `dst` have the wrong length.
 pub fn pack_b_t(bt: &[f32], n: usize, k: usize, dst: &mut [f32]) {
-    pack_b_t_nr(bt, n, k, NR, dst);
+    assert_eq!(bt.len(), n * k, "pack_b_t: source size");
+    pack_b_t_nr(bt, k, n, k, NR, dst);
 }
 
-/// [`pack_b_t`] at an arbitrary panel width `nr` (`dst` must be
-/// [`packed_len_nr`]`(k, n, nr)` long).
+/// [`pack_b_t`] at an arbitrary panel width `nr` over a source whose rows
+/// lie `ld ≥ k` floats apart (one head's keys inside the `[seq, heads·P]`
+/// projection, read in place). `dst` must be [`packed_len_nr`]`(k, n, nr)`
+/// long; `bt` must span at least `(n−1)·ld + k` floats.
 ///
 /// # Panics
 ///
-/// Panics if `bt` or `dst` have the wrong length.
-pub fn pack_b_t_nr(bt: &[f32], n: usize, k: usize, nr: usize, dst: &mut [f32]) {
-    assert_eq!(bt.len(), n * k, "pack_b_t: source size");
+/// Panics if `ld < k` or `bt` or `dst` have the wrong length.
+pub fn pack_b_t_nr(bt: &[f32], ld: usize, n: usize, k: usize, nr: usize, dst: &mut [f32]) {
+    assert!(ld >= k, "pack_b_t: row stride {ld} < depth {k}");
+    assert!(bt.len() >= strided_span(n, k, ld), "pack_b_t: source size");
     assert_eq!(
         dst.len(),
         packed_len_nr(k, n, nr),
@@ -175,7 +194,7 @@ pub fn pack_b_t_nr(bt: &[f32], n: usize, k: usize, nr: usize, dst: &mut [f32]) {
         // `bt`; each source row scatters down one panel column.
         panel.fill(0.0);
         for j in 0..w {
-            let src = &bt[(j0 + j) * k..(j0 + j + 1) * k];
+            let src = &bt[(j0 + j) * ld..(j0 + j) * ld + k];
             for (kk, &v) in src.iter().enumerate() {
                 panel[kk * nr + j] = v;
             }
@@ -211,16 +230,18 @@ impl PackedB {
     /// tile spec calls for, and remembers the plan so later GEMMs run the
     /// matching kernel.
     pub fn from_b_with(plan: GemmPlan, b: &[f32], k: usize, n: usize) -> Self {
+        assert_eq!(b.len(), k * n, "pack_b: source size");
         let mut buf = vec![0.0f32; plan.packed_len(k, n)];
-        pack_b_nr(b, k, n, plan.spec.nr, &mut buf);
+        pack_b_nr(b, n, k, n, plan.spec.nr, &mut buf);
         PackedB { buf, k, n, plan }
     }
 
     /// Packs a row-major `Bᵀ`-layout matrix `bt[n, k]` at the panel width
     /// the given plan's tile spec calls for.
     pub fn from_b_t_with(plan: GemmPlan, bt: &[f32], n: usize, k: usize) -> Self {
+        assert_eq!(bt.len(), n * k, "pack_b_t: source size");
         let mut buf = vec![0.0f32; plan.packed_len(k, n)];
-        pack_b_t_nr(bt, n, k, plan.spec.nr, &mut buf);
+        pack_b_t_nr(bt, k, n, k, plan.spec.nr, &mut buf);
         PackedB { buf, k, n, plan }
     }
 
@@ -725,7 +746,7 @@ mod tests {
                 (1, 1, 1),
             ] {
                 let mut gp = vec![0.0f32; packed_len_nr(k, n, nr)];
-                pack_b_nr(&b, k, n, nr, &mut gp);
+                pack_b_nr(&b, n, k, n, nr, &mut gp);
                 let mut out = vec![f32::NAN; m * n];
                 gemm_packed_generic(
                     &a,
@@ -759,9 +780,53 @@ mod tests {
         }
         let mut p1 = vec![0.0f32; packed_len_nr(k, n, nr)];
         let mut p2 = vec![0.0f32; packed_len_nr(k, n, nr)];
-        pack_b_nr(&b, k, n, nr, &mut p1);
-        pack_b_t_nr(&bt, n, k, nr, &mut p2);
+        pack_b_nr(&b, n, k, n, nr, &mut p1);
+        pack_b_t_nr(&bt, k, n, k, nr, &mut p2);
         assert_eq!(p1, p2);
+    }
+
+    /// Packing a column block straight out of a wider row-major buffer
+    /// (row stride `ld`) is the same image as gathering the block into a
+    /// dense matrix first — at panel widths that leave ragged tails and at
+    /// the block offsets attention's heads sit at.
+    #[test]
+    fn strided_packs_match_gather_then_pack() {
+        let (rows, ld) = (31, 256);
+        let wide = filled(rows * ld, 41);
+        for &(col, width, nr) in &[
+            (0, 32, NR),
+            (224, 32, NR),
+            (5, 17, NR),
+            (40, 23, 8),
+            (0, 1, 3),
+        ] {
+            // The `rows × width` block at column `col`, gathered densely.
+            let dense: Vec<f32> = (0..rows)
+                .flat_map(|r| wide[r * ld + col..r * ld + col + width].to_vec())
+                .collect();
+            let src = &wide[col..];
+
+            // As `B[k = rows, n = width]` (attention's V).
+            let mut want = vec![f32::NAN; packed_len_nr(rows, width, nr)];
+            let mut got = vec![f32::NAN; packed_len_nr(rows, width, nr)];
+            pack_b_nr(&dense, width, rows, width, nr, &mut want);
+            pack_b_nr(src, ld, rows, width, nr, &mut got);
+            assert_eq!(got, want, "pack_b_nr col {col} width {width} nr {nr}");
+
+            // As `Bᵀ[n = rows, k = width]` (attention's keys).
+            let mut want = vec![f32::NAN; packed_len_nr(width, rows, nr)];
+            let mut got = vec![f32::NAN; packed_len_nr(width, rows, nr)];
+            pack_b_t_nr(&dense, width, rows, width, nr, &mut want);
+            pack_b_t_nr(src, ld, rows, width, nr, &mut got);
+            assert_eq!(got, want, "pack_b_t_nr col {col} width {width} nr {nr}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row stride")]
+    fn stride_narrower_than_the_row_panics() {
+        let mut dst = vec![0.0f32; packed_len(4, 8)];
+        pack_b_nr(&[0.0; 32], 4, 4, 8, NR, &mut dst);
     }
 
     #[test]

@@ -522,7 +522,7 @@ fn measure(candidate: &Candidate, shape: &GemmShape) -> f64 {
             let a = filled_f32(m * k, 11);
             let b = filled_f32(k * n, 13);
             let mut packed = vec![0.0f32; plan.packed_len(k, n)];
-            pack::pack_b_nr(&b, k, n, plan.spec.nr, &mut packed);
+            pack::pack_b_nr(&b, n, k, n, plan.spec.nr, &mut packed);
             let mut out = vec![0.0f32; m * n];
             let mut run = || gemm_with_plan(plan, &a, m, k, &packed, n, &mut out, Epilogue::None);
             run();

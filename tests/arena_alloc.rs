@@ -200,6 +200,30 @@ fn steady_state_batched_forward_makes_zero_heap_allocations() {
     assert_eq!(steady, 0, "batched steady-state forward hit the heap");
 }
 
+/// bio2 runs one full-row block and then the class-row block: the two
+/// bodies' different scratch shapes must share one warmed pool.
+#[test]
+fn steady_state_bio2_forward_makes_zero_heap_allocations() {
+    let _serial = serial_kernels();
+    let model = Bioformer::new(&BioformerConfig::bio2());
+    for batch in [1, 8] {
+        let x = window(batch, 17);
+        let mut arena = TensorArena::new();
+        for _ in 0..2 {
+            let y = model.forward_infer_in(&x, &mut arena);
+            arena.recycle(y);
+        }
+        let steady = count_allocations(|| {
+            let y = model.forward_infer_in(&x, &mut arena);
+            arena.recycle(y);
+        });
+        assert_eq!(
+            steady, 0,
+            "bio2 batch {batch} steady-state forward hit the heap"
+        );
+    }
+}
+
 #[test]
 fn steady_state_quant_forward_makes_zero_heap_allocations() {
     let _serial = serial_kernels();

@@ -1,0 +1,288 @@
+//! Pins for the fp32 forward that computes only what the head reads.
+//!
+//! `Bioformer`'s inference forward runs its last encoder block for the
+//! class row alone and lets the patch GEMM write token rows directly. Its
+//! logits must be bit-identical to the full-row network assembled from the
+//! public layer APIs — every block over every token, then the class row,
+//! `ln_final` and the head — because every kept element is the same
+//! ascending-`k` chain under the same plans. Three checks:
+//!
+//! * model ≡ full-row reference with `allclose(.., 0.0)`, for bio1, bio2
+//!   (one full block, then one class-row block), a tiny config and filter
+//!   30, at batch 1, 3 and 32, on the default backend and on a backend
+//!   pinning each fixed fp32 tile (so the CI `portable-fallback` job covers
+//!   the same ground with no extra step);
+//! * golden checksums of bio1/bio2 logits and of the standalone attention
+//!   and block forwards, captured at the commit before this forward
+//!   existed, one per tile flavour, so a silent numeric change in a shared
+//!   kernel (or in the strided head packing) fails;
+//! * the class-row block equals the last row of the full block.
+
+use bioformers::core::{Bioformer, BioformerConfig};
+use bioformers::nn::{InferForward, MultiHeadSelfAttention, TransformerBlock};
+use bioformers::tensor::backend::{
+    default_backend, ComputeBackend, Fp32Kernel, GemmPlan, Int8Kernel, TileSpec,
+};
+use bioformers::tensor::{Tensor, TensorArena};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::sync::Arc;
+
+/// A backend whose every fp32 plan runs one fixed tile.
+#[derive(Debug)]
+struct Pinned(Fp32Kernel);
+
+impl ComputeBackend for Pinned {
+    fn name(&self) -> &'static str {
+        "pinned"
+    }
+
+    fn plan_fp32(&self, _m: usize, _k: usize, _n: usize) -> GemmPlan {
+        GemmPlan::new(TileSpec::DEFAULT, self.0)
+    }
+
+    fn plan_int8(&self, _m: usize, _k: usize, _n: usize) -> Int8Kernel {
+        Int8Kernel::Dispatch
+    }
+}
+
+/// The backends under test, with whether their tile fuses its
+/// multiply-adds on this host (pinned tiles clamp to what the CPU has).
+fn backends() -> Vec<(&'static str, Arc<dyn ComputeBackend>, bool)> {
+    use bioformers::simd::fp32::{avx512_supported, fma_supported};
+    let dispatched = bioformers::simd::kernels().name;
+    vec![
+        (
+            "default",
+            default_backend(),
+            dispatched.contains("fma") || dispatched.contains("avx512f"),
+        ),
+        ("portable", Arc::new(Pinned(Fp32Kernel::Portable)), false),
+        ("fma", Arc::new(Pinned(Fp32Kernel::Fma)), fma_supported()),
+        (
+            "avx512",
+            Arc::new(Pinned(Fp32Kernel::Avx512)),
+            avx512_supported() || fma_supported(),
+        ),
+    ]
+}
+
+fn tiny_cfg() -> BioformerConfig {
+    BioformerConfig {
+        channels: 3,
+        window: 20,
+        classes: 4,
+        embed: 8,
+        filter: 5,
+        heads: 2,
+        depth: 1,
+        head_dim: 4,
+        hidden: 16,
+        dropout: 0.0,
+        seed: 7,
+    }
+}
+
+/// Deterministic pseudo-random values in ±1.
+fn noise(dims: &[usize], seed: u64) -> Tensor {
+    let mut state = seed | 1;
+    Tensor::from_fn(dims, |_| {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        ((state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 40) as f32 / (1u64 << 23) as f32) - 1.0
+    })
+}
+
+/// FNV-1a over the values' bit patterns.
+fn checksum(v: &[f32]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for x in v {
+        for b in x.to_bits().to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The network as written in the paper's Fig. 1, from public layer APIs:
+/// conv → transpose → class token → every block over every token → class
+/// row → LayerNorm → head.
+fn full_row_reference(model: &Bioformer, x: &Tensor) -> Tensor {
+    let mut arena = TensorArena::new();
+    let conv = model.patch().forward_infer(x);
+    let (b, e, n) = (conv.dims()[0], conv.dims()[1], conv.dims()[2]);
+    let s = n + 1;
+    let mut tokens = Tensor::from_fn(&[b, s, e], |i| {
+        let (bi, t, ei) = (i / (s * e), (i / e) % s, i % e);
+        if t == n {
+            model.class_token().value.data()[ei]
+        } else {
+            conv.data()[(bi * e + ei) * n + t]
+        }
+    });
+    for blk in model.blocks() {
+        tokens = blk.forward_infer_in(&tokens, &mut arena);
+    }
+    let cls = Tensor::from_fn(&[b, e], |i| tokens.data()[((i / e) * s + n) * e + i % e]);
+    model
+        .head()
+        .forward_infer(&model.ln_final().forward_infer(&cls))
+}
+
+#[test]
+fn class_row_forward_equals_the_full_row_network_bit_for_bit() {
+    let configs = [
+        ("bio1", BioformerConfig::bio1()),
+        ("bio2", BioformerConfig::bio2()),
+        ("tiny", tiny_cfg()),
+        ("filter30", BioformerConfig::bio1().with_filter(30)),
+    ];
+    for (backend_name, backend, _) in backends() {
+        for (name, cfg) in &configs {
+            let mut model = Bioformer::new(cfg);
+            model.set_backend(backend.clone());
+            for batch in [1, 3, 32] {
+                let x = noise(&[batch, cfg.channels, cfg.window], 40 + batch as u64);
+                let want = full_row_reference(&model, &x);
+                let got = model.forward_infer_in(&x, &mut TensorArena::new());
+                assert_eq!(got.dims(), &[batch, cfg.classes]);
+                assert!(
+                    got.allclose(&want, 0.0),
+                    "{name} batch {batch} on {backend_name}: class-row forward diverges"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn last_token_block_equals_the_last_row_of_the_full_block() {
+    for (backend_name, backend, _) in backends() {
+        for (embed, heads, p, seq) in [(64, 8, 32, 31), (24, 3, 12, 13), (8, 2, 4, 1)] {
+            let mut rng = StdRng::seed_from_u64(5);
+            let mut blk = TransformerBlock::new("blk", embed, heads, p, 2 * embed, 0.0, &mut rng);
+            blk.set_backend(backend.clone());
+            let x = noise(&[3, seq, embed], 6);
+            let mut arena = TensorArena::new();
+            let full = blk.forward_infer_in(&x, &mut arena);
+            let last = blk.forward_last_token_in(&x, &mut arena);
+            assert_eq!(last.dims(), &[3, embed]);
+            for b in 0..3 {
+                assert_eq!(
+                    last.data()[b * embed..(b + 1) * embed],
+                    full.data()[((b + 1) * seq - 1) * embed..(b + 1) * seq * embed],
+                    "{embed}x{heads}x{p} seq {seq} sample {b} on {backend_name}"
+                );
+            }
+        }
+    }
+}
+
+/// A checksum captured before the class-row forward and the strided head
+/// packing, in both flavours of fp32 arithmetic: the portable tile, and
+/// the fused multiply-add tiles (FMA and AVX-512 agree bit for bit — the
+/// same `fma` chain per element).
+struct Golden {
+    fused: u64,
+    portable: u64,
+}
+
+impl Golden {
+    fn pick(&self, fused: bool) -> u64 {
+        if fused {
+            self.fused
+        } else {
+            self.portable
+        }
+    }
+}
+
+#[test]
+fn bio1_and_bio2_logits_match_the_golden_checksums() {
+    let cases = [
+        (
+            "bio1",
+            BioformerConfig::bio1(),
+            Golden {
+                fused: 0xf837_6052_6810_51aa,
+                portable: 0x3a18_ef6a_658c_9e2d,
+            },
+        ),
+        (
+            "bio2",
+            BioformerConfig::bio2(),
+            Golden {
+                fused: 0xf0fc_4f0d_8278_54a0,
+                portable: 0xebc2_effc_36ee_2e1f,
+            },
+        ),
+    ];
+    for (backend_name, backend, fused) in backends() {
+        for (name, cfg, golden) in &cases {
+            let mut model = Bioformer::new(cfg);
+            model.set_backend(backend.clone());
+            let logits = model.forward_infer(&noise(&[5, cfg.channels, cfg.window], 77));
+            assert_eq!(
+                checksum(logits.data()),
+                golden.pick(fused),
+                "{name} on {backend_name}: fp32 logits moved"
+            );
+        }
+    }
+}
+
+/// The full-row attention and block forwards (what bio2's first block and
+/// the per-layer probes run) are unchanged by packing each head's keys and
+/// values straight out of the strided projections — at bio1's shape and at
+/// one whose head width and sequence are not multiples of the panel.
+#[test]
+fn full_row_attention_and_block_match_the_golden_checksums() {
+    let cases = [
+        (
+            (64, 8, 32, 31, 3),
+            Golden {
+                fused: 0xbac5_9ded_ee8b_aee4,
+                portable: 0xf76e_eca0_3717_fd4f,
+            },
+            Golden {
+                fused: 0x9250_7e5a_e2c7_c5e5,
+                portable: 0x34bf_b0e3_edc4_8bfb,
+            },
+        ),
+        (
+            (24, 3, 12, 13, 2),
+            Golden {
+                fused: 0xed8a_9eff_f518_ae7d,
+                portable: 0x772e_ddf2_1d60_c264,
+            },
+            Golden {
+                fused: 0x5217_44a1_6850_0c71,
+                portable: 0xab16_f9f4_930e_9d87,
+            },
+        ),
+    ];
+    for (backend_name, backend, fused) in backends() {
+        for ((embed, heads, p, seq, batch), attn_golden, block_golden) in &cases {
+            let (embed, heads, p) = (*embed, *heads, *p);
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut attn = MultiHeadSelfAttention::new("attn", embed, heads, p, &mut rng);
+            attn.set_backend(backend.clone());
+            let x = noise(&[*batch, *seq, embed], 9);
+            let y = attn.forward_infer_in(&x, &mut TensorArena::new());
+            assert_eq!(
+                checksum(y.data()),
+                attn_golden.pick(fused),
+                "attention {embed}x{heads}x{p} on {backend_name}"
+            );
+            let mut blk = TransformerBlock::new("blk", embed, heads, p, 2 * embed, 0.0, &mut rng);
+            blk.set_backend(backend.clone());
+            let y = blk.forward_infer_in(&x, &mut TensorArena::new());
+            assert_eq!(
+                checksum(y.data()),
+                block_golden.pick(fused),
+                "block {embed}x{heads}x{p} on {backend_name}"
+            );
+        }
+    }
+}
