@@ -45,12 +45,14 @@ use crate::layers::{QConv1d, QLinear};
 use crate::observer::MinMaxObserver;
 use crate::qtensor::QParams;
 use crate::requant::FixedMultiplier;
+use bioformer_core::descriptor::bioformer_descriptor;
 use bioformer_core::BioformerConfig;
 use bioformer_nn::serialize::StateDict;
 use bioformer_simd::{Kernels, QMat, QOut, Requant};
 use bioformer_tensor::backend::{default_backend, ComputeBackend, Int8Kernel};
 use bioformer_tensor::conv::{conv1d_forward, Conv1dSpec};
 use bioformer_tensor::ops::{layernorm_forward, softmax_rows};
+use bioformer_tensor::parallel::parallel_rows;
 use bioformer_tensor::tune::GemmShape;
 use bioformer_tensor::{Tensor, TensorArena};
 use std::collections::BTreeMap;
@@ -278,12 +280,17 @@ pub struct QuantBioformer {
     head: QLinear,
     /// Where every intermediate of one window lives in the arena's slab.
     layout: SlabLayout,
-    /// Pool of scratch arenas backing the arena-less public forward APIs:
-    /// each call pops a warmed arena (or lazily creates one) and pushes it
-    /// back, so steady-state forwards through `forward_window` /
-    /// `forward_batch` / the serving path stay allocation-free without any
-    /// API change. A `Mutex` rather than a thread-local so arenas warmed
-    /// by one worker thread are reusable by the next.
+    /// Work of one window in FLOPs (2 per MAC of the network descriptor):
+    /// the unit [`bioformer_tensor::parallel::plan_threads`] sizes a
+    /// batch's fan-out in.
+    window_work: usize,
+    /// Pool of scratch arenas behind every forward that does not take a
+    /// [`QuantArena`] itself: each batch shard pops a warmed arena (or
+    /// lazily creates one) and pushes it back, so steady-state forwards
+    /// through `forward_window` / `forward_batch` / `forward_infer_in` and
+    /// the serving path stay allocation-free. A `Mutex` rather than a
+    /// thread-local so arenas warmed by one worker thread are reusable by
+    /// the next.
     scratch: Mutex<Vec<QuantArena>>,
     /// Compute backend whose int8 plans pick the kernel of the per-head
     /// attention products (the packed weight GEMMs have nothing to plan).
@@ -308,6 +315,7 @@ impl Clone for QuantBioformer {
             lnf: self.lnf.clone(),
             head: self.head.clone(),
             layout: self.layout,
+            window_work: self.window_work,
             scratch: Mutex::new(Vec::new()),
             backend: self.backend.clone(),
             scores_whole: self.scores_whole,
@@ -465,6 +473,7 @@ impl QuantBioformer {
             lnf,
             head,
             layout,
+            window_work: 2 * bioformer_descriptor(cfg).macs() as usize,
             scratch: Mutex::new(Vec::new()),
             backend,
             scores_whole,
@@ -694,59 +703,41 @@ impl QuantBioformer {
         out
     }
 
-    /// Runs windows `start..end` of `x` (`[n, channels, window]`) through
-    /// the integer pipeline, returning their fp32 logits concatenated —
-    /// the shared per-range loop behind both branches of
-    /// [`QuantBioformer::forward_batch`]. One pooled arena serves the
-    /// whole range.
-    fn forward_range(&self, x: &Tensor, start: usize, end: usize) -> Vec<f32> {
-        let sample = self.cfg.channels * self.cfg.window;
-        let classes = self.cfg.classes;
-        let mut arena = self.take_arena();
-        let mut buf = vec![0.0f32; (end - start) * classes];
-        for i in start..end {
-            self.forward_logits_into(
-                &x.data()[i * sample..(i + 1) * sample],
-                &mut arena,
-                &mut buf[(i - start) * classes..(i - start + 1) * classes],
-            );
-        }
-        self.put_arena(arena);
-        buf
+    /// The one batch body: every window of `x` (`[n, channels, window]`)
+    /// through the integer pipeline, its logits written to row `i` of `out`
+    /// (`[n · classes]`). The batch fans out by the shared rule of
+    /// [`bioformer_tensor::parallel::plan_threads`] — `n` windows are
+    /// `n · 2 · MACs` of work, so bio1 batches of 11 windows or more spread
+    /// over the thread cap and smaller ones (a live stream's) run inline.
+    /// Each shard serves its rows from one pooled arena. Windows are
+    /// independent integer pipelines, so the logits never depend on the
+    /// sharding.
+    fn forward_batch_into(&self, x: &Tensor, out: &mut [f32]) {
+        let cfg = &self.cfg;
+        let n = x.dims()[0];
+        assert_eq!(
+            x.dims(),
+            &[n, cfg.channels, cfg.window],
+            "batch shape [n, channels, window]"
+        );
+        let sample = cfg.channels * cfg.window;
+        parallel_rows(out, cfg.classes, n * self.window_work, |first, rows| {
+            let mut arena = self.take_arena();
+            let windows = x.data()[first * sample..].chunks_exact(sample);
+            for (w, o) in windows.zip(rows.chunks_exact_mut(cfg.classes)) {
+                self.forward_logits_into(w, &mut arena, o);
+            }
+            self.put_arena(arena);
+        });
     }
 
     /// Integer inference over a batch `[n, channels, window]`; returns fp32
-    /// logits `[n, classes]`. Windows are processed on parallel threads.
+    /// logits `[n, classes]`. Large batches fan out over threads (see
+    /// [`bioformer_tensor::parallel::plan_threads`]); live-stream-sized
+    /// ones run on the caller's thread.
     pub fn forward_batch(&self, x: &Tensor) -> Tensor {
-        let n = x.dims()[0];
-        let classes = self.cfg.classes;
-        let mut out = Tensor::zeros(&[n, classes]);
-        let threads = bioformer_tensor::parallel::hardware_threads().min(n.max(1));
-        // Single-shard fast path: spawning even one scoped thread costs
-        // tens of microseconds — a measurable tax on batch-1 latency.
-        if threads <= 1 || n <= 1 {
-            out.data_mut().copy_from_slice(&self.forward_range(x, 0, n));
-            return out;
-        }
-        let chunk = n.div_ceil(threads.max(1));
-        let results: Vec<(usize, Vec<f32>)> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            let mut start = 0usize;
-            while start < n {
-                let end = (start + chunk).min(n);
-                let this = &*self;
-                handles.push(scope.spawn(move || (start, this.forward_range(x, start, end))));
-                start = end;
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("quant eval shard"))
-                .collect()
-        });
-        for (start, buf) in results {
-            let rows = buf.len() / classes;
-            out.data_mut()[start * classes..(start + rows) * classes].copy_from_slice(&buf);
-        }
+        let mut out = Tensor::zeros(&[x.dims()[0], self.cfg.classes]);
+        self.forward_batch_into(x, out.data_mut());
         out
     }
 
@@ -758,33 +749,20 @@ impl QuantBioformer {
 }
 
 impl bioformer_nn::InferForward for QuantBioformer {
-    /// Integer-only inference is already stateless per call (`&self`), so
-    /// the shared-state serving path simply delegates to
+    /// Integer-only inference is already stateless per call (`&self`):
     /// [`QuantBioformer::forward_batch`].
     fn forward_infer(&self, x: &Tensor) -> Tensor {
         self.forward_batch(x)
     }
 
     /// Arena-threaded eval forward: the `[n, classes]` logit tensor comes
-    /// from the caller's f32 `arena`, and all integer scratch comes from
-    /// the internal [`QuantArena`] pool — a warmed call performs zero
-    /// heap allocations. Logits are bit-identical to
-    /// [`QuantBioformer::forward_batch`] (serial accumulation order either
-    /// way).
+    /// from the caller's f32 `arena`, all integer scratch from the internal
+    /// [`QuantArena`] pool, and the windows run through the same batch body
+    /// as [`QuantBioformer::forward_batch`] (same fan-out, same logits). A
+    /// warmed call that stays on one shard performs zero heap allocations.
     fn forward_infer_in(&self, x: &Tensor, arena: &mut TensorArena) -> Tensor {
-        let n = x.dims()[0];
-        let sample = self.cfg.channels * self.cfg.window;
-        let classes = self.cfg.classes;
-        let mut out = arena.tensor(&[n, classes]);
-        let mut qarena = self.take_arena();
-        for i in 0..n {
-            self.forward_logits_into(
-                &x.data()[i * sample..(i + 1) * sample],
-                &mut qarena,
-                &mut out.data_mut()[i * classes..(i + 1) * classes],
-            );
-        }
-        self.put_arena(qarena);
+        let mut out = arena.tensor(&[x.dims()[0], self.cfg.classes]);
+        self.forward_batch_into(x, out.data_mut());
         out
     }
 }

@@ -26,10 +26,11 @@
 //! `inference` benchmark's speedup claim.
 //!
 //! All kernels split output rows across scoped threads when the problem is
-//! large enough (see [`plan_threads`]); the per-element accumulation order
-//! never depends on the thread count.
+//! large enough (see [`crate::parallel::plan_threads`]); the per-element
+//! accumulation order never depends on the thread count.
 
 use crate::pack::{self, Epilogue};
+use crate::parallel::parallel_rows;
 use crate::tensor::Tensor;
 
 /// `C = A · B` for 2-D tensors `A[m,k]`, `B[k,n]`, via the packed kernel.
@@ -103,7 +104,7 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
         return Tensor::from_vec(out, &[m, n]);
     }
     let (ad, bd) = (a.data(), b.data());
-    parallel_over_rows(&mut out, m, n, gemm_work(m, n, k), |row0, rows| {
+    parallel_rows(&mut out, n, gemm_work(m, n, k), |row0, rows| {
         for (local_i, out_row) in rows.chunks_mut(n).enumerate() {
             let i = row0 + local_i;
             let a_row = &ad[i * k..(i + 1) * k];
@@ -139,7 +140,7 @@ pub fn matmul_nt_naive(a: &Tensor, b: &Tensor) -> Tensor {
         return Tensor::from_vec(out, &[m, n]);
     }
     let (ad, bd) = (a.data(), b.data());
-    parallel_over_rows(&mut out, m, n, gemm_work(m, n, k), |row0, rows| {
+    parallel_rows(&mut out, n, gemm_work(m, n, k), |row0, rows| {
         for (local_i, out_row) in rows.chunks_mut(n).enumerate() {
             let i = row0 + local_i;
             let a_row = &ad[i * k..(i + 1) * k];
@@ -179,7 +180,7 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
         return Tensor::from_vec(out, &[k, n]);
     }
     let (ad, bd) = (a.data(), b.data());
-    parallel_over_rows(&mut out, k, n, gemm_work(m, n, k), |row0, rows| {
+    parallel_rows(&mut out, n, gemm_work(m, n, k), |row0, rows| {
         for (local_kk, out_row) in rows.chunks_mut(n).enumerate() {
             let kk = row0 + local_kk;
             for mm in 0..m {
@@ -222,9 +223,9 @@ pub fn dot_unrolled(a: &[f32], b: &[f32]) -> f32 {
 ///
 /// Each row is an unrolled four-accumulator dot product ([`dot_unrolled`] —
 /// the same primitive the GEMM kernels build on), and rows are split across
-/// threads by the shared [`plan_threads`] planner. The previous
-/// implementation was serial with a single sequential FP dependence chain
-/// per row.
+/// threads by the shared [`crate::parallel::plan_threads`] planner. The
+/// previous implementation was serial with a single sequential FP
+/// dependence chain per row.
 ///
 /// # Panics
 ///
@@ -236,7 +237,7 @@ pub fn matvec(a: &Tensor, v: &Tensor) -> Tensor {
     assert_eq!(k, v.dims()[0], "matvec: dimension mismatch");
     let mut out = vec![0.0f32; m];
     let (ad, vd) = (a.data(), v.data());
-    parallel_over_rows(&mut out, m, 1, gemm_work(m, 1, k), |row0, rows| {
+    parallel_rows(&mut out, 1, gemm_work(m, 1, k), |row0, rows| {
         for (local_i, o) in rows.iter_mut().enumerate() {
             let i = row0 + local_i;
             *o = dot_unrolled(&ad[i * k..(i + 1) * k], vd);
@@ -249,77 +250,12 @@ pub fn matvec(a: &Tensor, v: &Tensor) -> Tensor {
 /// multiply–accumulate pairs counts as 2 floating-point operations).
 ///
 /// Every kernel in this module and in [`crate::pack`] passes exactly this
-/// value to [`plan_threads`], so the planner's thresholds are calibrated
-/// against one unit. (Before this helper existed, call sites hand-rolled
+/// value to [`crate::parallel::plan_threads`], so the planner's thresholds
+/// are calibrated against one unit. (Before this helper existed, call sites hand-rolled
 /// `2 * m * n * k`, which invited double-counting bugs when a new kernel
 /// guessed differently.)
 pub const fn gemm_work(m: usize, n: usize, k: usize) -> usize {
     2 * m * n * k
-}
-
-/// Number of worker threads worth using for a kernel of the given `work`
-/// estimate, measured in **FLOPs** (see [`gemm_work`]).
-///
-/// * below [`crate::parallel::PARALLEL_WORK_THRESHOLD`] (2²⁶ FLOPs) — or on
-///   a single-core machine — the answer is 1 (run on the caller's thread);
-/// * above it, one thread per 2²⁴ FLOPs (16 MFLOP, ≈8 M multiply–adds), so
-///   every spawned thread amortises its ~0.25 ms start-up cost, clamped to
-///   `[2, max_threads]`.
-///
-/// Note the asymmetry: crossing the threshold jumps straight to
-/// `2²⁶ ⁻ ²⁴ = 4` threads (not 2) because the threshold is deliberately set
-/// where fan-out is already clearly profitable.
-pub fn plan_threads(work: usize) -> usize {
-    let max = crate::parallel::max_threads();
-    if max <= 1 || work < crate::parallel::PARALLEL_WORK_THRESHOLD {
-        1
-    } else {
-        (work >> 24).clamp(2, max)
-    }
-}
-
-/// Splits a flat `rows*cols` buffer into one `(row_index, row_slice)` chunk
-/// per worker; helper for the threaded kernels.
-fn split_rows(
-    buf: &mut [f32],
-    rows: usize,
-    cols: usize,
-    threads: usize,
-) -> Vec<(usize, &mut [f32])> {
-    let per = rows.div_ceil(threads.min(rows.max(1)).max(1));
-    let mut out = Vec::new();
-    let mut rest = buf;
-    let mut row = 0usize;
-    while row < rows {
-        let take = per.min(rows - row);
-        let (head, tail) = rest.split_at_mut(take * cols);
-        out.push((row, head));
-        rest = tail;
-        row += take;
-    }
-    out
-}
-
-/// Runs `body(first_row, rows_slice)` over row groups of `out`, in parallel
-/// when the estimated `work` (FLOPs, see [`gemm_work`]) is large enough.
-/// Shared by the naive kernels here and the packed kernels in
-/// [`crate::pack`], so every GEMM obeys the same [`plan_threads`] policy.
-pub(crate) fn parallel_over_rows<F>(out: &mut [f32], rows: usize, cols: usize, work: usize, body: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    let threads = plan_threads(work);
-    if threads <= 1 {
-        body(0, out);
-        return;
-    }
-    let chunks = split_rows(out, rows, cols, threads);
-    std::thread::scope(|scope| {
-        let body = &body;
-        for (row0, slice) in chunks {
-            scope.spawn(move || body(row0, slice));
-        }
-    });
 }
 
 // Re-export a convenience method surface on Tensor.
@@ -355,6 +291,7 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::plan_threads;
 
     /// Regression: a GEMM large enough to cross the parallel threshold must
     /// not panic when only one worker thread is available (single-core

@@ -343,7 +343,7 @@ fn panel_of(packed: &[f32], k: usize, p: usize) -> &[f32] {
 /// `k×n` right-hand side, and `out` is row-major `[m, n]`.
 ///
 /// Output rows are split across threads via the shared
-/// [`crate::matmul::plan_threads`] planner when the problem is large
+/// [`crate::parallel::plan_threads`] planner when the problem is large
 /// enough; the per-element accumulation order (ascending `k`) is identical
 /// either way, so results do not depend on the thread count.
 ///
@@ -407,7 +407,7 @@ pub fn gemm_packed_with(
         return;
     }
     let work = crate::matmul::gemm_work(m, n, k);
-    crate::matmul::parallel_over_rows(out, m, n, work, |row0, rows_out| {
+    crate::parallel::parallel_rows(out, n, work, |row0, rows_out| {
         let rows = rows_out.len() / n;
         let a_rows = &a[row0 * k..(row0 + rows) * k];
         gemm_rows(tile, a_rows, rows, k, packed, n, rows_out, &epi);
@@ -473,7 +473,7 @@ pub fn gemm_packed_generic(
     }
     let kc = if kc == 0 { k } else { kc };
     let work = crate::matmul::gemm_work(m, n, k);
-    crate::matmul::parallel_over_rows(out, m, n, work, |row0, rows_out| {
+    crate::parallel::parallel_rows(out, n, work, |row0, rows_out| {
         let rows = rows_out.len() / n;
         let a_rows = &a[row0 * k..(row0 + rows) * k];
         generic_rows(a_rows, rows, k, packed, n, rows_out, &epi, mr, nr, kc);

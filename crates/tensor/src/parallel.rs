@@ -1,27 +1,37 @@
-//! A tiny scoped-thread work splitter.
+//! A tiny scoped-thread work splitter, and the one rule that decides when
+//! to use it.
 //!
 //! The training workloads in this repository are dominated by medium-size
 //! GEMMs ([`crate::matmul`]) and per-sample loops; both parallelise trivially
 //! over an index range. Rather than pulling in a work-stealing runtime, this
 //! module splits a range into contiguous chunks and runs them on scoped
 //! `std::thread`s, which keeps the crate dependency-free and deterministic.
+//!
+//! Every fan-out in the workspace — the GEMM kernels and the int8 model's
+//! batch forward — asks [`plan_threads`] how many shards a job is worth and
+//! runs them through [`parallel_rows`]: the calling thread runs the first
+//! shard, and each shard writes its own rows of the output in place.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Minimum amount of "work units" (caller-defined, roughly FLOPs) below which
-/// [`parallel_chunks`] runs serially to avoid thread-spawn overhead.
+/// Minimum amount of work, in FLOPs (2 per multiply–accumulate), below
+/// which [`plan_threads`] keeps a job on the calling thread.
 ///
-/// Thread spawns cost ~0.25 ms in containerised environments, so fan-out
-/// only pays for GEMMs worth tens of milliseconds of single-thread time.
-/// Most parallelism in this workspace happens one level up (the trainer
-/// shards mini-batches, the evaluator shards datasets); kernel-level
-/// threading is a fallback for large single-call GEMMs.
+/// Spawning and joining one scoped thread costs ~50 µs on a 2-vCPU Xeon
+/// @ 2.1 GHz VM (median of 2 000 spawns, the host otherwise idle), and a
+/// live-stream batch that paid two of them per call read 267 µs of
+/// backend time against ~110 µs of compute. Besides large single-call
+/// GEMMs, the threshold therefore gates the int8 model's batch fan-out: a
+/// bio1 window is 3.3 M MACs, so batches of 11 windows or more fan out
+/// and the 1–2 window batches of a live stream run inline. Most
+/// parallelism in this workspace happens one level up (the trainer shards
+/// mini-batches).
 pub const PARALLEL_WORK_THRESHOLD: usize = 1 << 26;
 
 static MAX_THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Overrides the number of worker threads used by [`parallel_chunks`].
+/// Overrides the number of worker threads [`plan_threads`] may hand out.
 ///
 /// `0` restores the default (the machine's available parallelism, capped at
 /// 16). Intended for benchmarks that need single-threaded baselines and for
@@ -65,7 +75,7 @@ pub fn hardware_threads() -> usize {
     })
 }
 
-/// Returns the number of worker threads [`parallel_chunks`] will use.
+/// The process thread cap: the most shards [`plan_threads`] hands out.
 pub fn max_threads() -> usize {
     let forced = MAX_THREADS_OVERRIDE.load(Ordering::Relaxed);
     if forced > 0 {
@@ -74,12 +84,59 @@ pub fn max_threads() -> usize {
     hardware_threads().min(16)
 }
 
-/// Splits `0..n` into contiguous chunks and invokes `body(start, end)` for
-/// each, potentially on multiple scoped threads.
+/// Number of shards worth running a job of `work` FLOPs on — the one
+/// fan-out rule, shared by the GEMM kernels and the int8 batch forward:
 ///
-/// `work` is an estimate of the total work in arbitrary units; when it is
-/// below [`PARALLEL_WORK_THRESHOLD`] (or only one thread is available) the
-/// call is executed serially on the current thread.
+/// * below [`PARALLEL_WORK_THRESHOLD`] (2²⁶ FLOPs) — or under a thread cap
+///   of 1 — the answer is 1 (run on the caller's thread);
+/// * above it, one shard per 2²⁴ FLOPs (16 MFLOP, ≈8 M multiply–adds),
+///   clamped to `[2, max_threads]`.
+///
+/// Note the asymmetry: crossing the threshold jumps straight to
+/// `2²⁶ ⁻ ²⁴ = 4` shards (not 2) because the threshold is deliberately set
+/// where fan-out is already clearly profitable.
+pub fn plan_threads(work: usize) -> usize {
+    let max = max_threads();
+    if max <= 1 || work < PARALLEL_WORK_THRESHOLD {
+        1
+    } else {
+        (work >> 24).clamp(2, max)
+    }
+}
+
+/// Runs `body(first_row, rows)` over contiguous shards of `out`, viewed as
+/// rows of `row_len` elements, with as many shards as [`plan_threads`]
+/// grants `work` (never more than there are rows). The calling thread runs
+/// the first shard while scoped threads run the rest, and every shard
+/// writes its own rows in place. A job that stays on one shard spawns
+/// nothing and allocates nothing.
+pub fn parallel_rows<T, F>(out: &mut [T], row_len: usize, work: usize, body: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    let rows = out.len().checked_div(row_len).unwrap_or(0);
+    let shards = plan_threads(work).min(rows);
+    if shards <= 1 {
+        body(0, out);
+        return;
+    }
+    let per = rows.div_ceil(shards);
+    let mut chunks = out.chunks_mut(per * row_len);
+    let first = chunks.next().expect("at least two rows");
+    std::thread::scope(|scope| {
+        let body = &body;
+        for (i, chunk) in chunks.enumerate() {
+            scope.spawn(move || body((i + 1) * per, chunk));
+        }
+        body(0, first);
+    });
+}
+
+/// Splits `0..n` into contiguous chunks and invokes `body(start, end)` for
+/// each — the index-range form of [`parallel_rows`], under the same rule:
+/// `work` is in FLOPs, and below [`PARALLEL_WORK_THRESHOLD`] (or under a
+/// thread cap of 1) the call runs on the current thread.
 ///
 /// The closure receives disjoint `[start, end)` ranges covering `0..n`
 /// exactly once, so it may safely write to disjoint output slices (callers
@@ -91,21 +148,9 @@ where
     if n == 0 {
         return;
     }
-    let threads = max_threads();
-    if threads <= 1 || work < PARALLEL_WORK_THRESHOLD || n == 1 {
-        body(0, n);
-        return;
-    }
-    let chunks = threads.min(n);
-    let chunk_size = n.div_ceil(chunks);
-    std::thread::scope(|scope| {
-        let body = &body;
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + chunk_size).min(n);
-            scope.spawn(move || body(start, end));
-            start = end;
-        }
+    // A slice of `()` is `n` rows of zero bytes: no allocation.
+    parallel_rows(&mut vec![(); n], 1, work, |start, rows| {
+        body(start, start + rows.len())
     });
 }
 
@@ -141,6 +186,52 @@ mod tests {
     #[test]
     fn zero_items_is_noop() {
         parallel_chunks(0, usize::MAX, |_, _| panic!("must not be called"));
+    }
+
+    /// Shards split the rows without overlap, write them in place, and the
+    /// first one runs on the calling thread.
+    #[test]
+    fn row_shards_write_in_place_and_the_caller_runs_the_first() {
+        let _guard = override_guard(4);
+        let caller = std::thread::current().id();
+        let shards = Mutex::new(Vec::new());
+        let mut out = vec![0usize; 10 * 3];
+        // At the threshold: 4 shards of ⌈10/4⌉ = 3 rows.
+        parallel_rows(&mut out, 3, PARALLEL_WORK_THRESHOLD, |row0, rows| {
+            let on_caller = std::thread::current().id() == caller;
+            shards
+                .lock()
+                .unwrap()
+                .push((row0, rows.len() / 3, on_caller));
+            for (i, row) in rows.chunks_mut(3).enumerate() {
+                row.fill(row0 + i + 1);
+            }
+        });
+        let mut shards = shards.into_inner().unwrap();
+        shards.sort_unstable();
+        assert_eq!(
+            shards,
+            [(0, 3, true), (3, 3, false), (6, 3, false), (9, 1, false)]
+        );
+        for (r, row) in out.chunks(3).enumerate() {
+            assert_eq!(row, [r + 1; 3]);
+        }
+    }
+
+    /// Below the threshold, or under a cap of 1, the whole job is one call
+    /// on the calling thread.
+    #[test]
+    fn one_shard_below_the_threshold_or_under_a_cap_of_one() {
+        for (cap, work) in [(4, PARALLEL_WORK_THRESHOLD - 1), (1, usize::MAX)] {
+            let _guard = override_guard(cap);
+            let calls = AtomicUsize::new(0);
+            let mut out = vec![0u8; 64];
+            parallel_rows(&mut out, 1, work, |row0, rows| {
+                assert_eq!((row0, rows.len()), (0, 64));
+                calls.fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(calls.into_inner(), 1, "cap {cap}");
+        }
     }
 
     #[test]

@@ -142,8 +142,8 @@ pub trait GestureClassifier: Send + Sync {
     /// them past the next call must copy them out (engines recycle them
     /// after scattering per-request responses).
     ///
-    /// The default ignores the arena and delegates, so backends with their
-    /// own scratch management (e.g. the integer pipeline) stay correct.
+    /// The default ignores the arena and delegates, so backends without an
+    /// arena-threaded forward (e.g. TEMPONet) stay correct.
     fn predict_batch_in(&self, windows: &Tensor, arena: &mut TensorArena) -> Tensor {
         let _ = arena;
         self.predict_batch(windows)
@@ -342,9 +342,17 @@ impl GestureClassifier for WaveFormer {
 }
 
 impl GestureClassifier for QuantBioformer {
-    /// Integer-only inference; already `&self` and batch-parallel.
+    /// Integer-only inference through the model's one batch body: batches
+    /// of a live stream's size run on the caller's thread, large ones fan
+    /// out by the shared rule of [`bioformer_tensor::parallel`].
     fn predict_batch(&self, windows: &Tensor) -> Tensor {
         self.forward_batch(windows)
+    }
+
+    /// The same body with the logits drawn from the engine's `arena`: a
+    /// warmed call that stays on the caller's thread is allocation-free.
+    fn predict_batch_in(&self, windows: &Tensor, arena: &mut TensorArena) -> Tensor {
+        self.forward_infer_in(windows, arena)
     }
 
     fn num_classes(&self) -> usize {

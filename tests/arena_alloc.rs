@@ -11,7 +11,7 @@
 //!
 //! The counter is gated on a thread-local flag so the test harness's other
 //! threads cannot pollute the measurement. What the tests do share is the
-//! process-wide kernel thread cap; [`serial_kernels`] serialises them on it.
+//! process-wide kernel thread cap; [`thread_cap`] serialises them on it.
 
 mod common;
 
@@ -81,14 +81,14 @@ fn count_allocations(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(|c| c.get())
 }
 
-/// Pins the kernels to the caller's thread (thread spawns allocate) for as
-/// long as the guard lives, and keeps every other test of this binary that
-/// wants the same out meanwhile. The cap is process-wide and the tests run
+/// Sets the process-wide kernel thread cap to `cap` (`0`: the default) for
+/// as long as the guard lives, and keeps every other test of this binary
+/// that wants the cap meanwhile. The cap is process-wide and the tests run
 /// on parallel threads: unserialised, one test restoring the default cap
 /// puts a neighbour's measured forward back on the threaded path — or
 /// makes it the first caller of `available_parallelism`, which reads
 /// cgroup files into fresh allocations. That was the one-in-three flake.
-fn serial_kernels() -> impl Drop {
+fn thread_cap(cap: usize) -> impl Drop {
     struct Guard(#[allow(dead_code)] MutexGuard<'static, ()>);
     impl Drop for Guard {
         fn drop(&mut self) {
@@ -97,8 +97,13 @@ fn serial_kernels() -> impl Drop {
     }
     static LOCK: Mutex<()> = Mutex::new(());
     let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    parallel::set_max_threads(1);
+    parallel::set_max_threads(cap);
     Guard(guard)
+}
+
+/// Pins the kernels to the caller's thread (thread spawns allocate).
+fn serial_kernels() -> impl Drop {
+    thread_cap(1)
 }
 
 fn window(batch: usize, seed: u64) -> Tensor {
@@ -396,6 +401,53 @@ fn steady_state_batched_quant_forward_makes_zero_heap_allocations() {
         arena.recycle(y);
     });
     assert_eq!(steady, 0, "batched steady-state int8 forward hit the heap");
+}
+
+/// The process thread cap serialises an int8 batch too: under a cap of 1
+/// a 32-window batch — which would fan out by work — stays on the calling
+/// thread. Spawning a thread allocates, so zero allocations proves nothing
+/// was spawned.
+#[test]
+fn capped_32_window_quant_forward_spawns_nothing() {
+    let _serial = serial_kernels();
+    let qmodel = quant_model();
+    let x = window(32, 19);
+    let mut arena = TensorArena::new();
+    for _ in 0..2 {
+        let y = qmodel.forward_infer_in(&x, &mut arena);
+        arena.recycle(y);
+    }
+    let steady = count_allocations(|| {
+        let y = qmodel.forward_infer_in(&x, &mut arena);
+        arena.recycle(y);
+    });
+    assert_eq!(steady, 0, "a capped 32-window int8 forward hit the heap");
+}
+
+/// Wire-sized batches never spawn: under the *default* thread cap, the
+/// serving entry point of the int8 model serves batches of 1 and 2 windows
+/// (what a live stream's worker coalesces) inline, from the engine's arena
+/// and the model's warmed pool, with zero allocations.
+#[test]
+fn wire_sized_quant_batches_make_zero_heap_allocations_under_the_default_cap() {
+    let _default = thread_cap(0);
+    let qmodel = quant_model();
+    let mut arena = TensorArena::new();
+    for batch in [1, 2] {
+        let x = window(batch, 23);
+        for _ in 0..2 {
+            let y = qmodel.predict_batch_in(&x, &mut arena);
+            arena.recycle(y);
+        }
+        let steady = count_allocations(|| {
+            let y = qmodel.predict_batch_in(&x, &mut arena);
+            arena.recycle(y);
+        });
+        assert_eq!(
+            steady, 0,
+            "a {batch}-window int8 serving batch hit the heap (spawned?)"
+        );
+    }
 }
 
 /// A trivial classifier: class = sign of the window's first sample.

@@ -10,8 +10,10 @@
 //!   is walked, so the CI `portable-fallback` job needs no extra step);
 //! * both equal a **golden checksum** captured from the commit before the
 //!   plan existed (the layer-by-layer forward over unpacked weights);
-//! * batch `N` equals `N` batch-1 calls, through one arena and through the
-//!   model's own pool.
+//! * batch `N` equals `N` batch-1 calls, through one arena, through the
+//!   model's own pool, and through every batch entry point (`forward_batch`,
+//!   `forward_infer_in`, `predict_batch_in`) on both sides of the fan-out
+//!   threshold.
 //!
 //! The configurations stress different corners of the plan: bio1 (the
 //! deployed shape), the tiny `small_cfg` of the unit tests (head dim 8:
@@ -21,10 +23,11 @@
 
 use bioformers::core::{Bioformer, BioformerConfig};
 use bioformers::nn::serialize::state_dict;
-use bioformers::nn::Model;
+use bioformers::nn::{InferForward, Model};
 use bioformers::quant::{QuantArena, QuantBioformer};
+use bioformers::serve::GestureClassifier;
 use bioformers::simd::{select, Tier};
-use bioformers::tensor::Tensor;
+use bioformers::tensor::{Tensor, TensorArena};
 
 fn small_cfg() -> BioformerConfig {
     BioformerConfig {
@@ -184,20 +187,34 @@ fn planned_forward_matches_the_golden_logits_on_every_tier() {
     }
 }
 
+/// Batch `N` ≡ `N` batches of 1 through every batch entry point — the
+/// owned forward, the arena-threaded forward and the serving path — at
+/// sizes on both sides of the fan-out threshold (bio1 fans out from 11
+/// windows; the two smaller configs stay inline at every size).
 #[test]
 fn batch_n_equals_n_batches_of_one() {
     for (name, cfg, _) in cases() {
         let model = quantized(&cfg);
-        let x = windows(&cfg, BATCH, 123);
-        let batched = model.forward_batch(&x);
         let sample = cfg.channels * cfg.window;
-        for (i, w) in x.data().chunks(sample).enumerate() {
-            let one = Tensor::from_vec(w.to_vec(), &[cfg.channels, cfg.window]);
-            assert_eq!(
-                model.forward_window(&one),
-                batched.data()[i * cfg.classes..(i + 1) * cfg.classes],
-                "{name}: window {i}"
-            );
+        let mut arena = TensorArena::new();
+        for n in [2, 12, 33] {
+            let x = windows(&cfg, n, 123 + n as u64);
+            let ones: Vec<f32> = x
+                .data()
+                .chunks(sample)
+                .flat_map(|w| {
+                    model.forward_window(&Tensor::from_vec(w.to_vec(), &[cfg.channels, cfg.window]))
+                })
+                .collect();
+            let entry_points = [
+                ("forward_batch", model.forward_batch(&x)),
+                ("forward_infer_in", model.forward_infer_in(&x, &mut arena)),
+                ("predict_batch_in", model.predict_batch_in(&x, &mut arena)),
+            ];
+            for (entry, batched) in entry_points {
+                assert_eq!(batched.dims(), &[n, cfg.classes]);
+                assert_eq!(batched.data(), ones, "{name}: {entry} at batch {n}");
+            }
         }
     }
 }
