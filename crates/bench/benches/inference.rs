@@ -1,7 +1,7 @@
 //! Criterion benchmarks of the inference hot path, with a committed
 //! baseline and a CI regression gate.
 //!
-//! Five groups:
+//! Four groups:
 //!
 //! * `gemm` — the bio1-shaped fp32 GEMMs, naive reference kernel vs the
 //!   panel-packed register-tiled kernel (pre-packed weights, as the
@@ -24,9 +24,6 @@
 //!   arena-threaded `forward_infer_in` path, for the int8-vs-fp32
 //!   per-window comparison. It runs under the default thread cap, so b32
 //!   fans out by the shared work rule and b1/b8 run inline.
-//! * `tuned-vs-fixed` — the `ComputeBackend` seam with the default plan
-//!   vs an autotuned `TuneTable` (`bioformer_tensor::tune`), at the bio1
-//!   fp32 GEMM shapes and end-to-end at batch 1/8.
 //!
 //! Per-window numbers are the benchmark id's time divided by the batch
 //! size (batch ids are suffixed `_bN`; the printed time is per *batch*).
@@ -51,10 +48,8 @@ use bioformer_nn::{InferForward, Model};
 use bioformer_quant::kernels::{qgemm_i32_into, qgemm_i32_into_with};
 use bioformer_quant::QuantBioformer;
 use bioformer_simd::{kernels, select, Tier};
-use bioformer_tensor::backend::{ComputeBackend, PackedCpuBackend};
 use bioformer_tensor::matmul::{matmul_naive, matmul_nt_naive};
 use bioformer_tensor::pack::{gemm_packed_with, Epilogue, PackedB};
-use bioformer_tensor::tune::{tune, GemmShape};
 use bioformer_tensor::{parallel, Tensor, TensorArena};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -253,74 +248,5 @@ fn bench_int8(c: &mut Criterion) {
     g.finish();
 }
 
-/// The autotuner's payoff, measured directly: each bio1 fp32 GEMM shape
-/// through the fixed default plan vs the plan a freshly tuned table picks
-/// for it, plus the end-to-end batch-1/8 forward on a default vs a tuned
-/// model. When the tuner keeps the default everywhere (it logs why), the
-/// two sides time identically — the pairs then double as a
-/// seam-overhead check.
-fn bench_tuned_vs_fixed(c: &mut Criterion) {
-    parallel::set_max_threads(1);
-    let mut g = c.benchmark_group("tuned-vs-fixed");
-    let shapes = [
-        ("qkv_32x64x256", 32usize, 64usize, 256usize),
-        ("wo_32x256x64", 32, 256, 64),
-        ("ffn_32x64x128", 32, 64, 128),
-    ];
-    let gemm_shapes: Vec<GemmShape> = shapes
-        .iter()
-        .map(|&(_, m, k, n)| GemmShape::fp32(m, k, n))
-        .collect();
-    let tuned = PackedCpuBackend::with_table(tune(&gemm_shapes));
-    let fixed = PackedCpuBackend::new();
-    for (label, m, k, n) in shapes {
-        let a = filled(&[m, k], 1);
-        let bt = filled(&[n, k], 2);
-        let mut out = vec![0.0f32; m * n];
-        for (prefix, backend) in [("fixed", &fixed), ("tuned", &tuned)] {
-            let packed = backend.pack_weight(bt.data(), n, k);
-            g.bench_function(&format!("{prefix}_{label}"), |b| {
-                b.iter(|| {
-                    backend.gemm(black_box(a.data()), m, &packed, &mut out, Epilogue::None);
-                    black_box(out[0])
-                })
-            });
-        }
-    }
-
-    // End to end: the same bio1 weights behind the default seam and behind
-    // a backend tuned for the model's own shape inventory.
-    let cfg = BioformerConfig::bio1();
-    let fixed_model = Bioformer::new(&cfg);
-    let mut tuned_model = Bioformer::new(&cfg);
-    let table = tune(&tuned_model.gemm_shapes());
-    tuned_model.set_backend(std::sync::Arc::new(PackedCpuBackend::with_table(table)));
-    let mut arena = TensorArena::new();
-    for batch in [1usize, 8] {
-        let x = windows(batch, 17 + batch as u64);
-        for (prefix, model) in [("fixed", &fixed_model), ("tuned", &tuned_model)] {
-            let y = model.forward_infer_in(&x, &mut arena);
-            arena.recycle(y);
-            g.bench_function(&format!("{prefix}_bio1_b{batch}"), |b| {
-                b.iter(|| {
-                    let y = model.forward_infer_in(black_box(&x), &mut arena);
-                    let first = y.data()[0];
-                    arena.recycle(y);
-                    black_box(first)
-                })
-            });
-        }
-    }
-    g.finish();
-    parallel::set_max_threads(0);
-}
-
-criterion_group!(
-    benches,
-    bench_gemm,
-    bench_qgemm,
-    bench_fp32,
-    bench_int8,
-    bench_tuned_vs_fixed
-);
+criterion_group!(benches, bench_gemm, bench_qgemm, bench_fp32, bench_int8);
 criterion_main!(benches);

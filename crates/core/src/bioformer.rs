@@ -16,7 +16,6 @@ use bioformer_nn::linear::FusedActivation;
 use bioformer_nn::{Conv1d, InferForward, LayerNorm, Linear, Model, Param, TransformerBlock};
 use bioformer_tensor::backend::{default_backend, ComputeBackend};
 use bioformer_tensor::conv::Conv1dSpec;
-use bioformer_tensor::tune::GemmShape;
 use bioformer_tensor::{Tensor, TensorArena};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -111,7 +110,7 @@ impl Bioformer {
 
     /// Installs a compute backend on every GEMM-bearing layer (patch conv,
     /// all encoder blocks, the classifier head). Packed weights are re-built
-    /// under the new backend's plans on next use.
+    /// for the new backend's kernel on next use.
     pub fn set_backend(&mut self, backend: Arc<dyn ComputeBackend>) {
         self.patch.set_backend(backend.clone());
         for blk in &mut self.blocks {
@@ -152,29 +151,10 @@ impl Bioformer {
         &self.head
     }
 
-    /// One-line description of the installed backend (tuning state
-    /// included) — surfaced through `EngineStats`.
+    /// One-line description of the installed backend — surfaced per
+    /// replica through the serving engines' `compute_report`.
     pub fn compute_report(&self) -> String {
-        self.backend.describe()
-    }
-
-    /// Every distinct GEMM shape the inference path executes — the
-    /// autotuner's work-list. Weight GEMMs use the `m = 0` wildcard (the
-    /// row count varies with batch size); the per-head attention products
-    /// have both operands shaped by the config, so they tune exactly.
-    pub fn gemm_shapes(&self) -> Vec<GemmShape> {
-        let c = &self.cfg;
-        let s = c.seq_len();
-        vec![
-            GemmShape::fp32(0, c.channels * c.filter, c.embed), // patch conv lowering
-            GemmShape::fp32(0, c.embed, c.inner()),             // wq / wk / wv
-            GemmShape::fp32(s, c.head_dim, s),                  // per-head Q·Kᵀ
-            GemmShape::fp32(s, s, c.head_dim),                  // per-head A·V
-            GemmShape::fp32(0, c.inner(), c.embed),             // wo
-            GemmShape::fp32(0, c.embed, c.hidden),              // fc1
-            GemmShape::fp32(0, c.hidden, c.embed),              // fc2
-            GemmShape::fp32(0, c.embed, c.classes),             // head
-        ]
+        self.backend.name().to_string()
     }
 
     /// Transposes conv output `[B, E, N]` into token-major `[B, N, E]` and

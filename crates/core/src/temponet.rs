@@ -24,7 +24,6 @@ use bioformer_nn::{
 use bioformer_semg::{CHANNELS, GESTURE_CLASSES, WINDOW};
 use bioformer_tensor::backend::{default_backend, ComputeBackend};
 use bioformer_tensor::conv::Conv1dSpec;
-use bioformer_tensor::tune::GemmShape;
 use bioformer_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -129,19 +128,6 @@ impl TcnBlock {
         self.conv1.set_backend(backend.clone());
         self.down.set_backend(backend.clone());
     }
-
-    /// The im2col GEMM shapes of the block's three convolutions
-    /// (`m = 0` wildcard: the row count is the output length, which
-    /// depends on batch slicing).
-    fn gemm_shapes(&self, out: &mut Vec<GemmShape>) {
-        for conv in [&self.conv0, &self.conv1, &self.down] {
-            out.push(GemmShape::fp32(
-                0,
-                conv.in_channels() * conv.kernel(),
-                conv.out_channels(),
-            ));
-        }
-    }
 }
 
 /// The TEMPONet-like baseline model.
@@ -204,7 +190,7 @@ impl TempoNet {
 
     /// Installs a compute backend on every GEMM-bearing layer (all nine
     /// convolutions and the three classifier linears). Packed weights are
-    /// re-built under the new backend's plans on next use.
+    /// re-built for the new backend's kernel on next use.
     pub fn set_backend(&mut self, backend: Arc<dyn ComputeBackend>) {
         for blk in &mut self.blocks {
             blk.set_backend(&backend);
@@ -220,24 +206,10 @@ impl TempoNet {
         &self.backend
     }
 
-    /// One-line description of the installed backend (tuning state
-    /// included) — surfaced through `EngineStats`.
+    /// One-line description of the installed backend — surfaced per
+    /// replica through the serving engines' `compute_report`.
     pub fn compute_report(&self) -> String {
-        self.backend.describe()
-    }
-
-    /// Every distinct GEMM shape the inference path executes — the
-    /// autotuner's work-list (all `m = 0` wildcards: conv output lengths
-    /// and batch sizes both vary the row count).
-    pub fn gemm_shapes(&self) -> Vec<GemmShape> {
-        let mut shapes = Vec::new();
-        for blk in &self.blocks {
-            blk.gemm_shapes(&mut shapes);
-        }
-        shapes.push(GemmShape::fp32(0, TEMPONET_FLAT, 96));
-        shapes.push(GemmShape::fp32(0, 96, 48));
-        shapes.push(GemmShape::fp32(0, 48, GESTURE_CLASSES));
-        shapes
+        self.backend.name().to_string()
     }
 }
 

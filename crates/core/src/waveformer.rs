@@ -27,7 +27,6 @@ use bioformer_nn::{
 use bioformer_semg::{CHANNELS, GESTURE_CLASSES, WINDOW};
 use bioformer_tensor::backend::{default_backend, ComputeBackend};
 use bioformer_tensor::conv::Conv1dSpec;
-use bioformer_tensor::tune::GemmShape;
 use bioformer_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -114,28 +113,10 @@ impl WaveFormer {
         &self.backend
     }
 
-    /// One-line description of the installed backend (tuning state
-    /// included) — surfaced through `EngineStats`.
+    /// One-line description of the installed backend — surfaced per
+    /// replica through the serving engines' `compute_report`.
     pub fn compute_report(&self) -> String {
-        self.backend.describe()
-    }
-
-    /// Every distinct GEMM shape the inference path executes — the
-    /// autotuner's work-list (`m = 0` wildcards vary with batch size).
-    pub fn gemm_shapes(&self) -> Vec<GemmShape> {
-        let bands = CHANNELS << WAVEFORMER_LEVELS;
-        let s = WAVEFORMER_TOKENS;
-        let inner = HEADS * HEAD_DIM;
-        vec![
-            GemmShape::fp32(0, bands * WAVEFORMER_PATCH, WAVEFORMER_EMBED), // patch lowering
-            GemmShape::fp32(0, WAVEFORMER_EMBED, inner),                    // wq / wk / wv
-            GemmShape::fp32(s, HEAD_DIM, s),                                // per-head Q·Kᵀ
-            GemmShape::fp32(s, s, HEAD_DIM),                                // per-head A·V
-            GemmShape::fp32(0, inner, WAVEFORMER_EMBED),                    // wo
-            GemmShape::fp32(0, WAVEFORMER_EMBED, HIDDEN),                   // fc1
-            GemmShape::fp32(0, HIDDEN, WAVEFORMER_EMBED),                   // fc2
-            GemmShape::fp32(0, WAVEFORMER_EMBED, GESTURE_CLASSES),          // head
-        ]
+        self.backend.name().to_string()
     }
 
     /// Transposes conv output `[B, E, N]` into token-major `[B, N, E]`.

@@ -10,7 +10,7 @@ use crate::linear::{FusedActivation, Linear};
 use crate::param::Param;
 use bioformer_tensor::backend::{default_backend, ComputeBackend};
 use bioformer_tensor::ops::{softmax_rows, softmax_rows_backward, softmax_rows_slice};
-use bioformer_tensor::pack::Epilogue;
+use bioformer_tensor::pack::{pack_b_strided, pack_b_t_strided, packed_len, Epilogue};
 use bioformer_tensor::{Tensor, TensorArena};
 use rand::Rng;
 use std::sync::Arc;
@@ -277,16 +277,12 @@ impl MultiHeadSelfAttention {
             }
         };
 
-        // Backend plans for the two per-head GEMM shapes; packed-panel
-        // sizes are plan-dependent, so resolve before allocating scratch.
         let bk = self.backend.as_ref();
-        let plan_scores = bk.plan_fp32(s, p, s);
-        let plan_av = bk.plan_fp32(s, s, p);
 
         let mut concat = arena.alloc(batch * qs * inner);
         // Per-head scratch, reused across every (batch, head) pair.
-        let mut k_packed = arena.alloc(plan_scores.packed_len(p, s));
-        let mut v_packed = arena.alloc(plan_av.packed_len(s, p));
+        let mut k_packed = arena.alloc(packed_len(p, s));
+        let mut v_packed = arena.alloc(packed_len(s, p));
         let mut scores = arena.alloc(qs * s);
         let strided = qs > 1;
         let (mut qh, mut oh) = if strided {
@@ -300,8 +296,8 @@ impl MultiHeadSelfAttention {
             let dst = &mut concat[b * qs * inner..(b + 1) * qs * inner];
             for h in 0..self.heads {
                 let col = h * p;
-                bk.pack_b_t_into(plan_scores, &k[kv + col..], inner, s, p, &mut k_packed);
-                bk.pack_b_into(plan_av, &v[kv + col..], inner, s, p, &mut v_packed);
+                pack_b_t_strided(&k[kv + col..], inner, s, p, &mut k_packed);
+                pack_b_strided(&v[kv + col..], inner, s, p, &mut v_packed);
                 let qa: &[f32] = if strided {
                     gather_cols(q_rows, inner, col, p, &mut qh);
                     &qh
@@ -309,16 +305,7 @@ impl MultiHeadSelfAttention {
                     &q_rows[col..col + p]
                 };
                 // scores[qs,s] = (q · Kᵀ) · scale, scale fused into store.
-                bk.gemm_with(
-                    plan_scores,
-                    qa,
-                    qs,
-                    p,
-                    &k_packed,
-                    s,
-                    &mut scores,
-                    Epilogue::Scale(scale),
-                );
+                bk.gemm_with(qa, qs, p, &k_packed, s, &mut scores, Epilogue::Scale(scale));
                 softmax_rows_slice(&mut scores, s);
                 // [qs,p] = probs · V, into head h's columns of concat.
                 let av = if strided {
@@ -326,7 +313,7 @@ impl MultiHeadSelfAttention {
                 } else {
                     &mut dst[col..col + p]
                 };
-                bk.gemm_with(plan_av, &scores, qs, s, &v_packed, p, av, Epilogue::None);
+                bk.gemm_with(&scores, qs, s, &v_packed, p, av, Epilogue::None);
                 if strided {
                     scatter_cols(&oh, p, dst, inner, col);
                 }

@@ -32,7 +32,7 @@ pub enum FusedActivation {
 ///
 /// The inference path runs through the layer's
 /// [`ComputeBackend`] (the process default unless
-/// [`Linear::set_backend`] installs another — e.g. an autotuned one), and
+/// [`Linear::set_backend`] installs another, e.g. one pinning a SIMD tier), and
 /// the packed image of `W` is cached inside
 /// the layer so serving packs each weight matrix **once**, not per call.
 /// The cache follows a simple freshness rule: any `&mut self` entry point
@@ -74,8 +74,8 @@ impl Linear {
     }
 
     /// Installs a compute backend for this layer's GEMMs, dropping the
-    /// packed-weight cache (the new backend may pack at a different panel
-    /// width).
+    /// packed-weight cache (a pack remembers the kernel of the backend that
+    /// built it).
     pub fn set_backend(&mut self, backend: Arc<dyn ComputeBackend>) {
         self.packed.take();
         self.backend = backend;
@@ -410,34 +410,37 @@ mod tests {
         assert!(half.allclose(&before, 1e-5), "forward served stale pack");
     }
 
-    /// Installing a tuned backend (non-default tile for this layer's
-    /// shape) must repack under the new plan and keep results within fp32
-    /// kernel tolerance of the default path.
+    /// Installing a backend drops the packed cache: the next inference
+    /// packs for the new backend's kernel and stays within fp32 kernel
+    /// tolerance of the default path.
     #[test]
     fn installed_backend_repacks_and_matches_default() {
-        use bioformer_tensor::backend::{Fp32Kernel, GemmPlan, PackedCpuBackend, TileSpec};
-        use bioformer_tensor::TuneTable;
+        use bioformer_tensor::backend::Fp32Kernel;
+
+        #[derive(Debug)]
+        struct PinnedPortable;
+        impl ComputeBackend for PinnedPortable {
+            fn name(&self) -> &'static str {
+                "pinned-portable"
+            }
+            fn plan_fp32(&self) -> Fp32Kernel {
+                Fp32Kernel::Portable
+            }
+        }
+
         let mut rng = StdRng::seed_from_u64(15);
         let mut l = Linear::new("l", 6, 4, &mut rng);
         let x = filled(&[3, 6], 16);
-        let want = l.forward_infer(&x); // packs under the default plan
-        let mut table = TuneTable::for_current_tier();
-        table.insert_fp32(
-            0,
-            6,
-            4,
-            GemmPlan::new(
-                TileSpec {
-                    mr: 8,
-                    nr: 32,
-                    kc: 0,
-                },
-                Fp32Kernel::Generic,
-            ),
-        );
-        l.set_backend(std::sync::Arc::new(PackedCpuBackend::with_table(table)));
+        let want = l.forward_infer(&x); // packs for the default backend
+        assert_eq!(l.packed_weight().kernel(), Fp32Kernel::Dispatch);
+        l.set_backend(Arc::new(PinnedPortable));
         let got = l.forward_infer(&x);
-        assert!(got.allclose(&want, 1e-4), "tuned backend diverges");
+        assert_eq!(
+            l.packed_weight().kernel(),
+            Fp32Kernel::Portable,
+            "set_backend kept the stale pack"
+        );
+        assert!(got.allclose(&want, 1e-4), "pinned backend diverges");
     }
 
     #[test]

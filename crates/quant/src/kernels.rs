@@ -34,13 +34,11 @@
 use crate::qtensor::{QParams, QTensor};
 use crate::requant::FixedMultiplier;
 
-// The GEMM drivers themselves live in `bioformer_tensor::qgemm` since the
-// `ComputeBackend` seam landed (the backend trait routes int8 GEMMs below
-// this crate); they are re-exported here so the public API — and the single
-// definition the bit-exactness contracts rely on — is unchanged.
+// The GEMM drivers themselves live in `bioformer_tensor::qgemm`; they are
+// re-exported here so there is a single definition for the bit-exactness
+// contracts to rely on.
 pub use bioformer_tensor::qgemm::{
-    qgemm_i32_into, qgemm_i32_into_with, qgemm_i32_tile_into, qgemm_i32_whole_into, qgemm_nt_into,
-    qgemm_requant_into, qgemm_requant_tile_into, qgemm_requant_whole_into, QNR,
+    qgemm_i32_into, qgemm_i32_into_with, qgemm_nt_into, qgemm_requant_into, QNR,
 };
 
 /// `C[m,n] = A[m,k] · B[n,k]ᵀ (+ bias)`, returning raw i32 accumulators.

@@ -34,9 +34,8 @@
 //! ```
 //!
 //! The packed GEMMs requantize in their stores; the per-head products are
-//! the one place an activation multiplies an activation, and run on the
-//! row-major kernels the backend's int8 plan selects
-//! ([`QuantBioformer::gemm_shapes`]).
+//! the one place an activation multiplies an activation, and run through
+//! [`qgemm_nt_into`] on row-major operands.
 
 use crate::arena::{QuantArena, SlabLayout};
 use crate::ibert::{IGelu, ILayerNorm, ISoftmax};
@@ -49,15 +48,13 @@ use bioformer_core::descriptor::bioformer_descriptor;
 use bioformer_core::BioformerConfig;
 use bioformer_nn::serialize::StateDict;
 use bioformer_simd::{Kernels, QMat, QOut, Requant};
-use bioformer_tensor::backend::{default_backend, ComputeBackend, Int8Kernel};
 use bioformer_tensor::conv::{conv1d_forward, Conv1dSpec};
 use bioformer_tensor::ops::{layernorm_forward, softmax_rows};
 use bioformer_tensor::parallel::parallel_rows;
-use bioformer_tensor::tune::GemmShape;
 use bioformer_tensor::{Tensor, TensorArena};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Error returned by [`QuantBioformer::convert`].
 #[derive(Debug)]
@@ -292,13 +289,6 @@ pub struct QuantBioformer {
     /// thread-local so arenas warmed by one worker thread are reusable by
     /// the next.
     scratch: Mutex<Vec<QuantArena>>,
-    /// Compute backend whose int8 plans pick the kernel of the per-head
-    /// attention products (the packed weight GEMMs have nothing to plan).
-    backend: Arc<dyn ComputeBackend>,
-    /// The backend's plan for `q_h·k_hᵀ` / `probs·v_h`, resolved when the
-    /// backend is installed: `true` = whole-GEMM kernel where available.
-    scores_whole: bool,
-    av_whole: bool,
 }
 
 impl Clone for QuantBioformer {
@@ -317,9 +307,6 @@ impl Clone for QuantBioformer {
             layout: self.layout,
             window_work: self.window_work,
             scratch: Mutex::new(Vec::new()),
-            backend: self.backend.clone(),
-            scores_whole: self.scores_whole,
-            av_whole: self.av_whole,
         }
     }
 }
@@ -331,22 +318,6 @@ impl Clone for QuantBioformer {
 fn padded_seq(cfg: &BioformerConfig) -> usize {
     cfg.seq_len()
         .next_multiple_of(bioformer_simd::packed::QKGROUP)
-}
-
-/// The two per-head attention products: `q_h·k_hᵀ` and `probs·v_h`
-/// (contraction padded to the k-group).
-fn attention_shapes(cfg: &BioformerConfig) -> [GemmShape; 2] {
-    let (s, p) = (cfg.seq_len(), cfg.head_dim);
-    [
-        GemmShape::int8(s, p, s),
-        GemmShape::int8(s, padded_seq(cfg), p),
-    ]
-}
-
-/// Whether `backend` plans the whole-GEMM kernel (where the tier has one)
-/// for each attention product, rather than forcing the dot-tile loop.
-fn attention_plans(backend: &dyn ComputeBackend, cfg: &BioformerConfig) -> [bool; 2] {
-    attention_shapes(cfg).map(|g| backend.plan_int8(g.m, g.k, g.n) != Int8Kernel::Tile)
 }
 
 impl QuantBioformer {
@@ -462,8 +433,6 @@ impl QuantBioformer {
             scores: s * s,
             logits: cfg.classes,
         };
-        let backend = default_backend();
-        let [scores_whole, av_whole] = attention_plans(backend.as_ref(), cfg);
         Ok(QuantBioformer {
             cfg: cfg.clone(),
             input_params,
@@ -475,9 +444,6 @@ impl QuantBioformer {
             layout,
             window_work: 2 * bioformer_descriptor(cfg).macs() as usize,
             scratch: Mutex::new(Vec::new()),
-            backend,
-            scores_whole,
-            av_whole,
         })
     }
 
@@ -486,30 +452,13 @@ impl QuantBioformer {
         &self.cfg
     }
 
-    /// Installs a compute backend. Its int8 plans pick the kernel of the
-    /// per-head attention products — the one product family whose
-    /// right-hand side is an activation; the weight GEMMs run the packed
-    /// kernel whatever the backend. Plans are bit-identical across
-    /// kernels, so outputs never change — only which kernel runs.
-    pub fn set_backend(&mut self, backend: Arc<dyn ComputeBackend>) {
-        [self.scores_whole, self.av_whole] = attention_plans(backend.as_ref(), &self.cfg);
-        self.backend = backend;
-    }
-
-    /// The compute backend the attention products are planned by.
-    pub fn backend(&self) -> &Arc<dyn ComputeBackend> {
-        &self.backend
-    }
-
-    /// One-line description of what this model dispatched — the installed
-    /// backend (tuning state included), then the plan: SIMD tier, steps
-    /// per window, packed-weight bytes and slab bytes. Surfaced through
-    /// `EngineStats`.
+    /// One-line description of the plan this model dispatches: SIMD tier,
+    /// steps per window, packed-weight bytes and slab bytes — surfaced per
+    /// replica through the serving engines' `compute_report`.
     pub fn compute_report(&self) -> String {
         let packed: usize = self.packed_weights().map(|w| w.bytes()).sum();
         format!(
-            "{} int8-plan[tier={} steps={} packed={}B slab={}B]",
-            self.backend.describe(),
+            "int8-plan[tier={} steps={} packed={}B slab={}B]",
             bioformer_simd::kernels().name,
             self.plan_steps(),
             packed,
@@ -534,15 +483,6 @@ impl QuantBioformer {
     /// LayerNorm and the head.
     fn plan_steps(&self) -> usize {
         3 + self.cfg.depth * (11 + 3 * self.cfg.heads) + 2
-    }
-
-    /// Every int8 GEMM shape the plan leaves to the backend's int8 plan —
-    /// the autotuner's work-list: the per-head attention products. The
-    /// weight GEMMs are packed and have one kernel per tier, so there is
-    /// nothing to tune. Shapes are exact: the pipeline runs one window at a
-    /// time, so every row count is fixed by the config.
-    pub fn gemm_shapes(&self) -> Vec<GemmShape> {
-        attention_shapes(&self.cfg).to_vec()
     }
 
     /// Pops a scratch arena from the internal pool (lazily creating one on
@@ -647,7 +587,7 @@ impl QuantBioformer {
                     out: buf.scores,
                     ld: s,
                 };
-                qgemm_nt_into(kernels, self.scores_whole, q_h, k_h, None, s, p, s, scores);
+                qgemm_nt_into(kernels, q_h, k_h, None, s, p, s, scores);
                 for (sr, pr) in buf
                     .scores
                     .chunks_exact(s)
@@ -662,7 +602,7 @@ impl QuantBioformer {
                     rq: blk.av,
                 };
                 let probs = QMat::dense(buf.probs, sp);
-                qgemm_nt_into(kernels, self.av_whole, probs, vt_h, None, s, sp, p, att_h);
+                qgemm_nt_into(kernels, probs, vt_h, None, s, sp, p, att_h);
             }
 
             blk.wo.forward_into_with(kernels, buf.att, s, buf.proj);

@@ -48,13 +48,11 @@ pub mod parallel;
 pub mod qgemm;
 pub mod shape;
 pub mod tensor;
-pub mod tune;
 
 pub use arena::TensorArena;
-pub use backend::{default_backend, ComputeBackend, GemmPlan, PackedCpuBackend, TileSpec};
+pub use backend::{default_backend, ComputeBackend, Fp32Kernel, PackedCpuBackend};
 pub use shape::Shape;
 pub use tensor::Tensor;
-pub use tune::{GemmShape, TuneTable};
 
 /// Absolute tolerance used by [`Tensor::allclose`] and the test-suites of the
 /// downstream crates when comparing floating-point results.

@@ -32,34 +32,20 @@
 //! order, so results are deterministic and independent of threading (threads
 //! split output *rows*, never the `k` dimension).
 
-use crate::backend::GemmPlan;
+use crate::backend::Fp32Kernel;
 use crate::ops;
 use crate::tensor::Tensor;
 
-/// Rows of `A` processed per microkernel invocation (default tile).
+/// Rows of `A` processed per microkernel invocation.
 pub const MR: usize = 4;
 
-/// Columns of `B` per packed panel (and per microkernel invocation) in the
-/// default tile.
+/// Columns of `B` per packed panel (and per microkernel invocation).
 pub const NR: usize = 16;
 
-/// Largest row-block height the variable-geometry driver
-/// ([`gemm_packed_generic`]) accepts.
-pub const MAX_MR: usize = 8;
-
-/// Largest panel width the variable-geometry driver accepts.
-pub const MAX_NR: usize = 64;
-
-/// Length in floats of the packed image of a `k×n` right-hand side at the
-/// default panel width: `n` rounded up to whole [`NR`] panels, each panel
-/// `k` deep.
+/// Length in floats of the packed image of a `k×n` right-hand side: `n`
+/// rounded up to whole [`NR`] panels, each panel `k` deep.
 pub const fn packed_len(k: usize, n: usize) -> usize {
-    packed_len_nr(k, n, NR)
-}
-
-/// [`packed_len`] at an arbitrary panel width `nr`.
-pub const fn packed_len_nr(k: usize, n: usize, nr: usize) -> usize {
-    k * n.div_ceil(nr) * nr
+    k * n.div_ceil(NR) * NR
 }
 
 /// What happens to each output element as it is stored.
@@ -113,7 +99,7 @@ impl Epilogue<'_> {
 /// Panics if `b` or `dst` have the wrong length.
 pub fn pack_b(b: &[f32], k: usize, n: usize, dst: &mut [f32]) {
     assert_eq!(b.len(), k * n, "pack_b: source size");
-    pack_b_nr(b, n, k, n, NR, dst);
+    pack_b_strided(b, n, k, n, dst);
 }
 
 /// Number of floats a strided `rows × cols` source with row stride `ld`
@@ -126,31 +112,26 @@ fn strided_span(rows: usize, cols: usize, ld: usize) -> usize {
     }
 }
 
-/// [`pack_b`] at an arbitrary panel width `nr` over a source whose rows
-/// lie `ld ≥ n` floats apart — `B` may be a column block of a wider
-/// row-major buffer, such as one head's `V` inside the `[seq, heads·P]`
-/// projection. `dst` must be [`packed_len_nr`]`(k, n, nr)` long; `b` must
-/// span at least `(k−1)·ld + n` floats.
+/// [`pack_b`] over a source whose rows lie `ld ≥ n` floats apart — `B`
+/// may be a column block of a wider row-major buffer, such as one head's
+/// `V` inside the `[seq, heads·P]` projection. `dst` must be
+/// [`packed_len`]`(k, n)` long; `b` must span at least `(k−1)·ld + n`
+/// floats.
 ///
 /// # Panics
 ///
 /// Panics if `ld < n` or `b` or `dst` have the wrong length.
-pub fn pack_b_nr(b: &[f32], ld: usize, k: usize, n: usize, nr: usize, dst: &mut [f32]) {
+pub fn pack_b_strided(b: &[f32], ld: usize, k: usize, n: usize, dst: &mut [f32]) {
     assert!(ld >= n, "pack_b: row stride {ld} < width {n}");
     assert!(b.len() >= strided_span(k, n, ld), "pack_b: source size");
-    assert_eq!(
-        dst.len(),
-        packed_len_nr(k, n, nr),
-        "pack_b: destination size"
-    );
-    let panels = n.div_ceil(nr);
-    for p in 0..panels {
-        let j0 = p * nr;
-        let w = (n - j0).min(nr);
-        let panel = &mut dst[p * k * nr..(p + 1) * k * nr];
+    assert_eq!(dst.len(), packed_len(k, n), "pack_b: destination size");
+    for p in 0..n.div_ceil(NR) {
+        let j0 = p * NR;
+        let w = (n - j0).min(NR);
+        let panel = &mut dst[p * k * NR..(p + 1) * k * NR];
         for kk in 0..k {
             let src = &b[kk * ld + j0..kk * ld + j0 + w];
-            let row = &mut panel[kk * nr..kk * nr + nr];
+            let row = &mut panel[kk * NR..kk * NR + NR];
             row[..w].copy_from_slice(src);
             row[w..].fill(0.0);
         }
@@ -166,38 +147,34 @@ pub fn pack_b_nr(b: &[f32], ld: usize, k: usize, n: usize, nr: usize, dst: &mut 
 /// Panics if `bt` or `dst` have the wrong length.
 pub fn pack_b_t(bt: &[f32], n: usize, k: usize, dst: &mut [f32]) {
     assert_eq!(bt.len(), n * k, "pack_b_t: source size");
-    pack_b_t_nr(bt, k, n, k, NR, dst);
+    pack_b_t_strided(bt, k, n, k, dst);
 }
 
-/// [`pack_b_t`] at an arbitrary panel width `nr` over a source whose rows
-/// lie `ld ≥ k` floats apart (one head's keys inside the `[seq, heads·P]`
-/// projection, read in place). `dst` must be [`packed_len_nr`]`(k, n, nr)`
-/// long; `bt` must span at least `(n−1)·ld + k` floats.
+/// [`pack_b_t`] over a source whose rows lie `ld ≥ k` floats apart (one
+/// head's keys inside the `[seq, heads·P]` projection, read in place).
+/// `dst` must be [`packed_len`]`(k, n)` long; `bt` must span at least
+/// `(n−1)·ld + k` floats.
 ///
 /// # Panics
 ///
 /// Panics if `ld < k` or `bt` or `dst` have the wrong length.
-pub fn pack_b_t_nr(bt: &[f32], ld: usize, n: usize, k: usize, nr: usize, dst: &mut [f32]) {
+pub fn pack_b_t_strided(bt: &[f32], ld: usize, n: usize, k: usize, dst: &mut [f32]) {
     assert!(ld >= k, "pack_b_t: row stride {ld} < depth {k}");
     assert!(bt.len() >= strided_span(n, k, ld), "pack_b_t: source size");
-    assert_eq!(
-        dst.len(),
-        packed_len_nr(k, n, nr),
-        "pack_b_t: destination size"
-    );
-    let panels = n.div_ceil(nr);
-    for p in 0..panels {
-        let j0 = p * nr;
-        let w = (n - j0).min(nr);
-        let panel = &mut dst[p * k * nr..(p + 1) * k * nr];
-        // Walk source rows (columns of the logical B) to stay sequential in
-        // `bt`; each source row scatters down one panel column.
-        panel.fill(0.0);
-        for j in 0..w {
-            let src = &bt[(j0 + j) * ld..(j0 + j) * ld + k];
-            for (kk, &v) in src.iter().enumerate() {
-                panel[kk * nr + j] = v;
+    assert_eq!(dst.len(), packed_len(k, n), "pack_b_t: destination size");
+    for p in 0..n.div_ceil(NR) {
+        let j0 = p * NR;
+        let w = (n - j0).min(NR);
+        let panel = &mut dst[p * k * NR..(p + 1) * k * NR];
+        // Fill one panel row at a time, reading down `bt`'s columns. The
+        // other order (walk a source row, store down a panel column) is
+        // vectorised with the panel's fixed stride into scatter stores,
+        // which measured slower than scalar stores on AVX-512 hosts.
+        for (kk, row) in panel.chunks_exact_mut(NR).enumerate() {
+            for (j, o) in row[..w].iter_mut().enumerate() {
+                *o = bt[(j0 + j) * ld + kk];
             }
+            row[w..].fill(0.0);
         }
     }
 }
@@ -209,40 +186,37 @@ pub struct PackedB {
     buf: Vec<f32>,
     k: usize,
     n: usize,
-    plan: GemmPlan,
+    kernel: Fp32Kernel,
 }
 
 impl PackedB {
-    /// Packs a row-major `B[k, n]` (`C = A·B` orientation) at the default
-    /// plan.
+    /// Packs a row-major `B[k, n]` (`C = A·B` orientation) for the
+    /// dispatched kernel.
     pub fn from_b(b: &[f32], k: usize, n: usize) -> Self {
-        Self::from_b_with(GemmPlan::default(), b, k, n)
+        let mut buf = vec![0.0f32; packed_len(k, n)];
+        pack_b(b, k, n, &mut buf);
+        PackedB {
+            buf,
+            k,
+            n,
+            kernel: Fp32Kernel::Dispatch,
+        }
     }
 
     /// Packs a row-major `Bᵀ`-layout matrix `bt[n, k]`
-    /// (`C = A·Bᵀ` orientation — PyTorch `[out, in]` weights) at the
-    /// default plan.
+    /// (`C = A·Bᵀ` orientation — PyTorch `[out, in]` weights) for the
+    /// dispatched kernel.
     pub fn from_b_t(bt: &[f32], n: usize, k: usize) -> Self {
-        Self::from_b_t_with(GemmPlan::default(), bt, n, k)
+        Self::from_b_t_with(Fp32Kernel::Dispatch, bt, n, k)
     }
 
-    /// Packs a row-major `B[k, n]` at the panel width the given plan's
-    /// tile spec calls for, and remembers the plan so later GEMMs run the
-    /// matching kernel.
-    pub fn from_b_with(plan: GemmPlan, b: &[f32], k: usize, n: usize) -> Self {
-        assert_eq!(b.len(), k * n, "pack_b: source size");
-        let mut buf = vec![0.0f32; plan.packed_len(k, n)];
-        pack_b_nr(b, n, k, n, plan.spec.nr, &mut buf);
-        PackedB { buf, k, n, plan }
-    }
-
-    /// Packs a row-major `Bᵀ`-layout matrix `bt[n, k]` at the panel width
-    /// the given plan's tile spec calls for.
-    pub fn from_b_t_with(plan: GemmPlan, bt: &[f32], n: usize, k: usize) -> Self {
-        assert_eq!(bt.len(), n * k, "pack_b_t: source size");
-        let mut buf = vec![0.0f32; plan.packed_len(k, n)];
-        pack_b_t_nr(bt, k, n, k, plan.spec.nr, &mut buf);
-        PackedB { buf, k, n, plan }
+    /// Packs a row-major `Bᵀ`-layout matrix `bt[n, k]` and remembers
+    /// `kernel`, so later GEMMs through a
+    /// [`crate::backend::ComputeBackend`] run that tile.
+    pub fn from_b_t_with(kernel: Fp32Kernel, bt: &[f32], n: usize, k: usize) -> Self {
+        let mut buf = vec![0.0f32; packed_len(k, n)];
+        pack_b_t(bt, n, k, &mut buf);
+        PackedB { buf, k, n, kernel }
     }
 
     /// Inner (contraction) dimension.
@@ -255,12 +229,12 @@ impl PackedB {
         self.n
     }
 
-    /// The plan this buffer was packed for.
-    pub fn plan(&self) -> GemmPlan {
-        self.plan
+    /// The kernel this buffer was packed for.
+    pub fn kernel(&self) -> Fp32Kernel {
+        self.kernel
     }
 
-    /// The packed storage (length `plan().packed_len(k, n)`).
+    /// The packed storage (length [`packed_len`]`(k, n)`).
     pub fn as_slice(&self) -> &[f32] {
         &self.buf
     }
@@ -414,136 +388,6 @@ pub fn gemm_packed_with(
     });
 }
 
-/// Variable-geometry packed GEMM: the safe driver behind non-default
-/// [`crate::backend::TileSpec`]s. `packed` must be the
-/// [`pack_b_nr`]/[`pack_b_t_nr`] image at panel width `nr`; `mr`/`nr` set
-/// the row-block height and panel width (`1..=`[`MAX_MR`],
-/// `1..=`[`MAX_NR`]); `kc` blocks the contraction dimension (`0` means
-/// "no blocking"), sweeping all row blocks and panels per `k`-chunk so
-/// the active `A`/panel chunk stays cache-resident.
-///
-/// Per output element the accumulation order is plain ascending `k`
-/// regardless of blocking — chunks resume from the stored partial sum, so
-/// the f32 addition sequence (and therefore the result, bit for bit)
-/// matches the portable fixed-tile kernel. Epilogues are applied only on
-/// the final `k`-chunk, exactly once per element.
-///
-/// # Panics
-///
-/// Panics if `mr`/`nr` are out of range or any buffer length disagrees
-/// with `(m, k, n, nr)`.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_packed_generic(
-    a: &[f32],
-    m: usize,
-    k: usize,
-    packed: &[f32],
-    n: usize,
-    out: &mut [f32],
-    epi: Epilogue<'_>,
-    mr: usize,
-    nr: usize,
-    kc: usize,
-) {
-    assert!(
-        (1..=MAX_MR).contains(&mr),
-        "gemm_packed_generic: mr {mr} out of 1..={MAX_MR}"
-    );
-    assert!(
-        (1..=MAX_NR).contains(&nr),
-        "gemm_packed_generic: nr {nr} out of 1..={MAX_NR}"
-    );
-    assert_eq!(a.len(), m * k, "gemm_packed: A size");
-    assert_eq!(
-        packed.len(),
-        packed_len_nr(k, n, nr),
-        "gemm_packed: packed size"
-    );
-    assert_eq!(out.len(), m * n, "gemm_packed: out size");
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        for row in out.chunks_mut(n) {
-            for (j, o) in row.iter_mut().enumerate() {
-                *o = epi.apply(0.0, j);
-            }
-        }
-        return;
-    }
-    let kc = if kc == 0 { k } else { kc };
-    let work = crate::matmul::gemm_work(m, n, k);
-    crate::parallel::parallel_rows(out, n, work, |row0, rows_out| {
-        let rows = rows_out.len() / n;
-        let a_rows = &a[row0 * k..(row0 + rows) * k];
-        generic_rows(a_rows, rows, k, packed, n, rows_out, &epi, mr, nr, kc);
-    });
-}
-
-/// Serial body of [`gemm_packed_generic`] over one output row range.
-///
-/// Between `k`-chunks the partial sums live **raw** in `out` (no epilogue);
-/// the next chunk's accumulator tile is initialised from them, so each
-/// element's f32 additions stay in ascending-`k` order across chunks.
-#[allow(clippy::too_many_arguments)] // hot-loop driver, mirrors gemm_rows
-fn generic_rows(
-    a: &[f32],
-    m: usize,
-    k: usize,
-    packed: &[f32],
-    n: usize,
-    out: &mut [f32],
-    epi: &Epilogue<'_>,
-    mr_max: usize,
-    nr: usize,
-    kc: usize,
-) {
-    let panels = n.div_ceil(nr);
-    let mut k0 = 0usize;
-    while k0 < k {
-        let k1 = (k0 + kc).min(k);
-        let (first, last) = (k0 == 0, k1 == k);
-        let mut i = 0usize;
-        while i < m {
-            let mr = (m - i).min(mr_max);
-            for p in 0..panels {
-                let j0 = p * nr;
-                let store_w = (n - j0).min(nr);
-                let panel = &packed[p * k * nr..(p + 1) * k * nr];
-                let mut acc = [[0.0f32; MAX_NR]; MAX_MR];
-                if !first {
-                    for (r, acc_row) in acc.iter_mut().enumerate().take(mr) {
-                        let row0 = (i + r) * n + j0;
-                        acc_row[..store_w].copy_from_slice(&out[row0..row0 + store_w]);
-                    }
-                }
-                for kk in k0..k1 {
-                    let b_row = &panel[kk * nr..kk * nr + nr];
-                    for (r, acc_row) in acc.iter_mut().enumerate().take(mr) {
-                        let av = a[(i + r) * k + kk];
-                        for (slot, &bv) in acc_row.iter_mut().zip(b_row.iter()) {
-                            *slot += av * bv;
-                        }
-                    }
-                }
-                for (r, acc_row) in acc.iter().enumerate().take(mr) {
-                    let row0 = (i + r) * n + j0;
-                    let dst = &mut out[row0..row0 + store_w];
-                    if last {
-                        for (j, o) in dst.iter_mut().enumerate() {
-                            *o = epi.apply(acc_row[j], j0 + j);
-                        }
-                    } else {
-                        dst.copy_from_slice(&acc_row[..store_w]);
-                    }
-                }
-            }
-            i += mr;
-        }
-        k0 = k1;
-    }
-}
-
 /// Convenience wrapper: packs `b[k, n]` into `scratch` and multiplies.
 /// `scratch` is resized as needed (reuse it across calls to avoid
 /// reallocation — e.g. from a [`crate::arena::TensorArena`] buffer).
@@ -623,22 +467,24 @@ mod tests {
         }
     }
 
+    /// One panel with a ragged tail, and two panels.
     #[test]
     fn pack_b_t_matches_pack_of_transpose() {
-        let (n, k) = (7, 5);
-        let bt = filled(n * k, 3);
-        // Transpose to row-major [k, n].
-        let mut b = vec![0.0f32; k * n];
-        for j in 0..n {
-            for kk in 0..k {
-                b[kk * n + j] = bt[j * k + kk];
+        for (n, k) in [(7, 5), (17, 9)] {
+            let bt = filled(n * k, 3);
+            // Transpose to row-major [k, n].
+            let mut b = vec![0.0f32; k * n];
+            for j in 0..n {
+                for kk in 0..k {
+                    b[kk * n + j] = bt[j * k + kk];
+                }
             }
+            let mut p1 = vec![0.0f32; packed_len(k, n)];
+            let mut p2 = vec![0.0f32; packed_len(k, n)];
+            pack_b(&b, k, n, &mut p1);
+            pack_b_t(&bt, n, k, &mut p2);
+            assert_eq!(p1, p2, "n {n} k {k}");
         }
-        let mut p1 = vec![0.0f32; packed_len(k, n)];
-        let mut p2 = vec![0.0f32; packed_len(k, n)];
-        pack_b(&b, k, n, &mut p1);
-        pack_b_t(&bt, n, k, &mut p2);
-        assert_eq!(p1, p2);
     }
 
     #[test]
@@ -712,94 +558,15 @@ mod tests {
         assert_eq!(out, vec![1.0, 2.0, 3.0, 1.0, 2.0, 3.0]);
     }
 
-    /// The variable-geometry driver must be bit-identical to the portable
-    /// fixed tile at every (mr, nr, kc) — including k-blocked runs, whose
-    /// chunk handoff through `out` must preserve the ascending-k addition
-    /// order exactly.
-    #[test]
-    fn generic_driver_is_bit_identical_to_portable_tile() {
-        let portable = bioformer_simd::select(Some(bioformer_simd::Tier::Portable)).fp32_tile;
-        for &(m, k, n) in &[(1, 1, 1), (3, 5, 7), (31, 64, 17), (8, 64, 256), (5, 0, 4)] {
-            let a = filled(m * k, 21 + m as u64);
-            let b = filled(k * n, 22 + n as u64);
-            let bias = filled(n, 23);
-            let mut reference = vec![f32::NAN; m * n];
-            let mut packed = vec![0.0f32; packed_len(k, n)];
-            pack_b(&b, k, n, &mut packed);
-            gemm_packed_with(
-                portable,
-                &a,
-                m,
-                k,
-                &packed,
-                n,
-                &mut reference,
-                Epilogue::BiasGelu(&bias),
-            );
-            for &(mr, nr, kc) in &[
-                (MR, NR, 0),
-                (8, 16, 0),
-                (4, 32, 0),
-                (2, 8, 0),
-                (4, 16, 7),
-                (8, 64, 16),
-                (1, 1, 1),
-            ] {
-                let mut gp = vec![0.0f32; packed_len_nr(k, n, nr)];
-                pack_b_nr(&b, n, k, n, nr, &mut gp);
-                let mut out = vec![f32::NAN; m * n];
-                gemm_packed_generic(
-                    &a,
-                    m,
-                    k,
-                    &gp,
-                    n,
-                    &mut out,
-                    Epilogue::BiasGelu(&bias),
-                    mr,
-                    nr,
-                    kc,
-                );
-                assert_eq!(
-                    out, reference,
-                    "generic ({mr},{nr},{kc}) diverges at ({m},{k},{n})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pack_b_t_nr_matches_pack_b_nr_of_transpose() {
-        let (n, k, nr) = (17, 9, 8);
-        let bt = filled(n * k, 31);
-        let mut b = vec![0.0f32; k * n];
-        for j in 0..n {
-            for kk in 0..k {
-                b[kk * n + j] = bt[j * k + kk];
-            }
-        }
-        let mut p1 = vec![0.0f32; packed_len_nr(k, n, nr)];
-        let mut p2 = vec![0.0f32; packed_len_nr(k, n, nr)];
-        pack_b_nr(&b, n, k, n, nr, &mut p1);
-        pack_b_t_nr(&bt, k, n, k, nr, &mut p2);
-        assert_eq!(p1, p2);
-    }
-
     /// Packing a column block straight out of a wider row-major buffer
     /// (row stride `ld`) is the same image as gathering the block into a
-    /// dense matrix first — at panel widths that leave ragged tails and at
+    /// dense matrix first — at widths that leave ragged panel tails and at
     /// the block offsets attention's heads sit at.
     #[test]
     fn strided_packs_match_gather_then_pack() {
         let (rows, ld) = (31, 256);
         let wide = filled(rows * ld, 41);
-        for &(col, width, nr) in &[
-            (0, 32, NR),
-            (224, 32, NR),
-            (5, 17, NR),
-            (40, 23, 8),
-            (0, 1, 3),
-        ] {
+        for &(col, width) in &[(0, 32), (224, 32), (5, 17), (40, 23), (0, 1)] {
             // The `rows × width` block at column `col`, gathered densely.
             let dense: Vec<f32> = (0..rows)
                 .flat_map(|r| wide[r * ld + col..r * ld + col + width].to_vec())
@@ -807,18 +574,18 @@ mod tests {
             let src = &wide[col..];
 
             // As `B[k = rows, n = width]` (attention's V).
-            let mut want = vec![f32::NAN; packed_len_nr(rows, width, nr)];
-            let mut got = vec![f32::NAN; packed_len_nr(rows, width, nr)];
-            pack_b_nr(&dense, width, rows, width, nr, &mut want);
-            pack_b_nr(src, ld, rows, width, nr, &mut got);
-            assert_eq!(got, want, "pack_b_nr col {col} width {width} nr {nr}");
+            let mut want = vec![f32::NAN; packed_len(rows, width)];
+            let mut got = vec![f32::NAN; packed_len(rows, width)];
+            pack_b(&dense, rows, width, &mut want);
+            pack_b_strided(src, ld, rows, width, &mut got);
+            assert_eq!(got, want, "pack_b_strided col {col} width {width}");
 
             // As `Bᵀ[n = rows, k = width]` (attention's keys).
-            let mut want = vec![f32::NAN; packed_len_nr(width, rows, nr)];
-            let mut got = vec![f32::NAN; packed_len_nr(width, rows, nr)];
-            pack_b_t_nr(&dense, width, rows, width, nr, &mut want);
-            pack_b_t_nr(src, ld, rows, width, nr, &mut got);
-            assert_eq!(got, want, "pack_b_t_nr col {col} width {width} nr {nr}");
+            let mut want = vec![f32::NAN; packed_len(width, rows)];
+            let mut got = vec![f32::NAN; packed_len(width, rows)];
+            pack_b_t(&dense, rows, width, &mut want);
+            pack_b_t_strided(src, ld, rows, width, &mut got);
+            assert_eq!(got, want, "pack_b_t_strided col {col} width {width}");
         }
     }
 
@@ -826,7 +593,7 @@ mod tests {
     #[should_panic(expected = "row stride")]
     fn stride_narrower_than_the_row_panics() {
         let mut dst = vec![0.0f32; packed_len(4, 8)];
-        pack_b_nr(&[0.0; 32], 4, 4, 8, NR, &mut dst);
+        pack_b_strided(&[0.0; 32], 4, 4, 8, &mut dst);
     }
 
     #[test]

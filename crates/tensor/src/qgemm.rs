@@ -1,11 +1,8 @@
 //! int8 GEMM drivers (i8 operands, i32 accumulation) and the gemmlowp-style
 //! fixed-point requantizer.
 //!
-//! These used to live in `bioformer-quant::kernels`; they moved down here so
-//! the [`crate::backend::ComputeBackend`] seam can route **both** precisions
-//! through one trait without a circular crate dependency (`quant` re-exports
-//! them, so its public API is unchanged and there is exactly one definition
-//! of each kernel — the bit-exactness contracts cannot fork).
+//! `bioformer-quant::kernels` re-exports them, so there is exactly one
+//! definition of each driver and the bit-exactness contracts cannot fork.
 //!
 //! Two families, by what the right-hand side is:
 //!
@@ -14,14 +11,13 @@
 //!   is needed beyond the kernel call, so there is none here.
 //! * **Activations** (attention scores, `A·V`) stay row-major and go
 //!   through [`qgemm_nt_into`]: the whole-GEMM kernel where the tier has
-//!   one, else the dispatched `1×QNR` dot tile driven from the generic
-//!   loop. The dense `qgemm_*_into` entry points are this driver at
-//!   `ld == k`.
+//!   one and the shape fits its caps, else the `1×QNR` dot tile driven
+//!   from the generic loop. The dense `qgemm_*_into` entry points are this
+//!   driver at `ld == k`.
 //!
-//! Integer addition is associative, so every driver here — the dispatched
-//! path, the forced whole-GEMM path and the forced tile path — is
-//! **bit-for-bit identical** for any input; kernel selection is purely a
-//! performance decision, which is what makes int8 autotuning safe.
+//! Integer addition is associative, so both paths are **bit-for-bit
+//! identical** for any input; [`qgemm_i32_into_with`] pins the dot tile
+//! as the oracle tests compare against.
 
 use bioformer_simd::{Kernels, QdotTileFn};
 
@@ -171,10 +167,9 @@ fn qgemm_nt_tile(
 /// `C[m,n] = A[m,k] · B[n,k]ᵀ (+ bias)` over row-major, possibly strided
 /// operands, stored through `out` (raw accumulators, or requantized codes
 /// in either orientation) — the driver for products whose right-hand side
-/// is an activation. With `whole` set it runs `kernels`' whole-GEMM kernel
-/// when the tier has one and `(k, n)` fit its caps; otherwise (and always
-/// with `whole` unset) the tier's dot tile from the generic loop. Every
-/// combination is bit-identical.
+/// is an activation. Runs `kernels`' whole-GEMM kernel when the tier has
+/// one and `(k, n)` fit its caps ([`bioformer_simd::qgemm_nt_fits`]),
+/// else the tier's dot tile from the generic loop; both are bit-identical.
 ///
 /// # Panics
 ///
@@ -182,7 +177,6 @@ fn qgemm_nt_tile(
 #[allow(clippy::too_many_arguments)]
 pub fn qgemm_nt_into(
     kernels: &Kernels,
-    whole: bool,
     a: QMat<'_>,
     b: QMat<'_>,
     bias: Option<&[i32]>,
@@ -191,16 +185,15 @@ pub fn qgemm_nt_into(
     n: usize,
     out: QOut<'_>,
 ) {
-    match whole_gemm(kernels, k, n).filter(|_| whole) {
+    match whole_gemm(kernels, k, n) {
         Some(kernel) => kernel(a, b, bias, m, k, n, out),
         None => qgemm_nt_tile(kernels.qdot_tile, a, b, bias, m, k, n, out),
     }
 }
 
 /// `C[m,n] = A[m,k] · B[n,k]ᵀ (+ bias)` into a caller-provided accumulator
-/// buffer, using the runtime-dispatched kernel table (whole-GEMM where the
-/// CPU has one and the shape fits its caps, the dispatched dot tile
-/// otherwise).
+/// buffer: [`qgemm_nt_into`] over dense operands with the
+/// runtime-dispatched kernel table.
 ///
 /// `B` is row-major `[n, k]` — the natural layout both for linear-layer
 /// weights (`[out, in]`) and for attention keys.
@@ -217,70 +210,25 @@ pub fn qgemm_i32_into(
     n: usize,
     out: &mut [i32],
 ) {
-    if !qgemm_i32_whole_into(a, b, bias, m, k, n, out) {
-        qgemm_i32_tile_into(a, b, bias, m, k, n, out);
-    }
-}
-
-/// The forced whole-GEMM path of [`qgemm_i32_into`]: runs the tier's
-/// whole-GEMM kernel when the dispatch table carries one and `(k, n)` fit
-/// its caps, returning `true`; returns `false` (leaving `out` untouched)
-/// when unavailable so the caller can fall back to the tile path.
-/// Bit-identical to the tile path whenever it runs.
-///
-/// # Panics
-///
-/// Panics on inconsistent dimensions (when the path is taken).
-pub fn qgemm_i32_whole_into(
-    a: &[i8],
-    b: &[i8],
-    bias: Option<&[i32]>,
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [i32],
-) -> bool {
-    let Some(kernel) = whole_gemm(bioformer_simd::kernels(), k, n) else {
-        return false;
-    };
     check_qgemm_dims(a, b, bias, m, k, n);
     assert_eq!(out.len(), m * n, "qgemm: out size");
     let (a, b) = (QMat::dense(a, k), QMat::dense(b, k));
-    kernel(a, b, bias, m, k, n, QOut::Acc { out, ld: n });
-    true
-}
-
-/// The forced tile path of [`qgemm_i32_into`]: always drives the dispatched
-/// `1×QNR` dot tile from the generic loop, never the whole-GEMM kernel.
-///
-/// # Panics
-///
-/// Panics on inconsistent dimensions.
-pub fn qgemm_i32_tile_into(
-    a: &[i8],
-    b: &[i8],
-    bias: Option<&[i32]>,
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [i32],
-) {
-    // Resolve the dispatched tile once per GEMM, not once per tile.
-    qgemm_i32_into_with(
-        bioformer_simd::kernels().qdot_tile,
+    qgemm_nt_into(
+        bioformer_simd::kernels(),
         a,
         b,
         bias,
         m,
         k,
         n,
-        out,
+        QOut::Acc { out, ld: n },
     );
 }
 
-/// [`qgemm_i32_into`] with an explicitly chosen dot tile — the hook
-/// benches and tier-parity tests use to pin a [`bioformer_simd`] tier
-/// (e.g. the scalar oracle) instead of the runtime-dispatched one.
+/// [`qgemm_i32_into`] through an explicitly chosen dot tile, never a
+/// whole-GEMM kernel — the hook benches and tier-parity tests use to pin
+/// a [`bioformer_simd`] tier (e.g. the scalar oracle) instead of the
+/// runtime-dispatched one.
 ///
 /// # Panics
 ///
@@ -323,67 +271,20 @@ pub fn qgemm_requant_into(
     zero_point: i32,
     out: &mut [i8],
 ) {
-    if !qgemm_requant_whole_into(a, b, bias, m, k, n, mult, zero_point, out) {
-        qgemm_requant_tile_into(a, b, bias, m, k, n, mult, zero_point, out);
-    }
-}
-
-/// The forced whole-GEMM path of [`qgemm_requant_into`]: one kernel call
-/// for the whole product (so the `128·Σb` corrections are derived once),
-/// requantized in the kernel's store. Returns `false` (leaving `out`
-/// untouched) when the whole-GEMM kernel is unavailable or the shape
-/// exceeds its caps.
-///
-/// # Panics
-///
-/// Panics on inconsistent dimensions (when the path is taken).
-#[allow(clippy::too_many_arguments)]
-pub fn qgemm_requant_whole_into(
-    a: &[i8],
-    b: &[i8],
-    bias: Option<&[i32]>,
-    m: usize,
-    k: usize,
-    n: usize,
-    mult: FixedMultiplier,
-    zero_point: i32,
-    out: &mut [i8],
-) -> bool {
-    let Some(kernel) = whole_gemm(bioformer_simd::kernels(), k, n) else {
-        return false;
-    };
     check_qgemm_dims(a, b, bias, m, k, n);
     assert_eq!(out.len(), m * n, "qgemm: out size");
     let (a, b) = (QMat::dense(a, k), QMat::dense(b, k));
     let rq = mult.requant(zero_point);
-    kernel(a, b, bias, m, k, n, QOut::Rows { out, ld: n, rq });
-    true
-}
-
-/// The forced tile path of [`qgemm_requant_into`]: drives the dispatched
-/// dot tile with the requantization fused into its store.
-///
-/// # Panics
-///
-/// Panics on inconsistent dimensions.
-#[allow(clippy::too_many_arguments)]
-pub fn qgemm_requant_tile_into(
-    a: &[i8],
-    b: &[i8],
-    bias: Option<&[i32]>,
-    m: usize,
-    k: usize,
-    n: usize,
-    mult: FixedMultiplier,
-    zero_point: i32,
-    out: &mut [i8],
-) {
-    check_qgemm_dims(a, b, bias, m, k, n);
-    assert_eq!(out.len(), m * n, "qgemm: out size");
-    let tile = bioformer_simd::kernels().qdot_tile;
-    let (a, b) = (QMat::dense(a, k), QMat::dense(b, k));
-    let rq = mult.requant(zero_point);
-    qgemm_nt_tile(tile, a, b, bias, m, k, n, QOut::Rows { out, ld: n, rq });
+    qgemm_nt_into(
+        bioformer_simd::kernels(),
+        a,
+        b,
+        bias,
+        m,
+        k,
+        n,
+        QOut::Rows { out, ld: n, rq },
+    );
 }
 
 #[cfg(test)]
@@ -402,38 +303,62 @@ mod tests {
             .collect()
     }
 
-    /// The forced whole-GEMM and forced tile paths must be bit-identical
-    /// wherever both run (the whole path may simply be unavailable).
+    /// `A·Bᵀ + bias` through the dispatched tier's dot tile: the oracle.
+    fn oracle(a: &[i8], b: &[i8], bias: &[i32], m: usize, k: usize, n: usize) -> Vec<i32> {
+        let mut out = vec![0i32; m * n];
+        let tile = bioformer_simd::kernels().qdot_tile;
+        qgemm_i32_into_with(tile, a, b, Some(bias), m, k, n, &mut out);
+        out
+    }
+
+    /// The dispatched driver (whole-GEMM kernel where the tier has one),
+    /// the same driver with the whole-GEMM kernel removed (the dot-tile
+    /// fallback) and the fused requantizing store all equal the oracle.
     #[test]
     fn forced_kernel_paths_agree_bit_exactly() {
+        let kernels = bioformer_simd::kernels();
+        let tile_only = Kernels {
+            qgemm_nt: None,
+            ..*kernels
+        };
         for &(m, k, n) in &[(1, 1, 1), (3, 5, 4), (6, 31, 17), (5, 64, 32)] {
             let a = qfilled(m * k, 1 + m as u64);
             let b = qfilled(n * k, 2 + n as u64);
             let bias: Vec<i32> = (0..n as i32).map(|j| j * 7 - 3).collect();
-            let mut tile = vec![0i32; m * n];
-            qgemm_i32_tile_into(&a, &b, Some(&bias), m, k, n, &mut tile);
+            let want = oracle(&a, &b, &bias, m, k, n);
             let mut dispatch = vec![0i32; m * n];
             qgemm_i32_into(&a, &b, Some(&bias), m, k, n, &mut dispatch);
-            assert_eq!(tile, dispatch, "shape ({m},{k},{n})");
-            let mut whole = vec![0i32; m * n];
-            if qgemm_i32_whole_into(&a, &b, Some(&bias), m, k, n, &mut whole) {
-                assert_eq!(tile, whole, "whole-GEMM diverges at ({m},{k},{n})");
-            }
+            assert_eq!(dispatch, want, "shape ({m},{k},{n})");
+            let mut tile = vec![0i32; m * n];
+            let (qa, qb) = (QMat::dense(&a, k), QMat::dense(&b, k));
+            let out = QOut::Acc {
+                out: &mut tile,
+                ld: n,
+            };
+            qgemm_nt_into(&tile_only, qa, qb, Some(&bias), m, k, n, out);
+            assert_eq!(tile, want, "tile path diverges at ({m},{k},{n})");
             let mult = FixedMultiplier::encode(0.0173);
-            let mut rq_tile = vec![0i8; m * n];
-            qgemm_requant_tile_into(&a, &b, Some(&bias), m, k, n, mult, -5, &mut rq_tile);
-            let mut rq_dispatch = vec![0i8; m * n];
-            qgemm_requant_into(&a, &b, Some(&bias), m, k, n, mult, -5, &mut rq_dispatch);
-            assert_eq!(rq_tile, rq_dispatch, "requant shape ({m},{k},{n})");
+            let mut rq = vec![0i8; m * n];
+            qgemm_requant_into(&a, &b, Some(&bias), m, k, n, mult, -5, &mut rq);
+            let rq_want: Vec<i8> = want
+                .iter()
+                .map(|&acc| mult.requantize_to_i8(acc, -5))
+                .collect();
+            assert_eq!(rq, rq_want, "requant shape ({m},{k},{n})");
         }
     }
 
+    /// Past the whole-GEMM caps the driver falls back to the dot tile and
+    /// still equals the oracle.
     #[test]
-    fn whole_path_reports_unavailable_beyond_caps() {
-        let k = bioformer_simd::QGEMM_K_CAP + 1;
-        let a = qfilled(k, 9);
-        let b = qfilled(k, 10);
-        let mut out = vec![0i32; 1];
-        assert!(!qgemm_i32_whole_into(&a, &b, None, 1, k, 1, &mut out));
+    fn shape_beyond_the_caps_still_equals_the_oracle() {
+        let (m, k, n) = (2, bioformer_simd::QGEMM_K_CAP + 1, 3);
+        assert!(!bioformer_simd::qgemm_nt_fits(k, n));
+        let a = qfilled(m * k, 9);
+        let b = qfilled(n * k, 10);
+        let bias = [5, -6, 7];
+        let mut out = vec![0i32; m * n];
+        qgemm_i32_into(&a, &b, Some(&bias), m, k, n, &mut out);
+        assert_eq!(out, oracle(&a, &b, &bias, m, k, n));
     }
 }

@@ -48,11 +48,6 @@ pub struct EngineStats {
     pub engine: &'static str,
     /// Backend name per replica (one entry for the single-backend engines).
     pub backends: Vec<String>,
-    /// Compute-backend report per replica, parallel to `backends` —
-    /// `"default"` for untuned replicas, or the tuned table summary
-    /// (kernel tier plus per-shape winners) for replicas built through the
-    /// autotuner.
-    pub tuning: Vec<String>,
     /// Requests served (responses delivered with logits).
     pub requests: usize,
     /// Requests expired for missing their deadline.
@@ -91,13 +86,11 @@ impl EngineStats {
 pub(crate) fn stats_from_async(
     engine: &'static str,
     backends: Vec<String>,
-    tuning: Vec<String>,
     s: AsyncStats,
 ) -> EngineStats {
     EngineStats {
         engine,
         backends,
-        tuning,
         requests: s.requests,
         expired: s.expired,
         failed: s.failed,
@@ -110,11 +103,10 @@ pub(crate) fn stats_from_async(
 }
 
 /// Flattens a [`PoolStats`] into the unified schema.
-fn stats_from_pool(backends: Vec<String>, tuning: Vec<String>, s: PoolStats) -> EngineStats {
+fn stats_from_pool(backends: Vec<String>, s: PoolStats) -> EngineStats {
     EngineStats {
         engine: "sharded",
         backends,
-        tuning,
         requests: s.requests,
         expired: s.expired,
         failed: s.failed,
@@ -286,19 +278,13 @@ impl Engine for AsyncEngine {
     }
 
     fn engine_stats(&self) -> EngineStats {
-        stats_from_async(
-            "async",
-            Engine::backends(self),
-            vec![self.compute_report().to_string()],
-            self.stats(),
-        )
+        stats_from_async("async", Engine::backends(self), self.stats())
     }
 
     fn shutdown(self: Box<Self>) -> EngineStats {
         let backends = Engine::backends(self.as_ref());
-        let tuning = vec![self.compute_report().to_string()];
         let this = *self;
-        stats_from_async("async", backends, tuning, AsyncEngine::shutdown(this))
+        stats_from_async("async", backends, AsyncEngine::shutdown(this))
     }
 }
 
@@ -343,13 +329,12 @@ impl Engine for ShardedEngine {
     }
 
     fn engine_stats(&self) -> EngineStats {
-        stats_from_pool(self.backend_names(), self.compute_reports(), self.stats())
+        stats_from_pool(self.backend_names(), self.stats())
     }
 
     fn shutdown(self: Box<Self>) -> EngineStats {
         let backends = self.backend_names();
-        let tuning = self.compute_reports();
         let this = *self;
-        stats_from_pool(backends, tuning, ShardedEngine::shutdown(this))
+        stats_from_pool(backends, ShardedEngine::shutdown(this))
     }
 }

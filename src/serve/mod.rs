@@ -108,17 +108,13 @@ pub mod prelude {
     pub use super::trace::{LatencyBudget, LatencyTrace, StageStats, StageSummary};
     pub use super::worker::{AsyncEngine, AsyncEngineConfig, AsyncStats, LingerPolicy};
     pub use super::zoo::{ModelZoo, PromotionDecision, PromotionPolicy, RouteMode, ZooStats};
-    pub use super::{
-        tuned_compute, GestureClassifier, InferenceEngine, LatencyStats, ServeOutcome,
-    };
+    pub use super::{GestureClassifier, InferenceEngine, LatencyStats, ServeOutcome};
 }
 
 use bioformer_core::{Bioformer, TempoNet, WaveFormer};
 use bioformer_nn::InferForward;
 use bioformer_quant::QuantBioformer;
 use bioformer_semg::GESTURE_CLASSES;
-use bioformer_tensor::backend::{ComputeBackend, PackedCpuBackend};
-use bioformer_tensor::tune::{tune, GemmShape, TuneTable};
 use bioformer_tensor::{Tensor, TensorArena};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -163,38 +159,13 @@ pub trait GestureClassifier: Send + Sync {
         None
     }
 
-    /// Installs a [`ComputeBackend`] on the model's GEMM-bearing layers
-    /// (e.g. an autotuned one from [`tuned_compute`]). The default is a
-    /// no-op for backends without a compute seam; model impls forward to
-    /// their `set_backend`.
-    fn install_compute(&mut self, compute: Arc<dyn ComputeBackend>) {
-        let _ = compute;
-    }
-
-    /// One-line description of the compute backend the model routes
-    /// through (tuning state included) — surfaced per replica in
-    /// [`EngineStats::tuning`]. Backends without a compute seam report
-    /// `"default"`.
+    /// One-line description of what the model dispatches — the compute
+    /// backend of an fp32 model, the plan and SIMD tier of the int8 one —
+    /// queried per replica through [`ShardedEngine::compute_reports`].
+    /// Backends without a compute seam report `"default"`.
     fn compute_report(&self) -> String {
         "default".to_string()
     }
-
-    /// The distinct GEMM shapes this backend's inference path executes —
-    /// the autotuner's work-list. Empty (the default) means nothing to
-    /// tune.
-    fn gemm_shapes(&self) -> Vec<GemmShape> {
-        Vec::new()
-    }
-}
-
-/// Autotunes a compute backend for `classifier`'s GEMM shapes (honouring
-/// `BIOFORMER_TUNE`; with `BIOFORMER_TUNE=off` the table is empty and the
-/// backend behaves exactly like the default). Returns the backend plus the
-/// tuning table — persist the table with [`TuneTable::to_json`], or read
-/// its decision log for why each shape kept the default.
-pub fn tuned_compute(classifier: &dyn GestureClassifier) -> (Arc<dyn ComputeBackend>, TuneTable) {
-    let table = tune(&classifier.gemm_shapes());
-    (Arc::new(PackedCpuBackend::with_table(table.clone())), table)
 }
 
 /// Delegation through `Arc`, so one shared model instance can back any
@@ -221,20 +192,8 @@ impl<T: GestureClassifier + ?Sized> GestureClassifier for Arc<T> {
         (**self).input_shape()
     }
 
-    /// Intentionally a no-op: the model behind an `Arc` is shared with
-    /// other engines/replicas, so one replica must not swap its kernels
-    /// under the others. Install a compute backend on the owned model
-    /// *before* sharing it.
-    fn install_compute(&mut self, compute: Arc<dyn ComputeBackend>) {
-        let _ = compute;
-    }
-
     fn compute_report(&self) -> String {
         (**self).compute_report()
-    }
-
-    fn gemm_shapes(&self) -> Vec<GemmShape> {
-        (**self).gemm_shapes()
     }
 }
 
@@ -264,16 +223,8 @@ impl GestureClassifier for Bioformer {
         Some((self.config().channels, self.config().window))
     }
 
-    fn install_compute(&mut self, compute: Arc<dyn ComputeBackend>) {
-        self.set_backend(compute);
-    }
-
     fn compute_report(&self) -> String {
         Bioformer::compute_report(self)
-    }
-
-    fn gemm_shapes(&self) -> Vec<GemmShape> {
-        Bioformer::gemm_shapes(self)
     }
 }
 
@@ -295,16 +246,8 @@ impl GestureClassifier for TempoNet {
         Some((bioformer_semg::CHANNELS, bioformer_semg::WINDOW))
     }
 
-    fn install_compute(&mut self, compute: Arc<dyn ComputeBackend>) {
-        self.set_backend(compute);
-    }
-
     fn compute_report(&self) -> String {
         TempoNet::compute_report(self)
-    }
-
-    fn gemm_shapes(&self) -> Vec<GemmShape> {
-        TempoNet::gemm_shapes(self)
     }
 }
 
@@ -328,16 +271,8 @@ impl GestureClassifier for WaveFormer {
         Some((bioformer_semg::CHANNELS, bioformer_semg::WINDOW))
     }
 
-    fn install_compute(&mut self, compute: Arc<dyn ComputeBackend>) {
-        self.set_backend(compute);
-    }
-
     fn compute_report(&self) -> String {
         WaveFormer::compute_report(self)
-    }
-
-    fn gemm_shapes(&self) -> Vec<GemmShape> {
-        WaveFormer::gemm_shapes(self)
     }
 }
 
@@ -367,16 +302,8 @@ impl GestureClassifier for QuantBioformer {
         Some((self.config().channels, self.config().window))
     }
 
-    fn install_compute(&mut self, compute: Arc<dyn ComputeBackend>) {
-        self.set_backend(compute);
-    }
-
     fn compute_report(&self) -> String {
         QuantBioformer::compute_report(self)
-    }
-
-    fn gemm_shapes(&self) -> Vec<GemmShape> {
-        QuantBioformer::gemm_shapes(self)
     }
 }
 
@@ -534,24 +461,7 @@ impl InferenceEngine {
         self.micro_batch
     }
 
-    /// Installs a [`ComputeBackend`] on the backend model (no-op for
-    /// backends without a compute seam — including `Arc`-shared models,
-    /// which must be tuned before sharing).
-    pub fn with_compute(mut self, compute: Arc<dyn ComputeBackend>) -> Self {
-        self.backend.install_compute(compute);
-        self
-    }
-
-    /// Autotunes a compute backend for the model's GEMM shapes (honouring
-    /// `BIOFORMER_TUNE`) and installs it. Use [`tuned_compute`] directly
-    /// when you also want the [`TuneTable`] (to persist it as JSON or read
-    /// the decision log).
-    pub fn with_tuned_compute(self) -> Self {
-        let (compute, _table) = tuned_compute(self.backend.as_ref());
-        self.with_compute(compute)
-    }
-
-    /// The backend model's compute report (tuning state included).
+    /// The backend model's compute report (backend and dispatched plan).
     pub fn compute_report(&self) -> String {
         self.backend.compute_report()
     }
@@ -656,7 +566,6 @@ impl InferenceEngine {
         engine::stats_from_async(
             "inference",
             vec![self.backend.name().to_string()],
-            vec![self.backend.compute_report()],
             inner.into_stats(Vec::new()),
         )
     }
@@ -839,7 +748,6 @@ mod tests {
     fn probe_backend_reports_default_compute() {
         let (engine, _seen) = probe_engine(4);
         assert_eq!(engine.compute_report(), "default");
-        assert_eq!(engine.stats().tuning, vec!["default".to_string()]);
     }
 
     /// Lifetime stats accumulate across calls in the unified schema.

@@ -28,10 +28,9 @@
 use super::queue::{PendingResponse, RequestOutput, ServeError};
 use super::worker::{AsyncEngineConfig, AsyncStats, Replica, WorkerInner};
 use super::{GestureClassifier, LatencyStats};
-use bioformer_tensor::backend::ComputeBackend;
 use bioformer_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// How often the hedged race polls each of the two in-flight copies.
@@ -376,31 +375,6 @@ impl ShardedEngineBuilder {
         self
     }
 
-    /// Adds a replica with an explicit [`ComputeBackend`] installed before
-    /// it is shared with the worker pool — e.g. one built from a persisted
-    /// [`TuneTable`](bioformer_tensor::tune::TuneTable). The install is a
-    /// no-op for backends without a compute seam.
-    pub fn add_replica_with_compute(
-        self,
-        mut backend: Box<dyn GestureClassifier>,
-        compute: Arc<dyn ComputeBackend>,
-    ) -> Self {
-        backend.install_compute(compute);
-        self.add_replica(backend)
-    }
-
-    /// Adds a replica whose compute backend is autotuned for the model's
-    /// GEMM shapes (honouring `BIOFORMER_TUNE`) before the worker pool
-    /// spawns. Mixing `add_tuned_replica` and `add_replica` in one pool
-    /// yields tuned and default replicas side by side — compare them via
-    /// [`EngineStats::tuning`](super::EngineStats) and the per-replica
-    /// latency breakdown.
-    pub fn add_tuned_replica(self, mut backend: Box<dyn GestureClassifier>) -> Self {
-        let (compute, _table) = super::tuned_compute(backend.as_ref());
-        backend.install_compute(compute);
-        self.add_replica(backend)
-    }
-
     /// Spawns every replica's worker pool and returns the engine.
     ///
     /// # Panics
@@ -521,7 +495,8 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// The replica compute reports (tuning state at spawn), parallel to
+    /// The replica compute reports (backend, SIMD tier and plan at spawn),
+    /// parallel to
     /// [`ShardedEngine::backend_names`].
     pub fn compute_reports(&self) -> Vec<String> {
         self.replicas

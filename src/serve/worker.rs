@@ -534,8 +534,8 @@ pub(crate) struct Replica {
     shape: Mutex<ShapeState>,
     classes: usize,
     backend_name: String,
-    /// Snapshot of the backend's compute report (tuning state) taken at
-    /// spawn, before the backend moves into the worker threads.
+    /// Snapshot of the backend's compute report (backend and dispatched
+    /// plan) taken at spawn, before the backend moves into the worker threads.
     compute_report: String,
     cfg: AsyncEngineConfig,
 }
@@ -864,19 +864,6 @@ impl AsyncEngine {
         }
     }
 
-    /// Autotunes a compute backend for `backend`'s GEMM shapes (honouring
-    /// `BIOFORMER_TUNE`), installs it, then spawns the worker pool. A
-    /// no-op install (`Arc`-shared or seam-less backends) still yields a
-    /// working engine — the replica just serves on the default kernels.
-    pub fn with_tuned_compute(
-        mut backend: Box<dyn GestureClassifier>,
-        cfg: AsyncEngineConfig,
-    ) -> Self {
-        let (compute, _table) = super::tuned_compute(backend.as_ref());
-        backend.install_compute(compute);
-        AsyncEngine::with_config(backend, cfg)
-    }
-
     /// The engine's configuration.
     pub fn config(&self) -> &AsyncEngineConfig {
         self.replica.config()
@@ -888,7 +875,8 @@ impl AsyncEngine {
     }
 
     /// The backend's compute report at spawn time: `"default"` for
-    /// untuned replicas, or the tuned table summary.
+    /// backends without a compute seam, else the backend and the plan it
+    /// dispatched.
     pub fn compute_report(&self) -> &str {
         self.replica.compute_report()
     }

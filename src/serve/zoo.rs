@@ -1075,7 +1075,6 @@ mod tests {
                 EngineStats {
                     engine: "inference",
                     backends: vec![],
-                    tuning: vec![],
                     requests: 0,
                     expired: 0,
                     failed: 0,

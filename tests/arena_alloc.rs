@@ -160,34 +160,6 @@ fn steady_state_bioformer_forward_makes_zero_heap_allocations() {
     }
 }
 
-/// Autotuned kernels keep the allocation-free steady state: tuning (and
-/// the repacking it forces) happens entirely at load time, so after
-/// warm-up a tuned forward must hit the heap exactly as often as the
-/// default one — never.
-#[test]
-fn steady_state_tuned_forward_makes_zero_heap_allocations() {
-    let _serial = serial_kernels();
-    let mut model = Bioformer::new(&BioformerConfig::bio1());
-    let (compute, _table) = bioformers::serve::tuned_compute(&model);
-    model.set_backend(compute);
-    let x = window(1, 13);
-    let mut arena = TensorArena::new();
-    for _ in 0..2 {
-        let y = model.forward_infer_in(&x, &mut arena);
-        arena.recycle(y);
-    }
-    for trial in 0..3 {
-        let steady = count_allocations(|| {
-            let y = model.forward_infer_in(&x, &mut arena);
-            arena.recycle(y);
-        });
-        assert_eq!(
-            steady, 0,
-            "tuned steady-state forward #{trial} hit the heap {steady} times"
-        );
-    }
-}
-
 #[test]
 fn steady_state_batched_forward_makes_zero_heap_allocations() {
     let _serial = serial_kernels();

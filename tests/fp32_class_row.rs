@@ -20,9 +20,7 @@
 
 use bioformers::core::{Bioformer, BioformerConfig};
 use bioformers::nn::{InferForward, MultiHeadSelfAttention, TransformerBlock};
-use bioformers::tensor::backend::{
-    default_backend, ComputeBackend, Fp32Kernel, GemmPlan, Int8Kernel, TileSpec,
-};
+use bioformers::tensor::backend::{default_backend, ComputeBackend, Fp32Kernel};
 use bioformers::tensor::{Tensor, TensorArena};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,12 +35,8 @@ impl ComputeBackend for Pinned {
         "pinned"
     }
 
-    fn plan_fp32(&self, _m: usize, _k: usize, _n: usize) -> GemmPlan {
-        GemmPlan::new(TileSpec::DEFAULT, self.0)
-    }
-
-    fn plan_int8(&self, _m: usize, _k: usize, _n: usize) -> Int8Kernel {
-        Int8Kernel::Dispatch
+    fn plan_fp32(&self) -> Fp32Kernel {
+        self.0
     }
 }
 

@@ -248,9 +248,8 @@ fn compute_report_names_the_plan() {
     let model = quantized(&BioformerConfig::bio1());
     let report = model.compute_report();
     let tier = bioformers::simd::kernels().name;
-    assert!(report.starts_with("packed-cpu[default]"), "{report}");
     assert!(
-        report.contains(&format!("int8-plan[tier={tier} ")),
+        report.starts_with(&format!("int8-plan[tier={tier} ")),
         "{report}"
     );
     // bio1: 3 + (11 + 3·8) + 2 kernel steps per window.
@@ -259,8 +258,4 @@ fn compute_report_names_the_plan() {
         report.contains("packed=") && report.contains("slab="),
         "{report}"
     );
-    // Only the per-head attention products are left to the int8 plan.
-    let shapes = model.gemm_shapes();
-    assert_eq!(shapes.len(), 2);
-    assert!(shapes.iter().all(|g| g.int8 && g.m == 31));
 }

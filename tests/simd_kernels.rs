@@ -325,9 +325,10 @@ proptest! {
         }
     }
 
-    /// The row-major driver (whole-GEMM kernel and forced tile path) of
-    /// every tier is bit-exact over strided operands — one attention head
-    /// read in place out of a wider projection.
+    /// The row-major driver of every tier — as dispatched, and with the
+    /// whole-GEMM kernel removed so the dot-tile fallback that serves every
+    /// shape beyond the caps runs — is bit-exact over strided operands: one
+    /// attention head read in place out of a wider projection.
     #[test]
     fn strided_nt_gemm_matches_scalar_oracle(
         m in 0usize..9,
@@ -349,12 +350,13 @@ proptest! {
         // Dense copy of B for the reference loop.
         let dense: Vec<i8> = (0..n).flat_map(|j| b[j * ldb..j * ldb + k].to_vec()).collect();
         let want = gemm_reference(&a, lda, &dense, bias, m, k, n);
-        for kernels in tiers() {
-            for whole in [true, false] {
-                let label = format!("{} whole={whole} ({m},{k},{n})", kernels.name);
+        for tier in tiers() {
+            let tile_only = Kernels { qgemm_nt: None, ..tier };
+            for (path, kernels) in [("dispatched", tier), ("tile", tile_only)] {
+                let label = format!("{} {path} ({m},{k},{n})", tier.name);
                 check_store_forms(&label, &want, m, n, rq, |out| {
                     let (a, b) = (QMat { data: &a, ld: lda }, QMat { data: &b, ld: ldb });
-                    qgemm_nt_into(&kernels, whole, a, b, bias, m, k, n, out)
+                    qgemm_nt_into(&kernels, a, b, bias, m, k, n, out)
                 });
             }
         }
