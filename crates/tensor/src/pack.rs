@@ -467,24 +467,41 @@ mod tests {
         }
     }
 
-    /// One panel with a ragged tail, and two panels.
     #[test]
     fn pack_b_t_matches_pack_of_transpose() {
-        for (n, k) in [(7, 5), (17, 9)] {
-            let bt = filled(n * k, 3);
-            // Transpose to row-major [k, n].
-            let mut b = vec![0.0f32; k * n];
-            for j in 0..n {
-                for kk in 0..k {
-                    b[kk * n + j] = bt[j * k + kk];
-                }
+        let (n, k) = (7, 5);
+        let bt = filled(n * k, 3);
+        // Transpose to row-major [k, n].
+        let mut b = vec![0.0f32; k * n];
+        for j in 0..n {
+            for kk in 0..k {
+                b[kk * n + j] = bt[j * k + kk];
             }
-            let mut p1 = vec![0.0f32; packed_len(k, n)];
-            let mut p2 = vec![0.0f32; packed_len(k, n)];
-            pack_b(&b, k, n, &mut p1);
-            pack_b_t(&bt, n, k, &mut p2);
-            assert_eq!(p1, p2, "n {n} k {k}");
         }
+        let mut p1 = vec![0.0f32; packed_len(k, n)];
+        let mut p2 = vec![0.0f32; packed_len(k, n)];
+        pack_b(&b, k, n, &mut p1);
+        pack_b_t(&bt, n, k, &mut p2);
+        assert_eq!(p1, p2);
+    }
+
+    /// Two panels, the second ragged, through the strided entry points at
+    /// a dense row stride.
+    #[test]
+    fn pack_b_t_nr_matches_pack_b_nr_of_transpose() {
+        let (n, k) = (NR + 1, 9);
+        let bt = filled(n * k, 31);
+        let mut b = vec![0.0f32; k * n];
+        for j in 0..n {
+            for kk in 0..k {
+                b[kk * n + j] = bt[j * k + kk];
+            }
+        }
+        let mut p1 = vec![0.0f32; packed_len(k, n)];
+        let mut p2 = vec![0.0f32; packed_len(k, n)];
+        pack_b_strided(&b, n, k, n, &mut p1);
+        pack_b_t_strided(&bt, k, n, k, &mut p2);
+        assert_eq!(p1, p2);
     }
 
     #[test]
