@@ -37,9 +37,7 @@ use crate::requant::FixedMultiplier;
 // The GEMM drivers themselves live in `bioformer_tensor::qgemm`; they are
 // re-exported here so there is a single definition for the bit-exactness
 // contracts to rely on.
-pub use bioformer_tensor::qgemm::{
-    qgemm_i32_into, qgemm_i32_into_with, qgemm_nt_into, qgemm_requant_into, QNR,
-};
+pub use bioformer_tensor::qgemm::{qgemm_i32_into, qgemm_nt_into, qgemm_requant_into, QNR};
 
 /// `C[m,n] = A[m,k] · B[n,k]ᵀ (+ bias)`, returning raw i32 accumulators.
 ///

@@ -6,10 +6,10 @@
 //! normalised int32 mantissa and a right-shift; on the hot path only i64
 //! multiply + rounding shift are used — exactly what ships on the MCU.
 //!
-//! The implementation lives in [`bioformer_tensor::qgemm`] since the
-//! `ComputeBackend` seam landed (the fused-requantize GEMM drivers need it
-//! below this crate); this module re-exports it, so there is exactly one
-//! definition and the bit-exactness contract cannot fork.
+//! The implementation lives in [`bioformer_tensor::qgemm`], because the
+//! fused-requantize GEMM drivers there need it below this crate; this
+//! module re-exports it, so there is exactly one definition and the
+//! bit-exactness contract cannot fork.
 
 pub use bioformer_tensor::qgemm::FixedMultiplier;
 

@@ -140,7 +140,7 @@ pub const QGEMM_AREA_CAP: usize = 32 * 1024;
 /// The resolved microkernel set for this process.
 #[derive(Clone, Copy)]
 pub struct Kernels {
-    /// Human-readable tier, e.g. `"avx512f+vnni"` — for logs and benches.
+    /// Human-readable tier, e.g. `"avx512f+vnni"` — for logs and compute reports.
     pub name: &'static str,
     /// fp32 `MR×NR` accumulator tile.
     pub fp32_tile: Fp32TileFn,
@@ -185,8 +185,8 @@ pub enum Tier {
 /// Builds a [`Kernels`] table for the given cap, clamped to what the CPU
 /// actually supports. `None` means "best available" (the `auto` policy).
 ///
-/// This is `kernels()` without the cache — tests and benches use it to
-/// compare tiers side by side in one process.
+/// This is `kernels()` without the cache — tests and tier-pinning
+/// backends use it to compare tiers side by side in one process.
 pub fn select(cap: Option<Tier>) -> Kernels {
     let cap = cap.unwrap_or(Tier::Vnni);
     let fp32_avx512 = cap >= Tier::Vnni && fp32::avx512_supported();

@@ -347,7 +347,7 @@ pub fn gemm_packed(
 }
 
 /// [`gemm_packed`] with an explicitly chosen microkernel tile — the hook
-/// benches and tier-parity tests use to pin a [`bioformer_simd`] tier
+/// backends and tier-parity tests use to pin a [`bioformer_simd`] tier
 /// (e.g. the portable oracle) instead of the runtime-dispatched one.
 ///
 /// # Panics

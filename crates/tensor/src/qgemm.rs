@@ -226,9 +226,9 @@ pub fn qgemm_i32_into(
 }
 
 /// [`qgemm_i32_into`] through an explicitly chosen dot tile, never a
-/// whole-GEMM kernel — the hook benches and tier-parity tests use to pin
-/// a [`bioformer_simd`] tier (e.g. the scalar oracle) instead of the
-/// runtime-dispatched one.
+/// whole-GEMM kernel — the oracle this module's tests compare the
+/// dispatched drivers against, with a [`bioformer_simd`] tier (e.g. the
+/// scalar tile) pinned instead of the runtime-dispatched one.
 ///
 /// # Panics
 ///
