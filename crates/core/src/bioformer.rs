@@ -12,10 +12,12 @@
 //! values still cover every token).
 
 use crate::config::BioformerConfig;
+use crate::descriptor::bioformer_descriptor;
 use bioformer_nn::linear::FusedActivation;
 use bioformer_nn::{Conv1d, InferForward, LayerNorm, Linear, Model, Param, TransformerBlock};
 use bioformer_tensor::backend::{default_backend, ComputeBackend};
 use bioformer_tensor::conv::Conv1dSpec;
+use bioformer_tensor::parallel::{plan_threads, ScratchPool};
 use bioformer_tensor::{Tensor, TensorArena};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,6 +47,12 @@ pub struct Bioformer {
     head: Linear,
     fwd_batch: Option<usize>,
     backend: Arc<dyn ComputeBackend>,
+    /// Work of one window in FLOPs (2 per MAC of the network descriptor):
+    /// the unit [`plan_threads`] sizes a batch's fan-out in. Computed once,
+    /// because building the descriptor allocates.
+    window_work: usize,
+    /// Scratch arenas of the fanned-out batch forward, one per shard.
+    scratch: ScratchPool<TensorArena>,
 }
 
 impl Bioformer {
@@ -100,6 +108,8 @@ impl Bioformer {
             head,
             fwd_batch: None,
             backend: default_backend(),
+            window_work: 2 * bioformer_descriptor(cfg).macs() as usize,
+            scratch: ScratchPool::default(),
         }
     }
 
@@ -200,6 +210,56 @@ impl Bioformer {
         (dconv, dcls)
     }
 
+    /// The scratch arenas the fanned-out batch forward keeps between calls
+    /// (one window's worth each).
+    pub fn scratch_pool(&self) -> &ScratchPool<TensorArena> {
+        &self.scratch
+    }
+
+    /// The batched inference body behind [`InferForward::forward_infer_in`]
+    /// and the eval-mode [`Model::forward`]: the `B` windows of `x` (whole
+    /// `[channels, window]` samples back to back) through each layer
+    /// together, on `arena`; returns `[B, classes]`.
+    ///
+    /// Only the work the head reads is done: the patch GEMM stores each
+    /// sample's tokens straight into its token rows (no transposes), and
+    /// the last encoder block runs its queries, FFN and residuals for the
+    /// class row alone ([`TransformerBlock::forward_last_token_in`]),
+    /// handing `[B, E]` to the final LayerNorm. Every kept element is the
+    /// same arithmetic as in the full-row pass, so the logits are
+    /// bit-identical to it.
+    fn forward_batch_in(&self, x: &[f32], arena: &mut TensorArena) -> Tensor {
+        let (window, e) = (self.cfg.window, self.cfg.embed);
+        let b = x.len() / (self.cfg.channels * window);
+        let n = self.patch.out_len(window);
+        let s = n + 1;
+        let mut tokens = arena.tensor(&[b, s, e]);
+        self.patch
+            .infer_tokens_into(x, window, tokens.data_mut(), s * e, arena);
+        let cls = self.class_token.value.data();
+        for sample in tokens.data_mut().chunks_mut(s * e) {
+            sample[n * e..].copy_from_slice(cls);
+        }
+        let (last, earlier) = self
+            .blocks
+            .split_last()
+            .expect("a validated config has depth ≥ 1");
+        for blk in earlier {
+            let next = blk.forward_infer_in(&tokens, arena);
+            arena.recycle(std::mem::replace(&mut tokens, next));
+        }
+        let cls_rows = last.forward_last_token_in(&tokens, arena);
+        arena.recycle(tokens);
+        let mut normed = arena.tensor(&[b, e]);
+        self.ln_final.infer_into(cls_rows.data(), normed.data_mut());
+        arena.recycle(cls_rows);
+        let logits = self
+            .head
+            .forward_infer_in(&normed, FusedActivation::None, arena);
+        arena.recycle(normed);
+        logits
+    }
+
     /// Extracts the class-token rows `[B, E]` from `[B, S, E]`.
     fn class_rows(tokens: &Tensor) -> Tensor {
         let (b, s, e) = (tokens.dims()[0], tokens.dims()[1], tokens.dims()[2]);
@@ -238,62 +298,58 @@ impl InferForward for Bioformer {
     /// whole pass allocation-free. [`InferForward::forward_infer`] is this
     /// over a throwaway arena, which pins the two paths together.
     ///
-    /// Only the work the head reads is done: the patch GEMM stores each
-    /// sample's tokens straight into its token rows (no transposes), and
-    /// the last encoder block runs its queries, FFN and residuals for the
-    /// class row alone ([`TransformerBlock::forward_last_token_in`]),
-    /// handing `[B, E]` to the final LayerNorm. Every kept element is the
-    /// same arithmetic as in the full-row pass, so the logits are
-    /// bit-identical to it.
+    /// The batch fans out by the rule the int8 model's does
+    /// ([`plan_threads`] of `B` windows' FLOPs): bio1 batches of 11
+    /// windows or more spread over the thread cap, each shard running its
+    /// windows one at a time on a pooled arena
+    /// ([`ScratchPool::map_rows`]), so the pool holds one window's scratch
+    /// per shard. Smaller batches (a live stream's) run the batched body
+    /// inline on `arena`. Every packed-GEMM element is an ascending-`k`
+    /// chain independent of the rows sharing the call, and LayerNorm,
+    /// softmax and GELU are row-local, so the logits never depend on the
+    /// sharding.
     fn forward_infer_in(&self, x: &Tensor, arena: &mut TensorArena) -> Tensor {
-        assert_eq!(
-            x.dims()[1],
-            self.cfg.channels,
-            "Bioformer: channel mismatch"
+        let cfg = &self.cfg;
+        assert_eq!(x.dims()[1], cfg.channels, "Bioformer: channel mismatch");
+        assert_eq!(x.dims()[2], cfg.window, "Bioformer: window mismatch");
+        let b = x.dims()[0];
+        if plan_threads(b * self.window_work) <= 1 {
+            return self.forward_batch_in(x.data(), arena);
+        }
+        let mut logits = arena.tensor(&[b, cfg.classes]);
+        self.scratch.map_rows(
+            x.data(),
+            cfg.channels * cfg.window,
+            logits.data_mut(),
+            cfg.classes,
+            self.window_work,
+            |w, o, scratch| {
+                let y = self.forward_batch_in(w, scratch);
+                o.copy_from_slice(y.data());
+                scratch.recycle(y);
+            },
         );
-        assert_eq!(x.dims()[2], self.cfg.window, "Bioformer: window mismatch");
-        let (b, e) = (x.dims()[0], self.cfg.embed);
-        let n = self.patch.out_len(self.cfg.window);
-        let s = n + 1;
-        let mut tokens = arena.tensor(&[b, s, e]);
-        self.patch
-            .infer_tokens_into(x, tokens.data_mut(), s * e, arena);
-        let cls = self.class_token.value.data();
-        for sample in tokens.data_mut().chunks_mut(s * e) {
-            sample[n * e..].copy_from_slice(cls);
-        }
-        let (last, earlier) = self
-            .blocks
-            .split_last()
-            .expect("a validated config has depth ≥ 1");
-        for blk in earlier {
-            let next = blk.forward_infer_in(&tokens, arena);
-            arena.recycle(std::mem::replace(&mut tokens, next));
-        }
-        let cls_rows = last.forward_last_token_in(&tokens, arena);
-        arena.recycle(tokens);
-        let mut normed = arena.tensor(&[b, e]);
-        self.ln_final.infer_into(cls_rows.data(), normed.data_mut());
-        arena.recycle(cls_rows);
-        let logits = self
-            .head
-            .forward_infer_in(&normed, FusedActivation::None, arena);
-        arena.recycle(normed);
         logits
     }
 }
 
 impl Model for Bioformer {
+    /// The trainer's forward. In eval mode it runs the batched body on the
+    /// calling thread over a throwaway arena, with logits bit-identical to
+    /// [`InferForward::forward_infer`], but without the window fan-out: the
+    /// trainer already runs one model clone per thread (each with an empty
+    /// scratch pool), so fanning out again would oversubscribe the cores
+    /// and warm a fresh pool per clone.
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        if !train {
-            return self.forward_infer(x);
-        }
         assert_eq!(
             x.dims()[1],
             self.cfg.channels,
             "Bioformer: channel mismatch"
         );
         assert_eq!(x.dims()[2], self.cfg.window, "Bioformer: window mismatch");
+        if !train {
+            return self.forward_batch_in(x.data(), &mut TensorArena::new());
+        }
         let conv_out = self.patch.forward(x, true);
         let mut tokens = self.tokenize(&conv_out);
         for blk in &mut self.blocks {

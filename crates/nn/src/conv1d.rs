@@ -192,11 +192,12 @@ impl Conv1d {
     /// Panics on shape mismatch.
     pub fn forward_infer_in(&self, x: &Tensor, arena: &mut TensorArena) -> Tensor {
         assert_eq!(x.shape().rank(), 3, "Conv1d: input must be [B, C, L]");
+        assert_eq!(x.dims()[1], self.in_channels, "Conv1d: channel mismatch");
         let (b, c_out) = (x.dims()[0], self.out_channels);
         let out_len = self.out_len(x.dims()[2]);
         let out_sample = c_out * out_len;
         let mut yt = arena.alloc(b * out_sample);
-        self.infer_tokens_into(x, &mut yt, out_sample, arena);
+        self.infer_tokens_into(x.data(), x.dims()[2], &mut yt, out_sample, arena);
         let mut y = arena.tensor(&[b, c_out, out_len]);
         for (yi, ti) in y
             .data_mut()
@@ -213,27 +214,33 @@ impl Conv1d {
         y
     }
 
-    /// The token-major inference body: each sample is lowered into an
-    /// arena im2col buffer and multiplied against the cached packed weight
-    /// with the bias fused into the GEMM store, and sample `i`'s
-    /// `[out_len, out]` product lands at `out[i·sample_stride..]`. A
-    /// stride wider than `out_len·out` leaves room behind each sample's
-    /// rows — Bioformer writes its class token there.
+    /// The token-major inference body over `x`, whole `[in_channels, len]`
+    /// samples back to back: each sample is lowered into an arena im2col
+    /// buffer and multiplied against the cached packed weight with the bias
+    /// fused into the GEMM store, and sample `i`'s `[out_len, out]` product
+    /// lands at `out[i·sample_stride..]`. A stride wider than `out_len·out`
+    /// leaves room behind each sample's rows — Bioformer writes its class
+    /// token there.
     ///
     /// # Panics
     ///
-    /// Panics on shape mismatch, or if `out` is too short for `batch`
-    /// samples `sample_stride ≥ out_len·out` floats apart.
+    /// Panics if `x` is not whole samples, or if `out` is too short for
+    /// its samples `sample_stride ≥ out_len·out` floats apart.
     pub fn infer_tokens_into(
         &self,
-        x: &Tensor,
+        x: &[f32],
+        len: usize,
         out: &mut [f32],
         sample_stride: usize,
         arena: &mut TensorArena,
     ) {
-        assert_eq!(x.shape().rank(), 3, "Conv1d: input must be [B, C, L]");
-        let (b, c, len) = (x.dims()[0], x.dims()[1], x.dims()[2]);
-        assert_eq!(c, self.in_channels, "Conv1d: channel mismatch");
+        let c = self.in_channels;
+        let sample = c * len;
+        assert!(
+            sample > 0 && x.len().is_multiple_of(sample),
+            "Conv1d: input must be whole [in_channels, len] samples"
+        );
+        let b = x.len() / sample;
         let out_len = self.out_len(len);
         let (c_out, ck) = (self.out_channels, c * self.kernel);
         let rows = out_len * c_out;
@@ -242,10 +249,8 @@ impl Conv1d {
             b == 0 || out.len() >= (b - 1) * sample_stride + rows,
             "Conv1d: output too short"
         );
-        let sample = c * len;
         let mut cols = arena.alloc(out_len * ck);
-        for i in 0..b {
-            let xi = &x.data()[i * sample..(i + 1) * sample];
+        for (i, xi) in x.chunks_exact(sample).enumerate() {
             im2col_into(xi, c, len, self.kernel, self.spec, &mut cols);
             self.backend.gemm(
                 &cols,

@@ -98,7 +98,8 @@ pub struct TrainConfig {
     /// Seed for the per-epoch shuffle.
     pub shuffle_seed: u64,
     /// Number of data-parallel shards per batch; `0` selects
-    /// `min(available_parallelism, batch_size / 4)`.
+    /// `min(max_threads(), batch_size / 4)`, the process thread cap of
+    /// [`bioformer_tensor::parallel::max_threads`].
     pub shards: usize,
     /// Optional global-norm gradient clipping.
     pub max_grad_norm: Option<f32>,
@@ -150,7 +151,7 @@ pub fn gather_batch(x: &Tensor, indices: &[usize]) -> Tensor {
 }
 
 fn effective_shards(cfg_shards: usize, batch: usize) -> usize {
-    let auto = bioformer_tensor::parallel::hardware_threads();
+    let auto = bioformer_tensor::parallel::max_threads();
     let requested = if cfg_shards == 0 { auto } else { cfg_shards };
     requested.min((batch / 4).max(1))
 }
@@ -291,7 +292,9 @@ pub fn train<M: Model>(
 }
 
 /// Evaluates `model` on `(x, labels)`, returning `(mean loss, accuracy)`.
-/// Runs shards of the evaluation set on cloned models across threads.
+/// Runs shards of the evaluation set on cloned models across threads, as
+/// many as the process thread cap
+/// ([`bioformer_tensor::parallel::max_threads`]) allows.
 ///
 /// # Panics
 ///
@@ -307,7 +310,7 @@ pub fn evaluate<M: Model>(
     if n == 0 {
         return (0.0, 0.0);
     }
-    let threads = bioformer_tensor::parallel::hardware_threads()
+    let threads = bioformer_tensor::parallel::max_threads()
         .min(n.div_ceil(batch_size.max(1)))
         .max(1);
     let per = n.div_ceil(threads);
@@ -495,6 +498,55 @@ mod tests {
         let mut norm_sq = 0.0;
         model.visit_params(&mut |p| norm_sq += p.grad.norm_sq());
         assert!((norm_sq.sqrt() - 1.0).abs() < 1e-3);
+    }
+
+    /// A [`Toy`] that records which threads its forward ran on (clones
+    /// share the record).
+    #[derive(Clone)]
+    struct Traced {
+        toy: Toy,
+        threads: std::sync::Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>,
+    }
+
+    impl Model for Traced {
+        fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+            self.threads
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
+            self.toy.forward(x, train)
+        }
+        fn backward(&mut self, d: &Tensor) {
+            self.toy.backward(d);
+        }
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+            self.toy.visit_params(f);
+        }
+        fn clear_cache(&mut self) {
+            self.toy.clear_cache();
+        }
+    }
+
+    /// The process thread cap binds the trainer: under a cap of 1,
+    /// `evaluate` runs every batch's forward on one thread and `train`
+    /// picks one shard.
+    #[test]
+    fn a_thread_cap_of_one_serialises_evaluation_and_sharding() {
+        use bioformer_tensor::parallel::set_max_threads;
+        let (x, labels) = toy_dataset(64, 9);
+        let model = Traced {
+            toy: toy_model(10),
+            threads: Default::default(),
+        };
+        set_max_threads(1);
+        let shards = effective_shards(0, 64);
+        let _ = evaluate(&model, &x, &labels, 8);
+        set_max_threads(0);
+        assert_eq!(shards, 1);
+        let mut threads = model.threads.lock().unwrap().clone();
+        assert_eq!(threads.len(), 8, "one forward per batch of 8");
+        threads.dedup();
+        assert_eq!(threads.len(), 1, "forwards ran on {threads:?}");
     }
 
     #[test]

@@ -50,11 +50,10 @@ use bioformer_nn::serialize::StateDict;
 use bioformer_simd::{Kernels, QMat, QOut, Requant};
 use bioformer_tensor::conv::{conv1d_forward, Conv1dSpec};
 use bioformer_tensor::ops::{layernorm_forward, softmax_rows};
-use bioformer_tensor::parallel::parallel_rows;
+use bioformer_tensor::parallel::ScratchPool;
 use bioformer_tensor::{Tensor, TensorArena};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Mutex;
 
 /// Error returned by [`QuantBioformer::convert`].
 #[derive(Debug)]
@@ -266,7 +265,7 @@ struct QBlock {
 }
 
 /// A Bioformer converted to integer-only int8 inference.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct QuantBioformer {
     cfg: BioformerConfig,
     input_params: QParams,
@@ -281,34 +280,10 @@ pub struct QuantBioformer {
     /// the unit [`bioformer_tensor::parallel::plan_threads`] sizes a
     /// batch's fan-out in.
     window_work: usize,
-    /// Pool of scratch arenas behind every forward that does not take a
-    /// [`QuantArena`] itself: each batch shard pops a warmed arena (or
-    /// lazily creates one) and pushes it back, so steady-state forwards
-    /// through `forward_window` / `forward_batch` / `forward_infer_in` and
-    /// the serving path stay allocation-free. A `Mutex` rather than a
-    /// thread-local so arenas warmed by one worker thread are reusable by
-    /// the next.
-    scratch: Mutex<Vec<QuantArena>>,
-}
-
-impl Clone for QuantBioformer {
-    /// Clones weights and configuration; the scratch-arena pool starts
-    /// empty in the clone (scratch is per-instance working memory, not
-    /// model state).
-    fn clone(&self) -> Self {
-        QuantBioformer {
-            cfg: self.cfg.clone(),
-            input_params: self.input_params,
-            patch: self.patch.clone(),
-            class_token: self.class_token.clone(),
-            blocks: self.blocks.clone(),
-            lnf: self.lnf.clone(),
-            head: self.head.clone(),
-            layout: self.layout,
-            window_work: self.window_work,
-            scratch: Mutex::new(Vec::new()),
-        }
-    }
+    /// Scratch arenas behind every forward that does not take a
+    /// [`QuantArena`] itself (`forward_window`, `forward_batch`,
+    /// `forward_infer_in` and the serving path), one per batch shard.
+    scratch: ScratchPool<QuantArena>,
 }
 
 /// Token-axis length of the `A·V` contraction: the sequence length padded
@@ -443,7 +418,7 @@ impl QuantBioformer {
             head,
             layout,
             window_work: 2 * bioformer_descriptor(cfg).macs() as usize,
-            scratch: Mutex::new(Vec::new()),
+            scratch: ScratchPool::default(),
         })
     }
 
@@ -483,19 +458,6 @@ impl QuantBioformer {
     /// LayerNorm and the head.
     fn plan_steps(&self) -> usize {
         3 + self.cfg.depth * (11 + 3 * self.cfg.heads) + 2
-    }
-
-    /// Pops a scratch arena from the internal pool (lazily creating one on
-    /// first use / under contention).
-    fn take_arena(&self) -> QuantArena {
-        let mut pool = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
-        pool.pop().unwrap_or_default()
-    }
-
-    /// Returns a scratch arena to the internal pool.
-    fn put_arena(&self, arena: QuantArena) {
-        let mut pool = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
-        pool.push(arena);
     }
 
     /// The integer forward: one `[channels·window]` fp32 sample (already
@@ -636,10 +598,9 @@ impl QuantBioformer {
     pub fn forward_window(&self, x: &Tensor) -> Vec<f32> {
         let cfg = &self.cfg;
         assert_eq!(x.dims(), &[cfg.channels, cfg.window], "window shape");
-        let mut arena = self.take_arena();
         let mut out = vec![0.0f32; cfg.classes];
-        self.forward_logits_into(x.data(), &mut arena, &mut out);
-        self.put_arena(arena);
+        self.scratch
+            .with(|arena| self.forward_logits_into(x.data(), arena, &mut out));
         out
     }
 
@@ -649,7 +610,8 @@ impl QuantBioformer {
     /// [`bioformer_tensor::parallel::plan_threads`] — `n` windows are
     /// `n · 2 · MACs` of work, so bio1 batches of 11 windows or more spread
     /// over the thread cap and smaller ones (a live stream's) run inline.
-    /// Each shard serves its rows from one pooled arena. Windows are
+    /// Each shard serves its rows from one pooled arena
+    /// ([`ScratchPool::map_rows`], the fp32 model's fan-out too). Windows are
     /// independent integer pipelines, so the logits never depend on the
     /// sharding.
     fn forward_batch_into(&self, x: &Tensor, out: &mut [f32]) {
@@ -660,15 +622,14 @@ impl QuantBioformer {
             &[n, cfg.channels, cfg.window],
             "batch shape [n, channels, window]"
         );
-        let sample = cfg.channels * cfg.window;
-        parallel_rows(out, cfg.classes, n * self.window_work, |first, rows| {
-            let mut arena = self.take_arena();
-            let windows = x.data()[first * sample..].chunks_exact(sample);
-            for (w, o) in windows.zip(rows.chunks_exact_mut(cfg.classes)) {
-                self.forward_logits_into(w, &mut arena, o);
-            }
-            self.put_arena(arena);
-        });
+        self.scratch.map_rows(
+            x.data(),
+            cfg.channels * cfg.window,
+            out,
+            cfg.classes,
+            self.window_work,
+            |w, o, arena| self.forward_logits_into(w, arena, o),
+        );
     }
 
     /// Integer inference over a batch `[n, channels, window]`; returns fp32

@@ -136,6 +136,11 @@ impl TensorArena {
         self.free.len()
     }
 
+    /// Total capacity, in elements, of the pooled buffers.
+    pub fn pooled_capacity(&self) -> usize {
+        self.free.iter().map(Vec::capacity).sum()
+    }
+
     /// Drops every pooled buffer (frees the memory).
     pub fn clear(&mut self) {
         self.free.clear();

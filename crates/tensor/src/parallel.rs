@@ -7,13 +7,16 @@
 //! module splits a range into contiguous chunks and runs them on scoped
 //! `std::thread`s, which keeps the crate dependency-free and deterministic.
 //!
-//! Every fan-out in the workspace — the GEMM kernels and the int8 model's
-//! batch forward — asks [`plan_threads`] how many shards a job is worth and
-//! runs them through [`parallel_rows`]: the calling thread runs the first
-//! shard, and each shard writes its own rows of the output in place.
+//! Every fan-out in the workspace — the GEMM kernels and the batch forwards
+//! of both models, fp32 `Bioformer` and int8 `QuantBioformer` — asks
+//! [`plan_threads`] how many shards a job is worth and runs them through
+//! [`parallel_rows`]: the calling thread runs the first shard, and each
+//! shard writes its own rows of the output in place. The two models fan a
+//! batch out window by window through [`ScratchPool::map_rows`], each
+//! shard borrowing one warmed scratch arena from the model's pool.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 /// Minimum amount of work, in FLOPs (2 per multiply–accumulate), below
 /// which [`plan_threads`] keeps a job on the calling thread.
@@ -22,11 +25,11 @@ use std::sync::OnceLock;
 /// @ 2.1 GHz VM (median of 2 000 spawns, the host otherwise idle), and a
 /// live-stream batch that paid two of them per call read 267 µs of
 /// backend time against ~110 µs of compute. Besides large single-call
-/// GEMMs, the threshold therefore gates the int8 model's batch fan-out: a
-/// bio1 window is 3.3 M MACs, so batches of 11 windows or more fan out
-/// and the 1–2 window batches of a live stream run inline. Most
-/// parallelism in this workspace happens one level up (the trainer shards
-/// mini-batches).
+/// GEMMs, the threshold therefore gates the batch fan-out of both models,
+/// fp32 and int8: a bio1 window is 3.3 M MACs, so batches of 11 windows or
+/// more fan out and the 1–2 window batches of a live stream run inline.
+/// The trainer shards mini-batches one level up, under the same thread cap
+/// ([`max_threads`]).
 pub const PARALLEL_WORK_THRESHOLD: usize = 1 << 26;
 
 static MAX_THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -85,7 +88,8 @@ pub fn max_threads() -> usize {
 }
 
 /// Number of shards worth running a job of `work` FLOPs on — the one
-/// fan-out rule, shared by the GEMM kernels and the int8 batch forward:
+/// fan-out rule, shared by the GEMM kernels and the batch forwards of the
+/// fp32 and int8 models (`n` windows are `n` × one window's FLOPs):
 ///
 /// * below [`PARALLEL_WORK_THRESHOLD`] (2²⁶ FLOPs) — or under a thread cap
 ///   of 1 — the answer is 1 (run on the caller's thread);
@@ -152,6 +156,96 @@ where
     parallel_rows(&mut vec![(); n], 1, work, |start, rows| {
         body(start, start + rows.len())
     });
+}
+
+/// A model's pool of scratch arenas behind its batch fan-out: each shard
+/// of [`ScratchPool::map_rows`] pops a warmed arena (or lazily creates
+/// one) and pushes it back, so steady-state forwards stay allocation-free.
+/// A `Mutex` rather than a thread-local, so arenas warmed by one worker
+/// thread are reusable by the next.
+///
+/// Scratch is per-instance working memory, not model state: a clone
+/// starts with an empty pool.
+pub struct ScratchPool<A> {
+    free: Mutex<Vec<A>>,
+}
+
+impl<A> Default for ScratchPool<A> {
+    fn default() -> Self {
+        ScratchPool {
+            free: Mutex::new(Vec::new()),
+        }
+    }
+}
+
+impl<A> Clone for ScratchPool<A> {
+    fn clone(&self) -> Self {
+        ScratchPool::default()
+    }
+}
+
+impl<A> std::fmt::Debug for ScratchPool<A> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ScratchPool")
+            .field("pooled", &self.lock().len())
+            .finish()
+    }
+}
+
+impl<A> ScratchPool<A> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<A>> {
+        self.free.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The largest pooled arena by `size` (`0` when the pool is empty):
+    /// what the pool holds on to between forwards.
+    pub fn largest(&self, size: impl Fn(&A) -> usize) -> usize {
+        self.lock().iter().map(size).max().unwrap_or(0)
+    }
+}
+
+impl<A: Default + Send> ScratchPool<A> {
+    /// Runs `f` on a pooled arena.
+    pub fn with<R>(&self, f: impl FnOnce(&mut A) -> R) -> R {
+        let mut scratch = self.lock().pop().unwrap_or_default();
+        let result = f(&mut scratch);
+        self.lock().push(scratch);
+        result
+    }
+
+    /// The batch fan-out of both models: `f(input_row, out_row, arena)`
+    /// for every row of `out` (rows of `out_row` elements) and the matching
+    /// row of `input` (rows of `in_row`), sharded by [`parallel_rows`] with
+    /// `row_work` FLOPs per row. Each shard runs its rows one at a time on
+    /// one pooled arena, so the pool holds one row's scratch per shard,
+    /// whatever the batch size.
+    pub fn map_rows<I, O, F>(
+        &self,
+        input: &[I],
+        in_row: usize,
+        out: &mut [O],
+        out_row: usize,
+        row_work: usize,
+        f: F,
+    ) where
+        I: Sync,
+        O: Send,
+        F: Fn(&[I], &mut [O], &mut A) + Sync,
+    {
+        let rows = out.len().checked_div(out_row).unwrap_or(0);
+        assert_eq!(input.len(), rows * in_row, "one input row per output row");
+        if rows == 0 {
+            return;
+        }
+        parallel_rows(out, out_row, rows * row_work, |first, shard| {
+            self.with(|scratch| {
+                let inputs = input[first * in_row..].chunks_exact(in_row);
+                for (x, y) in inputs.zip(shard.chunks_exact_mut(out_row)) {
+                    f(x, y, scratch);
+                }
+            });
+        });
+    }
 }
 
 #[cfg(test)]
@@ -232,6 +326,27 @@ mod tests {
             });
             assert_eq!(calls.into_inner(), 1, "cap {cap}");
         }
+    }
+
+    /// Every row pair is mapped exactly once, shards return their arenas
+    /// to the pool, and a clone starts with none.
+    #[test]
+    fn map_rows_maps_every_row_on_pooled_arenas() {
+        let _guard = override_guard(4);
+        let pool = ScratchPool::<Vec<usize>>::default();
+        let input: Vec<usize> = (0..20).collect();
+        let mut out = vec![0usize; 10];
+        // 10 rows over the threshold: 4 shards, each on its own arena.
+        let row_work = PARALLEL_WORK_THRESHOLD / 10 + 1;
+        pool.map_rows(&input, 2, &mut out, 1, row_work, |x, y, seen| {
+            seen.push(x[0]);
+            y[0] = x[0] + x[1];
+        });
+        let want: Vec<usize> = (0..10).map(|r| 4 * r + 1).collect();
+        assert_eq!(out, want);
+        let most = pool.largest(Vec::len);
+        assert!((3..=10).contains(&most), "an arena saw {most} rows");
+        assert_eq!(pool.clone().largest(Vec::len), 0);
     }
 
     #[test]

@@ -396,6 +396,50 @@ fn capped_32_window_quant_forward_spawns_nothing() {
     assert_eq!(steady, 0, "a capped 32-window int8 forward hit the heap");
 }
 
+/// The same for the fp32 model: under a cap of 1 a 32-window batch stays
+/// on the calling thread and runs the batched body on the caller's arena.
+#[test]
+fn capped_32_window_fp32_forward_spawns_nothing() {
+    let _serial = serial_kernels();
+    let model = Bioformer::new(&BioformerConfig::bio1());
+    let x = window(32, 21);
+    let mut arena = TensorArena::new();
+    for _ in 0..2 {
+        let y = model.forward_infer_in(&x, &mut arena);
+        arena.recycle(y);
+    }
+    let steady = count_allocations(|| {
+        let y = model.forward_infer_in(&x, &mut arena);
+        arena.recycle(y);
+    });
+    assert_eq!(steady, 0, "a capped 32-window fp32 forward hit the heap");
+    assert_eq!(
+        model.scratch_pool().largest(TensorArena::pooled_capacity),
+        0
+    );
+}
+
+/// A fanned-out fp32 batch runs each shard's windows one at a time, so
+/// what the model's pool keeps after a 128-window forward is one window's
+/// scratch per shard — not a shard's worth of windows.
+#[test]
+fn fanned_out_fp32_forward_pools_one_window_of_scratch() {
+    let _two = thread_cap(2);
+    let model = Bioformer::new(&BioformerConfig::bio1());
+    let mut one = TensorArena::new();
+    let y = model.forward_infer_in(&window(1, 27), &mut one);
+    one.recycle(y);
+    let y = model.forward_infer(&window(128, 29));
+    assert_eq!(y.dims(), &[128, 8]);
+    let pooled = model.scratch_pool().largest(TensorArena::pooled_capacity);
+    assert!(pooled > 0, "a 128-window batch fans out through the pool");
+    assert!(
+        pooled <= one.pooled_capacity(),
+        "a pooled arena holds {pooled} floats, one window needs {}",
+        one.pooled_capacity()
+    );
+}
+
 /// Wire-sized batches never spawn: under the *default* thread cap, the
 /// serving entry point of the int8 model serves batches of 1 and 2 windows
 /// (what a live stream's worker coalesces) inline, from the engine's arena

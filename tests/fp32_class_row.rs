@@ -5,26 +5,48 @@
 //! logits must be bit-identical to the full-row network assembled from the
 //! public layer APIs — every block over every token, then the class row,
 //! `ln_final` and the head — because every kept element is the same
-//! ascending-`k` chain under the same plans. Three checks:
+//! ascending-`k` chain under the same plans. Four checks:
 //!
 //! * model ≡ full-row reference with `allclose(.., 0.0)`, for bio1, bio2
 //!   (one full block, then one class-row block), a tiny config and filter
-//!   30, at batch 1, 3 and 32, on the default backend and on a backend
-//!   pinning each fixed fp32 tile (so the CI `portable-fallback` job covers
-//!   the same ground with no extra step);
+//!   30, at batch 1, 3, 12, 32 and 33, on the default backend and on a
+//!   backend pinning each fixed fp32 tile (so the CI `portable-fallback`
+//!   job covers the same ground with no extra step);
+//! * batch `N` ≡ `N` batches of 1 through every batch entry point, on both
+//!   sides of the window fan-out threshold (bio1 fans out from 11 windows,
+//!   each shard running its windows one at a time);
 //! * golden checksums of bio1/bio2 logits and of the standalone attention
 //!   and block forwards, captured at the commit before this forward
 //!   existed, one per tile flavour, so a silent numeric change in a shared
 //!   kernel (or in the strided head packing) fails;
 //! * the class-row block equals the last row of the full block.
+//!
+//! The batch tests pin a thread cap of 2, so a 1-vCPU runner still takes
+//! the sharded path.
 
 use bioformers::core::{Bioformer, BioformerConfig};
 use bioformers::nn::{InferForward, MultiHeadSelfAttention, TransformerBlock};
+use bioformers::serve::GestureClassifier;
 use bioformers::tensor::backend::{default_backend, ComputeBackend, Fp32Kernel};
-use bioformers::tensor::{Tensor, TensorArena};
+use bioformers::tensor::{parallel, Tensor, TensorArena};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Sets the process thread cap to 2 for as long as the guard lives; the
+/// tests that pin it are serialised on one lock.
+fn two_threads() -> impl Drop {
+    struct Guard(#[allow(dead_code)] MutexGuard<'static, ()>);
+    impl Drop for Guard {
+        fn drop(&mut self) {
+            parallel::set_max_threads(0);
+        }
+    }
+    static LOCK: Mutex<()> = Mutex::new(());
+    let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    parallel::set_max_threads(2);
+    Guard(guard)
+}
 
 /// A backend whose every fp32 plan runs one fixed tile.
 #[derive(Debug)]
@@ -126,6 +148,7 @@ fn full_row_reference(model: &Bioformer, x: &Tensor) -> Tensor {
 
 #[test]
 fn class_row_forward_equals_the_full_row_network_bit_for_bit() {
+    let _cap = two_threads();
     let configs = [
         ("bio1", BioformerConfig::bio1()),
         ("bio2", BioformerConfig::bio2()),
@@ -136,7 +159,7 @@ fn class_row_forward_equals_the_full_row_network_bit_for_bit() {
         for (name, cfg) in &configs {
             let mut model = Bioformer::new(cfg);
             model.set_backend(backend.clone());
-            for batch in [1, 3, 32] {
+            for batch in [1, 3, 12, 32, 33] {
                 let x = noise(&[batch, cfg.channels, cfg.window], 40 + batch as u64);
                 let want = full_row_reference(&model, &x);
                 let got = model.forward_infer_in(&x, &mut TensorArena::new());
@@ -145,6 +168,45 @@ fn class_row_forward_equals_the_full_row_network_bit_for_bit() {
                     got.allclose(&want, 0.0),
                     "{name} batch {batch} on {backend_name}: class-row forward diverges"
                 );
+            }
+        }
+    }
+}
+
+/// Batch `N` ≡ `N` batches of 1 through every batch entry point — the
+/// owned forward, the arena-threaded forward and the serving path — at
+/// sizes on both sides of the fan-out threshold (bio1 fans out from 11
+/// windows and bio2 from 14; the tiny config stays inline at every size).
+#[test]
+fn batch_n_equals_n_batches_of_one() {
+    let _cap = two_threads();
+    for (name, cfg) in [
+        ("bio1", BioformerConfig::bio1()),
+        ("bio2", BioformerConfig::bio2()),
+        ("tiny", tiny_cfg()),
+    ] {
+        let model = Bioformer::new(&cfg);
+        let dims = [1, cfg.channels, cfg.window];
+        let mut arena = TensorArena::new();
+        for n in [2, 12, 33] {
+            let x = noise(&[n, cfg.channels, cfg.window], 123 + n as u64);
+            let ones: Vec<f32> = x
+                .data()
+                .chunks(cfg.channels * cfg.window)
+                .flat_map(|w| {
+                    model
+                        .forward_infer(&Tensor::from_vec(w.to_vec(), &dims))
+                        .into_vec()
+                })
+                .collect();
+            let entry_points = [
+                ("forward_infer", model.forward_infer(&x)),
+                ("forward_infer_in", model.forward_infer_in(&x, &mut arena)),
+                ("predict_batch_in", model.predict_batch_in(&x, &mut arena)),
+            ];
+            for (entry, batched) in entry_points {
+                assert_eq!(batched.dims(), &[n, cfg.classes]);
+                assert_eq!(batched.data(), ones, "{name}: {entry} at batch {n}");
             }
         }
     }
