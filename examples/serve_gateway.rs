@@ -9,17 +9,14 @@
 //!    prediction and the full event timeline are checked **bit-exactly**
 //!    against the offline extract-normalize-predict path.
 //! 2. **A heterogeneous [`ShardedEngine`] pool** mixing an fp32 replica
-//!    with a weight-2 int8 replica under latency-aware routing and
-//!    request hedging — the **default production deployment** for a
-//!    [`StreamServer`] (the inline pass above exists for its bit-exact
-//!    guarantee; real gateways should front a pool, optionally registered
-//!    as a [`ModelZoo`](bioformers::serve::ModelZoo) variant — see
-//!    `examples/serve_zoo.rs`). Per-window
+//!    with an int8 replica under latency-aware routing (a pool can also
+//!    be registered as a [`ModelZoo`](bioformers::serve::ModelZoo)
+//!    variant — see `examples/serve_zoo.rs`). Per-window
 //!    routing makes the serving replica nondeterministic, so the check
 //!    relaxes from bit-exact to *per-window membership*: every streamed
 //!    `(prediction, confidence)` pair must equal what one of the two
 //!    backends produces offline for that window. The pass also surfaces
-//!    the pool's per-replica traffic split, hedging counters, and the
+//!    the pool's per-replica traffic split and the
 //!    per-stage decision-latency percentiles evaluated against a 100 ms
 //!    end-to-end budget.
 //!
@@ -35,9 +32,9 @@ use bioformers::semg::windowing::extract_all_into;
 use bioformers::semg::{DatasetSpec, NinaproDb6, Normalizer, CHANNELS, WINDOW};
 use bioformers::serve::stream::confidence;
 use bioformers::serve::{
-    ClientSummary, DecisionPolicy, Engine, GatewayClient, GestureClassifier, HedgeConfig,
-    InferenceEngine, LatencyBudget, RoutingPolicy, ShardedEngine, StreamConfig, StreamServer,
-    StreamServerConfig, StreamSession, TcpGateway,
+    ClientSummary, DecisionPolicy, Engine, GatewayClient, GestureClassifier, InferenceEngine,
+    LatencyBudget, ShardedEngine, StreamConfig, StreamServer, StreamServerConfig, StreamSession,
+    TcpGateway,
 };
 use bioformers::tensor::Tensor;
 use std::sync::Arc;
@@ -247,7 +244,7 @@ fn serve_mixed_pool(
         "per-tenant stats must sum to totals"
     );
 
-    // The pool's own view: traffic split, hedging counters, rollup.
+    // The pool's own view: traffic split, rollup.
     let ps = pool.stats();
     assert!(ps.rollup_consistent(), "pool totals must sum over replicas");
     for r in &ps.per_replica {
@@ -258,14 +255,10 @@ fn serve_mixed_pool(
             r.backend
         );
         println!(
-            "[{label}] replica {} [{}] weight {:.0}: {} requests, {} windows",
-            r.replica, r.backend, r.weight, r.stats.requests, r.stats.windows
+            "[{label}] replica {} [{}]: {} requests, {} windows",
+            r.replica, r.backend, r.stats.requests, r.stats.windows
         );
     }
-    println!(
-        "[{label}] hedges fired: {}, won: {}",
-        ps.hedges_fired, ps.hedges_won
-    );
 
     // Server-side stage rollup, held against a 100 ms UX budget (the
     // docs/serving.md "Latency budget" table).
@@ -343,20 +336,13 @@ fn main() {
         &norm,
     );
 
-    // 4. The default production deployment: one gateway over a mixed
-    //    fp32 + int8 ShardedEngine pool. The int8 replica carries weight
-    //    2 (it is the faster backend, so latency-aware routing should
-    //    offer it the bulk of the traffic), and hedging duplicates any
-    //    request the pool leaves waiting past the p95-derived delay.
+    // 4. One gateway over a mixed fp32 + int8 ShardedEngine pool. The
+    //    int8 replica is the faster backend, and latency-aware routing
+    //    learns that from observed batch latencies.
     let pool = Arc::new(
         ShardedEngine::builder()
-            .with_policy(RoutingPolicy::LatencyAware)
-            .with_hedging(HedgeConfig::default())
             .add_replica(Box::new(Arc::clone(&fmodel) as Arc<dyn GestureClassifier>))
-            .add_replica_weighted(
-                Box::new(Arc::clone(&qmodel) as Arc<dyn GestureClassifier>),
-                2.0,
-            )
+            .add_replica(Box::new(Arc::clone(&qmodel) as Arc<dyn GestureClassifier>))
             .build(),
     );
     serve_mixed_pool(

@@ -12,7 +12,7 @@ use bioformers::core::{Bioformer, BioformerConfig};
 use bioformers::nn::serialize::state_dict;
 use bioformers::quant::QuantBioformer;
 use bioformers::semg::{DatasetSpec, NinaproDb6, Normalizer, CHANNELS, WINDOW};
-use bioformers::serve::{GestureClassifier, PoolStats, RoutingPolicy, ShardedEngine};
+use bioformers::serve::{GestureClassifier, PoolStats, ShardedEngine};
 use bioformers::tensor::Tensor;
 
 const CLIENTS: usize = 8;
@@ -87,12 +87,11 @@ fn main() {
     let n = windows.dims()[0];
 
     // 2. A heterogeneous pool: one fp32 replica, one int8 replica, with
-    //    latency-aware routing and adaptive linger (the builder default).
-    //    The int8 replica serves the same gestures faster — the router
-    //    discovers that from observed batch latencies, nobody configures
-    //    a speed ranking by hand.
+    //    latency-aware routing and adaptive linger (both the builder
+    //    default). The int8 replica serves the same gestures faster — the
+    //    router discovers that from observed batch latencies, nobody
+    //    configures a speed ranking by hand.
     let pool = ShardedEngine::builder()
-        .with_policy(RoutingPolicy::LatencyAware)
         .add_replica(Box::new(model))
         .add_replica(Box::new(qmodel))
         .build();
@@ -130,7 +129,6 @@ fn main() {
         }
     }
     let pool = ShardedEngine::builder()
-        .with_policy(RoutingPolicy::RoundRobin)
         .with_quarantine_after(1)
         .add_replica(Box::new(Exploding))
         .add_replica(Box::new(Bioformer::new(&BioformerConfig::bio1())))

@@ -20,7 +20,7 @@
 //!   backpressure and graceful shutdown.
 //! * [`ShardedEngine`] — the multi-replica engine: one submission API
 //!   fanning out over N backend replicas (each its own queue + worker
-//!   pool, possibly different precisions), with policy-driven
+//!   pool, possibly different precisions), with latency-aware
 //!   [`router`]-level routing ([`RoutingPolicy`]), quarantine of dead or
 //!   failing replicas, adaptive per-replica linger, and pool-level
 //!   statistics rollup.
@@ -67,10 +67,7 @@ pub use client::{ClientSessionStats, ClientSummary, GatewayClient, GatewayError}
 pub use engine::{Engine, EngineStats};
 pub use proto::{ErrorCode, Frame, FrameDecoder, ProtoError};
 pub use queue::{PendingResponse, ReadyHook, RequestOutput, ServeError};
-pub use router::{
-    HedgeConfig, PoolStats, ReplicaStats, RoutingPolicy, ShardedEngine, ShardedEngineBuilder,
-    ShardedEngineConfig,
-};
+pub use router::{PoolStats, ReplicaStats, RoutingPolicy, ShardedEngine, ShardedEngineBuilder};
 pub use server::{
     FinishReport, ServeCounters, ServerStats, SessionHandle, SessionOptions, SessionStats,
     StreamServer, StreamServerConfig, TcpGateway, TenantStats,

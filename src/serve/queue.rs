@@ -265,10 +265,6 @@ impl PendingResponse {
     /// with the still-usable handle if the request is still in flight. A
     /// dead engine reads as [`ServeError::Cancelled`], exactly like
     /// [`PendingResponse::wait`].
-    ///
-    /// This is the hedging primitive: the sharded router waits one hedge
-    /// delay on the primary replica, and on timeout duplicates the request
-    /// to a second replica while keeping this handle alive to race both.
     #[allow(clippy::result_large_err)]
     pub fn wait_timeout(
         self,

@@ -1,52 +1,32 @@
 //! Sharded multi-replica serving: one submission API fanning out over N
-//! backend replicas with policy-driven, latency-aware routing.
+//! backend replicas with latency-aware routing.
 //!
 //! The paper's deployment story is one Bioformer at several precisions —
 //! fp32 where accuracy matters, fully-integer int8 where latency and
 //! energy do. [`ShardedEngine`] turns that Pareto picture into a serving
 //! topology: each replica is a full `Replica` (bounded queue + coalescing
 //! worker pool + stats, the component inside
-//! [`AsyncEngine`](super::AsyncEngine)), and the router picks a replica
-//! per request according to a [`RoutingPolicy`]. Replicas whose workers
-//! die or whose backend fails repeatedly are **quarantined** — new traffic
-//! routes around them, and [`ShardedEngine::classify`] transparently
-//! re-routes a request cancelled by a failing replica. Shutdown drains
-//! every replica in parallel before joining.
-//!
-//! Two tail-latency levers ride on top of routing:
-//!
-//! - **Hedged requests** ([`HedgeConfig`], opt-in): when a classify call
-//!   has waited longer than the pool's running p95 estimate, the request
-//!   is duplicated to a second healthy replica and the first answer wins —
-//!   one slow replica stops defining the pool's p99.
-//! - **Replica weights** ([`ShardedEngineBuilder::add_replica_weighted`]):
-//!   an explicit capacity multiplier dividing the
-//!   [`RoutingPolicy::LatencyAware`] score, so a deliberately
-//!   under-provisioned fp32 replica in a mostly-int8 pool can be held to a
-//!   planned share of traffic before its latency EWMA has converged.
+//! [`AsyncEngine`](super::AsyncEngine)), and the router sends each request
+//! to the replica with the lowest expected time-to-service
+//! ([`RoutingPolicy::LatencyAware`]). Replicas whose workers die or whose
+//! backend fails repeatedly are **quarantined** — new traffic routes
+//! around them, [`ShardedEngine::classify`] transparently re-routes a
+//! request cancelled by a failing replica, and a canary probe re-admits a
+//! quarantined replica once it answers again. Shutdown drains every
+//! replica in parallel before joining.
 
 use super::queue::{PendingResponse, RequestOutput, ServeError};
 use super::worker::{AsyncEngineConfig, AsyncStats, Replica, WorkerInner};
 use super::{GestureClassifier, LatencyStats};
 use bioformer_tensor::Tensor;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// How often the hedged race polls each of the two in-flight copies.
-const HEDGE_POLL: Duration = Duration::from_micros(200);
 
 /// How the router picks a replica for each submission. Only healthy
 /// (non-quarantined) replicas are ever candidates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoutingPolicy {
-    /// Cycle through the healthy replicas in order. Fair, oblivious to
-    /// load — the baseline policy.
-    RoundRobin,
-    /// Pick the replica with the fewest queued requests, breaking ties
-    /// round-robin. Adapts to load imbalance but not to heterogeneous
-    /// replica speed.
-    LeastQueueDepth,
     /// Pick the replica minimising `(inflight + 1) ×` its per-window
     /// batch-latency EWMA — an estimate of time-to-service that accounts
     /// for both outstanding load and how fast the replica actually is, so
@@ -56,88 +36,24 @@ pub enum RoutingPolicy {
     /// batches), and the load signal counts in-flight requests rather
     /// than queue depth (which reads zero while a worker holds the whole
     /// backlog in its forming batch). Replicas with no latency history
-    /// yet score zero and are probed first.
+    /// yet score zero and are probed first; ties rotate.
     #[default]
     LatencyAware,
 }
 
-/// Tuning knobs for [`ShardedEngine`] (per-replica knobs live in each
-/// replica's [`AsyncEngineConfig`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardedEngineConfig {
-    /// The routing policy.
-    pub policy: RoutingPolicy,
+/// The pool's tuning knobs (per-replica knobs live in each replica's
+/// [`AsyncEngineConfig`]); set through the [`ShardedEngineBuilder`].
+struct PoolConfig {
+    policy: RoutingPolicy,
     /// Consecutive backend failures (panicking batches) after which a
     /// replica is quarantined (≥ 1). A replica whose workers have all died
     /// is quarantined regardless.
-    pub quarantine_after: usize,
-    /// Maximum times [`ShardedEngine::classify`] re-routes a request to
-    /// another replica after a [`ServeError::Cancelled`] response.
-    pub max_reroutes: usize,
-    /// How often a quarantined replica is probed with a canary request
-    /// (a single zero window of the replica's served shape). On a
-    /// successful canary answer the replica is **re-admitted** to the
-    /// routing pool, so a transiently failing replica rejoins instead of
-    /// staying evicted forever. `None` restores the pre-recovery sticky
-    /// quarantine. Probing piggybacks on routing decisions — an idle pool
-    /// sends no canaries — and replicas whose workers have all died are
-    /// never probed (a dead worker pool cannot answer).
-    pub probe_interval: Option<Duration>,
-    /// Request hedging for [`ShardedEngine::classify`]. `None` (the
-    /// default) disables hedging entirely — the classify path is then
-    /// byte-for-byte the pre-hedging re-route loop.
-    pub hedge: Option<HedgeConfig>,
-}
-
-impl Default for ShardedEngineConfig {
-    fn default() -> Self {
-        ShardedEngineConfig {
-            policy: RoutingPolicy::LatencyAware,
-            quarantine_after: 2,
-            max_reroutes: 3,
-            probe_interval: Some(Duration::from_millis(250)),
-            hedge: None,
-        }
-    }
-}
-
-/// Hedged-request tuning for [`ShardedEngine::classify`].
-///
-/// A hedge fires when the primary replica has not answered within the
-/// **hedge delay**: the request is duplicated (non-blocking) to a second
-/// healthy replica and the first answer wins. The delay tracks the pool's
-/// observed p95 classify latency via a constant-space frugal-streaming
-/// estimator, clamped to `[min_delay, max_delay]`; before any latency has
-/// been observed, `initial_delay` is used. Tying the delay to p95 bounds
-/// the duplicate-work overhead at roughly 5 % of requests while still
-/// cutting off the slowest tail — the classic "tail at scale" trade.
-///
-/// The losing copy is **cancelled, not un-counted**: its response handle
-/// is dropped (the worker's send fails silently), but the work still shows
-/// up in the losing replica's counters, so
-/// [`PoolStats::rollup_consistent`] keeps holding. Pool-level
-/// [`PoolStats::hedges_fired`] / [`PoolStats::hedges_won`] count the
-/// duplicates separately.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HedgeConfig {
-    /// Hedge delay used before the p95 estimator has seen any sample.
-    pub initial_delay: Duration,
-    /// Lower clamp on the hedge delay (guards against a cold or
-    /// pathologically low estimate hedging every request).
-    pub min_delay: Duration,
-    /// Upper clamp on the hedge delay (guards against a spike poisoning
-    /// the estimate into never hedging again).
-    pub max_delay: Duration,
-}
-
-impl Default for HedgeConfig {
-    fn default() -> Self {
-        HedgeConfig {
-            initial_delay: Duration::from_millis(20),
-            min_delay: Duration::from_millis(1),
-            max_delay: Duration::from_millis(250),
-        }
-    }
+    quarantine_after: usize,
+    /// Maximum times `classify` re-routes a request to another replica
+    /// after a [`ServeError::Cancelled`] response.
+    max_reroutes: usize,
+    /// How often a quarantined replica is probed with a canary request.
+    probe_interval: Duration,
 }
 
 /// In-flight canary probe bookkeeping for one quarantined replica.
@@ -153,18 +69,31 @@ struct ProbeState {
 
 /// One replica plus its quarantine flag and canary-probe state. The flag is
 /// set by health refreshes on the routing path; it is cleared again only by
-/// a successful canary probe (see [`ShardedEngineConfig::probe_interval`]),
-/// so a replica that keeps failing stays out of rotation while a
-/// transiently failing one rejoins. Queued work of a quarantined replica is
-/// still drained on shutdown.
+/// a successful canary probe (see
+/// [`ShardedEngineBuilder::with_probe_interval`]), so a replica that keeps
+/// failing stays out of rotation while a transiently failing one rejoins.
+/// Queued work of a quarantined replica is still drained on shutdown.
 struct ReplicaSlot {
     replica: Replica,
     quarantined: AtomicBool,
     probe: Mutex<ProbeState>,
-    /// Routing weight: the [`RoutingPolicy::LatencyAware`] score is
-    /// divided by this, so a weight-2 replica is offered roughly twice the
-    /// traffic of a weight-1 sibling at equal observed latency.
-    weight: f64,
+}
+
+impl ReplicaSlot {
+    /// The [`RoutingPolicy::LatencyAware`] score: expected time-to-service
+    /// in seconds. The requests already waiting (queued or in a forming
+    /// batch — riders of an executing batch finish with it and don't add
+    /// future work) plus this request, at the replica's per-window rate,
+    /// plus the expected remainder of any batch executing right now (½ the
+    /// batch EWMA per busy worker). Zero without latency history.
+    fn score(&self) -> f64 {
+        let shared = self.replica.shared();
+        let win = shared
+            .ewma_window_latency()
+            .map_or(0.0, |d| d.as_secs_f64());
+        let batch = shared.ewma_batch_latency().map_or(0.0, |d| d.as_secs_f64());
+        (shared.waiting() + 1) as f64 * win + shared.busy_workers() as f64 * batch / 2.0
+    }
 }
 
 /// A snapshot of one replica's serving state inside a [`PoolStats`].
@@ -176,9 +105,6 @@ pub struct ReplicaStats {
     pub backend: String,
     /// Whether the router has quarantined this replica.
     pub quarantined: bool,
-    /// The replica's routing weight (1.0 unless set via
-    /// [`ShardedEngineBuilder::add_replica_weighted`]).
-    pub weight: f64,
     /// Requests waiting in this replica's queue at snapshot time.
     pub queue_depth: usize,
     /// EWMA of this replica's coalesced-batch backend latency. `None`
@@ -215,15 +141,6 @@ pub struct PoolStats {
     /// count/total/mean/min/max; percentiles estimated over recent-sample
     /// windows).
     pub latency: LatencyStats,
-    /// Hedged duplicates fired by [`ShardedEngine::classify`]. A
-    /// **pool-level** counter, deliberately outside the per-replica sums:
-    /// the duplicate itself is counted as an ordinary request in the hedge
-    /// replica's stats, so [`PoolStats::rollup_consistent`] still holds.
-    pub hedges_fired: usize,
-    /// Hedged duplicates whose answer was the one returned to the caller
-    /// (the primary lost the race or failed). Pool-level, like
-    /// [`PoolStats::hedges_fired`].
-    pub hedges_won: usize,
     /// Per-replica breakdown.
     pub per_replica: Vec<ReplicaStats>,
 }
@@ -264,15 +181,20 @@ impl PoolStats {
 /// Builder for a [`ShardedEngine`]: collect heterogeneous replicas, then
 /// [`ShardedEngineBuilder::build`].
 pub struct ShardedEngineBuilder {
-    cfg: ShardedEngineConfig,
+    cfg: PoolConfig,
     replica_cfg: AsyncEngineConfig,
-    replicas: Vec<(Box<dyn GestureClassifier>, Option<AsyncEngineConfig>, f64)>,
+    replicas: Vec<Box<dyn GestureClassifier>>,
 }
 
 impl ShardedEngineBuilder {
     fn new() -> Self {
         ShardedEngineBuilder {
-            cfg: ShardedEngineConfig::default(),
+            cfg: PoolConfig {
+                policy: RoutingPolicy::LatencyAware,
+                quarantine_after: 2,
+                max_reroutes: 3,
+                probe_interval: Duration::from_millis(250),
+            },
             // One worker per replica is the norm (each replica derives
             // its linger from its observed traffic, as every engine does).
             replica_cfg: AsyncEngineConfig::default().with_workers(1),
@@ -286,7 +208,9 @@ impl ShardedEngineBuilder {
         self
     }
 
-    /// Sets the consecutive-failure count that quarantines a replica.
+    /// Sets the consecutive-failure count that quarantines a replica
+    /// (default 2). A replica whose workers have all died is quarantined
+    /// regardless.
     ///
     /// # Panics
     ///
@@ -298,80 +222,35 @@ impl ShardedEngineBuilder {
     }
 
     /// Sets how many times [`ShardedEngine::classify`] re-routes a
-    /// cancelled request to another replica (0 disables re-routing).
+    /// cancelled request to another replica (default 3; 0 disables
+    /// re-routing).
     pub fn with_max_reroutes(mut self, reroutes: usize) -> Self {
         self.cfg.max_reroutes = reroutes;
         self
     }
 
-    /// Sets how often quarantined replicas are probed with canary requests
-    /// for re-admission (see [`ShardedEngineConfig::probe_interval`]).
+    /// Sets how often a quarantined replica is probed with a canary
+    /// request (a single zero window of the replica's served shape;
+    /// default 250 ms). On a successful canary answer the replica is
+    /// **re-admitted** to the routing pool. Probing piggybacks on routing
+    /// decisions — an idle pool sends no canaries — and replicas whose
+    /// workers have all died are never probed (a dead worker pool cannot
+    /// answer).
     pub fn with_probe_interval(mut self, interval: Duration) -> Self {
-        self.cfg.probe_interval = Some(interval);
+        self.cfg.probe_interval = interval;
         self
     }
 
-    /// Disables canary probing: quarantine becomes sticky for the
-    /// engine's lifetime (the pre-recovery behaviour).
-    pub fn without_probe_recovery(mut self) -> Self {
-        self.cfg.probe_interval = None;
-        self
-    }
-
-    /// Enables request hedging on [`ShardedEngine::classify`] (see
-    /// [`HedgeConfig`]). Off by default.
-    pub fn with_hedging(mut self, hedge: HedgeConfig) -> Self {
-        self.cfg.hedge = Some(hedge);
-        self
-    }
-
-    /// Sets the default per-replica config used by
-    /// [`ShardedEngineBuilder::add_replica`] (replicas already added keep
-    /// theirs).
+    /// Sets the per-replica config used by every replica (default: one
+    /// worker, otherwise [`AsyncEngineConfig::default`]).
     pub fn with_replica_config(mut self, cfg: AsyncEngineConfig) -> Self {
         self.replica_cfg = cfg;
         self
     }
 
-    /// Adds a replica serving `backend` with the builder's default replica
-    /// config.
+    /// Adds a replica serving `backend`.
     pub fn add_replica(mut self, backend: Box<dyn GestureClassifier>) -> Self {
-        self.replicas.push((backend, None, 1.0));
-        self
-    }
-
-    /// Adds a replica with an explicit routing weight. Under
-    /// [`RoutingPolicy::LatencyAware`] the replica's score is divided by
-    /// `weight`, so a weight-2 replica attracts roughly twice the traffic
-    /// of a weight-1 sibling at equal observed latency — the knob for
-    /// capacity-planning a heterogeneous fp32 + int8 pool before (and
-    /// independently of) the latency EWMAs converging.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `weight` is finite and > 0.
-    pub fn add_replica_weighted(
-        mut self,
-        backend: Box<dyn GestureClassifier>,
-        weight: f64,
-    ) -> Self {
-        assert!(
-            weight.is_finite() && weight > 0.0,
-            "ShardedEngine: replica weight must be finite and > 0, got {weight}"
-        );
-        self.replicas.push((backend, None, weight));
-        self
-    }
-
-    /// Adds a replica with an explicit per-replica config — e.g. more
-    /// workers for a big-core fp32 replica, a larger micro-batch for an
-    /// accelerator-offload replica.
-    pub fn add_replica_with(
-        mut self,
-        backend: Box<dyn GestureClassifier>,
-        cfg: AsyncEngineConfig,
-    ) -> Self {
-        self.replicas.push((backend, Some(cfg), 1.0));
+        self.replicas.push(backend);
         self
     }
 
@@ -380,22 +259,21 @@ impl ShardedEngineBuilder {
     /// # Panics
     ///
     /// Panics if no replica was added, if replicas disagree on the class
-    /// count (they must serve the same task), or if any replica config is
+    /// count (they must serve the same task), or if the replica config is
     /// invalid.
     pub fn build(self) -> ShardedEngine {
         assert!(
             !self.replicas.is_empty(),
             "ShardedEngine: at least one replica is required"
         );
-        let default_cfg = self.replica_cfg;
+        let replica_cfg = self.replica_cfg;
         let replicas: Vec<ReplicaSlot> = self
             .replicas
             .into_iter()
-            .map(|(backend, cfg, weight)| ReplicaSlot {
-                replica: Replica::new(backend, cfg.unwrap_or_else(|| default_cfg.clone())),
+            .map(|backend| ReplicaSlot {
+                replica: Replica::new(backend, replica_cfg.clone()),
                 quarantined: AtomicBool::new(false),
                 probe: Mutex::new(ProbeState::default()),
-                weight,
             })
             .collect();
         let classes = replicas[0].replica.num_classes();
@@ -414,33 +292,28 @@ impl ShardedEngineBuilder {
             rr: AtomicUsize::new(0),
             cfg: self.cfg,
             classes,
-            hedges_fired: AtomicUsize::new(0),
-            hedges_won: AtomicUsize::new(0),
-            hedge_p95_ns: AtomicU64::new(0),
         }
     }
 }
 
 /// A sharded multi-replica serving engine: one submission API over N
 /// backend replicas, each with its own bounded queue and coalescing worker
-/// pool, with policy-driven routing, replica quarantine and pool-level
+/// pool, with latency-aware routing, replica quarantine and pool-level
 /// statistics.
 ///
-/// Replicas may be heterogeneous — the intended deployment is the paper's
-/// fp32/int8 Pareto front, e.g. one fp32 `Bioformer` replica on big cores
-/// plus int8 `QuantBioformer` replicas elsewhere — as long as they serve
-/// the same class count. Each replica derives its own linger from observed
-/// traffic by default ([`LingerPolicy::Adaptive`](super::LingerPolicy)).
+/// Replicas may be heterogeneous — e.g. one fp32 `Bioformer` replica plus
+/// int8 `QuantBioformer` replicas — as long as they serve the same class
+/// count. Each replica derives its own linger from observed traffic by
+/// default ([`LingerPolicy::Adaptive`](super::LingerPolicy)).
 ///
 /// # Example
 ///
 /// ```
 /// use bioformers::core::{Bioformer, BioformerConfig};
-/// use bioformers::serve::{RoutingPolicy, ShardedEngine};
+/// use bioformers::serve::ShardedEngine;
 /// use bioformers::tensor::Tensor;
 ///
 /// let pool = ShardedEngine::builder()
-///     .with_policy(RoutingPolicy::LatencyAware)
 ///     .add_replica(Box::new(Bioformer::new(&BioformerConfig::bio1())))
 ///     .add_replica(Box::new(Bioformer::new(&BioformerConfig::bio1())))
 ///     .build();
@@ -452,29 +325,16 @@ impl ShardedEngineBuilder {
 /// ```
 pub struct ShardedEngine {
     replicas: Vec<ReplicaSlot>,
-    /// Round-robin cursor; also rotates tie-breaks for the other policies.
+    /// Rotating start of each routing scan, so ties spread over replicas.
     rr: AtomicUsize,
-    cfg: ShardedEngineConfig,
+    cfg: PoolConfig,
     classes: usize,
-    /// Hedged duplicates fired (pool-level; see [`PoolStats::hedges_fired`]).
-    hedges_fired: AtomicUsize,
-    /// Hedged duplicates whose answer won the race.
-    hedges_won: AtomicUsize,
-    /// Running p95 estimate of classify latency in nanos (frugal
-    /// streaming: asymmetric ±steps at a 19:1 ratio converge on the 95th
-    /// percentile in constant space). 0 = no sample yet.
-    hedge_p95_ns: AtomicU64,
 }
 
 impl ShardedEngine {
     /// Starts building a pool.
     pub fn builder() -> ShardedEngineBuilder {
         ShardedEngineBuilder::new()
-    }
-
-    /// The pool's configuration.
-    pub fn config(&self) -> &ShardedEngineConfig {
-        &self.cfg
     }
 
     /// Number of replicas (healthy or quarantined).
@@ -537,16 +397,14 @@ impl ShardedEngine {
                 }
                 continue;
             }
-            if let Some(interval) = self.cfg.probe_interval {
-                self.probe_quarantined(slot, interval);
-            }
+            self.probe_quarantined(slot);
         }
     }
 
     /// One non-blocking step of the canary cycle for a quarantined
     /// replica: poll an outstanding canary (re-admit on success), or
-    /// submit a fresh one once `interval` has passed since the last.
-    fn probe_quarantined(&self, slot: &ReplicaSlot, interval: Duration) {
+    /// submit a fresh one once `probe_interval` has passed since the last.
+    fn probe_quarantined(&self, slot: &ReplicaSlot) {
         // A replica with no live workers can never answer a canary; it
         // stays quarantined without wasting probe traffic.
         if slot.replica.shared().alive_workers() == 0 {
@@ -580,7 +438,9 @@ impl ShardedEngine {
             }
             return;
         }
-        let due = probe.last.is_none_or(|t| t.elapsed() >= interval);
+        let due = probe
+            .last
+            .is_none_or(|t| t.elapsed() >= self.cfg.probe_interval);
         if !due {
             return;
         }
@@ -597,46 +457,27 @@ impl ShardedEngine {
         }
     }
 
-    /// Picks a replica for the next request, skipping quarantined replicas
+    /// Picks the healthy replica with the lowest
+    /// [`RoutingPolicy::LatencyAware`] score, skipping quarantined replicas
     /// and the explicitly `excluded` indices (already-tried replicas during
-    /// a re-route).
+    /// a re-route). One scan from a start that rotates per decision, so
+    /// ties (e.g. several replicas with no history) spread out.
     fn route(&self, excluded: &[usize]) -> Result<usize, ServeError> {
         self.refresh_health();
-        let healthy: Vec<usize> = (0..self.replicas.len())
-            .filter(|i| !self.replicas[*i].quarantined.load(Ordering::Relaxed))
-            .filter(|i| !excluded.contains(i))
-            .collect();
-        if healthy.is_empty() {
-            return Err(ServeError::Unavailable);
+        let n = self.replicas.len();
+        let start = self.rr.fetch_add(1, Ordering::Relaxed) % n;
+        let mut best: Option<(usize, f64)> = None;
+        for idx in (start..n).chain(0..start) {
+            let slot = &self.replicas[idx];
+            if slot.quarantined.load(Ordering::Relaxed) || excluded.contains(&idx) {
+                continue;
+            }
+            let score = slot.score();
+            if best.is_none_or(|(_, b)| score < b) {
+                best = Some((idx, score));
+            }
         }
-        // One cursor bump per decision: round-robin rotation, and a
-        // rotating tie-break start for the load-aware policies.
-        let start = self.rr.fetch_add(1, Ordering::Relaxed) % healthy.len();
-        let pick = match self.cfg.policy {
-            RoutingPolicy::RoundRobin => healthy[start],
-            RoutingPolicy::LeastQueueDepth => select_min(&healthy, start, |i| {
-                self.replicas[i].replica.queue_depth() as f64
-            }),
-            RoutingPolicy::LatencyAware => select_min(&healthy, start, |i| {
-                let r = &self.replicas[i].replica;
-                let shared = r.shared();
-                let win = shared
-                    .ewma_window_latency()
-                    .map_or(0.0, |d| d.as_secs_f64());
-                let batch = shared.ewma_batch_latency().map_or(0.0, |d| d.as_secs_f64());
-                // Expected time-to-service: the requests already waiting
-                // (queued or in a forming batch — riders of an executing
-                // batch finish with it and don't add future work) plus
-                // this request, at the replica's per-window rate, plus the
-                // expected remainder of any batch executing right now
-                // (½ the batch EWMA per busy worker). Divided by the
-                // replica's explicit weight: a weight-w replica looks w×
-                // cheaper, attracting a proportional share of traffic.
-                ((shared.waiting() + 1) as f64 * win + shared.busy_workers() as f64 * batch / 2.0)
-                    / self.replicas[i].weight
-            }),
-        };
-        Ok(pick)
+        best.map(|(idx, _)| idx).ok_or(ServeError::Unavailable)
     }
 
     /// Submits a request to the routed replica, blocking while that
@@ -692,24 +533,10 @@ impl ShardedEngine {
     }
 
     /// Routes, submits and waits — re-routing to another healthy replica
-    /// (up to [`ShardedEngineConfig::max_reroutes`] times) when a replica
-    /// cancels the request because its backend panicked. This is how a
-    /// dying replica's traffic is re-routed rather than dropped.
-    ///
-    /// With [`ShardedEngineConfig::hedge`] set, a request that outlives the
-    /// hedge delay is additionally duplicated to a second replica and the
-    /// first answer wins (see [`HedgeConfig`]); with `hedge: None` (the
-    /// default) this is exactly the plain re-route loop.
+    /// (up to [`ShardedEngineBuilder::with_max_reroutes`] times) when a
+    /// replica cancels the request because its backend panicked. This is
+    /// how a dying replica's traffic is re-routed rather than dropped.
     pub fn classify(&self, windows: Tensor) -> Result<RequestOutput, ServeError> {
-        match self.cfg.hedge {
-            Some(h) => self.classify_hedged(windows, h),
-            None => self.classify_unhedged(windows),
-        }
-    }
-
-    /// The pre-hedging classify path: route, submit, wait, re-route on
-    /// cancellation.
-    fn classify_unhedged(&self, windows: Tensor) -> Result<RequestOutput, ServeError> {
         let mut tried = Vec::new();
         let mut windows = windows;
         loop {
@@ -742,104 +569,6 @@ impl ShardedEngine {
         }
     }
 
-    /// The hedged classify path: submit to the routed primary, wait out
-    /// the hedge delay, then duplicate to a second healthy replica and
-    /// race the two copies. The losing copy's response handle is dropped —
-    /// the worker still executes and counts it, but nobody waits for it.
-    ///
-    /// Failure semantics are deliberately simple: the hedge *is* the
-    /// retry. If one copy errors the call blocks on the other; if both
-    /// error the surviving copy's error is returned. The unhedged
-    /// re-route loop is not layered on top.
-    fn classify_hedged(
-        &self,
-        windows: Tensor,
-        h: HedgeConfig,
-    ) -> Result<RequestOutput, ServeError> {
-        let started = Instant::now();
-        let primary_idx = self.route(&[])?;
-        let copy = windows.clone();
-        let mut primary = self.replicas[primary_idx].replica.submit(windows)?;
-        match primary.wait_timeout(self.hedge_delay(&h)) {
-            Ok(result) => return self.hedged_outcome(result, started, false),
-            Err(pending) => primary = pending,
-        }
-        // The primary outlived the delay: duplicate to a second healthy
-        // replica, never the primary, without blocking — a full hedge
-        // queue means "no hedge this time", not backpressure.
-        let hedged = self
-            .route(&[primary_idx])
-            .ok()
-            .and_then(|idx| self.replicas[idx].replica.try_submit(copy).ok());
-        let Some(mut hedge) = hedged else {
-            return self.hedged_outcome(primary.wait(), started, false);
-        };
-        self.hedges_fired.fetch_add(1, Ordering::Relaxed);
-        loop {
-            match primary.wait_timeout(HEDGE_POLL) {
-                Ok(Ok(out)) => return self.hedged_outcome(Ok(out), started, false),
-                Ok(Err(_)) => return self.hedged_outcome(hedge.wait(), started, true),
-                Err(pending) => primary = pending,
-            }
-            match hedge.try_wait() {
-                Ok(Ok(out)) => return self.hedged_outcome(Ok(out), started, true),
-                Ok(Err(_)) => return self.hedged_outcome(primary.wait(), started, false),
-                Err(pending) => hedge = pending,
-            }
-        }
-    }
-
-    /// Accounts for a finished hedged classify: bumps the win counter when
-    /// the hedge's answer was used, and feeds the p95 estimator on success.
-    fn hedged_outcome(
-        &self,
-        result: Result<RequestOutput, ServeError>,
-        started: Instant,
-        won_by_hedge: bool,
-    ) -> Result<RequestOutput, ServeError> {
-        if result.is_ok() {
-            if won_by_hedge {
-                self.hedges_won.fetch_add(1, Ordering::Relaxed);
-            }
-            self.note_latency(started.elapsed());
-        }
-        result
-    }
-
-    /// The hedge delay for the next request: the running p95 estimate,
-    /// clamped to the config's bounds ([`HedgeConfig::initial_delay`]
-    /// before any sample).
-    fn hedge_delay(&self, h: &HedgeConfig) -> Duration {
-        let est = self.hedge_p95_ns.load(Ordering::Relaxed);
-        let raw = if est == 0 {
-            h.initial_delay
-        } else {
-            Duration::from_nanos(est)
-        };
-        raw.clamp(h.min_delay, h.max_delay)
-    }
-
-    /// Frugal-streaming p95 update: step up 19 units on a sample above the
-    /// estimate, down 1 unit below it — at the 95th percentile up- and
-    /// down-steps balance (5 % × 19 = 95 % × 1). The unit is a 1/256th of
-    /// the current estimate, so convergence is multiplicative and scale-
-    /// free. Lossy under concurrent updates by design (it is an estimate).
-    fn note_latency(&self, sample: Duration) {
-        let s = (sample.as_nanos().min(u64::MAX as u128) as u64).max(1);
-        let cur = self.hedge_p95_ns.load(Ordering::Relaxed);
-        let next = if cur == 0 {
-            s
-        } else {
-            let unit = (cur >> 8).max(1);
-            if s > cur {
-                cur.saturating_add(19 * unit)
-            } else {
-                cur.saturating_sub(unit).max(1)
-            }
-        };
-        self.hedge_p95_ns.store(next, Ordering::Relaxed);
-    }
-
     /// A live snapshot of pool-level + per-replica statistics. Every pool
     /// total is the sum of the corresponding per-replica counters.
     ///
@@ -860,7 +589,6 @@ impl ShardedEngine {
                 replica: i,
                 backend: slot.replica.backend_name().to_string(),
                 quarantined: slot.quarantined.load(Ordering::Relaxed),
-                weight: slot.weight,
                 queue_depth: slot.replica.queue_depth(),
                 ewma_batch_latency: slot.replica.shared().ewma_batch_latency(),
                 ewma_window_latency: slot.replica.shared().ewma_window_latency(),
@@ -877,8 +605,6 @@ impl ShardedEngine {
             coalesced_batches: pool.coalesced_batches,
             windows: pool.windows,
             latency: pool.latency,
-            hedges_fired: self.hedges_fired.load(Ordering::Relaxed),
-            hedges_won: self.hedges_won.load(Ordering::Relaxed),
             per_replica,
         }
     }
@@ -923,20 +649,4 @@ impl std::fmt::Debug for ShardedEngine {
             .field("quarantine_after", &self.cfg.quarantine_after)
             .finish()
     }
-}
-
-/// Picks the index in `healthy` minimising `score`, scanning from `start`
-/// so ties rotate instead of always landing on the first replica.
-fn select_min(healthy: &[usize], start: usize, score: impl Fn(usize) -> f64) -> usize {
-    let mut best = healthy[start];
-    let mut best_score = score(best);
-    for k in 1..healthy.len() {
-        let idx = healthy[(start + k) % healthy.len()];
-        let s = score(idx);
-        if s < best_score {
-            best = idx;
-            best_score = s;
-        }
-    }
-    best
 }

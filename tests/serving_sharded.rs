@@ -1,19 +1,20 @@
 //! End-to-end tests of the sharded multi-replica serving engine: a
 //! heterogeneous fp32+int8 pool under concurrent clients with per-replica
 //! stats rolling up to pool totals, latency-aware routing steering traffic
-//! away from a slow replica, quarantine of a panicking replica with
-//! transparent re-routing, and draining shutdown across the pool.
+//! away from a slow replica, fresh replicas probed first, quarantine of a
+//! panicking replica with transparent re-routing and canary re-admission,
+//! `try_submit` spill-over, and draining shutdown across the pool.
 
 use bioformers::core::{Bioformer, BioformerConfig};
 use bioformers::nn::serialize::state_dict;
 use bioformers::quant::QuantBioformer;
 use bioformers::semg::{CHANNELS, WINDOW};
 use bioformers::serve::{
-    AsyncEngineConfig, GestureClassifier, HedgeConfig, RoutingPolicy, ServeError, ShardedEngine,
+    AsyncEngineConfig, GestureClassifier, RoutingPolicy, ServeError, ShardedEngine,
 };
 use bioformers::tensor::Tensor;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 fn small_bioformer(seed: u64) -> Bioformer {
@@ -52,7 +53,6 @@ fn heterogeneous_fp32_int8_pool_serves_with_stats_summing_to_totals() {
 
     let pool = Arc::new(
         ShardedEngine::builder()
-            .with_policy(RoutingPolicy::RoundRobin)
             .add_replica(Box::new(model))
             .add_replica(Box::new(qmodel))
             .build(),
@@ -85,7 +85,8 @@ fn heterogeneous_fp32_int8_pool_serves_with_stats_summing_to_totals() {
     assert_eq!(stats.per_replica[0].backend, "bioformer-fp32");
     assert_eq!(stats.per_replica[1].backend, "bioformer-int8");
 
-    // Round-robin over two healthy replicas: both must have taken traffic.
+    // Replicas with no latency history are probed first, so both must have
+    // taken traffic.
     for rs in &stats.per_replica {
         assert!(
             rs.stats.requests > 0,
@@ -175,6 +176,32 @@ fn latency_aware_routing_shifts_traffic_off_the_slow_replica() {
     );
 }
 
+/// `RoutingPolicy::LatencyAware` scores a replica with no latency history
+/// at zero, so a fresh replica is tried before any replica with history:
+/// three sequential requests on three fresh replicas land one on each.
+#[test]
+fn replicas_with_no_history_are_probed_first() {
+    let mut builder = ShardedEngine::builder();
+    for _ in 0..3 {
+        builder = builder.add_replica(Box::new(Delayed {
+            delay: Duration::from_millis(1),
+            calls: Arc::default(),
+        }));
+    }
+    let pool = builder.build();
+    for _ in 0..3 {
+        pool.classify(Tensor::zeros(&[1, 2, 5])).unwrap();
+    }
+    let stats = pool.shutdown();
+    for rs in &stats.per_replica {
+        assert_eq!(
+            rs.stats.requests, 1,
+            "replica {} served {} requests, expected exactly one probe",
+            rs.replica, rs.stats.requests
+        );
+    }
+}
+
 /// A backend that panics on every batch.
 struct Exploding;
 
@@ -199,7 +226,6 @@ impl GestureClassifier for Exploding {
 fn panicking_replica_is_quarantined_and_traffic_rerouted() {
     let good_calls = Arc::new(AtomicUsize::new(0));
     let pool = ShardedEngine::builder()
-        .with_policy(RoutingPolicy::RoundRobin)
         .with_quarantine_after(1)
         .add_replica(Box::new(Exploding))
         .add_replica(Box::new(Delayed {
@@ -266,13 +292,12 @@ impl GestureClassifier for FlakyThenHealthy {
 /// Regression for replica auto-recovery (ROADMAP): a transiently failing
 /// replica is quarantined, gets probed with canary requests, answers one
 /// successfully, and **rejoins the pool** — subsequently serving client
-/// traffic again. With probing disabled the quarantine stays sticky.
+/// traffic again.
 #[test]
 fn transiently_failing_replica_rejoins_after_canary_probe() {
     let served = Arc::new(AtomicUsize::new(0));
     let good_calls = Arc::new(AtomicUsize::new(0));
     let pool = ShardedEngine::builder()
-        .with_policy(RoutingPolicy::RoundRobin)
         .with_quarantine_after(1)
         .with_probe_interval(Duration::from_millis(2))
         .add_replica(Box::new(FlakyThenHealthy {
@@ -304,7 +329,8 @@ fn transiently_failing_replica_rejoins_after_canary_probe() {
         let _ = pool.classify(Tensor::zeros(&[1, 2, 5])).unwrap();
         let replica = &pool.stats().per_replica[0];
         // Rejoined = flag lifted AND the replica served something (the
-        // canary at minimum; client traffic follows via round-robin).
+        // canary at minimum; client traffic follows once its latency EWMA
+        // competes with the healthy sibling's).
         if !replica.quarantined && replica.stats.requests > 0 {
             rejoined = true;
             break;
@@ -327,42 +353,6 @@ fn transiently_failing_replica_rejoins_after_canary_probe() {
     let stats = pool.shutdown();
     assert!(!stats.per_replica[0].quarantined, "rejoined for good");
     assert_eq!(stats.failed, 1, "exactly the one transient fault");
-}
-
-/// With probing disabled (`without_probe_recovery`) quarantine is sticky:
-/// the pre-recovery behaviour is still available.
-#[test]
-fn disabled_probing_keeps_quarantine_sticky() {
-    let served = Arc::new(AtomicUsize::new(0));
-    let good_calls = Arc::new(AtomicUsize::new(0));
-    let pool = ShardedEngine::builder()
-        .with_policy(RoutingPolicy::RoundRobin)
-        .with_quarantine_after(1)
-        .without_probe_recovery()
-        .add_replica(Box::new(FlakyThenHealthy {
-            failures_left: AtomicUsize::new(1),
-            served: Arc::clone(&served),
-        }))
-        .add_replica(Box::new(Delayed {
-            delay: Duration::ZERO,
-            calls: Arc::clone(&good_calls),
-        }))
-        .build();
-
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while !pool.stats().per_replica[0].quarantined {
-        assert!(std::time::Instant::now() < deadline, "never quarantined");
-        pool.classify(Tensor::zeros(&[1, 2, 5])).unwrap();
-    }
-    // Plenty of traffic later the flag still stands and the (now healthy)
-    // flaky backend never serves again.
-    for _ in 0..20 {
-        pool.classify(Tensor::zeros(&[1, 2, 5])).unwrap();
-    }
-    std::thread::sleep(Duration::from_millis(10));
-    let stats = pool.shutdown();
-    assert!(stats.per_replica[0].quarantined, "sticky quarantine");
-    assert_eq!(served.load(Ordering::Relaxed), 0, "no canaries, no serves");
 }
 
 /// With every replica quarantined the pool reports `Unavailable` instead
@@ -388,6 +378,117 @@ fn fully_quarantined_pool_reports_unavailable() {
     assert!(stats.per_replica[0].quarantined);
 }
 
+/// A backend that reports each batch on `started`, then holds it until the
+/// test sends a token on its `release` channel (or drops the sender), and
+/// then sleeps `delay`.
+struct Gated {
+    delay: Duration,
+    started: mpsc::Sender<()>,
+    release: Mutex<mpsc::Receiver<()>>,
+}
+
+impl GestureClassifier for Gated {
+    fn predict_batch(&self, windows: &Tensor) -> Tensor {
+        let _ = self.started.send(());
+        let _ = self.release.lock().unwrap().recv();
+        std::thread::sleep(self.delay);
+        Tensor::zeros(&[windows.dims()[0], 4])
+    }
+
+    fn num_classes(&self) -> usize {
+        4
+    }
+
+    fn name(&self) -> &str {
+        "gated"
+    }
+}
+
+/// `try_submit` spills over: a request whose routed replica has a full
+/// queue is accepted by another healthy replica with room, and only once
+/// every queue is full does the pool push back with `QueueFull` — never
+/// `Unavailable`, since every replica is healthy.
+#[test]
+fn try_submit_spills_over_until_every_queue_is_full() {
+    let (started_tx, started) = mpsc::channel();
+    let mut release = Vec::new();
+    let mut builder = ShardedEngine::builder().with_replica_config(
+        AsyncEngineConfig::default()
+            .with_workers(1)
+            .with_micro_batch(1)
+            .with_linger(Duration::ZERO)
+            .with_queue_capacity(1),
+    );
+    // Replica 0 is fast, replica 1 slow, so once both have latency history
+    // the router prefers replica 0 and reaches replica 1 only by spilling.
+    for delay in [Duration::ZERO, Duration::from_millis(50)] {
+        let (tx, rx) = mpsc::channel();
+        release.push(tx);
+        builder = builder.add_replica(Box::new(Gated {
+            delay,
+            started: started_tx.clone(),
+            release: Mutex::new(rx),
+        }));
+    }
+    let pool = builder.build();
+    let window = || Tensor::zeros(&[1, 2, 5]);
+    let await_start = || {
+        started
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a worker picked up the request")
+    };
+
+    // Warm-up: one released request per replica (fresh replicas are probed
+    // first), then wait until both latency EWMAs are visible.
+    for tx in &release {
+        tx.send(()).unwrap();
+    }
+    for _ in 0..2 {
+        pool.classify(window()).unwrap();
+        await_start();
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !pool
+        .stats()
+        .per_replica
+        .iter()
+        .all(|r| r.ewma_window_latency.is_some())
+    {
+        assert!(std::time::Instant::now() < deadline, "no latency history");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // Each replica holds at most two requests: one blocked in its worker
+    // and one in its capacity-1 queue.
+    let mut pending = Vec::new();
+    // Fills replica 0's worker, then its queue.
+    pending.push(pool.try_submit(window()).expect("replica 0 idle"));
+    await_start();
+    pending.push(pool.try_submit(window()).expect("replica 0 queue free"));
+    // Replica 0 is full: these spill to replica 1's worker, then its queue.
+    pending.push(pool.try_submit(window()).expect("spills to replica 1"));
+    await_start();
+    pending.push(pool.try_submit(window()).expect("replica 1 queue free"));
+    let stats = pool.stats();
+    for rs in &stats.per_replica {
+        assert_eq!(rs.queue_depth, 1, "replica {} queue", rs.replica);
+        assert_eq!(rs.stats.requests, 1, "replica {} warm-up", rs.replica);
+    }
+    // Every queue is full: backpressure, not unavailability.
+    for _ in 0..2 {
+        assert_eq!(pool.try_submit(window()).err(), Some(ServeError::QueueFull));
+    }
+
+    drop(release);
+    for p in pending {
+        assert_eq!(p.wait().unwrap().logits.dims(), &[1, 4]);
+    }
+    let stats = pool.shutdown();
+    assert_eq!(stats.requests, 6);
+    assert_eq!(stats.per_replica[0].stats.requests, 3);
+    assert_eq!(stats.per_replica[1].stats.requests, 3);
+}
+
 /// Shutdown closes every replica's queue up front and drains all accepted
 /// requests across the pool.
 #[test]
@@ -395,7 +496,6 @@ fn pool_shutdown_drains_all_replicas() {
     let model_a = small_bioformer(52);
     let model_b = small_bioformer(53);
     let pool = ShardedEngine::builder()
-        .with_policy(RoutingPolicy::LeastQueueDepth)
         .with_replica_config(
             AsyncEngineConfig::default()
                 .with_workers(1)
@@ -417,151 +517,6 @@ fn pool_shutdown_drains_all_replicas() {
     assert_eq!(stats.requests, 8);
     assert_eq!(stats.expired, 0);
     assert_eq!(stats.failed, 0);
-}
-
-/// The tentpole's hedging semantics, end to end: against a pool whose
-/// round-robin primary is a deliberately slowed replica half the time, a
-/// hedge fires after the (clamped) hedge delay, the fast replica's answer
-/// wins the race, and the caller never waits out the slow replica's full
-/// service time. The losing duplicate is cancelled — its work still counts
-/// in the losing replica's own stats, so the pool rollup stays consistent
-/// (no double-counting, no missing counts).
-#[test]
-fn hedge_fires_against_a_slow_replica_and_the_fast_answer_wins() {
-    const SLOW: Duration = Duration::from_millis(150);
-    let slow_calls = Arc::new(AtomicUsize::new(0));
-    let fast_calls = Arc::new(AtomicUsize::new(0));
-    let pool = ShardedEngine::builder()
-        // Round-robin forces the slow replica to be the primary for half
-        // the requests — LatencyAware would route around it and never
-        // exercise the hedge.
-        .with_policy(RoutingPolicy::RoundRobin)
-        .with_hedging(HedgeConfig {
-            initial_delay: Duration::from_millis(5),
-            min_delay: Duration::from_millis(1),
-            max_delay: Duration::from_millis(20),
-        })
-        .add_replica(Box::new(Delayed {
-            delay: SLOW,
-            calls: Arc::clone(&slow_calls),
-        }))
-        .add_replica(Box::new(Delayed {
-            delay: Duration::ZERO,
-            calls: Arc::clone(&fast_calls),
-        }))
-        .build();
-
-    const REQUESTS: usize = 6;
-    for _ in 0..REQUESTS {
-        let started = std::time::Instant::now();
-        let out = pool.classify(Tensor::zeros(&[1, 2, 5])).unwrap();
-        assert_eq!(out.logits.dims(), &[1, 4]);
-        // The hedge caps the decision latency at roughly the hedge delay
-        // (≤ 20 ms) plus the fast replica's service time — never the slow
-        // replica's 150 ms sleep.
-        assert!(
-            started.elapsed() < SLOW * 2 / 3,
-            "hedging failed to cut the slow replica's tail: {:?}",
-            started.elapsed()
-        );
-    }
-
-    let stats = pool.shutdown();
-    assert!(
-        stats.hedges_fired >= REQUESTS / 2,
-        "slow primaries must fire hedges: {} fired",
-        stats.hedges_fired
-    );
-    assert!(
-        stats.hedges_won >= 1,
-        "at least one hedge must win against a 150 ms primary"
-    );
-    assert!(stats.hedges_won <= stats.hedges_fired);
-    // The cancelled losers are ordinary requests in their replica's own
-    // counters: pool totals still equal the per-replica sums.
-    assert!(stats.rollup_consistent(), "hedging broke the stats rollup");
-    assert_eq!(stats.expired, 0);
-    assert_eq!(stats.failed, 0);
-    // Both replicas actually executed work (the slow one as a losing
-    // primary, the fast one as the winning hedge or primary).
-    assert!(slow_calls.load(Ordering::Relaxed) >= 1);
-    assert!(fast_calls.load(Ordering::Relaxed) >= REQUESTS / 2);
-}
-
-/// With hedging off (the default), the hedge counters stay at zero and
-/// `classify` behaves exactly as before: same answers, one request counted
-/// per call, rollup intact.
-#[test]
-fn hedging_off_counts_nothing_and_serves_identically() {
-    let model = Arc::new(small_bioformer(55));
-    let pool = ShardedEngine::builder()
-        .add_replica(Box::new(Arc::clone(&model)))
-        .add_replica(Box::new(Arc::clone(&model)))
-        .build();
-    assert_eq!(pool.config().hedge, None, "hedging must default to off");
-
-    let w = one_window(71);
-    let direct = model.predict_batch(&w);
-    let out = pool.classify(w).unwrap();
-    assert_eq!(
-        out.logits.data(),
-        direct.data(),
-        "unhedged classify must stay bit-identical to the direct model"
-    );
-    let stats = pool.shutdown();
-    assert_eq!(stats.requests, 1);
-    assert_eq!(stats.hedges_fired, 0);
-    assert_eq!(stats.hedges_won, 0);
-    assert!(stats.rollup_consistent());
-}
-
-/// Explicit replica weights steer LatencyAware routing: at equal observed
-/// latency, a weight-4 replica's score is 4× cheaper, so it absorbs
-/// (nearly) all closed-loop traffic once both EWMAs have converged.
-#[test]
-fn weighted_routing_steers_traffic_toward_the_heavy_replica() {
-    const DELAY: Duration = Duration::from_millis(2);
-    let heavy_calls = Arc::new(AtomicUsize::new(0));
-    let light_calls = Arc::new(AtomicUsize::new(0));
-    let pool = ShardedEngine::builder()
-        .with_policy(RoutingPolicy::LatencyAware)
-        .add_replica_weighted(
-            Box::new(Delayed {
-                delay: DELAY,
-                calls: Arc::clone(&heavy_calls),
-            }),
-            4.0,
-        )
-        .add_replica_weighted(
-            Box::new(Delayed {
-                delay: DELAY,
-                calls: Arc::clone(&light_calls),
-            }),
-            1.0,
-        )
-        .build();
-
-    const REQUESTS: usize = 20;
-    for _ in 0..REQUESTS {
-        pool.classify(Tensor::zeros(&[1, 2, 5])).unwrap();
-    }
-    let stats = pool.shutdown();
-    assert_eq!(stats.per_replica[0].weight, 4.0);
-    assert_eq!(stats.per_replica[1].weight, 1.0);
-
-    let heavy = heavy_calls.load(Ordering::Relaxed);
-    let light = light_calls.load(Ordering::Relaxed);
-    // Each replica is probed once while it has no history (score 0); from
-    // then on equal 2 ms EWMAs divided by 4 vs 1 always favour the heavy
-    // replica in this closed loop (queues are empty between requests).
-    assert!(
-        heavy >= REQUESTS - 5,
-        "weight-4 replica should dominate: heavy {heavy}, light {light}"
-    );
-    assert!(
-        light <= 5,
-        "weight-1 replica should only see probe traffic: {light}"
-    );
 }
 
 /// One shared model instance can back several replicas through the
