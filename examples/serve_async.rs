@@ -12,7 +12,7 @@ use bioformers::core::{Bioformer, BioformerConfig};
 use bioformers::nn::serialize::state_dict;
 use bioformers::quant::QuantBioformer;
 use bioformers::semg::{DatasetSpec, NinaproDb6, Normalizer, CHANNELS, WINDOW};
-use bioformers::serve::{AsyncEngine, AsyncEngineConfig, ServeError};
+use bioformers::serve::{AsyncEngine, AsyncEngineConfig, Engine, ServeError};
 use bioformers::tensor::Tensor;
 use std::time::Duration;
 

@@ -245,18 +245,16 @@ fn serve_mixed_pool(
     );
 
     // The pool's own view: traffic split, rollup.
-    let ps = pool.stats();
+    let ps = pool.engine_stats();
     assert!(ps.rollup_consistent(), "pool totals must sum over replicas");
-    for r in &ps.per_replica {
+    for (i, (backend, r)) in ps.backends.iter().zip(&ps.replicas).enumerate() {
         assert!(
             r.stats.requests > 0,
-            "replica {} ({}) served no traffic — routing never reached it",
-            r.replica,
-            r.backend
+            "replica {i} ({backend}) served no traffic — routing never reached it"
         );
         println!(
-            "[{label}] replica {} [{}]: {} requests, {} windows",
-            r.replica, r.backend, r.stats.requests, r.stats.windows
+            "[{label}] replica {i} [{backend}]: {} requests, {} windows",
+            r.stats.requests, r.stats.windows
         );
     }
 

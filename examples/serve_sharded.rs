@@ -12,7 +12,7 @@ use bioformers::core::{Bioformer, BioformerConfig};
 use bioformers::nn::serialize::state_dict;
 use bioformers::quant::QuantBioformer;
 use bioformers::semg::{DatasetSpec, NinaproDb6, Normalizer, CHANNELS, WINDOW};
-use bioformers::serve::{GestureClassifier, PoolStats, ShardedEngine};
+use bioformers::serve::{Engine, EngineStats, GestureClassifier, ShardedEngine};
 use bioformers::tensor::Tensor;
 
 const CLIENTS: usize = 8;
@@ -20,7 +20,7 @@ const CLIENTS: usize = 8;
 mod common;
 use common::drive_clients;
 
-fn print_pool(stats: &PoolStats) {
+fn print_stats(stats: &EngineStats) {
     println!(
         "pool totals: {} requests, {} batches ({:.1} req/batch), {} failed, {} expired",
         stats.requests,
@@ -33,10 +33,10 @@ fn print_pool(stats: &PoolStats) {
         "{:<16} {:>6} {:>8} {:>10} {:>12} {:>12} {:>12}",
         "replica", "reqs", "batches", "share", "ewma/batch", "ewma/window", "quarantined"
     );
-    for r in &stats.per_replica {
+    for (backend, r) in stats.backends.iter().zip(&stats.replicas) {
         println!(
             "{:<16} {:>6} {:>8} {:>9.1}% {:>12} {:>12} {:>12}",
-            r.backend,
+            backend,
             r.stats.requests,
             r.stats.batches,
             r.stats.requests as f64 / stats.requests.max(1) as f64 * 100.0,
@@ -98,14 +98,14 @@ fn main() {
     println!(
         "{CLIENTS} concurrent clients streaming {n} windows of [{CHANNELS} x {WINDOW}] \
          through a {} pool\n",
-        pool.num_replicas()
+        pool.backends().len()
     );
 
     let preds = drive_clients(&pool, &windows, CLIENTS);
     let correct = preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
 
     let stats = pool.shutdown();
-    print_pool(&stats);
+    print_stats(&stats);
     println!(
         "\npool accuracy under mixed-precision serving: {:.1}% ({correct}/{n})",
         correct as f32 / n as f32 * 100.0
@@ -144,7 +144,7 @@ fn main() {
     }
     std::panic::set_hook(default_hook);
     let stats = pool.shutdown();
-    print_pool(&stats);
+    print_stats(&stats);
     println!(
         "\n{served}/12 requests served despite the crash-looping replica \
          (its {} failures triggered quarantine + re-routing)",

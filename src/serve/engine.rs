@@ -1,14 +1,12 @@
-//! The unified serving-engine contract: one trait over every topology.
+//! The serving-engine contract: one trait over every topology and one
+//! statistics schema for every engine.
 //!
-//! The three engines grew up with divergent entry points — the synchronous
-//! [`InferenceEngine`] had a bespoke `serve` returning a `ServeOutcome`,
-//! while [`AsyncEngine`] and [`ShardedEngine`] spoke
-//! `submit`/`classify`. [`Engine`] unifies them: **submit / classify /
-//! stats / shutdown with one [`ServeError`] surface**, so callers, tests
+//! [`Engine`] is the only way to call an engine — **submit / classify /
+//! stats / shutdown with one [`ServeError`] surface** — so callers, tests
 //! and higher layers (the streaming [`StreamSession`](super::StreamSession)
-//! in particular) are generic over backend topology — swap a single-caller
+//! in particular) are generic over backend topology: swap a single-caller
 //! inline engine for a sharded heterogeneous pool without touching client
-//! code.
+//! code. Every engine reports one [`EngineStats`].
 //!
 //! ```
 //! use bioformers::core::{Bioformer, BioformerConfig};
@@ -32,16 +30,14 @@
 //! ```
 
 use super::queue::{PendingResponse, RequestOutput, ServeError};
-use super::router::{PoolStats, ShardedEngine};
-use super::worker::{AsyncEngine, AsyncStats};
-use super::{InferenceEngine, LatencyStats};
+use super::LatencyStats;
 use bioformer_tensor::Tensor;
 use std::time::Duration;
 
-/// One serving summary schema for every engine topology, so dashboards and
-/// generic callers need a single type. Counter semantics match
-/// [`AsyncStats`] (for the synchronous engine, each `serve`/`classify`
-/// call is one request and one executed batch).
+/// The one serving summary every engine topology returns, so dashboards
+/// and generic callers need a single type. For the inline engine each
+/// `submit`/`classify` call that reaches the backend is one request and
+/// one executed batch.
 #[derive(Debug, Clone)]
 pub struct EngineStats {
     /// The engine topology: `"inference"`, `"async"` or `"sharded"`.
@@ -54,16 +50,44 @@ pub struct EngineStats {
     pub expired: usize,
     /// Requests cancelled because a backend panicked mid-batch.
     pub failed: usize,
-    /// Requests rejected by validation (bad rank or window shape).
+    /// Requests rejected by validation: a bad rank or window shape at
+    /// submission, or a shape that slipped past it into a forming batch.
     pub rejected: usize,
-    /// Batches executed (the backend was actually invoked).
+    /// Batches executed (the backend was actually invoked; batches of only
+    /// zero-window requests don't count).
     pub batches: usize,
     /// Batches that coalesced more than one request.
     pub coalesced_batches: usize,
     /// Total windows served.
     pub windows: usize,
-    /// Micro-batch latency summary across all workers/replicas.
+    /// Micro-batch latency summary across all workers and replicas (exact
+    /// count/total/mean/min/max; p50/p95/p99 estimated over the most
+    /// recent samples).
     pub latency: LatencyStats,
+    /// The sharded engine's per-replica breakdown, parallel to `backends`;
+    /// empty for the inline and async engines.
+    pub replicas: Vec<ReplicaStats>,
+}
+
+/// One replica of a [`ShardedEngine`](super::ShardedEngine) inside its
+/// [`EngineStats::replicas`]: what the router owns plus the replica's own
+/// counters. The replica's index is its position, its backend the entry of
+/// [`EngineStats::backends`] at that position.
+#[derive(Debug, Clone)]
+pub struct ReplicaStats {
+    /// Whether the router has quarantined this replica.
+    pub quarantined: bool,
+    /// Requests waiting in this replica's queue at snapshot time.
+    pub queue_depth: usize,
+    /// EWMA of this replica's coalesced-batch backend latency. `None`
+    /// before the first executed batch.
+    pub ewma_batch_latency: Option<Duration>,
+    /// EWMA of this replica's per-window backend latency — the signal
+    /// [`RoutingPolicy::LatencyAware`](super::RoutingPolicy::LatencyAware)
+    /// routes on. `None` before the first executed batch.
+    pub ewma_window_latency: Option<Duration>,
+    /// The replica's counters.
+    pub stats: EngineStats,
 }
 
 impl EngineStats {
@@ -72,7 +96,8 @@ impl EngineStats {
         self.latency.throughput()
     }
 
-    /// Mean requests per executed batch (0.0 before any work).
+    /// Mean requests per executed batch (0.0 before any work) — the
+    /// coalescing factor: > 1 means cross-request batching is happening.
     pub fn requests_per_batch(&self) -> f64 {
         if self.batches == 0 {
             0.0
@@ -80,46 +105,32 @@ impl EngineStats {
             self.requests as f64 / self.batches as f64
         }
     }
-}
 
-/// Flattens an [`AsyncStats`] into the unified schema.
-pub(crate) fn stats_from_async(
-    engine: &'static str,
-    backends: Vec<String>,
-    s: AsyncStats,
-) -> EngineStats {
-    EngineStats {
-        engine,
-        backends,
-        requests: s.requests,
-        expired: s.expired,
-        failed: s.failed,
-        rejected: s.rejected,
-        batches: s.batches,
-        coalesced_batches: s.coalesced_batches,
-        windows: s.windows,
-        latency: s.latency,
+    /// Whether every total equals the sum of its per-replica counterparts —
+    /// the rollup invariant the multi-tenant gateway's
+    /// [`ServerStats`](super::ServerStats) per-tenant rollup mirrors one
+    /// layer up. Trivially true without replicas.
+    pub fn rollup_consistent(&self) -> bool {
+        if self.replicas.is_empty() {
+            return true;
+        }
+        let sum = |f: fn(&EngineStats) -> usize| -> usize {
+            self.replicas.iter().map(|r| f(&r.stats)).sum()
+        };
+        self.requests == sum(|s| s.requests)
+            && self.expired == sum(|s| s.expired)
+            && self.failed == sum(|s| s.failed)
+            && self.rejected == sum(|s| s.rejected)
+            && self.batches == sum(|s| s.batches)
+            && self.coalesced_batches == sum(|s| s.coalesced_batches)
+            && self.windows == sum(|s| s.windows)
     }
 }
 
-/// Flattens a [`PoolStats`] into the unified schema.
-fn stats_from_pool(backends: Vec<String>, s: PoolStats) -> EngineStats {
-    EngineStats {
-        engine: "sharded",
-        backends,
-        requests: s.requests,
-        expired: s.expired,
-        failed: s.failed,
-        rejected: s.rejected,
-        batches: s.batches,
-        coalesced_batches: s.coalesced_batches,
-        windows: s.windows,
-        latency: s.latency,
-    }
-}
-
-/// The unified serving contract implemented by all three engines
-/// ([`InferenceEngine`], [`AsyncEngine`], [`ShardedEngine`]).
+/// The serving contract implemented by all three engines
+/// ([`InferenceEngine`](super::InferenceEngine),
+/// [`AsyncEngine`](super::AsyncEngine),
+/// [`ShardedEngine`](super::ShardedEngine)), and the only way to call one.
 ///
 /// The trait is object-safe: `&dyn Engine` / `Box<dyn Engine>` let tests
 /// and clients switch serving topology at runtime. Every method reports
@@ -175,166 +186,10 @@ pub trait Engine: Send + Sync {
         self.submit(windows)?.wait()
     }
 
-    /// A live snapshot of the engine's serving statistics in the unified
-    /// [`EngineStats`] schema.
+    /// A live snapshot of the engine's serving statistics.
     fn engine_stats(&self) -> EngineStats;
 
     /// Graceful shutdown: stops accepting requests, drains and serves
     /// everything already accepted, and returns the final statistics.
     fn shutdown(self: Box<Self>) -> EngineStats;
-}
-
-impl Engine for InferenceEngine {
-    fn kind(&self) -> &'static str {
-        "inference"
-    }
-
-    fn backends(&self) -> Vec<String> {
-        vec![self.backend_name().to_string()]
-    }
-
-    fn num_classes(&self) -> usize {
-        InferenceEngine::num_classes(self)
-    }
-
-    fn input_shape(&self) -> Option<(usize, usize)> {
-        InferenceEngine::input_shape(self)
-    }
-
-    /// Serves inline on the calling thread; the returned handle is already
-    /// resolved.
-    fn submit(&self, windows: Tensor) -> Result<PendingResponse, ServeError> {
-        let outcome = self.serve_checked(&windows)?;
-        let n = windows.dims()[0];
-        Ok(PendingResponse::ready(
-            n,
-            Ok(RequestOutput {
-                logits: outcome.logits,
-                predictions: outcome.predictions,
-                queue_wait: Duration::ZERO,
-                batch_requests: 1,
-                batch_windows: n,
-                batch_latency: outcome.stats.total,
-            }),
-        ))
-    }
-
-    /// Identical to [`Engine::submit`]: the inline engine has no queue to
-    /// be full.
-    fn try_submit(&self, windows: Tensor) -> Result<PendingResponse, ServeError> {
-        Engine::submit(self, windows)
-    }
-
-    /// Identical to [`Engine::submit`]: service starts immediately, so a
-    /// deadline in the future cannot expire before service.
-    fn submit_with_deadline(
-        &self,
-        windows: Tensor,
-        _ttl: Duration,
-    ) -> Result<PendingResponse, ServeError> {
-        Engine::submit(self, windows)
-    }
-
-    fn engine_stats(&self) -> EngineStats {
-        self.stats()
-    }
-
-    fn shutdown(self: Box<Self>) -> EngineStats {
-        self.stats()
-    }
-}
-
-impl Engine for AsyncEngine {
-    fn kind(&self) -> &'static str {
-        "async"
-    }
-
-    fn backends(&self) -> Vec<String> {
-        vec![self.backend_name().to_string()]
-    }
-
-    fn num_classes(&self) -> usize {
-        AsyncEngine::num_classes(self)
-    }
-
-    fn input_shape(&self) -> Option<(usize, usize)> {
-        AsyncEngine::input_shape(self)
-    }
-
-    fn submit(&self, windows: Tensor) -> Result<PendingResponse, ServeError> {
-        AsyncEngine::submit(self, windows)
-    }
-
-    fn try_submit(&self, windows: Tensor) -> Result<PendingResponse, ServeError> {
-        AsyncEngine::try_submit(self, windows)
-    }
-
-    fn submit_with_deadline(
-        &self,
-        windows: Tensor,
-        ttl: Duration,
-    ) -> Result<PendingResponse, ServeError> {
-        AsyncEngine::submit_with_deadline(self, windows, ttl)
-    }
-
-    fn engine_stats(&self) -> EngineStats {
-        stats_from_async("async", Engine::backends(self), self.stats())
-    }
-
-    fn shutdown(self: Box<Self>) -> EngineStats {
-        let backends = Engine::backends(self.as_ref());
-        let this = *self;
-        stats_from_async("async", backends, AsyncEngine::shutdown(this))
-    }
-}
-
-impl Engine for ShardedEngine {
-    fn kind(&self) -> &'static str {
-        "sharded"
-    }
-
-    fn backends(&self) -> Vec<String> {
-        self.backend_names()
-    }
-
-    fn num_classes(&self) -> usize {
-        ShardedEngine::num_classes(self)
-    }
-
-    fn input_shape(&self) -> Option<(usize, usize)> {
-        ShardedEngine::input_shape(self)
-    }
-
-    fn submit(&self, windows: Tensor) -> Result<PendingResponse, ServeError> {
-        ShardedEngine::submit(self, windows)
-    }
-
-    fn try_submit(&self, windows: Tensor) -> Result<PendingResponse, ServeError> {
-        ShardedEngine::try_submit(self, windows)
-    }
-
-    fn submit_with_deadline(
-        &self,
-        windows: Tensor,
-        ttl: Duration,
-    ) -> Result<PendingResponse, ServeError> {
-        ShardedEngine::submit_with_deadline(self, windows, ttl)
-    }
-
-    /// Routes through the pool's re-routing `classify`, so a replica
-    /// cancellation costs a retry on another healthy replica rather than
-    /// surfacing to the generic caller.
-    fn classify(&self, windows: Tensor) -> Result<RequestOutput, ServeError> {
-        ShardedEngine::classify(self, windows)
-    }
-
-    fn engine_stats(&self) -> EngineStats {
-        stats_from_pool(self.backend_names(), self.stats())
-    }
-
-    fn shutdown(self: Box<Self>) -> EngineStats {
-        let backends = self.backend_names();
-        let this = *self;
-        stats_from_pool(backends, ShardedEngine::shutdown(this))
-    }
 }

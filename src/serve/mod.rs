@@ -25,12 +25,12 @@
 //!   failing replicas, adaptive per-replica linger, and pool-level
 //!   statistics rollup.
 //!
-//! All three engines implement the unified [`Engine`] trait
-//! (submit / classify / stats / shutdown over one [`ServeError`] surface),
-//! so callers can be generic over topology; the [`StreamSession`] layer
-//! builds on that to turn a **raw sEMG sample stream** into debounced
-//! [`GestureEvent`] decisions through any engine. One level up,
-//! [`StreamServer`] multiplexes N concurrent sessions over one shared
+//! All three engines are called through the one [`Engine`] trait
+//! (submit / classify / stats / shutdown over one [`ServeError`] surface)
+//! and report one [`EngineStats`], so callers are generic over topology;
+//! the [`StreamSession`] layer builds on that to turn a **raw sEMG sample
+//! stream** into debounced [`GestureEvent`] decisions through any engine.
+//! One level up, [`StreamServer`] multiplexes N concurrent sessions over one shared
 //! engine with bounded per-session buffers, round-robin fairness,
 //! idle-timeout eviction and checkpointed reconnects, and [`TcpGateway`]
 //! serves it over TCP loopback with the hand-rolled length-prefixed
@@ -64,10 +64,10 @@ pub mod worker;
 pub mod zoo;
 
 pub use client::{ClientSessionStats, ClientSummary, GatewayClient, GatewayError};
-pub use engine::{Engine, EngineStats};
+pub use engine::{Engine, EngineStats, ReplicaStats};
 pub use proto::{ErrorCode, Frame, FrameDecoder, ProtoError};
 pub use queue::{PendingResponse, ReadyHook, RequestOutput, ServeError};
-pub use router::{PoolStats, ReplicaStats, RoutingPolicy, ShardedEngine, ShardedEngineBuilder};
+pub use router::{RoutingPolicy, ShardedEngine, ShardedEngineBuilder};
 pub use server::{
     FinishReport, ServeCounters, ServerStats, SessionHandle, SessionOptions, SessionStats,
     StreamServer, StreamServerConfig, TcpGateway, TenantStats,
@@ -79,7 +79,7 @@ pub use stream::{
 pub use trace::{
     BudgetReport, LatencyBudget, LatencyTrace, StageRecorder, StageStats, StageSummary,
 };
-pub use worker::{AsyncEngine, AsyncEngineConfig, AsyncStats, LingerPolicy, WorkerStats};
+pub use worker::{AsyncEngine, AsyncEngineConfig, LingerPolicy};
 pub use zoo::{
     ExperimentStats, ModelStats, ModelZoo, PromotionDecision, PromotionPolicy, RouteMode,
     ShadowEngine, ZooStats,
@@ -94,7 +94,7 @@ pub mod prelude {
     pub use super::client::{ClientSummary, GatewayClient, GatewayError};
     pub use super::engine::{Engine, EngineStats};
     pub use super::queue::{PendingResponse, ReadyHook, RequestOutput, ServeError};
-    pub use super::router::{PoolStats, RoutingPolicy, ShardedEngine};
+    pub use super::router::{RoutingPolicy, ShardedEngine};
     pub use super::server::{
         ServerStats, SessionHandle, SessionOptions, StreamServer, StreamServerConfig, TcpGateway,
     };
@@ -103,9 +103,9 @@ pub mod prelude {
         StreamSession, StreamSummary,
     };
     pub use super::trace::{LatencyBudget, LatencyTrace, StageStats, StageSummary};
-    pub use super::worker::{AsyncEngine, AsyncEngineConfig, AsyncStats, LingerPolicy};
+    pub use super::worker::{AsyncEngine, AsyncEngineConfig, LingerPolicy};
     pub use super::zoo::{ModelZoo, PromotionDecision, PromotionPolicy, RouteMode, ZooStats};
-    pub use super::{GestureClassifier, InferenceEngine, LatencyStats, ServeOutcome};
+    pub use super::{GestureClassifier, InferenceEngine, LatencyStats};
 }
 
 use bioformer_core::{Bioformer, TempoNet, WaveFormer};
@@ -308,9 +308,8 @@ impl GestureClassifier for QuantBioformer {
 /// small enough to bound per-request latency.
 pub const DEFAULT_MICRO_BATCH: usize = 32;
 
-/// Latency statistics over the micro-batches of one
-/// [`InferenceEngine::serve_checked`] call. Durations cover the backend's
-/// `predict_batch` only (splitting and reassembly are excluded).
+/// Latency statistics over a set of micro-batches. Durations cover the
+/// backend's `predict_batch` only (splitting and reassembly are excluded).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyStats {
     /// Number of micro-batches executed (0 for an empty request).
@@ -385,7 +384,7 @@ impl LatencyStats {
         }
     }
 
-    /// Windows served per second of backend time (0.0 for empty requests).
+    /// Windows served per second of backend time (0.0 before any work).
     pub fn throughput(&self) -> f64 {
         if self.total.is_zero() {
             0.0
@@ -393,17 +392,6 @@ impl LatencyStats {
             self.windows as f64 / self.total.as_secs_f64()
         }
     }
-}
-
-/// The result of serving one request batch.
-#[derive(Debug, Clone)]
-pub struct ServeOutcome {
-    /// Logits `[n, classes]`, row-aligned with the request windows.
-    pub logits: Tensor,
-    /// Argmax class per window.
-    pub predictions: Vec<usize>,
-    /// Micro-batch latency statistics for this request.
-    pub stats: LatencyStats,
 }
 
 /// A micro-batching inference engine over one [`GestureClassifier`] backend.
@@ -416,18 +404,15 @@ pub struct ServeOutcome {
 /// This is the synchronous member of the [`Engine`] family: requests are
 /// served **inline on the calling thread** ([`Engine::submit`] returns an
 /// already-resolved handle), which makes it the right engine for offline
-/// evaluation, batch jobs, and single-caller streaming. Use
-/// [`InferenceEngine::serve_checked`] directly when you want the
-/// per-request [`ServeOutcome`] with micro-batch latency statistics.
+/// evaluation, batch jobs, and single-caller streaming.
 pub struct InferenceEngine {
     backend: Box<dyn GestureClassifier>,
     micro_batch: usize,
-    /// Scratch arena reused across `serve` calls (one caller at a time, so
-    /// a mutex — workers in the async engines own per-thread arenas
+    /// Scratch arena reused across calls (one caller at a time, so a
+    /// mutex — workers in the async engines own per-thread arenas
     /// instead).
     arena: Mutex<TensorArena>,
-    /// Lifetime counters behind the [`Engine::engine_stats`] view; the
-    /// per-call [`ServeOutcome::stats`] stay per-call.
+    /// Lifetime counters behind [`Engine::engine_stats`].
     totals: Mutex<worker::WorkerInner>,
 }
 
@@ -463,63 +448,59 @@ impl InferenceEngine {
         self.backend.compute_report()
     }
 
-    /// The backend's name.
-    pub fn backend_name(&self) -> &str {
-        self.backend.name()
+    fn totals(&self) -> std::sync::MutexGuard<'_, worker::WorkerInner> {
+        self.totals.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+impl Engine for InferenceEngine {
+    fn kind(&self) -> &'static str {
+        "inference"
     }
 
-    /// The backend's class count.
-    pub fn num_classes(&self) -> usize {
+    fn backends(&self) -> Vec<String> {
+        vec![self.backend.name().to_string()]
+    }
+
+    fn num_classes(&self) -> usize {
         self.backend.num_classes()
     }
 
-    /// The `[channels, samples]` window shape this engine serves, when the
-    /// backend declares one.
-    pub fn input_shape(&self) -> Option<(usize, usize)> {
+    /// The backend's declared window shape, if any.
+    fn input_shape(&self) -> Option<(usize, usize)> {
         self.backend.input_shape()
     }
 
-    /// Serves a request batch `[n, channels, samples]` (`n` may be 0, and
-    /// need not divide the micro-batch size), returning the per-request
-    /// [`ServeOutcome`] with micro-batch latency statistics.
+    /// Serves `windows` (`n` may be 0, and need not divide the micro-batch
+    /// size) inline on the calling thread; the returned handle is already
+    /// resolved, its `batch_latency` the sum of the micro-batch latencies.
     ///
     /// Concurrent callers run their backend forwards in parallel: the
     /// engine's shared scratch arena is taken with `try_lock`, and a
     /// contending caller falls back to a throwaway arena (paying that
     /// call's allocations) rather than serialising on the lock.
     ///
-    /// # Errors
-    ///
-    /// [`ServeError::BadRequest`] when `windows` is not rank-3 or its
-    /// `[channels, samples]` differ from the backend's declared
-    /// [`GestureClassifier::input_shape`] — the same validation surface as
-    /// the concurrent engines.
-    ///
     /// # Panics
     ///
     /// Panics if the backend returns logits of the wrong shape (backend
     /// contract violation).
-    pub fn serve_checked(&self, windows: &Tensor) -> Result<ServeOutcome, ServeError> {
+    fn submit(&self, windows: Tensor) -> Result<PendingResponse, ServeError> {
+        let reject = |msg: String| {
+            self.totals().note_rejected();
+            Err(ServeError::BadRequest(msg))
+        };
         if windows.dims().len() != 3 {
-            self.totals
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .note_rejected();
-            return Err(ServeError::BadRequest(format!(
+            return reject(format!(
                 "windows must be [n, channels, samples], got {:?}",
                 windows.dims()
-            )));
+            ));
         }
         let (n, c, s) = (windows.dims()[0], windows.dims()[1], windows.dims()[2]);
         if let Some((ec, es)) = self.backend.input_shape() {
             if (c, s) != (ec, es) {
-                self.totals
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .note_rejected();
-                return Err(ServeError::BadRequest(format!(
+                return reject(format!(
                     "window shape [{c}, {s}] does not match engine shape [{ec}, {es}]"
-                )));
+                ));
             }
         }
         // Reuse the engine arena when free; never block a concurrent
@@ -532,39 +513,51 @@ impl InferenceEngine {
         };
         let mut local = TensorArena::new();
         let arena = guard.as_deref_mut().unwrap_or(&mut local);
-        let (logits, mut latencies) =
-            predict_chunked(self.backend.as_ref(), windows, self.micro_batch, arena);
+        let (logits, latencies) =
+            predict_chunked(self.backend.as_ref(), &windows, self.micro_batch, arena);
         drop(guard);
         let predictions = if n == 0 {
             Vec::new()
         } else {
             logits.argmax_rows()
         };
-        self.totals
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .note_served(n, &latencies);
-        Ok(ServeOutcome {
-            logits,
-            predictions,
-            stats: LatencyStats::from_samples(&mut latencies, n),
-        })
+        self.totals().note_served(n, &latencies);
+        Ok(PendingResponse::ready(
+            n,
+            Ok(RequestOutput {
+                logits,
+                predictions,
+                queue_wait: Duration::ZERO,
+                batch_requests: 1,
+                batch_windows: n,
+                batch_latency: latencies.iter().sum(),
+            }),
+        ))
     }
 
-    /// Lifetime serving statistics in the unified [`EngineStats`] schema
-    /// (each `serve_checked`/`classify` call that reached the backend is
-    /// one request and one executed batch).
-    pub fn stats(&self) -> EngineStats {
-        let inner = self
-            .totals
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
-        engine::stats_from_async(
-            "inference",
-            vec![self.backend.name().to_string()],
-            inner.into_stats(Vec::new()),
-        )
+    /// Identical to [`Engine::submit`]: the inline engine has no queue to
+    /// be full.
+    fn try_submit(&self, windows: Tensor) -> Result<PendingResponse, ServeError> {
+        self.submit(windows)
+    }
+
+    /// Identical to [`Engine::submit`]: service starts immediately, so a
+    /// deadline in the future cannot expire before service.
+    fn submit_with_deadline(
+        &self,
+        windows: Tensor,
+        _ttl: Duration,
+    ) -> Result<PendingResponse, ServeError> {
+        self.submit(windows)
+    }
+
+    fn engine_stats(&self) -> EngineStats {
+        let totals = self.totals().clone();
+        totals.into_stats("inference", self.backends())
+    }
+
+    fn shutdown(self: Box<Self>) -> EngineStats {
+        self.engine_stats()
     }
 }
 
@@ -687,10 +680,11 @@ mod tests {
     #[test]
     fn splits_non_divisible_batches() {
         let (engine, seen) = probe_engine(3);
-        let out = engine.serve_checked(&Tensor::zeros(&[7, 2, 5])).unwrap();
+        let out = engine.classify(Tensor::zeros(&[7, 2, 5])).unwrap();
         assert_eq!(*seen.lock().unwrap(), vec![3, 3, 1]);
-        assert_eq!(out.stats.micro_batches, 3);
-        assert_eq!(out.stats.windows, 7);
+        let stats = engine.engine_stats();
+        assert_eq!(stats.latency.micro_batches, 3);
+        assert_eq!(stats.latency.windows, 7);
         assert_eq!(out.logits.dims(), &[7, 4]);
         // Last micro-batch has 1 window; its logit row must be 0.
         assert_eq!(out.logits.row(6), &[0.0; 4]);
@@ -699,20 +693,21 @@ mod tests {
     #[test]
     fn empty_batch_is_served_without_backend_calls() {
         let (engine, seen) = probe_engine(4);
-        let out = engine.serve_checked(&Tensor::zeros(&[0, 2, 5])).unwrap();
+        let out = engine.classify(Tensor::zeros(&[0, 2, 5])).unwrap();
         assert!(seen.lock().unwrap().is_empty());
         assert_eq!(out.logits.dims(), &[0, 4]);
         assert!(out.predictions.is_empty());
-        assert_eq!(out.stats.micro_batches, 0);
-        assert_eq!(out.stats.throughput(), 0.0);
+        let stats = engine.engine_stats();
+        assert_eq!(stats.latency.micro_batches, 0);
+        assert_eq!(stats.throughput(), 0.0);
     }
 
     #[test]
     fn batch_smaller_than_micro_batch_is_one_call() {
         let (engine, seen) = probe_engine(100);
-        let out = engine.serve_checked(&Tensor::zeros(&[5, 2, 5])).unwrap();
+        let out = engine.classify(Tensor::zeros(&[5, 2, 5])).unwrap();
         assert_eq!(*seen.lock().unwrap(), vec![5]);
-        assert_eq!(out.stats.micro_batches, 1);
+        assert_eq!(engine.engine_stats().latency.micro_batches, 1);
         assert_eq!(out.predictions.len(), 5);
     }
 
@@ -725,19 +720,19 @@ mod tests {
     #[test]
     fn non_rank3_requests_are_rejected() {
         let (engine, _seen) = probe_engine(4);
-        let err = engine.serve_checked(&Tensor::zeros(&[4, 10])).unwrap_err();
+        let err = engine.classify(Tensor::zeros(&[4, 10])).unwrap_err();
         assert!(matches!(err, ServeError::BadRequest(_)), "got {err:?}");
-        assert_eq!(engine.stats().rejected, 1);
+        assert_eq!(engine.engine_stats().rejected, 1);
     }
 
-    /// `serve_checked` counts requests and windows in the lifetime stats.
+    /// A classify call counts one request and its windows.
     #[test]
-    fn serve_checked_counts_requests_and_windows() {
+    fn classify_counts_requests_and_windows() {
         let (engine, _seen) = probe_engine(4);
-        let out = engine.serve_checked(&Tensor::zeros(&[3, 2, 5])).unwrap();
+        let out = engine.classify(Tensor::zeros(&[3, 2, 5])).unwrap();
         assert_eq!(out.logits.dims(), &[3, 4]);
-        assert_eq!(engine.stats().requests, 1);
-        assert_eq!(engine.stats().windows, 3);
+        assert_eq!(engine.engine_stats().requests, 1);
+        assert_eq!(engine.engine_stats().windows, 3);
     }
 
     /// Backends without a compute seam report the default compute state.
@@ -747,16 +742,17 @@ mod tests {
         assert_eq!(engine.compute_report(), "default");
     }
 
-    /// Lifetime stats accumulate across calls in the unified schema.
+    /// Lifetime stats accumulate across calls.
     #[test]
     fn inference_engine_stats_accumulate() {
         let (engine, _seen) = probe_engine(2);
         for n in [3usize, 0, 5] {
-            let _ = engine.serve_checked(&Tensor::zeros(&[n, 2, 5])).unwrap();
+            let _ = engine.classify(Tensor::zeros(&[n, 2, 5])).unwrap();
         }
-        let stats = engine.stats();
+        let stats = engine.engine_stats();
         assert_eq!(stats.engine, "inference");
         assert_eq!(stats.backends, vec!["probe".to_string()]);
+        assert!(stats.replicas.is_empty());
         assert_eq!(stats.requests, 3);
         assert_eq!(stats.windows, 8);
         // The n=0 request never invoked the backend: 2 executed batches.

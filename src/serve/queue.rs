@@ -32,7 +32,7 @@ pub enum ServeError {
     BadRequest(String),
     /// The request was cancelled without being served: the backend
     /// panicked while executing its batch (the worker survives and keeps
-    /// serving; see `AsyncStats::failed`), or the engine terminated
+    /// serving; see `EngineStats::failed`), or the engine terminated
     /// abnormally. Graceful shutdown never cancels accepted requests.
     Cancelled,
     /// Every replica in a sharded pool is quarantined (dead workers or a

@@ -10,14 +10,15 @@
 //! to the replica with the lowest expected time-to-service
 //! ([`RoutingPolicy::LatencyAware`]). Replicas whose workers die or whose
 //! backend fails repeatedly are **quarantined** — new traffic routes
-//! around them, [`ShardedEngine::classify`] transparently re-routes a
+//! around them, the pool's [`Engine::classify`] transparently re-routes a
 //! request cancelled by a failing replica, and a canary probe re-admits a
 //! quarantined replica once it answers again. Shutdown drains every
 //! replica in parallel before joining.
 
+use super::engine::{Engine, EngineStats, ReplicaStats};
 use super::queue::{PendingResponse, RequestOutput, ServeError};
-use super::worker::{AsyncEngineConfig, AsyncStats, Replica, WorkerInner};
-use super::{GestureClassifier, LatencyStats};
+use super::worker::{AsyncEngineConfig, Replica, WorkerInner};
+use super::GestureClassifier;
 use bioformer_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -96,88 +97,6 @@ impl ReplicaSlot {
     }
 }
 
-/// A snapshot of one replica's serving state inside a [`PoolStats`].
-#[derive(Debug, Clone)]
-pub struct ReplicaStats {
-    /// Replica index (0-based, in `add_replica` order).
-    pub replica: usize,
-    /// The replica backend's name, e.g. `"bioformer-int8"`.
-    pub backend: String,
-    /// Whether the router has quarantined this replica.
-    pub quarantined: bool,
-    /// Requests waiting in this replica's queue at snapshot time.
-    pub queue_depth: usize,
-    /// EWMA of this replica's coalesced-batch backend latency. `None`
-    /// before the first executed batch.
-    pub ewma_batch_latency: Option<Duration>,
-    /// EWMA of this replica's per-window backend latency — the signal
-    /// [`RoutingPolicy::LatencyAware`] routes on. `None` before the first
-    /// executed batch.
-    pub ewma_window_latency: Option<Duration>,
-    /// The replica's full per-worker statistics.
-    pub stats: AsyncStats,
-}
-
-/// Pool-level statistics for a [`ShardedEngine`]: every replica's counters
-/// rolled up, plus the per-replica breakdown. Counter semantics match
-/// [`AsyncStats`]; each total equals the sum over `per_replica`.
-#[derive(Debug, Clone)]
-pub struct PoolStats {
-    /// Requests served across the pool.
-    pub requests: usize,
-    /// Requests expired for missing their deadline.
-    pub expired: usize,
-    /// Requests cancelled because a backend panicked mid-batch.
-    pub failed: usize,
-    /// Requests rejected by a worker's defence-in-depth shape check.
-    pub rejected: usize,
-    /// Batches executed across the pool (backend actually invoked).
-    pub batches: usize,
-    /// Batches that coalesced more than one request.
-    pub coalesced_batches: usize,
-    /// Total windows served.
-    pub windows: usize,
-    /// Micro-batch latency summary across every replica's workers (exact
-    /// count/total/mean/min/max; percentiles estimated over recent-sample
-    /// windows).
-    pub latency: LatencyStats,
-    /// Per-replica breakdown.
-    pub per_replica: Vec<ReplicaStats>,
-}
-
-impl PoolStats {
-    /// Windows served per second of backend time (0.0 before any work).
-    pub fn throughput(&self) -> f64 {
-        self.latency.throughput()
-    }
-
-    /// Mean requests per executed batch across the pool (0.0 before any
-    /// work).
-    pub fn requests_per_batch(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.requests as f64 / self.batches as f64
-        }
-    }
-
-    /// Whether every pool total equals the sum of its per-replica
-    /// counterparts — the rollup invariant `tests/serving_sharded.rs` pins,
-    /// and the shape the multi-tenant gateway's
-    /// [`ServerStats`](super::ServerStats) per-tenant rollup mirrors.
-    pub fn rollup_consistent(&self) -> bool {
-        let sum =
-            |f: &dyn Fn(&ReplicaStats) -> usize| -> usize { self.per_replica.iter().map(f).sum() };
-        self.requests == sum(&|r| r.stats.requests)
-            && self.expired == sum(&|r| r.stats.expired)
-            && self.failed == sum(&|r| r.stats.failed)
-            && self.rejected == sum(&|r| r.stats.rejected)
-            && self.batches == sum(&|r| r.stats.batches)
-            && self.coalesced_batches == sum(&|r| r.stats.coalesced_batches)
-            && self.windows == sum(&|r| r.stats.windows)
-    }
-}
-
 /// Builder for a [`ShardedEngine`]: collect heterogeneous replicas, then
 /// [`ShardedEngineBuilder::build`].
 pub struct ShardedEngineBuilder {
@@ -221,7 +140,7 @@ impl ShardedEngineBuilder {
         self
     }
 
-    /// Sets how many times [`ShardedEngine::classify`] re-routes a
+    /// Sets how many times the pool's [`Engine::classify`] re-routes a
     /// cancelled request to another replica (default 3; 0 disables
     /// re-routing).
     pub fn with_max_reroutes(mut self, reroutes: usize) -> Self {
@@ -310,7 +229,7 @@ impl ShardedEngineBuilder {
 ///
 /// ```
 /// use bioformers::core::{Bioformer, BioformerConfig};
-/// use bioformers::serve::ShardedEngine;
+/// use bioformers::serve::{Engine, ShardedEngine};
 /// use bioformers::tensor::Tensor;
 ///
 /// let pool = ShardedEngine::builder()
@@ -321,7 +240,8 @@ impl ShardedEngineBuilder {
 /// assert_eq!(out.logits.dims(), &[2, 8]);
 /// let stats = pool.shutdown();
 /// assert_eq!(stats.requests, 1);
-/// assert_eq!(stats.per_replica.len(), 2);
+/// assert_eq!(stats.replicas.len(), 2);
+/// assert!(stats.rollup_consistent());
 /// ```
 pub struct ShardedEngine {
     replicas: Vec<ReplicaSlot>,
@@ -337,48 +257,13 @@ impl ShardedEngine {
         ShardedEngineBuilder::new()
     }
 
-    /// Number of replicas (healthy or quarantined).
-    pub fn num_replicas(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// The shared class count every replica serves.
-    pub fn num_classes(&self) -> usize {
-        self.classes
-    }
-
-    /// The replica backend names, in `add_replica` order.
-    pub fn backend_names(&self) -> Vec<String> {
-        self.replicas
-            .iter()
-            .map(|s| s.replica.backend_name().to_string())
-            .collect()
-    }
-
     /// The replica compute reports (backend, SIMD tier and plan at spawn),
-    /// parallel to
-    /// [`ShardedEngine::backend_names`].
+    /// parallel to [`Engine::backends`].
     pub fn compute_reports(&self) -> Vec<String> {
         self.replicas
             .iter()
             .map(|s| s.replica.compute_report().to_string())
             .collect()
-    }
-
-    /// The `[channels, samples]` window shape the pool serves, when every
-    /// replica agrees on one (declared by its backend or pinned by
-    /// traffic); `None` when unknown or inconsistent.
-    pub fn input_shape(&self) -> Option<(usize, usize)> {
-        let mut shape = None;
-        for slot in &self.replicas {
-            match (shape, slot.replica.served_shape()) {
-                (_, None) => return None,
-                (None, got) => shape = got,
-                (Some(expect), Some(got)) if expect != got => return None,
-                _ => {}
-            }
-        }
-        shape
     }
 
     /// Re-evaluates every replica's health: marks dead or persistently
@@ -480,18 +365,78 @@ impl ShardedEngine {
         best.map(|(idx, _)| idx).ok_or(ServeError::Unavailable)
     }
 
-    /// Submits a request to the routed replica, blocking while that
-    /// replica's queue is full (cooperative backpressure). Returns the
-    /// replica's response handle.
-    pub fn submit(&self, windows: Tensor) -> Result<PendingResponse, ServeError> {
+    /// Graceful shutdown: closes every replica's queue (so they drain in
+    /// parallel), joins all workers, and returns the final pool statistics.
+    /// Accepted requests are always served; dropping the engine does the
+    /// same minus the stats.
+    pub fn shutdown(mut self) -> EngineStats {
+        self.close_and_join();
+        self.engine_stats()
+    }
+
+    fn close_and_join(&mut self) {
+        // Close all queues first: replicas drain concurrently instead of
+        // serially waiting on each other's backlog.
+        for slot in &self.replicas {
+            slot.replica.close();
+        }
+        for slot in &mut self.replicas {
+            slot.replica.join();
+        }
+    }
+}
+
+impl Drop for ShardedEngine {
+    fn drop(&mut self) {
+        self.close_and_join();
+    }
+}
+
+impl Engine for ShardedEngine {
+    fn kind(&self) -> &'static str {
+        "sharded"
+    }
+
+    /// The replica backend names, in `add_replica` order.
+    fn backends(&self) -> Vec<String> {
+        self.replicas
+            .iter()
+            .map(|s| s.replica.backend_name().to_string())
+            .collect()
+    }
+
+    /// The shared class count every replica serves.
+    fn num_classes(&self) -> usize {
+        self.classes
+    }
+
+    /// The window shape the pool serves, when every replica agrees on one
+    /// (declared by its backend or pinned by traffic); `None` when unknown
+    /// or inconsistent.
+    fn input_shape(&self) -> Option<(usize, usize)> {
+        let mut shape = None;
+        for slot in &self.replicas {
+            match (shape, slot.replica.served_shape()) {
+                (_, None) => return None,
+                (None, got) => shape = got,
+                (Some(expect), Some(got)) if expect != got => return None,
+                _ => {}
+            }
+        }
+        shape
+    }
+
+    /// Submits to the routed replica, blocking while that replica's queue
+    /// is full (cooperative backpressure).
+    fn submit(&self, windows: Tensor) -> Result<PendingResponse, ServeError> {
         let idx = self.route(&[])?;
         self.replicas[idx].replica.submit(windows)
     }
 
-    /// Submits without blocking: if the routed replica's queue is full, the
-    /// other healthy replicas are tried in routing order before failing
-    /// with [`ServeError::QueueFull`] — spillover load balancing.
-    pub fn try_submit(&self, windows: Tensor) -> Result<PendingResponse, ServeError> {
+    /// If the routed replica's queue is full, the other healthy replicas
+    /// are tried in routing order before failing with
+    /// [`ServeError::QueueFull`] — spillover load balancing.
+    fn try_submit(&self, windows: Tensor) -> Result<PendingResponse, ServeError> {
         let mut tried = Vec::new();
         let mut windows = windows;
         loop {
@@ -519,9 +464,8 @@ impl ShardedEngine {
         }
     }
 
-    /// Submits a request that must **start** being served within `ttl` on
-    /// the routed replica.
-    pub fn submit_with_deadline(
+    /// The deadline applies on the routed replica.
+    fn submit_with_deadline(
         &self,
         windows: Tensor,
         ttl: Duration,
@@ -536,7 +480,7 @@ impl ShardedEngine {
     /// (up to [`ShardedEngineBuilder::with_max_reroutes`] times) when a
     /// replica cancels the request because its backend panicked. This is
     /// how a dying replica's traffic is re-routed rather than dropped.
-    pub fn classify(&self, windows: Tensor) -> Result<RequestOutput, ServeError> {
+    fn classify(&self, windows: Tensor) -> Result<RequestOutput, ServeError> {
         let mut tried = Vec::new();
         let mut windows = windows;
         loop {
@@ -569,70 +513,39 @@ impl ShardedEngine {
         }
     }
 
-    /// A live snapshot of pool-level + per-replica statistics. Every pool
-    /// total is the sum of the corresponding per-replica counters.
+    /// Pool totals plus one [`ReplicaStats`] row per replica; every total
+    /// is the sum of the replica rows.
     ///
     /// The `quarantined` flags reflect the router's decisions so far (the
     /// flag is evaluated on the routing path, not here — a drained pool's
     /// idle workers are not retroactively declared dead). Canary probe
     /// requests sent to quarantined replicas are counted like client
     /// requests in that replica's stats.
-    pub fn stats(&self) -> PoolStats {
+    fn engine_stats(&self) -> EngineStats {
         let mut merged = WorkerInner::default();
-        let mut per_replica = Vec::with_capacity(self.replicas.len());
-        for (i, slot) in self.replicas.iter().enumerate() {
+        let mut replicas = Vec::with_capacity(self.replicas.len());
+        for slot in &self.replicas {
             // One snapshot per replica feeds both the pool rollup and the
-            // per-replica view, so the totals sum exactly even mid-traffic.
-            let (replica_merged, per_worker) = slot.replica.snapshot();
-            merged.merge_from(&replica_merged);
-            per_replica.push(ReplicaStats {
-                replica: i,
-                backend: slot.replica.backend_name().to_string(),
+            // replica row, so the totals sum exactly even mid-traffic.
+            let snapshot = slot.replica.snapshot();
+            merged.merge_from(&snapshot);
+            let shared = slot.replica.shared();
+            replicas.push(ReplicaStats {
                 quarantined: slot.quarantined.load(Ordering::Relaxed),
                 queue_depth: slot.replica.queue_depth(),
-                ewma_batch_latency: slot.replica.shared().ewma_batch_latency(),
-                ewma_window_latency: slot.replica.shared().ewma_window_latency(),
-                stats: replica_merged.into_stats(per_worker),
+                ewma_batch_latency: shared.ewma_batch_latency(),
+                ewma_window_latency: shared.ewma_window_latency(),
+                stats: slot.replica.stats(snapshot),
             });
         }
-        let pool = merged.into_stats(Vec::new());
-        PoolStats {
-            requests: pool.requests,
-            expired: pool.expired,
-            failed: pool.failed,
-            rejected: pool.rejected,
-            batches: pool.batches,
-            coalesced_batches: pool.coalesced_batches,
-            windows: pool.windows,
-            latency: pool.latency,
-            per_replica,
+        EngineStats {
+            replicas,
+            ..merged.into_stats("sharded", self.backends())
         }
     }
 
-    /// Graceful shutdown: closes every replica's queue (so they drain in
-    /// parallel), joins all workers, and returns the final pool statistics.
-    /// Accepted requests are always served; dropping the engine does the
-    /// same minus the stats.
-    pub fn shutdown(mut self) -> PoolStats {
-        self.close_and_join();
-        self.stats()
-    }
-
-    fn close_and_join(&mut self) {
-        // Close all queues first: replicas drain concurrently instead of
-        // serially waiting on each other's backlog.
-        for slot in &self.replicas {
-            slot.replica.close();
-        }
-        for slot in &mut self.replicas {
-            slot.replica.join();
-        }
-    }
-}
-
-impl Drop for ShardedEngine {
-    fn drop(&mut self) {
-        self.close_and_join();
+    fn shutdown(self: Box<Self>) -> EngineStats {
+        ShardedEngine::shutdown(*self)
     }
 }
 

@@ -28,7 +28,7 @@
 //! * **Per-tenant statistics** — every counter is tracked per tenant and
 //!   rolled up into pool totals ([`ServerStats`]), with the same
 //!   totals-equal-sum-of-parts invariant the sharded engine's
-//!   [`PoolStats`](super::PoolStats) keeps per replica
+//!   [`EngineStats`] keeps per replica
 //!   ([`ServerStats::rollup_consistent`]).
 //!
 //! [`TcpGateway`] puts the wire on it: a `std::net` loopback listener
@@ -250,7 +250,7 @@ pub struct ServerStats {
 impl ServerStats {
     /// Whether every pool total equals the sum of its per-tenant
     /// counterparts — the same totals-equal-sum invariant
-    /// [`PoolStats::rollup_consistent`](super::PoolStats::rollup_consistent)
+    /// [`EngineStats::rollup_consistent`]
     /// keeps per replica, one layer up.
     pub fn rollup_consistent(&self) -> bool {
         let mut sum = ServeCounters::default();

@@ -5,12 +5,12 @@
 //! runs the backend once per batch, and scatters the logits back to every
 //! waiting client.
 //!
-//! Since the sharded-serving refactor, the queue + worker pool + stats
-//! bundle lives in the crate-internal `Replica` type; [`AsyncEngine`] is a
-//! single replica with a public face, and
-//! [`ShardedEngine`](super::ShardedEngine) fans one submission API out
+//! The queue + worker pool + stats bundle lives in the crate-internal
+//! `Replica` type; [`AsyncEngine`] is a single replica with a public face,
+//! and [`ShardedEngine`](super::ShardedEngine) fans one submission API out
 //! over many replicas.
 
+use super::engine::{Engine, EngineStats};
 use super::queue::{PendingResponse, Request, RequestOutput, RequestQueue, ServeError};
 use super::{predict_chunked, GestureClassifier, LatencyStats, DEFAULT_MICRO_BATCH};
 use bioformer_tensor::{Tensor, TensorArena};
@@ -404,11 +404,12 @@ impl WorkerInner {
         stats
     }
 
-    /// The aggregate [`AsyncStats`] view of this (possibly merged) counter
-    /// set, with `per_worker` supplied by the caller.
-    pub(crate) fn into_stats(self, per_worker: Vec<WorkerStats>) -> AsyncStats {
-        let latency = self.latency_stats(self.windows);
-        AsyncStats {
+    /// The [`EngineStats`] view of this (possibly merged) counter set, for
+    /// an engine of kind `engine` over `backends`, with no replica rows.
+    pub(crate) fn into_stats(self, engine: &'static str, backends: Vec<String>) -> EngineStats {
+        EngineStats {
+            engine,
+            backends,
             requests: self.requests,
             expired: self.expired,
             failed: self.failed,
@@ -416,82 +417,8 @@ impl WorkerInner {
             batches: self.batches,
             coalesced_batches: self.coalesced_batches,
             windows: self.windows,
-            latency,
-            per_worker,
-        }
-    }
-}
-
-/// A snapshot of one worker's counters.
-#[derive(Debug, Clone)]
-pub struct WorkerStats {
-    /// Worker index (0-based).
-    pub worker: usize,
-    /// Batches this worker executed (backend actually invoked; batches
-    /// containing only zero-window requests are not counted).
-    pub batches: usize,
-    /// Batches that coalesced more than one request.
-    pub coalesced_batches: usize,
-    /// Requests this worker served.
-    pub requests: usize,
-    /// Windows this worker served.
-    pub windows: usize,
-    /// Requests this worker expired for missing their deadline.
-    pub expired: usize,
-    /// Requests cancelled because the backend panicked mid-batch.
-    pub failed: usize,
-    /// Requests rejected by the worker's defence-in-depth shape check
-    /// (a mismatched shape that slipped past submission validation).
-    /// Expected to stay 0.
-    pub rejected: usize,
-    /// Micro-batch latency summary for this worker. Count, total, mean,
-    /// min and max are exact over the worker's lifetime; p50/p95/p99 are
-    /// estimated over a sliding window of the most recent samples.
-    pub latency: LatencyStats,
-}
-
-/// Aggregate statistics for an [`AsyncEngine`] (one replica), merging every
-/// worker's counters; latency summaries reuse the sync engine's
-/// [`LatencyStats`].
-#[derive(Debug, Clone)]
-pub struct AsyncStats {
-    /// Requests served (responses delivered with logits).
-    pub requests: usize,
-    /// Requests expired for missing their deadline.
-    pub expired: usize,
-    /// Requests cancelled because the backend panicked mid-batch.
-    pub failed: usize,
-    /// Requests rejected by a worker's defence-in-depth shape check.
-    /// Expected to stay 0 (submission-time validation is the primary
-    /// guard).
-    pub rejected: usize,
-    /// Batches executed across all workers (the backend was actually
-    /// invoked; batches of only zero-window requests don't count).
-    pub batches: usize,
-    /// Batches that coalesced more than one request.
-    pub coalesced_batches: usize,
-    /// Total windows served.
-    pub windows: usize,
-    /// Micro-batch latency summary across all workers (exact count/total/
-    /// mean/min/max; p50/p95/p99 estimated over recent-sample windows).
-    pub latency: LatencyStats,
-    /// Per-worker breakdown.
-    pub per_worker: Vec<WorkerStats>,
-}
-
-impl AsyncStats {
-    /// Windows served per second of backend time (0.0 before any work).
-    pub fn throughput(&self) -> f64 {
-        self.latency.throughput()
-    }
-
-    /// Mean requests per executed batch (0.0 before any work) — the
-    /// coalescing factor: > 1 means cross-request batching is happening.
-    pub fn requests_per_batch(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.requests as f64 / self.batches as f64
+            latency: self.latency_stats(self.windows),
+            replicas: Vec::new(),
         }
     }
 }
@@ -517,7 +444,7 @@ struct ShapeState {
 
 /// One backend replica: a bounded request queue, a worker pool coalescing
 /// requests into shared micro-batches over one shared backend, per-worker
-/// statistics and live health/traffic signals.
+/// counters and live health/traffic signals.
 ///
 /// This is the reusable component behind both public engines:
 /// [`AsyncEngine`] wraps exactly one replica, and
@@ -526,6 +453,9 @@ pub(crate) struct Replica {
     queue: Arc<RequestQueue>,
     handles: Vec<JoinHandle<()>>,
     stats: Arc<Vec<Mutex<WorkerInner>>>,
+    /// Requests rejected by submission-time validation (bad rank or shape);
+    /// they never reach a worker, so they are counted here.
+    rejected: AtomicUsize,
     shared: Arc<ReplicaShared>,
     /// `[channels, samples]` served by this replica: the backend's declared
     /// [`GestureClassifier::input_shape`] when known, else pinned
@@ -577,6 +507,7 @@ impl Replica {
             queue,
             handles,
             stats,
+            rejected: AtomicUsize::new(0),
             shared,
             shape: Mutex::new(ShapeState {
                 shape: backend.input_shape(),
@@ -639,7 +570,7 @@ impl Replica {
         deadline: Option<Instant>,
     ) -> Result<(Request, PendingResponse, (usize, usize)), ServeError> {
         if windows.dims().len() != 3 {
-            return Err(ServeError::BadRequest(format!(
+            return Err(self.reject(format!(
                 "windows must be [n, channels, samples], got {:?}",
                 windows.dims()
             )));
@@ -649,7 +580,7 @@ impl Replica {
         match st.shape {
             Some((ec, es)) => {
                 if (ec, es) != (c, s) {
-                    return Err(ServeError::BadRequest(format!(
+                    return Err(self.reject(format!(
                         "window shape [{c}, {s}] does not match engine shape [{ec}, {es}]"
                     )));
                 }
@@ -669,6 +600,12 @@ impl Replica {
             pending,
             (c, s),
         ))
+    }
+
+    /// Counts one submission-time validation failure.
+    fn reject(&self, msg: String) -> ServeError {
+        self.rejected.fetch_add(1, Ordering::Relaxed);
+        ServeError::BadRequest(msg)
     }
 
     /// Marks one request with shape `(c, s)` as successfully enqueued.
@@ -748,35 +685,21 @@ impl Replica {
 
     /// One consistent pass over the worker mutexes: the merged counters
     /// (including the recent latency-sample windows, so percentile
-    /// estimation composes) plus the per-worker breakdown. Each worker is
-    /// locked exactly once, so every derived view — a replica's
-    /// [`AsyncStats`], a pool's rollup — is built from the same snapshot
-    /// and per-worker counters always sum to the merged totals.
-    pub(crate) fn snapshot(&self) -> (WorkerInner, Vec<WorkerStats>) {
+    /// estimation composes) plus the submission-time rejections. Each
+    /// worker is locked exactly once, so a pool rollup built from these
+    /// snapshots sums exactly even mid-traffic.
+    pub(crate) fn snapshot(&self) -> WorkerInner {
         let mut merged = WorkerInner::default();
-        let mut per_worker = Vec::with_capacity(self.stats.len());
-        for (id, slot) in self.stats.iter().enumerate() {
-            let inner = slot.lock().unwrap_or_else(|e| e.into_inner());
-            merged.merge_from(&inner);
-            per_worker.push(WorkerStats {
-                worker: id,
-                batches: inner.batches,
-                coalesced_batches: inner.coalesced_batches,
-                requests: inner.requests,
-                windows: inner.windows,
-                expired: inner.expired,
-                failed: inner.failed,
-                rejected: inner.rejected,
-                latency: inner.latency_stats(inner.windows),
-            });
+        for slot in self.stats.iter() {
+            merged.merge_from(&slot.lock().unwrap_or_else(|e| e.into_inner()));
         }
-        (merged, per_worker)
+        merged.rejected += self.rejected.load(Ordering::Relaxed);
+        merged
     }
 
-    /// A live snapshot of aggregate + per-worker statistics.
-    pub(crate) fn stats(&self) -> AsyncStats {
-        let (merged, per_worker) = self.snapshot();
-        merged.into_stats(per_worker)
+    /// This replica's [`EngineStats`] (kind `"async"`) from one snapshot.
+    pub(crate) fn stats(&self, snapshot: WorkerInner) -> EngineStats {
+        snapshot.into_stats("async", vec![self.backend_name.clone()])
     }
 
     /// Stops accepting new requests; already-queued work is still drained.
@@ -821,7 +744,7 @@ impl Drop for Replica {
 ///
 /// ```
 /// use bioformers::core::{Bioformer, BioformerConfig};
-/// use bioformers::serve::{AsyncEngine, AsyncEngineConfig};
+/// use bioformers::serve::{AsyncEngine, AsyncEngineConfig, Engine};
 /// use bioformers::tensor::Tensor;
 /// use std::time::Duration;
 ///
@@ -869,11 +792,6 @@ impl AsyncEngine {
         self.replica.config()
     }
 
-    /// The backend's name, e.g. `"bioformer-fp32"`.
-    pub fn backend_name(&self) -> &str {
-        self.replica.backend_name()
-    }
-
     /// The backend's compute report at spawn time: `"default"` for
     /// backends without a compute seam, else the backend and the plan it
     /// dispatched.
@@ -881,40 +799,54 @@ impl AsyncEngine {
         self.replica.compute_report()
     }
 
-    /// The backend's class count.
-    pub fn num_classes(&self) -> usize {
-        self.replica.num_classes()
-    }
-
-    /// The `[channels, samples]` window shape this engine serves, when
-    /// known: the backend's declared shape, or the shape pinned by the
-    /// first accepted request; `None` before either.
-    pub fn input_shape(&self) -> Option<(usize, usize)> {
-        self.replica.served_shape()
-    }
-
     /// Requests currently waiting in the queue (excludes in-flight batches).
     pub fn queue_depth(&self) -> usize {
         self.replica.queue_depth()
     }
 
-    /// Submits a request, blocking while the queue is full (cooperative
-    /// backpressure). Returns a handle to wait on.
-    pub fn submit(&self, windows: Tensor) -> Result<PendingResponse, ServeError> {
+    /// Graceful shutdown: stops accepting new requests, drains and serves
+    /// everything already queued, joins the workers and returns the final
+    /// statistics. Dropping the engine does the same minus the stats.
+    pub fn shutdown(mut self) -> EngineStats {
+        self.replica.close_and_join();
+        self.engine_stats()
+    }
+}
+
+impl Engine for AsyncEngine {
+    fn kind(&self) -> &'static str {
+        "async"
+    }
+
+    fn backends(&self) -> Vec<String> {
+        vec![self.replica.backend_name().to_string()]
+    }
+
+    fn num_classes(&self) -> usize {
+        self.replica.num_classes()
+    }
+
+    /// The backend's declared shape, or the shape pinned by the first
+    /// accepted request; `None` before either.
+    fn input_shape(&self) -> Option<(usize, usize)> {
+        self.replica.served_shape()
+    }
+
+    fn submit(&self, windows: Tensor) -> Result<PendingResponse, ServeError> {
         self.replica.submit(windows)
     }
 
-    /// Submits a request without blocking: fails fast with
-    /// [`ServeError::QueueFull`] when the bounded queue is at capacity, so
-    /// load-shedding clients can drop or redirect work immediately.
-    pub fn try_submit(&self, windows: Tensor) -> Result<PendingResponse, ServeError> {
+    /// Fails fast with [`ServeError::QueueFull`] when the bounded queue is
+    /// at capacity, so load-shedding clients can drop or redirect work
+    /// immediately.
+    fn try_submit(&self, windows: Tensor) -> Result<PendingResponse, ServeError> {
         self.replica.try_submit(windows)
     }
 
-    /// Submits a request that must **start** being served within `ttl`;
-    /// workers reject it with [`ServeError::DeadlineExpired`] otherwise.
-    /// (A batch already executing is never aborted.)
-    pub fn submit_with_deadline(
+    /// Workers reject a request not started within `ttl` with
+    /// [`ServeError::DeadlineExpired`]. (A batch already executing is never
+    /// aborted.)
+    fn submit_with_deadline(
         &self,
         windows: Tensor,
         ttl: Duration,
@@ -922,23 +854,12 @@ impl AsyncEngine {
         self.replica.submit_with_deadline(windows, ttl)
     }
 
-    /// Convenience wrapper: [`AsyncEngine::submit`] then
-    /// [`PendingResponse::wait`].
-    pub fn classify(&self, windows: Tensor) -> Result<RequestOutput, ServeError> {
-        self.submit(windows)?.wait()
+    fn engine_stats(&self) -> EngineStats {
+        self.replica.stats(self.replica.snapshot())
     }
 
-    /// A live snapshot of aggregate + per-worker statistics.
-    pub fn stats(&self) -> AsyncStats {
-        self.replica.stats()
-    }
-
-    /// Graceful shutdown: stops accepting new requests, drains and serves
-    /// everything already queued, joins the workers and returns the final
-    /// statistics. Dropping the engine does the same minus the stats.
-    pub fn shutdown(mut self) -> AsyncStats {
-        self.replica.close_and_join();
-        self.replica.stats()
+    fn shutdown(self: Box<Self>) -> EngineStats {
+        AsyncEngine::shutdown(*self)
     }
 }
 
@@ -1254,6 +1175,7 @@ mod tests {
             engine.submit(Tensor::zeros(&[1, 3, 5])),
             Err(ServeError::BadRequest(_))
         ));
+        assert_eq!(engine.engine_stats().rejected, 2);
     }
 
     /// Regression (shape-pinning race): validation and pinning used to take

@@ -1083,6 +1083,7 @@ mod tests {
                     coalesced_batches: 0,
                     windows: 0,
                     latency: crate::serve::LatencyStats::from_samples(&mut [], 0),
+                    replicas: vec![],
                 }
             }
             fn shutdown(self: Box<Self>) -> EngineStats {

@@ -9,7 +9,7 @@ use bioformers::nn::serialize::state_dict;
 use bioformers::nn::InferForward;
 use bioformers::quant::QuantBioformer;
 use bioformers::semg::{DatasetSpec, NinaproDb6, Normalizer, CHANNELS, WINDOW};
-use bioformers::serve::{AsyncEngine, AsyncEngineConfig, GestureClassifier, ServeError};
+use bioformers::serve::{AsyncEngine, AsyncEngineConfig, Engine, GestureClassifier, ServeError};
 use bioformers::tensor::Tensor;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};

@@ -169,17 +169,61 @@ fn generic_caller_is_topology_agnostic() {
     assert_eq!(all[0], all[2], "sharded differs from inference");
 }
 
-/// `serve_checked` answers with the same logits the `Engine` path
-/// produces (the direct entry point and the trait share one batching
-/// pipeline).
+/// A rank-2 tensor is one rejected request on every engine: the inline
+/// engine and the replicas behind the concurrent ones count it alike.
 #[test]
-fn serve_checked_matches_engine_path() {
+fn bad_rank_is_counted_as_rejected_by_every_engine() {
     let model = Arc::new(small_bioformer(83));
-    let engine = InferenceEngine::new(Box::new(Arc::clone(&model))).with_micro_batch(4);
-    let w = windows(3, 9);
-    let via_trait = Engine::classify(&engine, w.clone()).unwrap();
-    let via_direct = engine.serve_checked(&w).unwrap();
-    assert_eq!(via_direct.logits.data(), via_trait.logits.data());
-    assert_eq!(via_direct.predictions, via_trait.predictions);
-    assert_eq!(engine.stats().requests, 2);
+    for engine in engines(&model) {
+        let err = engine.classify(Tensor::zeros(&[2, 2])).unwrap_err();
+        assert!(matches!(err, ServeError::BadRequest(_)), "{err:?}");
+        let stats = engine.shutdown();
+        assert_eq!(stats.rejected, 1, "{}", stats.engine);
+        assert_eq!(stats.requests, 0, "{}", stats.engine);
+        assert!(stats.rollup_consistent(), "{stats:?}");
+    }
+}
+
+/// Mixed traffic — served, empty, malformed and deadline-bound requests —
+/// leaves every engine's totals equal to the sum of its replica rows.
+#[test]
+fn mixed_traffic_rolls_up_on_every_engine() {
+    let model = Arc::new(small_bioformer(84));
+    let mut list = engines(&model);
+    // A two-replica pool, so the rollup sums more than one row.
+    list.push(Box::new(
+        ShardedEngine::builder()
+            .add_replica(Box::new(Arc::clone(&model)))
+            .add_replica(Box::new(Arc::clone(&model)))
+            .build(),
+    ));
+    for engine in list {
+        for (i, n) in [1usize, 3, 0, 6, 2].into_iter().enumerate() {
+            engine.classify(windows(n, 200 + i as u64)).unwrap();
+        }
+        for bad in [Tensor::zeros(&[2, 2]), Tensor::zeros(&[1, 3, 7])] {
+            assert!(engine.classify(bad).is_err());
+        }
+        // A zero deadline may expire or be served; either way it counts
+        // on exactly one replica.
+        let _ = engine
+            .submit_with_deadline(windows(1, 300), Duration::ZERO)
+            .and_then(|p| p.wait());
+        let stats = engine.shutdown();
+        let kind = stats.engine;
+        assert!(stats.rollup_consistent(), "{kind}: {stats:?}");
+        assert_eq!(stats.rejected, 2, "{kind}");
+        assert_eq!(stats.requests + stats.expired, 6, "{kind}");
+        if kind == "sharded" {
+            assert_eq!(stats.replicas.len(), stats.backends.len());
+            let rows = |f: fn(&EngineStats) -> usize| -> usize {
+                stats.replicas.iter().map(|r| f(&r.stats)).sum()
+            };
+            assert_eq!(rows(|s| s.requests), stats.requests, "{kind}");
+            assert_eq!(rows(|s| s.rejected), stats.rejected, "{kind}");
+            assert_eq!(rows(|s| s.windows), stats.windows, "{kind}");
+        } else {
+            assert!(stats.replicas.is_empty(), "{kind}");
+        }
+    }
 }

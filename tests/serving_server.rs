@@ -17,7 +17,7 @@ use common::{async_engine, PATIENCE};
 
 use bioformers::serve::{
     DecisionPolicy, Engine, GestureClassifier, GestureEvent, InferenceEngine, LatencyBudget,
-    ModelZoo, ServeError, SessionHandle, SessionOptions, ShardedEngine, StreamConfig, StreamServer,
+    ModelZoo, ServeError, SessionHandle, SessionOptions, StreamConfig, StreamServer,
     StreamServerConfig, StreamSession, StreamSummary,
 };
 use bioformers::tensor::Tensor;
@@ -326,10 +326,10 @@ fn idle_eviction_then_resume_keeps_the_event_timeline_intact() {
     assert_eq!(server.stats().totals.reconnects, 1);
 }
 
-/// Satellite: per-session totals sum into per-tenant counters, which sum
-/// into the pool totals — mirroring `tests/serving_sharded.rs`'s
-/// per-replica invariant one layer up (and re-checking that invariant via
-/// the new `PoolStats::rollup_consistent`).
+/// Per-session totals sum into per-tenant counters, which sum into the
+/// pool totals — the per-replica invariant of
+/// `EngineStats::rollup_consistent` (`tests/serving_engine.rs`) one layer
+/// up.
 #[test]
 fn per_tenant_stats_roll_up_into_pool_totals() {
     let server = StreamServer::start(
@@ -407,21 +407,6 @@ fn per_tenant_stats_roll_up_into_pool_totals() {
     assert!(stats.rollup_consistent());
     assert_eq!(stats.totals.finished, 3);
     assert_eq!(stats.totals.reconnects, 1);
-
-    // The same invariant one layer down: the sharded pool's per-replica
-    // rollup, via the helper this PR adds.
-    let pool = ShardedEngine::builder()
-        .add_replica(Box::new(MockBackend))
-        .add_replica(Box::new(MockBackend))
-        .build();
-    for seed in [4u64, 5, 6] {
-        let chunk = signal(2, seed);
-        let x = Tensor::from_vec(chunk, &[2, CHANNELS, WINDOW]);
-        pool.classify(x).expect("pool classify");
-    }
-    let pool_stats = ShardedEngine::stats(&pool);
-    assert!(pool_stats.rollup_consistent());
-    let _ = Box::new(pool).shutdown();
 }
 
 /// Server shutdown fails open sessions with `ShuttingDown` and drops

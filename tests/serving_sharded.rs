@@ -10,7 +10,7 @@ use bioformers::nn::serialize::state_dict;
 use bioformers::quant::QuantBioformer;
 use bioformers::semg::{CHANNELS, WINDOW};
 use bioformers::serve::{
-    AsyncEngineConfig, GestureClassifier, RoutingPolicy, ServeError, ShardedEngine,
+    AsyncEngineConfig, Engine, GestureClassifier, RoutingPolicy, ServeError, ShardedEngine,
 };
 use bioformers::tensor::Tensor;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -57,7 +57,10 @@ fn heterogeneous_fp32_int8_pool_serves_with_stats_summing_to_totals() {
             .add_replica(Box::new(qmodel))
             .build(),
     );
-    assert_eq!(pool.num_replicas(), 2);
+    assert_eq!(
+        pool.backends(),
+        vec!["bioformer-fp32".to_string(), "bioformer-int8".to_string()]
+    );
     assert_eq!(pool.num_classes(), 8);
 
     const CLIENTS: usize = 8;
@@ -81,34 +84,24 @@ fn heterogeneous_fp32_int8_pool_serves_with_stats_summing_to_totals() {
     assert_eq!(stats.expired, 0);
     assert_eq!(stats.failed, 0);
     assert_eq!(stats.rejected, 0);
-    assert_eq!(stats.per_replica.len(), 2);
-    assert_eq!(stats.per_replica[0].backend, "bioformer-fp32");
-    assert_eq!(stats.per_replica[1].backend, "bioformer-int8");
+    assert_eq!(stats.replicas.len(), 2);
 
     // Replicas with no latency history are probed first, so both must have
     // taken traffic.
-    for rs in &stats.per_replica {
-        assert!(
-            rs.stats.requests > 0,
-            "replica {} ({}) served nothing",
-            rs.replica,
-            rs.backend
-        );
+    for (backend, rs) in stats.backends.iter().zip(&stats.replicas) {
+        assert!(rs.stats.requests > 0, "replica {backend} served nothing");
+        assert_eq!(rs.stats.backends, vec![backend.clone()]);
         assert!(!rs.quarantined);
     }
     // Every pool total is the sum of its per-replica counters.
-    let sum = |f: fn(&bioformers::serve::AsyncStats) -> usize| -> usize {
-        stats.per_replica.iter().map(|r| f(&r.stats)).sum()
-    };
-    assert_eq!(stats.requests, sum(|s| s.requests));
-    assert_eq!(stats.windows, sum(|s| s.windows));
-    assert_eq!(stats.batches, sum(|s| s.batches));
-    assert_eq!(stats.coalesced_batches, sum(|s| s.coalesced_batches));
-    assert_eq!(stats.expired, sum(|s| s.expired));
-    assert_eq!(stats.failed, sum(|s| s.failed));
+    assert!(stats.rollup_consistent(), "{stats:?}");
     assert_eq!(
         stats.latency.micro_batches,
-        sum(|s| s.latency.micro_batches)
+        stats
+            .replicas
+            .iter()
+            .map(|r| r.stats.latency.micro_batches)
+            .sum::<usize>()
     );
 }
 
@@ -193,11 +186,11 @@ fn replicas_with_no_history_are_probed_first() {
         pool.classify(Tensor::zeros(&[1, 2, 5])).unwrap();
     }
     let stats = pool.shutdown();
-    for rs in &stats.per_replica {
+    for (i, rs) in stats.replicas.iter().enumerate() {
         assert_eq!(
             rs.stats.requests, 1,
-            "replica {} served {} requests, expected exactly one probe",
-            rs.replica, rs.stats.requests
+            "replica {i} served {} requests, expected exactly one probe",
+            rs.stats.requests
         );
     }
 }
@@ -249,11 +242,11 @@ fn panicking_replica_is_quarantined_and_traffic_rerouted() {
         "the exploding replica failed at least once"
     );
     assert!(
-        stats.per_replica[0].quarantined,
+        stats.replicas[0].quarantined,
         "exploding replica quarantined"
     );
-    assert!(!stats.per_replica[1].quarantined);
-    assert_eq!(stats.per_replica[1].stats.requests, REQUESTS);
+    assert!(!stats.replicas[1].quarantined);
+    assert_eq!(stats.replicas[1].stats.requests, REQUESTS);
     assert_eq!(good_calls.load(Ordering::Relaxed), REQUESTS);
 }
 
@@ -313,7 +306,7 @@ fn transiently_failing_replica_rejoins_after_canary_probe() {
     // Drive traffic until the flaky replica has failed once (re-routed
     // transparently) and been quarantined.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while !pool.stats().per_replica[0].quarantined {
+    while !pool.engine_stats().replicas[0].quarantined {
         assert!(
             std::time::Instant::now() < deadline,
             "flaky replica was never quarantined"
@@ -327,7 +320,7 @@ fn transiently_failing_replica_rejoins_after_canary_probe() {
     let mut rejoined = false;
     while std::time::Instant::now() < deadline {
         let _ = pool.classify(Tensor::zeros(&[1, 2, 5])).unwrap();
-        let replica = &pool.stats().per_replica[0];
+        let replica = &pool.engine_stats().replicas[0];
         // Rejoined = flag lifted AND the replica served something (the
         // canary at minimum; client traffic follows once its latency EWMA
         // competes with the healthy sibling's).
@@ -351,7 +344,7 @@ fn transiently_failing_replica_rejoins_after_canary_probe() {
     }
 
     let stats = pool.shutdown();
-    assert!(!stats.per_replica[0].quarantined, "rejoined for good");
+    assert!(!stats.replicas[0].quarantined, "rejoined for good");
     assert_eq!(stats.failed, 1, "exactly the one transient fault");
 }
 
@@ -375,7 +368,7 @@ fn fully_quarantined_pool_reports_unavailable() {
         ServeError::Unavailable
     );
     let stats = pool.shutdown();
-    assert!(stats.per_replica[0].quarantined);
+    assert!(stats.replicas[0].quarantined);
 }
 
 /// A backend that reports each batch on `started`, then holds it until the
@@ -449,8 +442,8 @@ fn try_submit_spills_over_until_every_queue_is_full() {
     }
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while !pool
-        .stats()
-        .per_replica
+        .engine_stats()
+        .replicas
         .iter()
         .all(|r| r.ewma_window_latency.is_some())
     {
@@ -469,10 +462,10 @@ fn try_submit_spills_over_until_every_queue_is_full() {
     pending.push(pool.try_submit(window()).expect("spills to replica 1"));
     await_start();
     pending.push(pool.try_submit(window()).expect("replica 1 queue free"));
-    let stats = pool.stats();
-    for rs in &stats.per_replica {
-        assert_eq!(rs.queue_depth, 1, "replica {} queue", rs.replica);
-        assert_eq!(rs.stats.requests, 1, "replica {} warm-up", rs.replica);
+    let stats = pool.engine_stats();
+    for (i, rs) in stats.replicas.iter().enumerate() {
+        assert_eq!(rs.queue_depth, 1, "replica {i} queue");
+        assert_eq!(rs.stats.requests, 1, "replica {i} warm-up");
     }
     // Every queue is full: backpressure, not unavailability.
     for _ in 0..2 {
@@ -485,8 +478,8 @@ fn try_submit_spills_over_until_every_queue_is_full() {
     }
     let stats = pool.shutdown();
     assert_eq!(stats.requests, 6);
-    assert_eq!(stats.per_replica[0].stats.requests, 3);
-    assert_eq!(stats.per_replica[1].stats.requests, 3);
+    assert_eq!(stats.replicas[0].stats.requests, 3);
+    assert_eq!(stats.replicas[1].stats.requests, 3);
 }
 
 /// Shutdown closes every replica's queue up front and drains all accepted
