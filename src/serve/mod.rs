@@ -31,8 +31,9 @@
 //! the [`StreamSession`] layer builds on that to turn a **raw sEMG sample
 //! stream** into debounced [`GestureEvent`] decisions through any engine.
 //! One level up, [`StreamServer`] multiplexes N concurrent sessions over one shared
-//! engine with bounded per-session buffers, round-robin fairness,
-//! idle-timeout eviction and checkpointed reconnects, and [`TcpGateway`]
+//! engine — each session running on its caller's thread, its lookahead the
+//! backpressure bound — with idle-timeout eviction and checkpointed
+//! reconnects, and [`TcpGateway`]
 //! serves it over TCP loopback with the hand-rolled length-prefixed
 //! [`proto`] frame protocol ([`GatewayClient`] is the matching client
 //! codec).

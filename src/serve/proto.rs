@@ -555,10 +555,12 @@ fn decode_body(version: u8, ty: u8, payload: &[u8]) -> Result<Frame, ProtoError>
                     payload.len()
                 )));
             }
-            let mut samples = Vec::with_capacity(n);
-            for i in 0..n {
-                samples.push(r.f32(&format!("sample {i}"))?);
-            }
+            // One read of the checked payload, one allocation.
+            let samples = r
+                .take(4 * n, "samples")?
+                .chunks_exact(4)
+                .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
+                .collect();
             Frame::Samples(samples)
         }
         0x03 => Frame::Finish,
@@ -596,12 +598,14 @@ fn decode_body(version: u8, ty: u8, payload: &[u8]) -> Result<Frame, ProtoError>
                     payload.len()
                 )));
             }
-            let mut predictions = Vec::with_capacity(n);
-            for i in 0..n {
-                let class = r.u64(&format!("prediction {i} class"))?;
-                let conf = r.f32(&format!("prediction {i} confidence"))?;
-                predictions.push((class, conf));
-            }
+            let predictions = r
+                .take(12 * n, "predictions")?
+                .chunks_exact(12)
+                .map(|b| {
+                    let class = u64::from_le_bytes(b[..8].try_into().unwrap());
+                    (class, f32::from_le_bytes(b[8..].try_into().unwrap()))
+                })
+                .collect();
             Frame::Summary {
                 windows,
                 predictions,

@@ -10,14 +10,17 @@
 //!   [`AsyncEngine`](super::AsyncEngine), or a
 //!   [`ShardedEngine`](super::ShardedEngine) pool — the server is
 //!   topology-generic).
-//! * **Bounded per-session inbound buffers + round-robin fairness** — each
-//!   session may buffer at most [`StreamServerConfig::inbound_chunks`]
-//!   chunks; the pump serves sessions in token order, at most
-//!   [`StreamServerConfig::quantum`] chunks per session per round. A
-//!   session flooding at 100× the others' rate saturates *its own* buffer
-//!   (its sender blocks, or [`SessionHandle::try_send`] reports
-//!   [`ServeError::QueueFull`]) while every other session keeps its
-//!   schedule — flooding cannot starve the pool.
+//! * **Sessions run on their caller's thread** — [`SessionHandle::send`]
+//!   pushes the samples into the session's own [`StreamSession`] on the
+//!   calling thread, and a served window's completion wakes that session's
+//!   own waiter ([`SessionHandle::wait_events`]), which absorbs it and
+//!   publishes the events. The session's lookahead is the backpressure
+//!   bound: a sender blocks only while its own windows in flight fill it
+//!   (or [`SessionHandle::try_send`] reports [`ServeError::QueueFull`]). A
+//!   session flooding at 100× the others' rate fills *its own* lookahead
+//!   while every other session keeps its schedule — flooding cannot starve
+//!   the pool. The server's one thread of its own only keeps time: idle
+//!   eviction, resume-TTL expiry and shutdown.
 //! * **Session lifecycle** — connect / idle-timeout eviction / reconnect.
 //!   Eviction and client-side disconnects both [`StreamSession::suspend`]
 //!   the stream into a [`SessionCheckpoint`] parked under the session
@@ -38,7 +41,7 @@
 //! lives in [`client`](super::client).
 //!
 //! `docs/serving.md` § "Gateway" has the frame diagram, the session
-//! lifecycle state machine and the fairness semantics.
+//! lifecycle state machine and the flow-control semantics.
 
 use super::engine::{Engine, EngineStats};
 use super::proto::{encode_frame, ErrorCode, Frame, FrameDecoder};
@@ -46,11 +49,11 @@ use super::queue::{ReadyHook, ServeError};
 use super::stream::{GestureEvent, SessionCheckpoint, StreamConfig, StreamSession, StreamSummary};
 use super::trace::{LatencyBudget, LatencyTrace, StageRecorder, StageSummary};
 use super::zoo::{ModelZoo, ZooStats};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -58,19 +61,13 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct StreamServerConfig {
     /// The per-session stream template (shape, slide, lookahead, policy,
-    /// normalizer). Every session the server opens uses this config.
+    /// normalizer). Every session the server opens uses this config; its
+    /// `lookahead` is also each session's backpressure bound.
     pub stream: StreamConfig,
     /// Maximum concurrently-open sessions; [`StreamServer::connect`] fails
     /// with [`ServeError::Unavailable`] beyond it. Parked (suspended)
     /// sessions do not occupy a slot.
     pub max_sessions: usize,
-    /// Per-session inbound buffer capacity in chunks — the backpressure
-    /// bound. A full buffer blocks [`SessionHandle::send`] and fails
-    /// [`SessionHandle::try_send`] with [`ServeError::QueueFull`].
-    pub inbound_chunks: usize,
-    /// Chunks served per session per round-robin turn — the fairness
-    /// quantum.
-    pub quantum: usize,
     /// Evict sessions idle (no inbound traffic) for this long, suspending
     /// their state for resume. `None` disables eviction.
     pub idle_timeout: Option<Duration>,
@@ -91,14 +88,12 @@ pub struct StreamServerConfig {
 }
 
 impl StreamServerConfig {
-    /// A config serving `stream` with 32 session slots, 8-chunk buffers,
-    /// a quantum of 4, no idle eviction and a 60 s resume window.
+    /// A config serving `stream` with 32 session slots, no idle eviction
+    /// and a 60 s resume window.
     pub fn new(stream: StreamConfig) -> Self {
         StreamServerConfig {
             stream,
             max_sessions: 32,
-            inbound_chunks: 8,
-            quantum: 4,
             idle_timeout: None,
             resume_ttl: Some(Duration::from_secs(60)),
             slo: None,
@@ -109,18 +104,6 @@ impl StreamServerConfig {
     /// Sets the session-slot count.
     pub fn with_max_sessions(mut self, max_sessions: usize) -> Self {
         self.max_sessions = max_sessions;
-        self
-    }
-
-    /// Sets the per-session inbound buffer capacity in chunks.
-    pub fn with_inbound_chunks(mut self, inbound_chunks: usize) -> Self {
-        self.inbound_chunks = inbound_chunks;
-        self
-    }
-
-    /// Sets the round-robin quantum in chunks.
-    pub fn with_quantum(mut self, quantum: usize) -> Self {
-        self.quantum = quantum;
         self
     }
 
@@ -150,12 +133,10 @@ impl StreamServerConfig {
     }
 
     fn validate(&self) -> Result<(), ServeError> {
-        if self.max_sessions == 0 || self.inbound_chunks == 0 || self.quantum == 0 {
-            return Err(ServeError::BadRequest(format!(
-                "StreamServerConfig: max_sessions {}, inbound_chunks {}, quantum {} \
-                 must all be >= 1",
-                self.max_sessions, self.inbound_chunks, self.quantum
-            )));
+        if self.max_sessions == 0 {
+            return Err(ServeError::BadRequest(
+                "StreamServerConfig: max_sessions must be >= 1".into(),
+            ));
         }
         Ok(())
     }
@@ -188,7 +169,7 @@ pub struct ServeCounters {
     /// Gesture events emitted.
     pub events: u64,
     /// Sessions flagged for blowing their decision-latency budget (one per
-    /// session, on the first violating round). SLO-triggered evictions
+    /// session, on its first violation). SLO-triggered evictions
     /// additionally count under `evictions`.
     pub slo_violations: u64,
 }
@@ -233,11 +214,10 @@ pub struct ServerStats {
     pub parked_sessions: usize,
     /// Per-stage decision-latency percentiles (p50/p95/p99 for buffering /
     /// queueing / compute / smoothing) over the events emitted by **all**
-    /// sessions, rolled up by the pump. Traces from a session's final
-    /// finish/suspend drain live only in that session's
-    /// [`StreamSummary::stages`] — the pump rolls up traces per served
-    /// round, so the pool view can trail the per-session view by the few
-    /// events a stream emits while closing.
+    /// sessions, rolled up as each push or absorb publishes. Traces from a
+    /// session's final finish/suspend drain live only in that session's
+    /// [`StreamSummary::stages`], so the pool view can trail the
+    /// per-session view by the few events a stream emits while closing.
     pub stages: StageSummary,
     /// The **default model's** engine statistics (kept for single-model
     /// deployments; the full per-model picture is in `zoo`).
@@ -311,92 +291,314 @@ pub struct FinishReport {
     pub stats: SessionStats,
 }
 
-/// How a session ended, parked in its slot until the handle consumes it.
+/// How a session ended, kept in its slot until the handle consumes it.
 #[derive(Debug)]
 enum SessionEnd {
     /// Finished cleanly; the summary waits for [`SessionHandle::finish`].
     Finished(Box<StreamSummary>),
     /// Suspended and parked on client request (bye / detach).
     Parked,
-    /// Suspended and parked by the idle timeout.
+    /// Suspended and parked by the idle timeout or the latency budget.
     Evicted,
-    /// The engine failed the stream.
+    /// The engine failed the stream, or the server shut down.
     Failed(ServeError),
 }
 
-/// A live session's registry phase.
-#[derive(Debug)]
-enum Phase {
-    /// Streaming.
-    Open,
-    /// The client requested a clean finish; remaining inbound drains first.
-    FinishRequested,
-    /// The client requested suspension (bye, dropped handle, lost socket).
-    ByeRequested,
-    /// The stream ended; the handle consumes the outcome.
-    Done(SessionEnd),
+/// How a stream is asked to end.
+#[derive(Debug, Clone, Copy)]
+enum EndKind {
+    Finish,
+    Park,
+    Evict,
+}
+
+/// How a step ended its stream, before it is written back.
+enum Outcome {
+    Finished(Box<StreamSummary>),
+    /// Suspended; the end is [`SessionEnd::Parked`] or
+    /// [`SessionEnd::Evicted`].
+    Suspended(Box<SessionCheckpoint>, SessionEnd),
+    Failed(ServeError),
+}
+
+/// One session's stream and what only its steps touch, behind the session
+/// lock. A handle's threads take it to push, absorb, finish or park; the
+/// pump takes it with `try_lock` to evict, because a session that is being
+/// pushed to is not idle. Lock order: the session lock before the registry
+/// lock, never the reverse — the completion hook takes only the registry
+/// lock, because with an inline engine it fires inside `push_samples`.
+struct Core {
+    /// The stream; `None` once it has ended.
+    stream: Option<StreamSession>,
+    /// The session's decision-latency budget (per-session override or the
+    /// server-wide default), if any.
+    slo: Option<LatencyBudget>,
+    /// Whether the budget is due a check although no trace was recorded:
+    /// set at open, because a resumed stream brings its recorder back.
+    slo_due: bool,
+    /// Set once the first SLO violation was counted, so a session is
+    /// flagged (and counted) at most once.
+    slo_flagged: bool,
+    /// Windows decided over the logical stream, as last written back
+    /// (drives the `windows` counter delta).
+    decided_seen: u64,
+    /// Reused buffer for the traces a step hands to the pool rollup.
+    traces: Vec<LatencyTrace>,
+}
+
+impl Core {
+    /// The open stream, or why there is none.
+    fn open(&mut self, shared: &Shared, token: u64) -> Result<&mut StreamSession, ServeError> {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            self.stream = None;
+            return Err(ServeError::ShuttingDown);
+        }
+        match self.stream.as_mut() {
+            Some(stream) => Ok(stream),
+            None => Err(
+                match shared.lock().slots.get(&token).and_then(|s| s.end.as_ref()) {
+                    Some(SessionEnd::Evicted) => ServeError::Evicted,
+                    Some(SessionEnd::Failed(e)) => e.clone(),
+                    Some(_) => ServeError::BadRequest("session already ended".into()),
+                    None => ServeError::ShuttingDown,
+                },
+            ),
+        }
+    }
+
+    /// One step on the open stream: pushes `samples`, or — with `None` —
+    /// absorbs what the engine has served since the last step; then writes
+    /// the step back.
+    ///
+    /// # Errors
+    ///
+    /// Why the stream is not open, or the engine error that failed it in
+    /// this step.
+    fn step(
+        &mut self,
+        shared: &Shared,
+        token: u64,
+        samples: Option<&[f32]>,
+    ) -> Result<(), ServeError> {
+        let stream = self.open(shared, token)?;
+        let result = match samples {
+            Some(samples) => stream.push_samples(samples),
+            None => stream.poll(),
+        };
+        let failure = result.as_ref().err().cloned();
+        self.settle(shared, token, samples.map(<[f32]>::len), result, None);
+        failure.map_or(Ok(()), Err)
+    }
+
+    /// Writes a step back to the registry: the pool's trace rollup, the
+    /// session's counters and events and — when the step ends the stream
+    /// (`end`, an engine failure or a blown budget under `slo_evict`) — its
+    /// outcome. Runs under the session lock, so a session's events are
+    /// published in decision order whichever of its threads stepped it.
+    fn settle(
+        &mut self,
+        shared: &Shared,
+        token: u64,
+        samples: Option<usize>,
+        result: Result<Vec<GestureEvent>, ServeError>,
+        mut end: Option<EndKind>,
+    ) {
+        let (mut events, mut outcome) = match result {
+            Ok(events) => (events, None),
+            Err(e) => {
+                self.stream = None;
+                (Vec::new(), Some(Outcome::Failed(e)))
+            }
+        };
+        let mut slo_violation = false;
+        if let Some(stream) = self.stream.as_mut() {
+            stream.drain_new_traces(&mut self.traces);
+            // The stage summary copies and sorts four rings, and only a new
+            // trace can change its verdict.
+            let due = self.slo_due || !self.traces.is_empty();
+            if let Some(budget) = self.slo.filter(|_| due) {
+                self.slo_due = false;
+                let summary = stream.stage_stats();
+                if summary.count() > 0 && !budget.evaluate(&summary).fits {
+                    slo_violation = !std::mem::replace(&mut self.slo_flagged, true);
+                    if shared.cfg.slo_evict && end.is_none() {
+                        // Suspend like an idle eviction, so the client can
+                        // resume (perhaps against a cheaper model).
+                        end = Some(EndKind::Evict);
+                    }
+                }
+            }
+        }
+        let ending = end.and_then(|kind| Some((kind, self.stream.take()?)));
+        if let Some((kind, stream)) = ending {
+            outcome = Some(match kind {
+                EndKind::Finish => stream
+                    .finish()
+                    .map_or_else(Outcome::Failed, |s| Outcome::Finished(Box::new(s))),
+                EndKind::Park | EndKind::Evict => match stream.suspend() {
+                    Ok((checkpoint, more)) => {
+                        events.extend(more);
+                        let end = match kind {
+                            EndKind::Evict => SessionEnd::Evicted,
+                            _ => SessionEnd::Parked,
+                        };
+                        Outcome::Suspended(Box::new(checkpoint), end)
+                    }
+                    Err(e) => Outcome::Failed(e),
+                },
+            });
+        }
+        let decided = match (&outcome, &self.stream) {
+            (Some(Outcome::Finished(summary)), _) => summary.windows as u64,
+            (Some(Outcome::Suspended(checkpoint, _)), _) => checkpoint.windows_decided() as u64,
+            (_, Some(stream)) => stream.windows_decided() as u64,
+            (_, None) => self.decided_seen,
+        };
+        if samples.is_none()
+            && outcome.is_none()
+            && events.is_empty()
+            && self.traces.is_empty()
+            && decided == self.decided_seen
+            && !slo_violation
+        {
+            // Nothing was served since the last step.
+            return;
+        }
+        let windows = decided.saturating_sub(self.decided_seen);
+        self.decided_seen = decided;
+
+        let mut guard = shared.lock();
+        let reg = &mut *guard;
+        for trace in self.traces.drain(..) {
+            reg.stages.record(trace);
+        }
+        // A slot that has ended already was failed by the shutdown.
+        let Some(slot) = reg.slots.get_mut(&token).filter(|s| s.end.is_none()) else {
+            return;
+        };
+        let mut delta = ServeCounters {
+            chunks: u64::from(samples.is_some()),
+            samples: samples.unwrap_or(0) as u64,
+            windows,
+            events: events.len() as u64,
+            slo_violations: u64::from(slo_violation),
+            ..ServeCounters::default()
+        };
+        slot.counters.chunks += delta.chunks;
+        slot.counters.samples += delta.samples;
+        slot.counters.windows += delta.windows;
+        slot.counters.events += delta.events;
+        if samples.is_some() {
+            slot.last_activity = Instant::now();
+        }
+        let publish = !events.is_empty() || outcome.is_some();
+        slot.events.extend(events);
+        match outcome {
+            None => {}
+            Some(Outcome::Finished(mut summary)) => {
+                delta.finished = 1;
+                // The report's events = everything not yet taken, in
+                // decision order.
+                let mut events = std::mem::take(&mut slot.events);
+                events.extend(std::mem::take(&mut summary.events));
+                summary.events = events;
+                slot.end = Some(SessionEnd::Finished(summary));
+            }
+            Some(Outcome::Suspended(checkpoint, end)) => {
+                match end {
+                    SessionEnd::Evicted => delta.evictions = 1,
+                    _ => delta.disconnects = 1,
+                }
+                let parked = Parked {
+                    tenant: slot.tenant.clone(),
+                    model: slot.model.clone(),
+                    checkpoint: *checkpoint,
+                    events: std::mem::take(&mut slot.events),
+                    counters: slot.counters.clone(),
+                    parked_at: Instant::now(),
+                };
+                slot.end = Some(end);
+                reg.parked.insert(token, parked);
+                // Its expiry may be the pump's next deadline.
+                shared.pump_wake.notify_one();
+            }
+            Some(Outcome::Failed(e)) => {
+                delta.failed = 1;
+                slot.end = Some(SessionEnd::Failed(e));
+            }
+        }
+        reg.tally.add(&slot.tenant, &delta);
+        if publish {
+            slot.signal.notify_all();
+        }
+    }
+}
+
+/// The session lock, poison-tolerant like every lock here.
+fn lock_core(core: &Mutex<Core>) -> MutexGuard<'_, Core> {
+    core.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The session lock if nobody else holds it.
+fn try_lock_core(core: &Mutex<Core>) -> Option<MutexGuard<'_, Core>> {
+    match core.try_lock() {
+        Ok(core) => Some(core),
+        Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
 }
 
 /// One open session's shared state (registry side).
 struct Slot {
     tenant: String,
-    /// The zoo model name this session was resolved against.
-    model: String,
-    /// The resolved engine the pump serves this session with. Resolution
+    /// The zoo model name this session was resolved against. Resolution
     /// happens once, at connect/resume time — a mid-session promotion or
     /// experiment change never reroutes a live stream.
-    engine: Arc<dyn Engine>,
-    /// The session's decision-latency budget (per-session override or the
-    /// server-wide default), if any.
-    slo: Option<LatencyBudget>,
-    /// Set once the first SLO violation was counted, so a session is
-    /// flagged (and counted) at most once.
-    slo_flagged: bool,
-    phase: Phase,
-    /// Bounded inbound chunk buffer (the backpressure bound).
-    inbound: VecDeque<Vec<f32>>,
-    /// Events decided but not yet polled by the handle.
+    model: String,
+    /// The session's stream, behind the session lock.
+    core: Arc<Mutex<Core>>,
+    /// `Some` once the stream has ended; the handle consumes it.
+    end: Option<SessionEnd>,
+    /// Events decided but not yet taken by the handle.
     events: Vec<GestureEvent>,
     /// Set by the session's completion wake-up: an in-flight window has
-    /// been served and waits for the pump to absorb it.
+    /// been served and waits to be absorbed.
     ready: bool,
-    /// Wakes this session's handle — and nobody else's — when the pump
-    /// publishes events or the outcome, or frees inbound buffer space.
+    /// Wakes this session's waiters — and nobody else — when a window is
+    /// ready or events or the outcome are published.
     signal: Arc<Condvar>,
-    /// Set when the handle was dropped (nobody will consume the end).
-    detached: bool,
-    /// Consumed by the pump when it instantiates the `StreamSession`.
-    resume_from: Option<SessionCheckpoint>,
-    /// Windows decided over the logical stream, as last observed by the
-    /// pump (drives the per-round `windows` counter delta).
-    decided_seen: u64,
     /// Per-session counters (carried across reconnect seams).
     counters: SessionStats,
+    /// When the last sample chunk arrived.
     last_activity: Instant,
 }
 
 impl Slot {
-    /// A freshly opened session's slot: streaming, nothing buffered.
+    /// A freshly opened session's slot over `stream`, nothing published.
     fn open(
         tenant: String,
         model: String,
-        engine: Arc<dyn Engine>,
+        stream: StreamSession,
         slo: Option<LatencyBudget>,
     ) -> Slot {
+        let core = Core {
+            // A resumed stream has decided its checkpoint's windows, which
+            // were counted before it parked.
+            decided_seen: stream.windows_decided() as u64,
+            stream: Some(stream),
+            slo,
+            slo_due: true,
+            slo_flagged: false,
+            traces: Vec::new(),
+        };
         Slot {
             tenant,
             model,
-            engine,
-            slo,
-            slo_flagged: false,
-            phase: Phase::Open,
-            inbound: VecDeque::new(),
+            core: Arc::new(Mutex::new(core)),
+            end: None,
             events: Vec::new(),
             ready: false,
             signal: Arc::new(Condvar::new()),
-            detached: false,
-            resume_from: None,
-            decided_seen: 0,
             counters: SessionStats::default(),
             last_activity: Instant::now(),
         }
@@ -413,18 +615,39 @@ struct Parked {
     /// Undelivered events, re-queued into the slot on resume.
     events: Vec<GestureEvent>,
     counters: SessionStats,
-    decided_seen: u64,
     parked_at: Instant,
+}
+
+/// Per-tenant counters and the pool totals they roll up into.
+#[derive(Default)]
+struct Tally {
+    tenants: BTreeMap<String, ServeCounters>,
+    totals: ServeCounters,
+}
+
+impl Tally {
+    /// Applies a counter delta to one tenant and the pool totals — the one
+    /// place the two are written, which is what keeps
+    /// [`ServerStats::rollup_consistent`] true. Allocates only for a tenant
+    /// it has not seen before.
+    fn add(&mut self, tenant: &str, delta: &ServeCounters) {
+        match self.tenants.get_mut(tenant) {
+            Some(counters) => counters.add(delta),
+            None => {
+                self.tenants.insert(tenant.to_string(), delta.clone());
+            }
+        }
+        self.totals.add(delta);
+    }
 }
 
 /// The mutable registry behind the mutex.
 struct Registry {
     slots: BTreeMap<u64, Slot>,
     parked: BTreeMap<u64, Parked>,
-    tenants: BTreeMap<String, ServeCounters>,
-    totals: ServeCounters,
-    /// Pool-wide decision-latency rollup, fed by the pump's write-back
-    /// phase with the traces each round's sessions recorded.
+    tally: Tally,
+    /// Pool-wide decision-latency rollup, fed with the traces each step
+    /// recorded.
     stages: StageRecorder,
 }
 
@@ -432,21 +655,7 @@ impl Registry {
     /// Sessions occupying a pool slot (ended-but-unconsumed slots are
     /// zombies awaiting their handle and do not count).
     fn live(&self) -> usize {
-        self.slots
-            .values()
-            .filter(|s| !matches!(s.phase, Phase::Done(_)))
-            .count()
-    }
-
-    /// Applies a counter delta to one tenant and the pool totals — the one
-    /// place the two are written, which is what keeps
-    /// [`ServerStats::rollup_consistent`] true.
-    fn tally(&mut self, tenant: &str, delta: &ServeCounters) {
-        self.tenants
-            .entry(tenant.to_string())
-            .or_default()
-            .add(delta);
-        self.totals.add(delta);
+        self.slots.values().filter(|s| s.end.is_none()).count()
     }
 }
 
@@ -454,10 +663,9 @@ impl Registry {
 struct Shared {
     cfg: StreamServerConfig,
     state: Mutex<Registry>,
-    /// Signals the pump: inbound chunks, served windows or lifecycle
-    /// requests are waiting. (Handles are woken one by one, through their
-    /// slot's own `signal`.)
-    work: Condvar,
+    /// Wakes the pump before its next deadline: a session opened or
+    /// parked, or the server is shutting down.
+    pump_wake: Condvar,
     next_token: AtomicU64,
     shutdown: AtomicBool,
 }
@@ -477,8 +685,7 @@ impl Shared {
 /// The server is engine-agnostic, but the recommended deployment is over a
 /// [`ShardedEngine`](super::ShardedEngine) pool rather than a single
 /// [`InferenceEngine`](super::InferenceEngine): replicas absorb tenant
-/// bursts independently, quarantine isolates a failing backend, and a mixed
-/// fp32 + int8 pool can be capacity-planned with per-replica weights (see
+/// bursts independently and quarantine isolates a failing backend (see
 /// `examples/serve_gateway.rs`).
 pub struct StreamServer {
     shared: Arc<Shared>,
@@ -492,8 +699,7 @@ impl StreamServer {
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadRequest`] on a zero `max_sessions`,
-    /// `inbound_chunks` or `quantum`.
+    /// [`ServeError::BadRequest`] on a zero `max_sessions`.
     pub fn start(engine: Arc<dyn Engine>, cfg: StreamServerConfig) -> Result<Self, ServeError> {
         Self::start_zoo(Arc::new(ModelZoo::single("default", engine)), cfg)
     }
@@ -505,8 +711,7 @@ impl StreamServer {
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadRequest`] on a zero `max_sessions`,
-    /// `inbound_chunks`, `quantum`, or an empty zoo.
+    /// [`ServeError::BadRequest`] on a zero `max_sessions` or an empty zoo.
     pub fn start_zoo(zoo: Arc<ModelZoo>, cfg: StreamServerConfig) -> Result<Self, ServeError> {
         cfg.validate()?;
         if zoo.names().is_empty() {
@@ -519,11 +724,10 @@ impl StreamServer {
             state: Mutex::new(Registry {
                 slots: BTreeMap::new(),
                 parked: BTreeMap::new(),
-                tenants: BTreeMap::new(),
-                totals: ServeCounters::default(),
+                tally: Tally::default(),
                 stages: StageRecorder::new(),
             }),
-            work: Condvar::new(),
+            pump_wake: Condvar::new(),
             next_token: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
         });
@@ -556,8 +760,10 @@ impl StreamServer {
     /// # Errors
     ///
     /// [`ServeError::Unavailable`] when all
-    /// [`StreamServerConfig::max_sessions`] slots are occupied, and
-    /// [`ServeError::ShuttingDown`] after [`StreamServer::shutdown`].
+    /// [`StreamServerConfig::max_sessions`] slots are occupied,
+    /// [`ServeError::BadRequest`] when the stream template does not fit the
+    /// engine, and [`ServeError::ShuttingDown`] after
+    /// [`StreamServer::shutdown`].
     pub fn connect(&self, tenant: &str) -> Result<SessionHandle, ServeError> {
         self.connect_with(tenant, SessionOptions::default())
     }
@@ -584,38 +790,42 @@ impl StreamServer {
             .unwrap_or_else(|| self.zoo.default_model().to_string());
         let engine = self.zoo.resolve(Some(&model))?;
         let slo = opts.slo.or(self.shared.cfg.slo);
+        let token = self.shared.next_token.fetch_add(1, Ordering::Relaxed);
+        let mut stream = StreamSession::new(engine, self.shared.cfg.stream.clone())?;
+        stream.wake_with(ready_hook(&self.shared, token));
         let reg = self.shared.lock();
         if reg.live() >= self.shared.cfg.max_sessions {
             return Err(ServeError::Unavailable);
         }
-        let slot = Slot::open(tenant.to_string(), model, engine, slo);
+        let slot = Slot::open(tenant.to_string(), model, stream, slo);
         let sessions = ServeCounters {
             sessions: 1,
             ..ServeCounters::default()
         };
-        Ok(self.admit(reg, slot, &sessions))
+        Ok(self.admit(reg, token, slot, &sessions))
     }
 
-    /// Puts a fresh slot into the registry under a newly minted token,
-    /// counts it, wakes the pump and hands out the slot's handle.
+    /// Puts a fresh slot into the registry under `token`, counts it and
+    /// hands out the slot's handle.
     fn admit(
         &self,
         mut reg: MutexGuard<'_, Registry>,
+        token: u64,
         slot: Slot,
         counted_as: &ServeCounters,
     ) -> SessionHandle {
-        let token = self.shared.next_token.fetch_add(1, Ordering::Relaxed);
         let handle = SessionHandle {
             shared: Arc::clone(&self.shared),
             token,
             tenant: slot.tenant.clone(),
+            core: Arc::clone(&slot.core),
             signal: Arc::clone(&slot.signal),
             consumed: false,
         };
-        reg.tally(&slot.tenant, counted_as);
+        reg.tally.add(&slot.tenant, counted_as);
         reg.slots.insert(token, slot);
-        drop(reg);
-        self.shared.work.notify_all();
+        // The new session's idle timeout may be the pump's next deadline.
+        self.shared.pump_wake.notify_one();
         handle
     }
 
@@ -661,26 +871,29 @@ impl StreamServer {
         };
         // Under a fresh token: the old one may still name an evicted zombie
         // slot whose handle has not observed the eviction yet.
+        let fresh = self.shared.next_token.fetch_add(1, Ordering::Relaxed);
+        let mut stream =
+            StreamSession::resume(engine, self.shared.cfg.stream.clone(), parked.checkpoint)?;
+        stream.wake_with(ready_hook(&self.shared, fresh));
         let slot = Slot {
             events: parked.events,
-            resume_from: Some(parked.checkpoint),
-            decided_seen: parked.decided_seen,
             counters: parked.counters,
-            ..Slot::open(parked.tenant, parked.model, engine, self.shared.cfg.slo)
+            ..Slot::open(parked.tenant, parked.model, stream, self.shared.cfg.slo)
         };
         let reconnects = ServeCounters {
             reconnects: 1,
             ..ServeCounters::default()
         };
-        Ok(self.admit(reg, slot, &reconnects))
+        Ok(self.admit(reg, fresh, slot, &reconnects))
     }
 
     /// A live snapshot of the server's statistics.
     pub fn stats(&self) -> ServerStats {
         let reg = self.shared.lock();
         ServerStats {
-            totals: reg.totals.clone(),
+            totals: reg.tally.totals.clone(),
             per_tenant: reg
+                .tally
                 .tenants
                 .iter()
                 .map(|(tenant, counters)| TenantStats {
@@ -706,7 +919,11 @@ impl StreamServer {
     /// running — it belongs to the caller.
     pub fn shutdown(&self) -> ServerStats {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.work.notify_all();
+        // Under the registry lock, so the pump is either still to check the
+        // flag or already asleep.
+        let reg = self.shared.lock();
+        self.shared.pump_wake.notify_all();
+        drop(reg);
         if let Some(pump) = self.pump.lock().unwrap_or_else(|e| e.into_inner()).take() {
             let _ = pump.join();
         }
@@ -735,14 +952,24 @@ impl std::fmt::Debug for StreamServer {
 
 /// A client's handle to one open server-side session.
 ///
+/// Every call runs on the caller's thread: [`SessionHandle::send`] pushes
+/// into the session's stream, [`SessionHandle::wait_events`] absorbs the
+/// windows the engine has served, and [`SessionHandle::finish`] /
+/// [`SessionHandle::disconnect`] end the stream. One session may be used
+/// from two threads at once (the gateway reads on one and writes on the
+/// other); its steps take turns on the session lock.
+///
 /// Dropping a handle without [`SessionHandle::finish`] or
 /// [`SessionHandle::disconnect`] counts as a mid-stream disconnect: the
-/// server suspends the session, parks its checkpoint under
-/// [`SessionHandle::token`] and frees the slot.
+/// session is suspended on the dropping thread (which waits out the
+/// windows in flight), its checkpoint parked under
+/// [`SessionHandle::token`] and the slot freed.
 pub struct SessionHandle {
     shared: Arc<Shared>,
     token: u64,
     tenant: String,
+    /// The slot's stream (kept here too: the slot may be gone).
+    core: Arc<Mutex<Core>>,
     /// The slot's condvar (kept here too: the slot may be gone).
     signal: Arc<Condvar>,
     consumed: bool,
@@ -768,83 +995,46 @@ impl SessionHandle {
         &self.tenant
     }
 
-    /// Phase/end check shared by the mutating entry points.
-    fn check_open(slot: &Slot) -> Result<(), ServeError> {
-        match &slot.phase {
-            Phase::Open => Ok(()),
-            Phase::FinishRequested | Phase::ByeRequested => Err(ServeError::BadRequest(
-                "session is already finishing or disconnecting".into(),
-            )),
-            Phase::Done(SessionEnd::Evicted) => Err(ServeError::Evicted),
-            Phase::Done(SessionEnd::Failed(e)) => Err(e.clone()),
-            Phase::Done(_) => Err(ServeError::BadRequest("session already ended".into())),
-        }
-    }
-
-    /// Waits on this session's own condvar (a safety-net timeout bounds a
-    /// missed notification; every caller re-checks its condition).
-    fn park<'a>(
-        &self,
-        reg: MutexGuard<'a, Registry>,
-        timeout: Duration,
-    ) -> MutexGuard<'a, Registry> {
-        self.signal
-            .wait_timeout(reg, timeout)
-            .unwrap_or_else(|e| e.into_inner())
-            .0
-    }
-
-    /// Queues one chunk of raw interleaved samples, blocking while the
-    /// session's bounded inbound buffer is full (cooperative backpressure).
+    /// Pushes one chunk of raw interleaved samples into the session on
+    /// this thread — windowing, normalisation and submission of every
+    /// window it completes — and publishes the events decided so far. It
+    /// blocks only while the session's windows in flight fill its
+    /// lookahead (cooperative backpressure), or while another thread of the
+    /// same session is mid-step.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Evicted`] after an idle-timeout eviction (resume with
-    /// the token), the stream's failure error after an engine fault,
-    /// [`ServeError::ShuttingDown`] on server shutdown.
+    /// [`ServeError::Evicted`] after an eviction (resume with the token),
+    /// the engine error that failed the stream, [`ServeError::ShuttingDown`]
+    /// on server shutdown.
     pub fn send(&self, samples: &[f32]) -> Result<(), ServeError> {
-        let mut reg = self.shared.lock();
-        loop {
-            let slot = reg.slots.get(&self.token).ok_or(ServeError::ShuttingDown)?;
-            Self::check_open(slot)?;
-            if slot.inbound.len() < self.shared.cfg.inbound_chunks {
-                break;
-            }
-            reg = self.park(reg, Duration::from_millis(50));
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                return Err(ServeError::ShuttingDown);
-            }
-        }
-        let slot = reg.slots.get_mut(&self.token).expect("checked above");
-        slot.inbound.push_back(samples.to_vec());
-        slot.last_activity = Instant::now();
-        drop(reg);
-        self.shared.work.notify_all();
-        Ok(())
+        lock_core(&self.core).step(&self.shared, self.token, Some(samples))
     }
 
-    /// Non-blocking [`SessionHandle::send`]: a full inbound buffer fails
-    /// fast with [`ServeError::QueueFull`] — the per-session backpressure
-    /// signal a flooding client observes while everyone else streams on.
+    /// Non-blocking [`SessionHandle::send`]: first absorbs whatever the
+    /// engine has served, then fails fast with [`ServeError::QueueFull`] —
+    /// leaving the chunk unconsumed — if another thread is mid-step on this
+    /// session or the windows in flight still fill the lookahead. That is
+    /// the per-session backpressure signal a flooding client observes while
+    /// everyone else streams on.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::QueueFull`] as above, otherwise as
+    /// [`SessionHandle::send`].
     pub fn try_send(&self, samples: &[f32]) -> Result<(), ServeError> {
-        let mut reg = self.shared.lock();
-        let slot = reg
-            .slots
-            .get_mut(&self.token)
-            .ok_or(ServeError::ShuttingDown)?;
-        Self::check_open(slot)?;
-        if slot.inbound.len() >= self.shared.cfg.inbound_chunks {
+        let mut core = try_lock_core(&self.core).ok_or(ServeError::QueueFull)?;
+        core.step(&self.shared, self.token, None)?;
+        let bound = self.shared.cfg.stream.lookahead.max(1);
+        if core.stream.as_ref().is_some_and(|s| s.pending() >= bound) {
             return Err(ServeError::QueueFull);
         }
-        slot.inbound.push_back(samples.to_vec());
-        slot.last_activity = Instant::now();
-        drop(reg);
-        self.shared.work.notify_all();
-        Ok(())
+        core.step(&self.shared, self.token, Some(samples))
     }
 
-    /// Takes the gesture events decided since the last poll (possibly
-    /// none), without blocking.
+    /// Takes the gesture events decided since the last call (possibly
+    /// none), without blocking: a window the engine has served is absorbed
+    /// first, unless another thread is mid-step on this session.
     ///
     /// # Errors
     ///
@@ -855,10 +1045,12 @@ impl SessionHandle {
 
     /// Takes the gesture events decided since the last call, blocking for
     /// up to `timeout` while there are none and the stream is still open.
-    /// The pump wakes the caller the moment it publishes this session's
-    /// events or its outcome — other sessions' traffic does not. An empty
-    /// vector means the timeout passed, or the stream has ended (finished
-    /// or parked) with nothing left to deliver.
+    /// A served window's completion wakes the caller, which absorbs it on
+    /// this thread (after any step in progress on another thread of this
+    /// session); events another thread publishes wake it too. Other
+    /// sessions' traffic does not. An empty vector means the timeout
+    /// passed, or the stream has ended (finished or parked) with nothing
+    /// left to deliver.
     ///
     /// # Errors
     ///
@@ -866,8 +1058,8 @@ impl SessionHandle {
     /// an eviction, the failure error after an engine fault.
     pub fn wait_events(&self, timeout: Duration) -> Result<Vec<GestureEvent>, ServeError> {
         let start = Instant::now();
-        let mut reg = self.shared.lock();
         loop {
+            let mut reg = self.shared.lock();
             let slot = reg
                 .slots
                 .get_mut(&self.token)
@@ -875,11 +1067,29 @@ impl SessionHandle {
             if !slot.events.is_empty() {
                 return Ok(std::mem::take(&mut slot.events));
             }
-            match &slot.phase {
-                Phase::Done(SessionEnd::Evicted) => return Err(ServeError::Evicted),
-                Phase::Done(SessionEnd::Failed(e)) => return Err(e.clone()),
-                Phase::Done(_) => return Ok(Vec::new()),
-                _ => {}
+            match &slot.end {
+                Some(SessionEnd::Evicted) => return Err(ServeError::Evicted),
+                Some(SessionEnd::Failed(e)) => return Err(e.clone()),
+                Some(_) => return Ok(Vec::new()),
+                None => {}
+            }
+            if slot.ready {
+                drop(reg);
+                let core = if timeout.is_zero() {
+                    try_lock_core(&self.core)
+                } else {
+                    Some(lock_core(&self.core))
+                };
+                // Busy: the step in progress absorbs and publishes.
+                let Some(mut core) = core else {
+                    return Ok(Vec::new());
+                };
+                if let Some(slot) = self.shared.lock().slots.get_mut(&self.token) {
+                    slot.ready = false;
+                }
+                // A failure is written back; the next look reports it.
+                let _ = core.step(&self.shared, self.token, None);
+                continue;
             }
             let Some(left) = timeout
                 .checked_sub(start.elapsed())
@@ -887,64 +1097,56 @@ impl SessionHandle {
             else {
                 return Ok(Vec::new());
             };
-            reg = self.park(reg, left);
+            drop(
+                self.signal
+                    .wait_timeout(reg, left)
+                    .unwrap_or_else(|e| e.into_inner()),
+            );
         }
     }
 
-    /// Asks the pump to end the stream — `phase` is
-    /// [`Phase::FinishRequested`] or [`Phase::ByeRequested`] — without
-    /// waiting for it to happen.
-    fn request_end(&self, phase: Phase) -> Result<(), ServeError> {
-        let mut reg = self.shared.lock();
-        let slot = reg
-            .slots
-            .get_mut(&self.token)
-            .ok_or(ServeError::ShuttingDown)?;
-        Self::check_open(slot)?;
-        slot.phase = phase;
-        drop(reg);
-        self.shared.work.notify_all();
+    /// Ends the stream on this thread — `kind` is [`EndKind::Finish`] or
+    /// [`EndKind::Park`] — and leaves the outcome in the slot, waking the
+    /// session's waiters.
+    fn end(&self, kind: EndKind) -> Result<(), ServeError> {
+        let mut core = lock_core(&self.core);
+        core.open(&self.shared, self.token)?;
+        core.settle(&self.shared, self.token, None, Ok(Vec::new()), Some(kind));
         Ok(())
     }
 
-    /// Waits for the stream's requested (or already reached) end and
-    /// consumes the slot.
-    fn wait_end(mut self) -> Result<(SessionEnd, SessionStats), ServeError> {
-        let mut reg = self.shared.lock();
-        loop {
-            let slot = reg.slots.get(&self.token).ok_or(ServeError::ShuttingDown)?;
-            if let Phase::Done(_) = slot.phase {
-                break;
-            }
-            reg = self.park(reg, Duration::from_millis(50));
-        }
-        let slot = reg.slots.remove(&self.token).expect("checked above");
+    /// Consumes the slot of a stream that has ended.
+    fn take_end(mut self) -> Result<(SessionEnd, SessionStats), ServeError> {
+        let slot = self
+            .shared
+            .lock()
+            .slots
+            .remove(&self.token)
+            .ok_or(ServeError::ShuttingDown)?;
         self.consumed = true;
-        match slot.phase {
-            Phase::Done(end) => Ok((end, slot.counters)),
-            phase => unreachable!("session end awaited in phase {phase:?}"),
-        }
+        let end = slot.end.expect("a session's end is taken after it ended");
+        Ok((end, slot.counters))
     }
 
-    /// Ends the stream cleanly: waits for every queued chunk to be served,
-    /// closes the final decision and returns the [`FinishReport`]. The
-    /// report's summary covers the **whole logical stream**, reconnect
+    /// Ends the stream cleanly on this thread: waits out every window in
+    /// flight, closes the final decision and returns the [`FinishReport`].
+    /// The report's summary covers the **whole logical stream**, reconnect
     /// seams included; its `events` carry everything not already polled.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Evicted`] if the idle timeout won the race, the
-    /// stream's failure error after an engine fault,
-    /// [`ServeError::ShuttingDown`] on server shutdown.
+    /// [`ServeError::Evicted`] if an eviction came first, the stream's
+    /// failure error after an engine fault, [`ServeError::ShuttingDown`] on
+    /// server shutdown.
     pub fn finish(self) -> Result<FinishReport, ServeError> {
-        self.request_end(Phase::FinishRequested)?;
+        self.end(EndKind::Finish)?;
         self.finished()
     }
 
     /// The second half of [`SessionHandle::finish`]: collects the report
-    /// of a stream whose finish has been requested.
+    /// of a stream that has been finished.
     fn finished(self) -> Result<FinishReport, ServeError> {
-        match self.wait_end()? {
+        match self.take_end()? {
             (SessionEnd::Finished(summary), stats) => Ok(FinishReport {
                 summary: *summary,
                 stats,
@@ -955,30 +1157,30 @@ impl SessionHandle {
         }
     }
 
-    /// Detaches without finishing: the server suspends the session, parks
-    /// its checkpoint (undelivered events included) and frees the slot.
-    /// Returns the token to [`StreamServer::resume`] with. If the session
-    /// was already evicted, the checkpoint is already parked and the token
-    /// comes back immediately.
+    /// Detaches without finishing: suspends the session on this thread,
+    /// parks its checkpoint (undelivered events included) and frees the
+    /// slot. Returns the token to [`StreamServer::resume`] with. If the
+    /// session was already evicted, the checkpoint is already parked and
+    /// the token comes back immediately.
     ///
     /// # Errors
     ///
     /// The stream's failure error after an engine fault,
     /// [`ServeError::ShuttingDown`] on server shutdown.
     pub fn disconnect(self) -> Result<u64, ServeError> {
-        match self.request_end(Phase::ByeRequested) {
-            // Evicted: already suspended and parked by the idle timeout.
+        match self.end(EndKind::Park) {
+            // Evicted: already suspended and parked.
             Ok(()) | Err(ServeError::Evicted) => self.parked(),
             // Dropping the handle frees whatever slot is left.
             Err(e) => Err(e),
         }
     }
 
-    /// The second half of [`SessionHandle::disconnect`]: waits out the
-    /// parking of a stream that was asked to detach (or was evicted).
+    /// The second half of [`SessionHandle::disconnect`]: frees the slot of
+    /// a stream that has been parked (or evicted).
     fn parked(self) -> Result<u64, ServeError> {
         let token = self.token;
-        match self.wait_end()? {
+        match self.take_end()? {
             (SessionEnd::Parked | SessionEnd::Evicted, _) => Ok(token),
             (SessionEnd::Failed(e), _) => Err(e),
             (SessionEnd::Finished(_), _) => unreachable!("a detaching session finished"),
@@ -991,426 +1193,124 @@ impl Drop for SessionHandle {
         if self.consumed {
             return;
         }
-        let mut reg = self.shared.lock();
-        let Some(slot) = reg.slots.get_mut(&self.token) else {
-            return;
-        };
-        match slot.phase {
-            // Mid-stream disconnect: suspend + park, free the slot.
-            Phase::Open => {
-                slot.detached = true;
-                slot.phase = Phase::ByeRequested;
-                drop(reg);
-                self.shared.work.notify_all();
-            }
-            Phase::FinishRequested | Phase::ByeRequested => slot.detached = true,
-            // Nobody left to consume the outcome: drop the zombie slot.
-            Phase::Done(_) => {
-                reg.slots.remove(&self.token);
-            }
-        }
+        // Mid-stream disconnect: suspend and park (a no-op once the stream
+        // has ended), then free the slot — nobody is left to consume it.
+        let _ = self.end(EndKind::Park);
+        self.shared.lock().slots.remove(&self.token);
     }
 }
 
-/// One round's worth of work for one session, snapshotted under the lock.
-struct Work {
-    token: u64,
-    tenant: String,
-    /// The session's resolved engine (an `Arc` clone of the slot's).
-    engine: Arc<dyn Engine>,
-    /// The session's latency budget, checked after each served round.
-    slo: Option<LatencyBudget>,
-    resume_from: Option<SessionCheckpoint>,
-    /// May be empty: a round can be all about absorbing served windows
-    /// (the completion wake-up) or a lifecycle request.
-    chunks: Vec<Vec<f32>>,
-    end: Option<EndKind>,
-    detached: bool,
-}
-
-enum EndKind {
-    Finish,
-    Park,
-    Evict,
-}
-
-/// What the pump writes back after serving one session's round.
-struct RoundResult {
-    token: u64,
-    tenant: String,
-    chunks: u64,
-    samples: u64,
-    /// Windows decided over the logical stream after this round.
-    decided_after: u64,
-    events: Vec<GestureEvent>,
-    /// Decision-latency traces the session recorded this round, for the
-    /// pool-level rollup.
-    traces: Vec<LatencyTrace>,
-    /// Set when the session's per-window stage summary blew its budget
-    /// this round.
-    slo_violation: bool,
-    outcome: Option<RoundEnd>,
-    detached: bool,
-}
-
-enum RoundEnd {
-    Finished(Box<StreamSummary>),
-    Parked(Box<SessionCheckpoint>),
-    Evicted(Box<SessionCheckpoint>),
-    Failed(ServeError),
-}
-
-/// The pump thread: owns every live [`StreamSession`], serves sessions
-/// round-robin in token order with a bounded per-round quantum, and applies
-/// lifecycle transitions (finish / park / evict / fail).
+/// The pump thread, the server's timer: evicts sessions idle past
+/// `idle_timeout` (skipping any that is mid-step), expires parked
+/// checkpoints past `resume_ttl`, and fails every open session at
+/// shutdown. No sample chunk and no completion passes through it. It
+/// sleeps until the next deadline — the stalest open session's idle
+/// timeout or the oldest checkpoint's expiry — and is woken early when a
+/// session opens or parks, either of which may bring that deadline
+/// forward.
 fn pump_loop(shared: &Arc<Shared>) {
     let cfg = &shared.cfg;
-    // Sessions own an `Arc` of their slot's resolved engine — different
-    // sessions may run different zoo models.
-    let mut sessions: BTreeMap<u64, StreamSession> = BTreeMap::new();
-    let poll = cfg
-        .idle_timeout
-        .map(|t| (t / 4).clamp(Duration::from_millis(1), Duration::from_millis(20)))
-        .unwrap_or(Duration::from_millis(25));
+    // The shortest sleep: a session found idle while mid-step is looked at
+    // again this much later.
+    let tick = cfg.idle_timeout.map_or(Duration::from_millis(20), |t| {
+        (t / 4).clamp(Duration::from_millis(1), Duration::from_millis(20))
+    });
+    // A missed wake-up costs at most this.
+    const PARK: Duration = Duration::from_secs(1);
+    let mut idle: Vec<(u64, Arc<Mutex<Core>>)> = Vec::new();
+    let mut reg = shared.lock();
     loop {
-        // Phase 1 — snapshot work under the lock.
-        let mut reg = shared.lock();
         if shared.shutdown.load(Ordering::SeqCst) {
+            // Streams are dropped outside the registry lock: the last
+            // reference to an engine may join threads whose completions
+            // take it. A session mid-step drops its own stream.
+            let mut streams = Vec::new();
             for slot in reg.slots.values_mut() {
-                if !matches!(slot.phase, Phase::Done(_)) {
-                    slot.phase = Phase::Done(SessionEnd::Failed(ServeError::ShuttingDown));
+                if slot.end.is_none() {
+                    slot.end = Some(SessionEnd::Failed(ServeError::ShuttingDown));
                 }
-            }
-            reg.parked.clear();
-            for slot in reg.slots.values() {
+                if let Some(mut core) = try_lock_core(&slot.core) {
+                    streams.extend(core.stream.take());
+                }
                 slot.signal.notify_all();
             }
+            reg.parked.clear();
+            drop(reg);
+            drop(streams);
             return;
         }
         let now = Instant::now();
+        // The next deadline; one too far off to represent never comes.
+        let mut next = None;
         if let Some(ttl) = cfg.resume_ttl {
             reg.parked
                 .retain(|_, p| now.duration_since(p.parked_at) < ttl);
+            next = reg
+                .parked
+                .values()
+                .filter_map(|p| p.parked_at.checked_add(ttl))
+                .min();
         }
-        let mut batch: Vec<Work> = Vec::new();
-        for (&token, slot) in reg.slots.iter_mut() {
-            if matches!(slot.phase, Phase::Done(_)) {
-                continue;
-            }
-            // Finishing/parting sessions drain their whole (bounded)
-            // buffer; open sessions get the fairness quantum.
-            let budget = match slot.phase {
-                Phase::Open => cfg.quantum,
-                _ => usize::MAX,
-            };
-            let was_full = slot.inbound.len() >= cfg.inbound_chunks;
-            let mut chunks = Vec::new();
-            while chunks.len() < budget {
-                let Some(chunk) = slot.inbound.pop_front() else {
-                    break;
+        if let Some(timeout) = cfg.idle_timeout {
+            for (&token, slot) in reg.slots.iter().filter(|(_, s)| s.end.is_none()) {
+                let Some(due) = slot.last_activity.checked_add(timeout) else {
+                    continue;
                 };
-                chunks.push(chunk);
+                next = Some(next.map_or(due, |next: Instant| next.min(due)));
+                if due <= now {
+                    idle.push((token, Arc::clone(&slot.core)));
+                }
             }
-            if was_full && !chunks.is_empty() {
-                // A sender may be blocked on the buffer bound.
-                slot.signal.notify_all();
-            }
-            let ready = std::mem::take(&mut slot.ready);
-            let end = match slot.phase {
-                Phase::FinishRequested if slot.inbound.is_empty() => Some(EndKind::Finish),
-                Phase::ByeRequested if slot.inbound.is_empty() => Some(EndKind::Park),
-                Phase::Open
-                    if chunks.is_empty()
+        }
+        if !idle.is_empty() {
+            drop(reg);
+            for (token, core) in idle.drain(..) {
+                // A session that is being pushed to is not idle.
+                let Some(mut core) = try_lock_core(&core) else {
+                    continue;
+                };
+                // Re-checked under the session lock: a chunk may have
+                // landed.
+                let still_idle = shared.lock().slots.get(&token).is_some_and(|slot| {
+                    slot.end.is_none()
                         && cfg
                             .idle_timeout
-                            .is_some_and(|t| now.duration_since(slot.last_activity) >= t) =>
-                {
-                    Some(EndKind::Evict)
-                }
-                _ => None,
-            };
-            let needs_session = !sessions.contains_key(&token);
-            if chunks.is_empty() && end.is_none() && !needs_session && !ready {
-                continue;
-            }
-            batch.push(Work {
-                token,
-                tenant: slot.tenant.clone(),
-                engine: Arc::clone(&slot.engine),
-                slo: if slot.slo_flagged && !cfg.slo_evict {
-                    // Already flagged and not evicting: stop re-checking.
-                    None
-                } else {
-                    slot.slo
-                },
-                resume_from: if needs_session {
-                    slot.resume_from.take()
-                } else {
-                    None
-                },
-                chunks,
-                end,
-                detached: slot.detached,
-            });
-        }
-        if batch.is_empty() {
-            drop(
-                shared
-                    .work
-                    .wait_timeout(reg, poll)
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0,
-            );
-            continue;
-        }
-        drop(reg);
-
-        // Phase 2 — serve without the lock (inference may be slow; clients
-        // keep queueing into their buffers meanwhile).
-        let mut results: Vec<RoundResult> = Vec::with_capacity(batch.len());
-        for work in batch {
-            results.push(serve_round(shared, &mut sessions, work));
-        }
-
-        // Phase 3 — write back events, counters and outcomes; the handles
-        // concerned are woken once the lock is released.
-        let mut reg = shared.lock();
-        let mut published: Vec<Arc<Condvar>> = Vec::new();
-        for r in results {
-            // Roll traces into the pool-wide recorder before the slot
-            // lookup so a finished/evicted session's last round still
-            // counts.
-            for t in &r.traces {
-                reg.stages.record(*t);
-            }
-            let Some(slot) = reg.slots.get_mut(&r.token) else {
-                continue;
-            };
-            let windows_delta = r.decided_after.saturating_sub(slot.decided_seen);
-            slot.decided_seen = r.decided_after;
-            slot.counters.chunks += r.chunks;
-            slot.counters.samples += r.samples;
-            slot.counters.windows += windows_delta;
-            slot.counters.events += r.events.len() as u64;
-            let mut delta = ServeCounters {
-                chunks: r.chunks,
-                samples: r.samples,
-                windows: windows_delta,
-                events: r.events.len() as u64,
-                ..ServeCounters::default()
-            };
-            if r.slo_violation && !slot.slo_flagged {
-                slot.slo_flagged = true;
-                delta.slo_violations = 1;
-            }
-            if !r.events.is_empty() || r.outcome.is_some() {
-                published.push(Arc::clone(&slot.signal));
-            }
-            slot.events.extend(r.events);
-            // Detachment may have happened while serving; honour the
-            // freshest flag.
-            let detached = r.detached || slot.detached;
-            match r.outcome {
-                None => {}
-                Some(RoundEnd::Finished(mut summary)) => {
-                    delta.finished = 1;
-                    // The report's events = everything not yet polled, in
-                    // decision order.
-                    let mut events = std::mem::take(&mut slot.events);
-                    events.extend(std::mem::take(&mut summary.events));
-                    summary.events = events;
-                    slot.phase = Phase::Done(SessionEnd::Finished(summary));
-                    if detached {
-                        reg.slots.remove(&r.token);
-                    }
-                }
-                Some(RoundEnd::Parked(checkpoint)) => {
-                    delta.disconnects = 1;
-                    let parked = Parked {
-                        tenant: slot.tenant.clone(),
-                        model: slot.model.clone(),
-                        checkpoint: *checkpoint,
-                        events: std::mem::take(&mut slot.events),
-                        counters: slot.counters.clone(),
-                        decided_seen: slot.decided_seen,
-                        parked_at: Instant::now(),
-                    };
-                    slot.phase = Phase::Done(SessionEnd::Parked);
-                    reg.parked.insert(r.token, parked);
-                    if detached {
-                        reg.slots.remove(&r.token);
-                    }
-                }
-                Some(RoundEnd::Evicted(checkpoint)) => {
-                    delta.evictions = 1;
-                    let parked = Parked {
-                        tenant: slot.tenant.clone(),
-                        model: slot.model.clone(),
-                        checkpoint: *checkpoint,
-                        events: std::mem::take(&mut slot.events),
-                        counters: slot.counters.clone(),
-                        decided_seen: slot.decided_seen,
-                        parked_at: Instant::now(),
-                    };
-                    slot.phase = Phase::Done(SessionEnd::Evicted);
-                    reg.parked.insert(r.token, parked);
-                    if detached {
-                        reg.slots.remove(&r.token);
-                    }
-                }
-                Some(RoundEnd::Failed(e)) => {
-                    delta.failed = 1;
-                    slot.phase = Phase::Done(SessionEnd::Failed(e));
-                    if detached {
-                        reg.slots.remove(&r.token);
-                    }
+                            .is_some_and(|t| slot.last_activity.elapsed() >= t)
+                });
+                if still_idle && core.stream.is_some() {
+                    core.settle(shared, token, None, Ok(Vec::new()), Some(EndKind::Evict));
                 }
             }
-            reg.tally(&r.tenant, &delta);
+            reg = shared.lock();
         }
-        drop(reg);
-        for signal in published {
-            signal.notify_all();
-        }
+        let sleep = next.map_or(PARK, |next| {
+            next.saturating_duration_since(now).clamp(tick, PARK)
+        });
+        reg = shared
+            .pump_wake
+            .wait_timeout(reg, sleep)
+            .unwrap_or_else(|e| e.into_inner())
+            .0;
     }
 }
 
-/// The wake-up a session carries on the window it is waiting for: marks
-/// the slot ready and signals the pump, from whichever thread completed the
-/// window. (`Weak`: a request still queued in an engine must not keep the
-/// server's state alive.)
+/// The wake-up a session hangs on the window it waits for: marks the slot
+/// ready and wakes the session's own waiters, from whichever thread
+/// completed the window. It takes only the registry lock. (`Weak`: a
+/// request still queued in an engine must not keep the server's state
+/// alive.)
 fn ready_hook(shared: &Arc<Shared>, token: u64) -> ReadyHook {
     let shared = Arc::downgrade(shared);
     Arc::new(move || {
         let Some(shared) = shared.upgrade() else {
             return;
         };
-        if let Some(slot) = shared.lock().slots.get_mut(&token) {
+        let mut reg = shared.lock();
+        if let Some(slot) = reg.slots.get_mut(&token) {
             slot.ready = true;
+            slot.signal.notify_all();
         }
-        shared.work.notify_all();
     })
-}
-
-/// Pushes a round's chunks into its session — or, when there are none,
-/// absorbs what the engine has served since the last round (the completion
-/// wake-up; a no-op before a lifecycle request).
-fn advance(
-    session: &mut StreamSession,
-    chunks: &[Vec<f32>],
-) -> Result<Vec<GestureEvent>, ServeError> {
-    if chunks.is_empty() {
-        return session.poll();
-    }
-    let mut events = Vec::new();
-    for chunk in chunks {
-        events.extend(session.push_samples(chunk)?);
-    }
-    Ok(events)
-}
-
-/// Serves one session's round: instantiate the session if needed, push the
-/// snapshotted chunks or absorb what the engine has served, check the
-/// latency budget, apply the lifecycle transition.
-fn serve_round(
-    shared: &Arc<Shared>,
-    sessions: &mut BTreeMap<u64, StreamSession>,
-    work: Work,
-) -> RoundResult {
-    let cfg = &shared.cfg;
-    let mut result = RoundResult {
-        token: work.token,
-        tenant: work.tenant,
-        chunks: 0,
-        samples: 0,
-        decided_after: 0,
-        events: Vec::new(),
-        traces: Vec::new(),
-        slo_violation: false,
-        outcome: None,
-        detached: work.detached,
-    };
-    if let std::collections::btree_map::Entry::Vacant(entry) = sessions.entry(work.token) {
-        let engine = Arc::clone(&work.engine);
-        let made = match work.resume_from {
-            Some(checkpoint) => StreamSession::resume(engine, cfg.stream.clone(), checkpoint),
-            None => StreamSession::new(engine, cfg.stream.clone()),
-        };
-        match made {
-            Ok(mut session) => {
-                result.decided_after = session.windows_decided() as u64;
-                session.wake_with(ready_hook(shared, work.token));
-                entry.insert(session);
-            }
-            Err(e) => {
-                result.outcome = Some(RoundEnd::Failed(e));
-                return result;
-            }
-        }
-    }
-    let session = sessions.get_mut(&work.token).expect("inserted above");
-    result.chunks = work.chunks.len() as u64;
-    result.samples = work.chunks.iter().map(|c| c.len() as u64).sum();
-    match advance(session, &work.chunks) {
-        Ok(events) => result.events = events,
-        Err(e) => {
-            sessions.remove(&work.token);
-            result.outcome = Some(RoundEnd::Failed(e));
-            return result;
-        }
-    }
-    result.decided_after = session.windows_decided() as u64;
-    session.drain_new_traces(&mut result.traces);
-    // SLO enforcement: compare the session's lifetime stage summary against
-    // its budget once it has decided at least one window.
-    if let Some(budget) = work.slo {
-        let summary = session.stage_stats();
-        if summary.count() > 0 && !budget.evaluate(&summary).fits {
-            result.slo_violation = true;
-            if cfg.slo_evict && work.end.is_none() {
-                // Evict-on-violation: suspend like an idle eviction so the
-                // client can resume (perhaps against a cheaper model).
-                let session = sessions.remove(&work.token).expect("present");
-                match session.suspend() {
-                    Ok((checkpoint, events)) => {
-                        result.decided_after = checkpoint.windows_decided() as u64;
-                        result.events.extend(events);
-                        result.outcome = Some(RoundEnd::Evicted(Box::new(checkpoint)));
-                    }
-                    Err(e) => result.outcome = Some(RoundEnd::Failed(e)),
-                }
-                return result;
-            }
-        }
-    }
-    match work.end {
-        None => {}
-        Some(EndKind::Finish) => {
-            let session = sessions.remove(&work.token).expect("present");
-            match session.finish() {
-                Ok(summary) => {
-                    result.decided_after = summary.windows as u64;
-                    result.outcome = Some(RoundEnd::Finished(Box::new(summary)));
-                }
-                Err(e) => result.outcome = Some(RoundEnd::Failed(e)),
-            }
-        }
-        Some(kind @ (EndKind::Park | EndKind::Evict)) => {
-            let session = sessions.remove(&work.token).expect("present");
-            match session.suspend() {
-                Ok((checkpoint, events)) => {
-                    result.decided_after = checkpoint.windows_decided() as u64;
-                    result.events.extend(events);
-                    result.outcome = Some(match kind {
-                        EndKind::Park => RoundEnd::Parked(Box::new(checkpoint)),
-                        _ => RoundEnd::Evicted(Box::new(checkpoint)),
-                    });
-                }
-                Err(e) => result.outcome = Some(RoundEnd::Failed(e)),
-            }
-        }
-    }
-    result
 }
 
 /// Maps a session-layer error onto its wire error code.
@@ -1428,11 +1328,13 @@ fn error_code(e: &ServeError) -> ErrorCode {
 /// The TCP front door: a `std::net` loopback listener translating the
 /// [`proto`](super::proto) frame protocol into [`StreamServer`] session
 /// calls. Each connection has a reader thread, blocked in `read` until the
-/// client sends something, and — while its session is open — a writer
-/// thread, parked in [`SessionHandle::wait_events`] until the pump
-/// publishes something for it. Nothing on the path polls, and the pump
-/// never touches a socket: a peer that stops reading stalls its own writer
-/// and nobody else.
+/// client sends something, which pushes every sample chunk into the session
+/// itself ([`SessionHandle::send`]); and — while its session is open — a
+/// writer thread, parked in [`SessionHandle::wait_events`] until the
+/// reader's push publishes events or a served window's completion wakes it
+/// to absorb the window itself. Nothing on the path polls or hands a chunk
+/// to another thread, and the server's timer thread never touches a socket:
+/// a peer that stops reading stalls its own writer and nobody else.
 ///
 /// Failure semantics the fault-injection tests pin down:
 ///
@@ -1667,8 +1569,9 @@ fn read_frames(
     }
 }
 
-/// The writer of an open session: parks until the pump publishes events
-/// for this session and writes them out, until the reader has asked for
+/// The writer of an open session: parks until the session has events —
+/// published by the reader's push, or absorbed here when a served window
+/// wakes it — and writes them out, until the reader has asked for
 /// the stream's end (`closing`), the session fails, or the socket dies.
 /// Returns the session's failure, if that is what ended it.
 fn write_events(
@@ -1676,19 +1579,24 @@ fn write_events(
     sock: &mut TcpStream,
     closing: &AtomicBool,
 ) -> Option<ServeError> {
-    // A missed wake-up costs at most this; the pump's notification is what
-    // ends the wait.
+    // A missed wake-up costs at most this; the session's notification is
+    // what ends the wait.
     const PARK: Duration = Duration::from_secs(1);
     let mut scratch = Vec::new();
     loop {
         match handle.wait_events(PARK) {
             Ok(events) => {
+                // One write for the whole batch: an `Ended` and the
+                // `Started` after it go out together.
+                scratch.clear();
                 for event in events {
-                    if !send_frame(sock, &mut scratch, &Frame::Event(event)) {
-                        // Dead socket: release the reader too.
-                        let _ = sock.shutdown(Shutdown::Both);
-                        return None;
-                    }
+                    encode_frame(&Frame::Event(event), &mut scratch)
+                        .expect("an event frame always fits");
+                }
+                if !scratch.is_empty() && sock.write_all(&scratch).is_err() {
+                    // Dead socket: release the reader too.
+                    let _ = sock.shutdown(Shutdown::Both);
+                    return None;
                 }
                 // Whatever is decided from here on goes out with the
                 // closing exchange, or stays with the parked checkpoint.
@@ -1741,11 +1649,12 @@ fn serve_session(
             .spawn_scoped(scope, || write_events(&handle, &mut events_sock, &closing))
             .expect("spawn gateway writer thread");
         let end = read_frames(&handle, sock, decoder);
-        // Ask for the stream's end; its outcome is what wakes the writer.
+        // End the stream on this thread; its outcome is what wakes the
+        // writer.
         closing.store(true, Ordering::SeqCst);
-        let requested = handle.request_end(match end {
-            ReadEnd::Finish => Phase::FinishRequested,
-            _ => Phase::ByeRequested,
+        let requested = handle.end(match end {
+            ReadEnd::Finish => EndKind::Finish,
+            _ => EndKind::Park,
         });
         let failure = writer.join().expect("gateway writer thread panicked");
         (end, requested, failure)
@@ -1768,8 +1677,8 @@ fn serve_session(
     if let Some((code, message)) = error {
         send_error(sock, scratch, code, message);
     }
-    // Wait out the parking that was asked for; a handle whose request was
-    // refused (the session had ended already) frees its slot by dropping.
+    // Free the slot of the parked stream; a handle whose end was refused
+    // (the session had ended already) frees its slot by dropping.
     if requested.is_ok() {
         let _ = handle.parked();
     }

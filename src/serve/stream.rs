@@ -792,7 +792,7 @@ impl StreamSession {
     }
 
     /// Moves the traces recorded since the last call into `out` (the
-    /// [`StreamServer`](super::StreamServer) pump uses this to roll
+    /// [`StreamServer`](super::StreamServer) uses this to roll
     /// per-session traces into the per-server recorder). The session's own
     /// recorder keeps them regardless; at most 256 undrained traces are
     /// retained.

@@ -19,6 +19,7 @@ use bioformers::core::{Bioformer, BioformerConfig};
 use bioformers::nn::serialize::state_dict;
 use bioformers::nn::InferForward;
 use bioformers::quant::QuantBioformer;
+use bioformers::serve::proto::{encode_frame, Frame, FrameDecoder};
 use bioformers::serve::{
     DecisionPolicy, GestureClassifier, InferenceEngine, LatencyTrace, ReadyHook, StageRecorder,
     StreamConfig, StreamSession,
@@ -541,4 +542,22 @@ fn polling_a_session_with_a_window_in_flight_makes_zero_heap_allocations() {
         wake_ups.try_recv().is_err(),
         "one window in flight, one wake-up"
     );
+}
+
+/// The gateway's decode of one wire burst — a 700-sample `Samples` frame,
+/// 350 ms of two-channel or 50 ms of 14-channel signal — makes exactly one
+/// heap allocation: the sample vector itself. No per-sample label string.
+#[test]
+fn decoding_a_samples_frame_allocates_only_the_samples() {
+    let samples: Vec<f32> = (0..700).map(|i| i as f32 * 0.25 - 40.0).collect();
+    let mut wire = Vec::new();
+    encode_frame(&Frame::Samples(samples.clone()), &mut wire).expect("encode");
+    let mut decoder = FrameDecoder::new();
+    decoder.feed(&wire);
+    let mut frame = None;
+    let allocations = count_allocations(|| {
+        frame = decoder.next_frame().expect("a valid frame");
+    });
+    assert_eq!(allocations, 1, "one allocation per decoded Samples frame");
+    assert_eq!(frame, Some(Frame::Samples(samples)));
 }

@@ -3,13 +3,14 @@
 //! per-tenant statistics rollup invariant.
 //!
 //! These tests run the server in-process over a fast mock backend so the
-//! scheduling properties (round-robin quanta, bounded buffers, eviction
-//! timing) are exercised without model-inference noise. Nothing here
-//! sleeps and re-checks: a test waits for its own session's events or
-//! outcome in `SessionHandle::wait_events`, and for another session's
-//! lifecycle request behind a later request of its own (`barrier`); the TCP wire path
-//! is covered by `tests/serving_gateway.rs`, and stream/offline
-//! bit-equivalence of the underlying sessions by `tests/serving_stream.rs`.
+//! serving properties (work on the caller's thread, per-session
+//! backpressure, eviction timing) are exercised without model-inference
+//! noise. Nothing here sleeps and re-checks: sends, finishes and
+//! disconnects run on the calling thread and are done when they return,
+//! and a test waits for its own session's events or outcome in
+//! `SessionHandle::wait_events`; the TCP wire path is covered by
+//! `tests/serving_gateway.rs`, and stream/offline bit-equivalence of the
+//! underlying sessions by `tests/serving_stream.rs`.
 
 mod common;
 
@@ -22,7 +23,8 @@ use bioformers::serve::{
 };
 use bioformers::tensor::Tensor;
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 const CHANNELS: usize = 2;
@@ -103,19 +105,6 @@ fn reference(stream: &[f32]) -> StreamSummary {
     summary
 }
 
-/// Returns once the pump has applied every lifecycle request (finish,
-/// disconnect, dropped handle) made before the call: a session of the
-/// barrier's own is opened and disconnected, the pump serves requests in
-/// the order they were made, and writes a round's outcomes back together.
-/// Needs a free slot.
-fn barrier(server: &StreamServer) {
-    server
-        .connect("barrier")
-        .expect("barrier connect")
-        .disconnect()
-        .expect("barrier disconnect");
-}
-
 /// Collects the session's events until it reports its eviction.
 fn events_until_evicted(handle: &SessionHandle, events: &mut Vec<GestureEvent>) {
     loop {
@@ -128,20 +117,18 @@ fn events_until_evicted(handle: &SessionHandle, events: &mut Vec<GestureEvent>) 
     }
 }
 
-/// Satellite: one session flooding at ~100× the others' rate saturates its
-/// own bounded buffer (observing `QueueFull` through `try_send`) while all
-/// 7 normal sessions stream to completion — none ever sees `Unavailable`,
-/// and each decides exactly its expected windows with the exact reference
-/// predictions and events.
+/// Satellite: over one shared one-worker engine, a session flooding at
+/// ~100× the others' rate fills its own lookahead of 2 windows (observing
+/// `QueueFull` through `try_send`, which leaves the refused chunk
+/// unconsumed) while all 7 normal sessions stream to completion — none
+/// ever sees `Unavailable`, and each decides exactly its expected windows
+/// with the exact reference predictions and events.
 #[test]
 fn flooding_session_cannot_starve_the_pool() {
     let server = Arc::new(
         StreamServer::start(
-            mock_engine(),
-            StreamServerConfig::new(stream_cfg())
-                .with_max_sessions(8)
-                .with_inbound_chunks(4)
-                .with_quantum(2),
+            async_engine(MockBackend),
+            StreamServerConfig::new(stream_cfg().with_lookahead(2)).with_max_sessions(8),
         )
         .expect("server"),
     );
@@ -200,7 +187,7 @@ fn flooding_session_cannot_starve_the_pool() {
     let (queue_full, flooded_windows) = flooder.join().expect("flooder thread");
     assert!(
         queue_full > 0,
-        "a 100x flooder must hit its own buffer bound at least once"
+        "a 100x flooder must hit its own lookahead bound at least once"
     );
     assert_eq!(flooded_windows, FLOOD_CHUNKS, "accepted chunks all served");
 
@@ -221,8 +208,7 @@ fn mid_stream_disconnect_frees_the_slot() {
     )
     .expect("server");
 
-    // A session of the test's own takes the other slot; its disconnect is
-    // later the barrier behind alice's dropped handle.
+    // A session of the test's own takes the other slot.
     let probe = server.connect("probe").expect("probe connect");
     let stream = signal(12, 42);
     let handle = server.connect("alice").expect("first connect");
@@ -236,16 +222,14 @@ fn mid_stream_disconnect_frees_the_slot() {
     );
     drop(handle); // Mid-stream disconnect: no finish, no bye.
 
-    // The drop left a detach request behind; the probe's own, made after
-    // it, returns once the pump has applied both.
+    // The drop parked alice's stream and freed her slot on this thread.
     probe.disconnect().expect("probe disconnect");
     let bob = server.connect("bob").expect("alice's slot is free");
     assert_eq!(server.stats().parked_sessions, 2);
     assert_eq!(server.stats().totals.disconnects, 2);
+    // Bob's detach frees the pool again, so the next check exercises the
+    // token validation, not the slot count.
     drop(bob);
-    // Wait out bob's detach too, so the pool has a free slot again and the
-    // next check exercises the token validation, not the slot count.
-    barrier(&server);
     assert_eq!(server.stats().live_sessions, 0);
 
     // Nobody can steal the parked session.
@@ -355,8 +339,8 @@ fn per_tenant_stats_roll_up_into_pool_totals() {
     }
     let b_token = b.disconnect().expect("disconnect b");
 
-    // `finish` and `disconnect` return once the pump has drained
-    // everything queued before them.
+    // `finish` and `disconnect` run on this thread: they return with
+    // everything sent before them counted.
     let stats = server.stats();
     assert_eq!(stats.totals.windows, 26);
     assert!(
@@ -427,24 +411,19 @@ fn shutdown_fails_open_sessions_and_refuses_connects() {
 /// A config with a zero bound is rejected up front.
 #[test]
 fn zero_bounds_are_rejected() {
-    for cfg in [
-        StreamServerConfig::new(stream_cfg()).with_max_sessions(0),
-        StreamServerConfig::new(stream_cfg()).with_inbound_chunks(0),
-        StreamServerConfig::new(stream_cfg()).with_quantum(0),
-    ] {
-        let err = StreamServer::start(mock_engine(), cfg).unwrap_err();
-        assert!(matches!(err, ServeError::BadRequest(_)), "got {err:?}");
-    }
+    let cfg = StreamServerConfig::new(stream_cfg()).with_max_sessions(0);
+    let err = StreamServer::start(mock_engine(), cfg).unwrap_err();
+    assert!(matches!(err, ServeError::BadRequest(_)), "got {err:?}");
 }
 
 /// Satellite: a per-session latency budget flags a violating session
-/// exactly once (not once per scheduling round), the flag lands in the
+/// exactly once (not once per window), the flag lands in the
 /// pool's `slo_violations` rollup, and a per-session override via
 /// `SessionOptions::with_slo` takes precedence over the server default.
 #[test]
 fn slo_violation_flags_once_and_respects_per_session_override() {
-    // A zero budget is unmeetable: any round with recorded stage latency
-    // violates it. `slo_evict` stays off, so the session keeps streaming.
+    // A zero budget is unmeetable: any recorded stage latency violates
+    // it. `slo_evict` stays off, so the session keeps streaming.
     let server = StreamServer::start(
         mock_engine(),
         StreamServerConfig::new(stream_cfg()).with_slo(LatencyBudget::new(Duration::ZERO)),
@@ -512,7 +491,7 @@ fn slo_eviction_parks_a_resumable_session() {
     );
 
     // The parked checkpoint resumes — and because its stage recorder came
-    // back with it, the very next round re-evaluates the (still zero)
+    // back with it, the very next push re-evaluates the (still zero)
     // budget against real history and evicts again.
     let resumed = server.resume("hog", token).expect("resume");
     // Not an error if the eviction has already won the race.
@@ -582,10 +561,9 @@ fn sessions_select_zoo_models_and_zoo_stats_roll_up() {
 
 /// Tentpole: a window's decision reaches a client that sends nothing more.
 /// Exactly one window's samples go in; the backend is held at its gate, so
-/// the window is in flight when the pump goes back to sleep. Opening the
-/// gate is then the only thing that happens — and the completion alone
-/// must carry the `Started` event to `wait_events`. (It used to wait for
-/// the session's next chunk, or for `finish`.)
+/// the window is in flight when `send` returns. Opening the gate is then
+/// the only thing that happens — and the completion alone must wake
+/// `wait_events` to absorb the window and return its `Started` event.
 #[test]
 fn a_served_window_reaches_a_client_that_has_gone_silent() {
     let (backend, gate, entered) = common::gated(MockBackend);
@@ -614,6 +592,61 @@ fn a_served_window_reaches_a_client_that_has_gone_silent() {
     );
     // The stream is still open and idle: a bounded wait comes back empty.
     assert_eq!(handle.wait_events(Duration::from_millis(1)), Ok(Vec::new()));
+}
+
+/// `MockBackend` that records the thread of every call it serves.
+struct ThreadRecorder(Arc<Mutex<Vec<ThreadId>>>);
+
+impl GestureClassifier for ThreadRecorder {
+    fn predict_batch(&self, windows: &Tensor) -> Tensor {
+        self.0.lock().unwrap().push(std::thread::current().id());
+        MockBackend.predict_batch(windows)
+    }
+
+    fn num_classes(&self) -> usize {
+        MockBackend.num_classes()
+    }
+
+    fn name(&self) -> &str {
+        "thread-recorder"
+    }
+
+    fn input_shape(&self) -> Option<(usize, usize)> {
+        MockBackend.input_shape()
+    }
+}
+
+/// Tentpole: a session's data path runs on its caller's thread. Behind an
+/// inline engine, every window of a chunk is served inside `send`, on the
+/// sending thread, and the chunk's events are published by the time `send`
+/// returns — no other thread takes part, so there is nothing to wait for.
+#[test]
+fn a_send_serves_its_windows_on_the_callers_thread() {
+    let calls = Arc::new(Mutex::new(Vec::new()));
+    let engine: Arc<dyn Engine> = Arc::new(InferenceEngine::new(Box::new(ThreadRecorder(
+        Arc::clone(&calls),
+    ))));
+    let server =
+        StreamServer::start(engine, StreamServerConfig::new(stream_cfg())).expect("server");
+    let stream = signal(9, 4321);
+    let handle = server.connect("caller").expect("connect");
+    handle.send(&stream).expect("send");
+
+    let calls = calls.lock().unwrap().clone();
+    assert_eq!(calls.len(), 9, "one predict call per window");
+    let me = std::thread::current().id();
+    assert!(
+        calls.iter().all(|&id| id == me),
+        "every window was served on the sending thread"
+    );
+    let mut alone = StreamSession::new(mock_engine(), stream_cfg()).expect("reference session");
+    let expect = alone.push_samples(&stream).expect("reference push");
+    assert!(!expect.is_empty(), "the chunk decides something");
+    assert_eq!(
+        handle.poll_events().expect("poll"),
+        expect,
+        "the chunk's events are published when send returns"
+    );
 }
 
 /// Idle eviction racing a completion: one window is in flight behind the
