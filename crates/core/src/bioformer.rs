@@ -9,7 +9,10 @@
 //! The head reads the class row alone, so the inference forward computes
 //! nothing else it would discard: the patch GEMM writes token-major rows
 //! directly, and the last block produces only the class row (its keys and
-//! values still cover every token).
+//! values still cover every token). The training step does the same: the
+//! last block trains its class row alone, and the patch conv computes no
+//! gradient for the input windows. The trained weights are bit-identical
+//! to the full-row step's.
 
 use crate::config::BioformerConfig;
 use crate::descriptor::bioformer_descriptor;
@@ -259,17 +262,6 @@ impl Bioformer {
         arena.recycle(normed);
         logits
     }
-
-    /// Extracts the class-token rows `[B, E]` from `[B, S, E]`.
-    fn class_rows(tokens: &Tensor) -> Tensor {
-        let (b, s, e) = (tokens.dims()[0], tokens.dims()[1], tokens.dims()[2]);
-        let mut out = Tensor::zeros(&[b, e]);
-        for bi in 0..b {
-            out.data_mut()[bi * e..(bi + 1) * e]
-                .copy_from_slice(&tokens.data()[(bi * s + s - 1) * e..(bi * s + s) * e]);
-        }
-        out
-    }
 }
 
 impl InferForward for Bioformer {
@@ -352,10 +344,14 @@ impl Model for Bioformer {
         }
         let conv_out = self.patch.forward(x, true);
         let mut tokens = self.tokenize(&conv_out);
-        for blk in &mut self.blocks {
+        let (last, earlier) = self
+            .blocks
+            .split_last_mut()
+            .expect("a validated config has depth ≥ 1");
+        for blk in earlier {
             tokens = blk.forward(&tokens, true);
         }
-        let cls = Self::class_rows(&tokens);
+        let cls = last.forward_last_token(&tokens);
         let normed = self.ln_final.forward(&cls, true);
         let logits = self.head.forward(&normed, true);
         self.fwd_batch = Some(x.dims()[0]);
@@ -366,21 +362,23 @@ impl Model for Bioformer {
         let batch = self
             .fwd_batch
             .expect("Bioformer: backward before training-mode forward");
-        let (s, e) = (self.cfg.seq_len(), self.cfg.embed);
         let dnormed = self.head.backward(dlogits);
         let dcls_rows = self.ln_final.backward(&dnormed);
-        // Scatter class-row gradients into an otherwise-zero token grad.
-        let mut dtokens = Tensor::zeros(&[batch, s, e]);
-        for bi in 0..batch {
-            dtokens.data_mut()[(bi * s + s - 1) * e..(bi * s + s) * e]
-                .copy_from_slice(&dcls_rows.data()[bi * e..(bi + 1) * e]);
-        }
-        for blk in self.blocks.iter_mut().rev() {
+        assert_eq!(dcls_rows.dims()[0], batch, "Bioformer: batch mismatch");
+        // The last block takes the class rows' gradient alone (the other
+        // rows' is zero) and returns every token's.
+        let (last, earlier) = self
+            .blocks
+            .split_last_mut()
+            .expect("a validated config has depth ≥ 1");
+        let mut dtokens = last.backward(&dcls_rows);
+        for blk in earlier.iter_mut().rev() {
             dtokens = blk.backward(&dtokens);
         }
         let (dconv, dcls_token) = self.detokenize_grad(&dtokens);
         self.class_token.accumulate(&dcls_token);
-        let _ = self.patch.backward(&dconv);
+        // The input windows need no gradient.
+        self.patch.backward_weights(&dconv);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -391,6 +389,16 @@ impl Model for Bioformer {
         }
         self.ln_final.visit_params(f);
         self.head.visit_params(f);
+    }
+
+    fn sync_from(&mut self, src: &Self) {
+        self.patch.sync_from(&src.patch);
+        self.class_token.sync_from(&src.class_token);
+        for (blk, src_blk) in self.blocks.iter_mut().zip(&src.blocks) {
+            blk.sync_from(src_blk);
+        }
+        self.ln_final.sync_from(&src.ln_final);
+        self.head.sync_from(&src.head);
     }
 
     fn clear_cache(&mut self) {
@@ -554,6 +562,24 @@ mod tests {
         let eval = m.forward(&x, false);
         let infer = (&m as &Bioformer).forward_infer(&x);
         assert!(infer.allclose(&eval, 0.0), "infer path diverges from eval");
+    }
+
+    /// Without dropout the class-row training forward computes the eval
+    /// forward's logits bit for bit (bio2: one full-row block, then the
+    /// class-row one).
+    #[test]
+    fn training_forward_logits_equal_the_eval_forward() {
+        for cfg in [small_cfg(), BioformerConfig::bio2().with_seed(3)] {
+            let cfg = BioformerConfig {
+                dropout: 0.0,
+                ..cfg
+            };
+            let mut m = Bioformer::new(&cfg);
+            let x = filled(&[3, cfg.channels, cfg.window], 8);
+            let train = m.forward(&x, true);
+            let eval = m.forward(&x, false);
+            assert_eq!(train, eval, "depth {}", cfg.depth);
+        }
     }
 
     #[test]

@@ -19,7 +19,10 @@ impl Gelu {
     /// Forward pass (any shape).
     pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         if train {
-            self.cached_input = Some(x.clone());
+            // Refresh the previous step's cache in place.
+            self.cached_input
+                .get_or_insert_with(|| Tensor::zeros(&[0]))
+                .clone_from(x);
         }
         self.forward_infer(x)
     }
@@ -49,7 +52,7 @@ impl Gelu {
             .cached_input
             .as_ref()
             .expect("Gelu: backward before forward");
-        dy.zip_with(&x.map(ops::gelu_grad), |g, d| g * d)
+        dy.zip_with(x, |g, xv| g * ops::gelu_grad(xv))
     }
 
     /// Drops the forward cache.

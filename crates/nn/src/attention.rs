@@ -8,9 +8,11 @@
 
 use crate::linear::{FusedActivation, Linear};
 use crate::param::Param;
+use crate::scratch::TrainScratch;
 use bioformer_tensor::backend::{default_backend, ComputeBackend};
-use bioformer_tensor::ops::{softmax_rows, softmax_rows_backward, softmax_rows_slice};
-use bioformer_tensor::pack::{pack_b_strided, pack_b_t_strided, packed_len, Epilogue};
+use bioformer_tensor::matmul::matmul_tn_into;
+use bioformer_tensor::ops::{softmax_rows_backward_slice, softmax_rows_slice};
+use bioformer_tensor::pack::{gemm_packed, pack_b_strided, pack_b_t_strided, packed_len, Epilogue};
 use bioformer_tensor::{Tensor, TensorArena};
 use rand::Rng;
 use std::sync::Arc;
@@ -26,6 +28,9 @@ pub struct MultiHeadSelfAttention {
     heads: usize,
     head_dim: usize,
     cache: Option<AttnCache>,
+    /// Per-head packed panels, gathered heads and products of the training
+    /// step.
+    scratch: TrainScratch,
     /// Backend for the per-head score/AV GEMMs (the projections route
     /// through their own [`Linear`] layers' backends).
     backend: Arc<dyn ComputeBackend>,
@@ -35,12 +40,15 @@ pub struct MultiHeadSelfAttention {
 struct AttnCache {
     batch: usize,
     seq: usize,
+    rows: QueryRows,
+    /// Queries of the selected rows, `[batch·q, heads·head_dim]`.
     q: Tensor,
+    /// Keys and values of every row, `[batch·seq, heads·head_dim]`.
     k: Tensor,
     v: Tensor,
-    /// Softmax outputs, one `[seq, seq]` matrix per `(batch, head)` pair,
-    /// indexed `b * heads + h`.
-    attn: Vec<Tensor>,
+    /// Softmax outputs, one `[q, seq]` block per `(batch, head)` pair at
+    /// block `b * heads + h`; drawn from the scratch.
+    probs: Vec<f32>,
 }
 
 /// Which query rows an inference forward produces. Keys and values cover
@@ -100,6 +108,7 @@ impl MultiHeadSelfAttention {
             heads,
             head_dim,
             cache: None,
+            scratch: TrainScratch::default(),
             backend: default_backend(),
         }
     }
@@ -134,23 +143,6 @@ impl MultiHeadSelfAttention {
         self.wq.num_params() + self.wk.num_params() + self.wv.num_params() + self.wo.num_params()
     }
 
-    /// Extracts head `h` of sample `b` from a `[batch·seq, heads·head_dim]`
-    /// projection into a dense `[seq, head_dim]` matrix.
-    fn head_slice(&self, proj: &Tensor, b: usize, h: usize, seq: usize) -> Tensor {
-        let (inner, p) = (self.heads * self.head_dim, self.head_dim);
-        let mut out = Tensor::zeros(&[seq, p]);
-        let sample = &proj.data()[b * seq * inner..(b + 1) * seq * inner];
-        gather_cols(sample, inner, h * p, p, out.data_mut());
-        out
-    }
-
-    /// Scatters a `[seq, head_dim]` matrix back into head `h` of sample `b`.
-    fn head_scatter(&self, dst: &mut Tensor, src: &Tensor, b: usize, h: usize, seq: usize) {
-        let (inner, p) = (self.heads * self.head_dim, self.head_dim);
-        let sample = &mut dst.data_mut()[b * seq * inner..(b + 1) * seq * inner];
-        scatter_cols(src.data(), p, sample, inner, h * p);
-    }
-
     /// Forward pass over `[batch, seq, embed]`.
     ///
     /// # Panics
@@ -161,42 +153,106 @@ impl MultiHeadSelfAttention {
             return self.forward_infer(x);
         }
         assert_eq!(x.shape().rank(), 3, "MHSA: input must be [B, S, C]");
-        let (batch, seq, embed) = (x.dims()[0], x.dims()[1], x.dims()[2]);
+        let (batch, seq) = (x.dims()[0], x.dims()[1]);
+        let mut y = self.forward_rows(x, QueryRows::All);
+        y.reshape_in_place(&[batch, seq, self.embed]);
+        y
+    }
+
+    /// The training forward for the query rows `rows` selects, over `x`
+    /// (`[batch, seq, embed]`, or its `[batch·seq, embed]` row view):
+    /// returns `[batch·q, embed]` with `q = rows.per_sample(seq)` rows per
+    /// sample, and caches what [`MultiHeadSelfAttention::backward_rows`]
+    /// reads.
+    ///
+    /// Keys and values cover every row; queries, scores, softmax, `A·V`
+    /// and `Wo` run for the selected rows only. Each head's keys and
+    /// values are packed straight out of the strided projections, and the
+    /// per-head products run the dispatched tile into scratch buffers, so
+    /// every kept element is the chain the full-row pass computes for it.
+    pub(crate) fn forward_rows(&mut self, x: &Tensor, rows: QueryRows) -> Tensor {
+        let embed = *x.dims().last().expect("MHSA: empty input shape");
         assert_eq!(embed, self.embed, "MHSA: embedding width mismatch");
-        let rows = batch * seq;
-        let x2 = x.reshape(&[rows, embed]);
+        let seq = x.dims()[x.shape().rank() - 2];
+        let batch = x.len() / (seq * embed);
+        let (inner, p, s) = (self.heads * self.head_dim, self.head_dim, seq);
+        let qs = rows.per_sample(s);
+        let scale = 1.0 / (p as f32).sqrt();
 
-        let q = self.wq.forward(&x2, true);
-        let k = self.wk.forward(&x2, true);
-        let v = self.wv.forward(&x2, true);
+        let k = self.wk.forward_rows(x.data(), batch * s);
+        let v = self.wv.forward_rows(x.data(), batch * s);
+        let q = match rows {
+            QueryRows::All => self.wq.forward_rows(x.data(), batch * s),
+            QueryRows::Last => {
+                let mut xq = self.scratch.alloc(batch * embed);
+                for (dst, sample) in xq.chunks_mut(embed).zip(x.data().chunks(s * embed)) {
+                    dst.copy_from_slice(&sample[(s - 1) * embed..]);
+                }
+                let q = self.wq.forward_rows(&xq, batch);
+                self.scratch.recycle_vec(xq);
+                q
+            }
+        };
 
-        let inner = self.heads * self.head_dim;
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let mut concat = Tensor::zeros(&[rows, inner]);
-        let mut attn_cache = Vec::with_capacity(batch * self.heads);
+        let arena = &mut *self.scratch;
+        let mut probs = arena.alloc(batch * self.heads * qs * s);
+        let mut concat = arena.alloc(batch * qs * inner);
+        let mut k_packed = arena.alloc(packed_len(p, s));
+        let mut v_packed = arena.alloc(packed_len(s, p));
+        let strided = qs > 1;
+        let (mut qh, mut oh) = if strided {
+            (arena.alloc(qs * p), arena.alloc(qs * p))
+        } else {
+            (Vec::new(), Vec::new())
+        };
         for b in 0..batch {
+            let kv = b * s * inner;
+            let q_rows = &q.data()[b * qs * inner..(b + 1) * qs * inner];
+            let dst = &mut concat[b * qs * inner..(b + 1) * qs * inner];
             for h in 0..self.heads {
-                let qh = self.head_slice(&q, b, h, seq);
-                let kh = self.head_slice(&k, b, h, seq);
-                let vh = self.head_slice(&v, b, h, seq);
-                let mut scores = qh.matmul_nt(&kh);
-                scores.scale_in_place(scale);
-                let a = softmax_rows(&scores);
-                let oh = a.matmul(&vh);
-                self.head_scatter(&mut concat, &oh, b, h, seq);
-                attn_cache.push(a);
+                let col = h * p;
+                pack_b_t_strided(&k.data()[kv + col..], inner, s, p, &mut k_packed);
+                pack_b_strided(&v.data()[kv + col..], inner, s, p, &mut v_packed);
+                let qa: &[f32] = if strided {
+                    gather_cols(q_rows, inner, col, p, &mut qh);
+                    &qh
+                } else {
+                    &q_rows[col..col + p]
+                };
+                let a = &mut probs[(b * self.heads + h) * qs * s..][..qs * s];
+                // A = softmax(Q·Kᵀ · scale)
+                gemm_packed(qa, qs, p, &k_packed, s, a, Epilogue::Scale(scale));
+                softmax_rows_slice(a, s);
+                // O = A·V, into head h's columns of concat.
+                let av = if strided {
+                    &mut oh[..]
+                } else {
+                    &mut dst[col..col + p]
+                };
+                gemm_packed(a, qs, s, &v_packed, p, av, Epilogue::None);
+                if strided {
+                    scatter_cols(&oh, p, dst, inner, col);
+                }
             }
         }
-        let y2 = self.wo.forward(&concat, true);
+        for buf in [qh, oh, k_packed, v_packed] {
+            arena.recycle_vec(buf);
+        }
+        let y = self.wo.forward_rows(&concat, batch * qs);
+        self.scratch.recycle_vec(concat);
+        if let Some(old) = self.cache.take() {
+            self.scratch.recycle_vec(old.probs);
+        }
         self.cache = Some(AttnCache {
             batch,
             seq,
+            rows,
             q,
             k,
             v,
-            attn: attn_cache,
+            probs,
         });
-        y2.reshape(&[batch, seq, embed])
+        y
     }
 
     /// Inference-only forward over `[batch, seq, embed]` through `&self`:
@@ -337,49 +393,124 @@ impl MultiHeadSelfAttention {
     ///
     /// Panics if called before a training-mode forward pass.
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let cache = self
+        let mut dy2 = dy.clone();
+        dy2.reshape_in_place(&[dy.len() / self.embed, self.embed]);
+        let mut dx = self.backward_rows(&dy2);
+        dx.reshape_in_place(dy.dims());
+        dx
+    }
+
+    /// Backward of [`MultiHeadSelfAttention::forward_rows`]: `dy` is the
+    /// gradient of its `[batch·q, embed]` output; returns `dx` as
+    /// `[batch·seq, embed]`, every row (the keys and values read them all).
+    ///
+    /// With one query row per sample, each per-head product is the
+    /// full-row pass's for that row: the rows it drops carry zero gradient,
+    /// which adds nothing to an ascending-row sum ([`matmul_tn_into`]
+    /// skips zero multipliers, and a running sum from `+0` never sits at
+    /// `−0`). Their input gradient is the full pass's `+0 + dk·Wk + dv·Wv`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before a training-mode forward pass.
+    pub(crate) fn backward_rows(&mut self, dy: &Tensor) -> Tensor {
+        let AttnCache {
+            batch,
+            seq: s,
+            rows,
+            q,
+            k,
+            v,
+            probs,
+        } = self
             .cache
             .take()
             .expect("MHSA: backward before training-mode forward");
-        let (batch, seq) = (cache.batch, cache.seq);
-        let rows = batch * seq;
-        let inner = self.heads * self.head_dim;
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
+        let (inner, p) = (self.heads * self.head_dim, self.head_dim);
+        let qs = rows.per_sample(s);
+        let scale = 1.0 / (p as f32).sqrt();
 
-        let dy2 = dy.reshape(&[rows, self.embed]);
-        let dconcat = self.wo.backward(&dy2);
+        let dconcat = self.wo.backward(dy);
 
-        let mut dq = Tensor::zeros(&[rows, inner]);
-        let mut dk = Tensor::zeros(&[rows, inner]);
-        let mut dv = Tensor::zeros(&[rows, inner]);
+        let arena = &mut *self.scratch;
+        let mut dq = arena.tensor(&[batch * qs, inner]);
+        let mut dk = arena.tensor(&[batch * s, inner]);
+        let mut dv = arena.tensor(&[batch * s, inner]);
+        let mut vt_packed = arena.alloc(packed_len(p, s));
+        let mut k_packed = arena.alloc(packed_len(s, p));
+        let mut dz = arena.alloc(qs * s);
+        let mut dqh = arena.alloc(qs * p);
+        let mut dkh = arena.alloc(s * p);
+        let mut dvh = arena.alloc(s * p);
+        let strided = qs > 1;
+        let (mut doh_buf, mut qh_buf) = if strided {
+            (arena.alloc(qs * p), arena.alloc(qs * p))
+        } else {
+            (Vec::new(), Vec::new())
+        };
         for b in 0..batch {
+            let kv = b * s * inner;
+            let q_rows = &q.data()[b * qs * inner..(b + 1) * qs * inner];
+            let dq_rows = b * qs * inner..(b + 1) * qs * inner;
+            let dkv_rows = kv..kv + s * inner;
             for h in 0..self.heads {
-                let a = &cache.attn[b * self.heads + h];
-                let doh = self.head_slice(&dconcat, b, h, seq);
-                let qh = self.head_slice(&cache.q, b, h, seq);
-                let kh = self.head_slice(&cache.k, b, h, seq);
-                let vh = self.head_slice(&cache.v, b, h, seq);
-
-                // O = A·V
-                let da = doh.matmul_nt(&vh); // [S,S]
-                let dvh = a.matmul_tn(&doh); // [S,P]
-                                             // A = softmax(Z), Z = Q·Kᵀ·scale
-                let dz = softmax_rows_backward(a, &da); // [S,S]
-                let mut dqh = dz.matmul(&kh); // [S,P]
-                dqh.scale_in_place(scale);
-                let mut dkh = dz.matmul_tn(&qh); // dZᵀ·Q = (S,S)ᵀ·(S,P)
-                dkh.scale_in_place(scale);
-
-                self.head_scatter(&mut dq, &dqh, b, h, seq);
-                self.head_scatter(&mut dk, &dkh, b, h, seq);
-                self.head_scatter(&mut dv, &dvh, b, h, seq);
+                let col = h * p;
+                let a = &probs[(b * self.heads + h) * qs * s..][..qs * s];
+                let d_rows = &dconcat.data()[dq_rows.clone()];
+                let (doh, qh): (&[f32], &[f32]) = if strided {
+                    gather_cols(d_rows, inner, col, p, &mut doh_buf);
+                    gather_cols(q_rows, inner, col, p, &mut qh_buf);
+                    (&doh_buf, &qh_buf)
+                } else {
+                    (&d_rows[col..col + p], &q_rows[col..col + p])
+                };
+                // O = A·V: dA = dO·Vᵀ, dV = Aᵀ·dO.
+                pack_b_t_strided(&v.data()[kv + col..], inner, s, p, &mut vt_packed);
+                gemm_packed(doh, qs, p, &vt_packed, s, &mut dz, Epilogue::None);
+                matmul_tn_into(a, qs, s, doh, p, &mut dvh);
+                // A = softmax(Z), Z = Q·Kᵀ·scale.
+                softmax_rows_backward_slice(a, &mut dz, s);
+                pack_b_strided(&k.data()[kv + col..], inner, s, p, &mut k_packed);
+                gemm_packed(&dz, qs, s, &k_packed, p, &mut dqh, Epilogue::Scale(scale));
+                matmul_tn_into(&dz, qs, s, qh, p, &mut dkh);
+                for g in &mut dkh {
+                    *g *= scale;
+                }
+                scatter_cols(&dqh, p, &mut dq.data_mut()[dq_rows.clone()], inner, col);
+                scatter_cols(&dkh, p, &mut dk.data_mut()[dkv_rows.clone()], inner, col);
+                scatter_cols(&dvh, p, &mut dv.data_mut()[dkv_rows.clone()], inner, col);
             }
         }
+        for buf in [
+            vt_packed, k_packed, dz, dqh, dkh, dvh, doh_buf, qh_buf, probs,
+        ] {
+            arena.recycle_vec(buf);
+        }
 
-        let mut dx2 = self.wq.backward(&dq);
-        dx2.add_assign(&self.wk.backward(&dk));
-        dx2.add_assign(&self.wv.backward(&dv));
-        dx2.reshape(&[batch, seq, self.embed])
+        let dxq = self.wq.backward(&dq);
+        let mut dx = self.wk.backward(&dk);
+        // dx = dq·Wq + dk·Wk + dv·Wv, added in that order; a row without a
+        // query adds the `+0` the full-row pass's zero query gradient gives
+        // (not a no-op: it turns a −0 into +0, as that sum does).
+        let e = self.embed;
+        for (r, row) in dx.data_mut().chunks_mut(e).enumerate() {
+            let (b, t) = (r / s, r % s);
+            if t + qs >= s {
+                let qr = b * qs + t + qs - s;
+                for (d, &g) in row.iter_mut().zip(&dxq.data()[qr * e..(qr + 1) * e]) {
+                    *d += g;
+                }
+            } else {
+                for d in row.iter_mut() {
+                    *d += 0.0;
+                }
+            }
+        }
+        dx.add_assign(&self.wv.backward(&dv));
+        for t in [dq, dk, dv] {
+            self.scratch.recycle(t);
+        }
+        dx
     }
 
     /// Visits the projection parameters in deterministic order
@@ -391,9 +522,19 @@ impl MultiHeadSelfAttention {
         self.wo.visit_params(f);
     }
 
+    /// Copies `src`'s projection weights into this layer in place (a
+    /// training replica catching up with its primary).
+    pub(crate) fn sync_from(&mut self, src: &MultiHeadSelfAttention) {
+        self.wq.sync_from(&src.wq);
+        self.wk.sync_from(&src.wk);
+        self.wv.sync_from(&src.wv);
+        self.wo.sync_from(&src.wo);
+    }
+
     /// Drops all forward caches.
     pub fn clear_cache(&mut self) {
         self.cache = None;
+        self.scratch = TrainScratch::default();
         self.wq.clear_cache();
         self.wk.clear_cache();
         self.wv.clear_cache();

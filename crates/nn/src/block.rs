@@ -30,7 +30,8 @@ pub struct TransformerBlock {
     fc2: Linear,
     drop_ffn: Dropout,
     embed: usize,
-    fwd_shape: Option<(usize, usize)>,
+    /// `(batch, seq, rows)` of the last training forward.
+    fwd_shape: Option<(usize, usize, QueryRows)>,
 }
 
 impl TransformerBlock {
@@ -97,29 +98,71 @@ impl TransformerBlock {
         if !train {
             return self.forward_infer(x);
         }
+        let mut out = self.forward_rows(x, QueryRows::All);
+        out.reshape_in_place(x.dims());
+        out
+    }
+
+    /// Training forward for each sample's last token only — the class
+    /// token a ViT-style head reads: `[batch, embed]`, bit-identical to the
+    /// last row of every sample of `forward(x, true)`, with the dropout
+    /// streams advanced exactly as that pass advances them. LN₁ and the
+    /// key/value projections run over every token; everything after runs
+    /// for one row per sample, forward and in [`TransformerBlock::backward`],
+    /// which then takes the gradient as `[batch, embed]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on embedding-width mismatch.
+    pub fn forward_last_token(&mut self, x: &Tensor) -> Tensor {
+        self.forward_rows(x, QueryRows::Last)
+    }
+
+    /// The one training body, for the query rows `rows` selects: returns
+    /// `[batch·q, embed]` with `q = rows.per_sample(seq)` rows per sample.
+    fn forward_rows(&mut self, x: &Tensor, rows: QueryRows) -> Tensor {
+        assert_eq!(
+            x.shape().rank(),
+            3,
+            "TransformerBlock: input must be [B, S, C]"
+        );
         let (batch, seq, embed) = (x.dims()[0], x.dims()[1], x.dims()[2]);
         assert_eq!(embed, self.embed, "TransformerBlock: width mismatch");
-        let rows = batch * seq;
-        let x2 = x.reshape(&[rows, embed]);
+        let qs = rows.per_sample(seq);
 
         // Attention branch.
-        let a = self.ln1.forward(&x2, true);
-        let a3 = a.reshape(&[batch, seq, embed]);
-        let at = self.attn.forward(&a3, true);
-        let at2 = at.reshape(&[rows, embed]);
-        let at2 = self.drop_attn.forward(&at2, true);
-        let r1 = x2.add(&at2);
+        let a = self.ln1.forward(x, true);
+        let at = self.attn.forward_rows(&a, rows);
+        let at = match rows {
+            QueryRows::All => self.drop_attn.forward(&at, true),
+            QueryRows::Last => self.drop_attn.forward_last_rows(&at, seq),
+        };
+        // r1 = x + attn_out over the query rows.
+        let mut r1 = at;
+        for (r, sample) in r1
+            .data_mut()
+            .chunks_mut(qs * embed)
+            .zip(x.data().chunks(seq * embed))
+        {
+            for (o, &xv) in r.iter_mut().zip(&sample[(seq - qs) * embed..]) {
+                *o += xv;
+            }
+        }
 
         // FFN branch.
         let f = self.ln2.forward(&r1, true);
         let f = self.fc1.forward(&f, true);
         let f = self.gelu.forward(&f, true);
         let f = self.fc2.forward(&f, true);
-        let f = self.drop_ffn.forward(&f, true);
-        let out = r1.add(&f);
+        let f = match rows {
+            QueryRows::All => self.drop_ffn.forward(&f, true),
+            QueryRows::Last => self.drop_ffn.forward_last_rows(&f, seq),
+        };
+        let mut out = r1;
+        out.add_assign(&f);
 
-        self.fwd_shape = Some((batch, seq));
-        out.reshape(&[batch, seq, embed])
+        self.fwd_shape = Some((batch, seq, rows));
+        out
     }
 
     /// Inference-only forward over `[batch, seq, embed]` through `&self`:
@@ -215,17 +258,22 @@ impl TransformerBlock {
         out
     }
 
-    /// Backward pass; returns `dx` of shape `[batch, seq, embed]`.
+    /// Backward pass; returns `dx` of shape `[batch, seq, embed]`. After
+    /// [`TransformerBlock::forward_last_token`], `dy` is the `[batch,
+    /// embed]` gradient of the class rows; the other rows' output gradient
+    /// is zero, and `dx` is bit-identical to the full-row backward of that
+    /// zero-padded gradient.
     ///
     /// # Panics
     ///
     /// Panics if called before a training-mode forward pass.
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let (batch, seq) = self
+        let (batch, seq, rows) = self
             .fwd_shape
             .expect("TransformerBlock: backward before forward");
-        let rows = batch * seq;
-        let d = dy.reshape(&[rows, self.embed]);
+        let qs = rows.per_sample(seq);
+        let mut d = dy.clone();
+        d.reshape_in_place(&[batch * qs, self.embed]);
 
         // FFN branch (residual: gradient flows both through the branch and
         // directly to r1).
@@ -234,18 +282,32 @@ impl TransformerBlock {
         let df = self.gelu.backward(&df);
         let df = self.fc1.backward(&df);
         let df = self.ln2.backward(&df);
-        let mut dr1 = d.clone();
+        let mut dr1 = d;
         dr1.add_assign(&df);
 
         // Attention branch.
         let dat = self.drop_attn.backward(&dr1);
-        let dat3 = dat.reshape(&[batch, seq, self.embed]);
-        let da3 = self.attn.backward(&dat3);
-        let da2 = da3.reshape(&[rows, self.embed]);
-        let da2 = self.ln1.backward(&da2);
-        let mut dx = dr1;
-        dx.add_assign(&da2);
-        dx.reshape(&[batch, seq, self.embed])
+        let da = self.attn.backward_rows(&dat);
+        let mut dx = self.ln1.backward(&da);
+        // dx = dr1 + da; a row outside the query rows adds the `+0`
+        // residual gradient of the full-row pass (not a no-op: it turns a
+        // −0 into +0, as that sum does).
+        let e = self.embed;
+        for (r, row) in dx.data_mut().chunks_mut(e).enumerate() {
+            let (b, t) = (r / seq, r % seq);
+            if t + qs >= seq {
+                let qr = b * qs + t + qs - seq;
+                for (o, &g) in row.iter_mut().zip(&dr1.data()[qr * e..(qr + 1) * e]) {
+                    *o += g;
+                }
+            } else {
+                for o in row.iter_mut() {
+                    *o += 0.0;
+                }
+            }
+        }
+        dx.reshape_in_place(&[batch, seq, e]);
+        dx
     }
 
     /// Visits all parameters in deterministic order.
@@ -255,6 +317,18 @@ impl TransformerBlock {
         self.ln2.visit_params(f);
         self.fc1.visit_params(f);
         self.fc2.visit_params(f);
+    }
+
+    /// Copies `src`'s weights and dropout stream states into this block in
+    /// place (a training replica catching up with its primary).
+    pub fn sync_from(&mut self, src: &TransformerBlock) {
+        self.ln1.sync_from(&src.ln1);
+        self.attn.sync_from(&src.attn);
+        self.drop_attn.sync_from(&src.drop_attn);
+        self.ln2.sync_from(&src.ln2);
+        self.fc1.sync_from(&src.fc1);
+        self.fc2.sync_from(&src.fc2);
+        self.drop_ffn.sync_from(&src.drop_ffn);
     }
 
     /// Drops all forward caches.
@@ -324,6 +398,52 @@ mod tests {
                 "dx[{idx}] fd={num} got={}",
                 dx.data()[idx]
             );
+        }
+    }
+
+    /// The class-row training step is the full-row step with the other
+    /// rows' output gradient zero, bit for bit: the class rows' outputs,
+    /// every input gradient, every parameter gradient and both dropout
+    /// streams' next draws.
+    #[test]
+    fn last_token_step_equals_the_full_row_step_bit_for_bit() {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let grads = |b: &mut TransformerBlock| {
+            let mut g = Vec::new();
+            b.visit_params(&mut |p| g.extend(p.grad.data().iter().map(|v| v.to_bits())));
+            g
+        };
+        for (embed, heads, p, hidden, seq) in [(16, 2, 8, 32, 7), (12, 3, 5, 20, 1)] {
+            let mut rng = StdRng::seed_from_u64(21);
+            let mut full = TransformerBlock::new("b", embed, heads, p, hidden, 0.2, &mut rng);
+            let mut last = full.clone();
+            let (batch, e) = (3, embed);
+            let x = filled(&[batch, seq, e], 22);
+            let dcls = filled(&[batch, e], 23);
+            let mut dy = Tensor::zeros(&[batch, seq, e]);
+            for b in 0..batch {
+                dy.data_mut()[((b + 1) * seq - 1) * e..(b + 1) * seq * e]
+                    .copy_from_slice(&dcls.data()[b * e..(b + 1) * e]);
+            }
+
+            let y = full.forward(&x, true);
+            let dx_full = full.backward(&dy);
+            let y_last = last.forward_last_token(&x);
+            let dx_last = last.backward(&dcls);
+
+            for b in 0..batch {
+                assert_eq!(
+                    bits(&y_last)[b * e..(b + 1) * e],
+                    bits(&y)[((b + 1) * seq - 1) * e..(b + 1) * seq * e],
+                    "class row {b} of seq {seq}"
+                );
+            }
+            assert_eq!(bits(&dx_last), bits(&dx_full), "dx at seq {seq}");
+            assert_eq!(grads(&mut last), grads(&mut full), "grads at seq {seq}");
+            // The streams stand where the full pass left them.
+            let again_full = full.forward(&x, true);
+            let again_last = last.forward(&x, true);
+            assert_eq!(bits(&again_last), bits(&again_full), "dropout streams");
         }
     }
 

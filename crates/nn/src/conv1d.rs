@@ -2,12 +2,13 @@
 
 use crate::init;
 use crate::param::Param;
+use crate::scratch::TrainScratch;
 use bioformer_tensor::backend::{default_backend, ComputeBackend};
 use bioformer_tensor::conv::{
-    conv1d_backward_input, conv1d_backward_params_cols, conv1d_forward_cols, im2col, im2col_into,
+    conv1d_backward_input, conv1d_backward_params_into, conv1d_forward_cols_into, im2col_into,
     Conv1dSpec,
 };
-use bioformer_tensor::pack::{Epilogue, PackedB};
+use bioformer_tensor::pack::{pack_b_t, packed_len, Epilogue, PackedB};
 use bioformer_tensor::{Tensor, TensorArena};
 use rand::Rng;
 use std::sync::{Arc, OnceLock};
@@ -29,9 +30,12 @@ pub struct Conv1d {
     in_channels: usize,
     out_channels: usize,
     kernel: usize,
-    /// Per-sample im2col matrices cached during a training forward pass
-    /// (reused for both weight and input gradients) plus the input length.
-    cached_cols: Option<(Vec<Tensor>, usize)>,
+    /// The batch's im2col rows, `[batch·out_len, in·kernel]`, cached
+    /// during a training forward pass (read by both weight and input
+    /// gradients) plus the input length.
+    cached_cols: Option<(Tensor, usize)>,
+    /// Packed weights and per-sample gradient blocks of the training step.
+    scratch: TrainScratch,
     /// Lazily-built packed image of the flattened weight for inference.
     packed: OnceLock<PackedB>,
     /// Compute backend the inference path routes its GEMMs through.
@@ -62,6 +66,7 @@ impl Conv1d {
             out_channels,
             kernel,
             cached_cols: None,
+            scratch: TrainScratch::default(),
             packed: OnceLock::new(),
             backend: default_backend(),
         }
@@ -142,18 +147,36 @@ impl Conv1d {
         let (b, c, len) = (x.dims()[0], x.dims()[1], x.dims()[2]);
         assert_eq!(c, self.in_channels, "Conv1d: channel mismatch");
         let out_len = self.out_len(len);
-        let mut y = Tensor::zeros(&[b, self.out_channels, out_len]);
-        let sample = c * len;
-        let out_sample = self.out_channels * out_len;
-        let mut cols_cache = Vec::with_capacity(b);
-        for i in 0..b {
-            let xi = Tensor::from_vec(x.data()[i * sample..(i + 1) * sample].to_vec(), &[c, len]);
-            let cols = im2col(&xi, self.kernel, self.spec);
-            let yi = conv1d_forward_cols(&cols, &self.weight.value, &self.bias.value);
-            y.data_mut()[i * out_sample..(i + 1) * out_sample].copy_from_slice(yi.data());
-            cols_cache.push(cols);
+        let (c_out, ck) = (self.out_channels, c * self.kernel);
+        // Lower the whole batch into the previous step's im2col buffer.
+        let mut cols = match self.cached_cols.take() {
+            Some((t, _)) if t.dims() == [b * out_len, ck] => t,
+            _ => Tensor::zeros(&[b * out_len, ck]),
+        };
+        for (xi, ci) in x
+            .data()
+            .chunks_exact(c * len)
+            .zip(cols.data_mut().chunks_exact_mut(out_len * ck))
+        {
+            im2col_into(xi, c, len, self.kernel, self.spec, ci);
         }
-        self.cached_cols = Some((cols_cache, len));
+        // The weights are packed once per batch, not once per sample.
+        let mut packed = self.scratch.alloc(packed_len(ck, c_out));
+        pack_b_t(self.weight.value.data(), c_out, ck, &mut packed);
+        let mut yt = self.scratch.alloc(b * out_len * c_out);
+        let mut y = Tensor::zeros(&[b, c_out, out_len]);
+        conv1d_forward_cols_into(
+            cols.data(),
+            out_len,
+            ck,
+            &packed,
+            self.bias.value.data(),
+            &mut yt,
+            y.data_mut(),
+        );
+        self.scratch.recycle_vec(packed);
+        self.scratch.recycle_vec(yt);
+        self.cached_cols = Some((cols, len));
         y
     }
 
@@ -269,34 +292,72 @@ impl Conv1d {
     ///
     /// Panics if called before a training-mode forward pass.
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let (cols_cache, len) = self
+        self.backward_weights(dy);
+        let (_, len) = self
+            .cached_cols
+            .as_ref()
+            .expect("checked by backward_weights");
+        let len = *len;
+        let (b, c) = (dy.dims()[0], self.in_channels);
+        let (out_c, out_len) = (dy.dims()[1], dy.dims()[2]);
+        let mut dx = Tensor::zeros(&[b, c, len]);
+        for (dyi, dxi) in dy
+            .data()
+            .chunks_exact(out_c * out_len)
+            .zip(dx.data_mut().chunks_exact_mut(c * len))
+        {
+            let dyi = Tensor::from_vec(dyi.to_vec(), &[out_c, out_len]);
+            dxi.copy_from_slice(
+                conv1d_backward_input(&dyi, &self.weight.value, self.spec, len).data(),
+            );
+        }
+        dx
+    }
+
+    /// The parameter half of [`Conv1d::backward`]: accumulates the weight
+    /// and bias gradients of `dy` (`[batch, out_channels, out_length]`),
+    /// sample by sample in batch order, and computes no input gradient — for
+    /// a first layer, whose input needs none (Bioformer's patch embedding).
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before a training-mode forward pass.
+    pub fn backward_weights(&mut self, dy: &Tensor) {
+        let (cols, _) = self
             .cached_cols
             .as_ref()
             .unwrap_or_else(|| panic!("Conv1d {}: backward before forward", self.weight.name));
-        let len = *len;
-        let b = cols_cache.len();
-        let c = self.in_channels;
-        let (out_c, out_len) = (dy.dims()[1], dy.dims()[2]);
-        assert_eq!(dy.dims()[0], b, "Conv1d backward: batch mismatch");
+        let (c_out, ck) = (self.out_channels, self.in_channels * self.kernel);
+        let (b, out_len) = (dy.dims()[0], dy.dims()[2]);
         assert_eq!(
-            out_c, self.out_channels,
-            "Conv1d backward: channel mismatch"
+            cols.dims()[0],
+            b * out_len,
+            "Conv1d backward: batch mismatch"
         );
-        let mut dx = Tensor::zeros(&[b, c, len]);
-        let sample = c * len;
-        let out_sample = out_c * out_len;
-        for (i, cols) in cols_cache.iter().enumerate() {
-            let dyi = Tensor::from_vec(
-                dy.data()[i * out_sample..(i + 1) * out_sample].to_vec(),
-                &[out_c, out_len],
-            );
-            let dxi = conv1d_backward_input(&dyi, &self.weight.value, self.spec, len);
-            let (dw, db) = conv1d_backward_params_cols(&dyi, cols, c, self.kernel);
-            self.weight.accumulate(&dw);
-            self.bias.accumulate(&db);
-            dx.data_mut()[i * sample..(i + 1) * sample].copy_from_slice(dxi.data());
+        assert_eq!(dy.dims()[1], c_out, "Conv1d backward: channel mismatch");
+        let mut dyt = self.scratch.alloc(out_len * c_out);
+        let mut dw = self.scratch.alloc(c_out * ck);
+        let mut db = self.scratch.alloc(c_out);
+        for (dyi, ci) in dy
+            .data()
+            .chunks_exact(c_out * out_len)
+            .zip(cols.data().chunks_exact(out_len * ck))
+        {
+            conv1d_backward_params_into(dyi, ci, &mut dyt, &mut dw, &mut db);
+            self.weight.accumulate_slice(&dw);
+            self.bias.accumulate_slice(&db);
         }
-        dx
+        for buf in [dyt, dw, db] {
+            self.scratch.recycle_vec(buf);
+        }
+    }
+
+    /// Copies `src`'s weights into this layer in place (a training replica
+    /// catching up with its primary).
+    pub fn sync_from(&mut self, src: &Conv1d) {
+        self.packed.take();
+        self.weight.sync_from(&src.weight);
+        self.bias.sync_from(&src.bias);
     }
 
     /// Visits the layer's parameters in deterministic order. The visitor
@@ -307,9 +368,10 @@ impl Conv1d {
         f(&mut self.bias);
     }
 
-    /// Drops the forward cache.
+    /// Drops the forward cache and the training scratch.
     pub fn clear_cache(&mut self) {
         self.cached_cols = None;
+        self.scratch = TrainScratch::default();
     }
 }
 
@@ -400,6 +462,23 @@ mod tests {
                 dw.data()[idx]
             );
         }
+    }
+
+    /// The weight-only backward accumulates exactly the parameter
+    /// gradients of the full one.
+    #[test]
+    fn weight_only_backward_matches_the_full_backward() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut full = Conv1d::new("c", 3, 5, 4, Conv1dSpec::patch(4), &mut rng);
+        let mut weights_only = full.clone();
+        let x = filled(&[3, 3, 24], 12);
+        let dy = filled(&[3, 5, 6], 13);
+        let _ = full.forward(&x, true);
+        let _ = full.backward(&dy);
+        let _ = weights_only.forward(&x, true);
+        weights_only.backward_weights(&dy);
+        assert_eq!(weights_only.weight.grad, full.weight.grad);
+        assert_eq!(weights_only.bias.grad, full.bias.grad);
     }
 
     #[test]

@@ -51,11 +51,46 @@ impl Dropout {
             self.cached_mask = None;
             return x.clone();
         }
+        self.masked(x, 1)
+    }
+
+    /// Training forward over the last row of every `seq`-row group of a
+    /// `[groups·seq, width]` tensor, given only those rows as `x`
+    /// (`[groups, width]`): the rows a class-token head reads. The stream
+    /// advances over the whole tensor, exactly as [`Dropout::forward`] on
+    /// it would, and each kept row gets the mask that pass would give it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not 2-D or `seq` is zero.
+    pub(crate) fn forward_last_rows(&mut self, x: &Tensor, seq: usize) -> Tensor {
+        assert_eq!(x.shape().rank(), 2, "dropout: rows must be [groups, width]");
+        assert!(seq > 0, "dropout: empty row groups");
+        if self.p == 0.0 {
+            self.cached_mask = None;
+            return x.clone();
+        }
+        self.masked(x, seq)
+    }
+
+    /// Draws a mask for `seq` rows per row of `x` (rows of `x`'s last-axis
+    /// width), keeps the last of each group and applies it. The mask is
+    /// drawn into the previous step's buffer.
+    fn masked(&mut self, x: &Tensor, seq: usize) -> Tensor {
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
-        let mut mask = Tensor::zeros(x.dims());
-        for m in mask.data_mut() {
-            *m = if self.next_f32() < keep { scale } else { 0.0 };
+        let width = x.dims().last().copied().unwrap_or(1).max(1);
+        let mut mask = match self.cached_mask.take() {
+            Some(m) if m.dims() == x.dims() => m,
+            _ => Tensor::zeros(x.dims()),
+        };
+        for row in mask.data_mut().chunks_mut(width) {
+            for _ in 0..(seq - 1) * width {
+                self.next_f32();
+            }
+            for m in row {
+                *m = if self.next_f32() < keep { scale } else { 0.0 };
+            }
         }
         let y = x.mul(&mask);
         self.cached_mask = Some(mask);
@@ -77,6 +112,13 @@ impl Dropout {
             Some(mask) => dy.mul(mask),
             None => dy.clone(),
         }
+    }
+
+    /// Copies `src`'s stream state into this layer (a training replica
+    /// catching up with its primary: its next mask is the one `src` would
+    /// draw).
+    pub(crate) fn sync_from(&mut self, src: &Dropout) {
+        self.state = src.state;
     }
 
     /// Drops the cached mask.
@@ -122,6 +164,26 @@ mod tests {
         for i in 0..64 {
             assert_eq!(y.data()[i] == 0.0, dx.data()[i] == 0.0);
         }
+    }
+
+    /// The class-row forward keeps exactly the full forward's masks for
+    /// the last row of each group, and leaves the stream where it would.
+    #[test]
+    fn last_rows_match_the_full_forward() {
+        let (seq, width) = (5, 3);
+        let mut full = Dropout::new(0.4, 9);
+        let mut last = full.clone();
+        let x = Tensor::from_fn(&[2 * seq, width], |i| i as f32 + 1.0);
+        let rows = Tensor::from_fn(&[2, width], |i| {
+            x.data()[((i / width) * seq + seq - 1) * width + i % width]
+        });
+        let y = full.forward(&x, true);
+        let got = last.forward_last_rows(&rows, seq);
+        for g in 0..2 {
+            let want = &y.data()[(g * seq + seq - 1) * width..(g * seq + seq) * width];
+            assert_eq!(&got.data()[g * width..(g + 1) * width], want);
+        }
+        assert_eq!(last.state, full.state, "stream position differs");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 
 use crate::param::Param;
 use bioformer_tensor::ops::{
-    layernorm_backward, layernorm_forward, layernorm_rows_into, LayerNormCache,
+    layernorm_backward, layernorm_forward, layernorm_rows_into, layernorm_train_into,
+    LayerNormCache,
 };
 use bioformer_tensor::{Tensor, TensorArena};
 
@@ -49,7 +50,12 @@ impl LayerNorm {
         2 * self.features
     }
 
-    /// Forward pass over `[rows, features]`.
+    /// Forward pass over `[rows, features]`. A training pass also takes
+    /// any tensor whose last axis is `features` wide (a `[batch, seq,
+    /// features]` token tensor), returns that shape, and caches the
+    /// normalised rows as `[rows, features]` in the buffers the previous
+    /// step cached into; [`LayerNorm::backward`] then takes the gradient as
+    /// `[rows, features]`.
     ///
     /// # Panics
     ///
@@ -59,13 +65,23 @@ impl LayerNorm {
             return self.forward_infer(x);
         }
         assert_eq!(
-            x.dims()[1],
-            self.features,
+            x.dims().last(),
+            Some(&self.features),
             "LayerNorm {}: width mismatch",
             self.gamma.name
         );
-        let (y, cache) = layernorm_forward(x, &self.gamma.value, &self.beta.value);
-        self.cache = Some(cache);
+        let cache = self.cache.get_or_insert_with(|| LayerNormCache {
+            xhat: Tensor::zeros(&[0, self.features]),
+            inv_std: Vec::new(),
+        });
+        let mut y = Tensor::zeros(x.dims());
+        layernorm_train_into(
+            x.data(),
+            self.gamma.value.data(),
+            self.beta.value.data(),
+            y.data_mut(),
+            cache,
+        );
         y
     }
 
@@ -133,6 +149,13 @@ impl LayerNorm {
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         f(&mut self.gamma);
         f(&mut self.beta);
+    }
+
+    /// Copies `src`'s `γ` and `β` into this layer in place (a training
+    /// replica catching up with its primary).
+    pub fn sync_from(&mut self, src: &LayerNorm) {
+        self.gamma.sync_from(&src.gamma);
+        self.beta.sync_from(&src.beta);
     }
 
     /// Drops the forward cache.

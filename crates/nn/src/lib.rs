@@ -50,6 +50,7 @@ pub mod optim;
 pub mod param;
 pub mod pool;
 pub mod schedule;
+mod scratch;
 pub mod serialize;
 pub mod trainer;
 pub mod wavelet;

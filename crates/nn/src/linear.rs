@@ -2,8 +2,10 @@
 
 use crate::init;
 use crate::param::Param;
+use crate::scratch::TrainScratch;
 use bioformer_tensor::backend::{default_backend, ComputeBackend};
-use bioformer_tensor::pack::{Epilogue, PackedB};
+use bioformer_tensor::matmul::matmul_tn_into;
+use bioformer_tensor::pack::{gemm_packed, pack_b, pack_b_t, packed_len, Epilogue, PackedB};
 use bioformer_tensor::{Tensor, TensorArena};
 use rand::Rng;
 use std::sync::{Arc, OnceLock};
@@ -41,6 +43,9 @@ pub enum FusedActivation {
 /// rebuild it lazily. External code can only mutate weights through
 /// `visit_params` (the optimizer and the state-dict loader both do), so a
 /// shared `&self` instance behind an `Arc` always sees a fresh pack.
+///
+/// A training forward packs the weights it is about to change into the
+/// layer's training scratch instead, leaving the inference cache empty.
 #[derive(Debug, Clone)]
 pub struct Linear {
     weight: Param,
@@ -52,6 +57,8 @@ pub struct Linear {
     packed: OnceLock<PackedB>,
     /// The compute backend every GEMM of this layer routes through.
     backend: Arc<dyn ComputeBackend>,
+    /// Packed weights and gradient blocks of the training step.
+    scratch: TrainScratch,
 }
 
 impl Linear {
@@ -70,6 +77,7 @@ impl Linear {
             cached_input: None,
             packed: OnceLock::new(),
             backend: default_backend(),
+            scratch: TrainScratch::default(),
         }
     }
 
@@ -137,11 +145,59 @@ impl Linear {
     /// Panics if `x` is not `[rows, in_features]`.
     pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         self.packed.take();
-        let y = self.forward_infer(x);
-        if train {
-            self.cached_input = Some(x.clone());
+        if !train {
+            return self.forward_infer(x);
         }
-        y
+        assert_eq!(
+            x.dims()[1],
+            self.in_features,
+            "Linear {}: input width {} != {}",
+            self.weight.name,
+            x.dims()[1],
+            self.in_features
+        );
+        self.forward_rows(x.data(), x.dims()[0])
+    }
+
+    /// The training forward over `rows` rows of `in_features` floats:
+    /// `x · Wᵀ + b` as `[rows, out_features]`, with `x` cached for
+    /// [`Linear::backward`] in the buffer the previous step cached into.
+    /// The weights are packed into the training scratch and multiplied
+    /// with the backend's tile, so the product is bit-identical to the
+    /// inference path's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not `rows × in_features` floats.
+    pub(crate) fn forward_rows(&mut self, x: &[f32], rows: usize) -> Tensor {
+        let (k, n) = (self.in_features, self.out_features);
+        assert_eq!(
+            x.len(),
+            rows * k,
+            "Linear {}: input size mismatch",
+            self.weight.name
+        );
+        let mut packed = self.scratch.alloc(packed_len(k, n));
+        pack_b_t(self.weight.value.data(), n, k, &mut packed);
+        let mut out = Tensor::zeros(&[rows, n]);
+        self.backend.gemm_with(
+            x,
+            rows,
+            k,
+            &packed,
+            n,
+            out.data_mut(),
+            Epilogue::Bias(self.bias.value.data()),
+        );
+        self.scratch.recycle_vec(packed);
+        match &mut self.cached_input {
+            Some(c) if c.len() == x.len() => {
+                c.data_mut().copy_from_slice(x);
+                c.reshape_in_place(&[rows, k]);
+            }
+            slot => *slot = Some(Tensor::from_vec(x.to_vec(), &[rows, k])),
+        }
+        out
     }
 
     /// Inference-only forward pass over shared state: identical arithmetic
@@ -217,6 +273,12 @@ impl Linear {
 
     /// Backward pass: accumulates `dW`, `db` and returns `dx`.
     ///
+    /// `dW = dyᵀ·x` sums each element's rows in ascending order and skips
+    /// zero gradients ([`matmul_tn_into`]), and `db` sums rows in the same
+    /// order, so rows of `dy` that are zero throughout leave both unchanged:
+    /// a caller may drop them (with the matching rows of the forward input)
+    /// and get the same bits.
+    ///
     /// # Panics
     ///
     /// Panics if called before a training-mode forward pass.
@@ -225,20 +287,44 @@ impl Linear {
             .cached_input
             .as_ref()
             .unwrap_or_else(|| panic!("Linear {}: backward before forward", self.weight.name));
-        // dW[out,in] = dyᵀ[out,rows]·x[rows,in]
-        let dw = dy.matmul_tn(x);
-        self.weight.accumulate(&dw);
-        // db = column sums of dy
         let (rows, cols) = (dy.dims()[0], dy.dims()[1]);
-        let mut db = Tensor::zeros(&[cols]);
-        for r in 0..rows {
-            for c in 0..cols {
-                db.data_mut()[c] += dy.data()[r * cols + c];
+        let (k, n) = (self.in_features, self.out_features);
+        assert_eq!(cols, n, "Linear {}: gradient width", self.weight.name);
+        assert_eq!(
+            x.dims()[0],
+            rows,
+            "Linear {}: batch mismatch",
+            self.weight.name
+        );
+        // dW[out,in] = dyᵀ[out,rows]·x[rows,in]
+        let mut dw = self.scratch.alloc(n * k);
+        matmul_tn_into(dy.data(), rows, n, x.data(), k, &mut dw);
+        self.weight.accumulate_slice(&dw);
+        self.scratch.recycle_vec(dw);
+        // db = column sums of dy
+        let mut db = self.scratch.alloc(n);
+        for row in dy.data().chunks_exact(n) {
+            for (d, &g) in db.iter_mut().zip(row) {
+                *d += g;
             }
         }
-        self.bias.accumulate(&db);
+        self.bias.accumulate_slice(&db);
+        self.scratch.recycle_vec(db);
         // dx = dy · W
-        dy.matmul(&self.weight.value)
+        let mut packed = self.scratch.alloc(packed_len(n, k));
+        pack_b(self.weight.value.data(), n, k, &mut packed);
+        let mut dx = Tensor::zeros(&[rows, k]);
+        gemm_packed(
+            dy.data(),
+            rows,
+            n,
+            &packed,
+            k,
+            dx.data_mut(),
+            Epilogue::None,
+        );
+        self.scratch.recycle_vec(packed);
+        dx
     }
 
     /// Visits the layer's parameters in deterministic order.
@@ -252,10 +338,20 @@ impl Linear {
         f(&mut self.bias);
     }
 
-    /// Drops the forward cache (used when cloning models for inference).
-    /// The packed-weight cache survives: it depends only on the weights.
+    /// Copies `src`'s weights into this layer in place (a training
+    /// replica catching up with its primary).
+    pub fn sync_from(&mut self, src: &Linear) {
+        self.packed.take();
+        self.weight.sync_from(&src.weight);
+        self.bias.sync_from(&src.bias);
+    }
+
+    /// Drops the forward cache and the training scratch (used when cloning
+    /// models for inference). The packed-weight cache survives: it depends
+    /// only on the weights.
     pub fn clear_cache(&mut self) {
         self.cached_input = None;
+        self.scratch = TrainScratch::default();
     }
 }
 

@@ -46,7 +46,8 @@ pub trait InferForward {
 /// Models map a batch of windows `[batch, channels, samples]` to logits
 /// `[batch, classes]`, own their parameters, and implement explicit
 /// backward passes. `Clone + Send` enables the trainer's data-parallel
-/// gradient computation (each shard runs on a deep copy; gradients are
+/// gradient computation (each shard runs on a replica of the primary,
+/// re-synced with [`Model::sync_from`] before every step; gradients are
 /// summed back into the primary instance).
 pub trait Model: Send + Clone {
     /// Forward pass: `[batch, channels, samples] → [batch, classes]`.
@@ -65,6 +66,19 @@ pub trait Model: Send + Clone {
 
     /// Drops forward caches (reduces clone cost; optional).
     fn clear_cache(&mut self) {}
+
+    /// Makes this model a training replica of `src` again: `src`'s
+    /// parameter values and training-time random state (dropout streams),
+    /// so that a forward here draws what one on a fresh clone of `src`
+    /// would. Gradients and caches may be left as they are; the trainer
+    /// zeroes the gradients itself.
+    ///
+    /// The default replaces `self` with a clone of `src`. Models override
+    /// it to copy into the buffers they already hold, so a replica that
+    /// lives for a whole training run allocates nothing per step.
+    fn sync_from(&mut self, src: &Self) {
+        *self = src.clone();
+    }
 
     /// Number of trainable scalars.
     fn num_params(&mut self) -> usize {

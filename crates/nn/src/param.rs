@@ -54,6 +54,24 @@ impl Param {
     pub fn accumulate(&mut self, g: &Tensor) {
         self.grad.add_assign(g);
     }
+
+    /// [`Param::accumulate`] from a flat slice: `grad[i] += g[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` has a different length than the parameter.
+    pub(crate) fn accumulate_slice(&mut self, g: &[f32]) {
+        assert_eq!(g.len(), self.len(), "{}: gradient size mismatch", self.name);
+        for (a, b) in self.grad.data_mut().iter_mut().zip(g) {
+            *a += b;
+        }
+    }
+
+    /// Copies `src`'s value into this parameter's buffer (a training
+    /// replica catching up with its primary); the gradient is untouched.
+    pub fn sync_from(&mut self, src: &Param) {
+        self.value.clone_from(&src.value);
+    }
 }
 
 #[cfg(test)]

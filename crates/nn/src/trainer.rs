@@ -1,12 +1,21 @@
 //! Mini-batch training loop with deterministic shuffling and data-parallel
 //! gradient computation.
 //!
-//! Each optimizer step splits its mini-batch into shards; every shard runs
-//! forward/backward on a deep copy of the model on its own scoped thread and
-//! the per-shard gradients are summed into the primary model. Because
-//! gradient contributions are scaled by `shard_size / batch_size`, the result
-//! is bit-for-bit a full-batch gradient regardless of shard count (up to
-//! float summation order).
+//! Each optimizer step splits its mini-batch into shards. Every shard runs
+//! forward/backward on a replica of the model — made once per [`train`]
+//! call and re-synced in place from the primary's weights and dropout
+//! state before each step ([`Model::sync_from`]) — the first on the calling
+//! thread and the others on scoped threads, and the per-shard gradients are
+//! summed into the primary model in shard order. Shard gradients are scaled
+//! by `shard_size / batch_size`, so without dropout the result is the
+//! full-batch gradient up to float summation order.
+//!
+//! With dropout it is not, and the trained bits depend on the shard count,
+//! hence on the machine's core count: a multi-shard step never advances the
+//! primary's dropout streams (only its replicas draw masks), so every such
+//! step draws the same masks, and every shard replays the stream from the
+//! same position. One-shard steps (a one-core machine, or a batch under
+//! eight windows) draw on the primary and do advance it.
 
 use crate::loss::cross_entropy;
 use crate::model::Model;
@@ -156,71 +165,111 @@ fn effective_shards(cfg_shards: usize, batch: usize) -> usize {
     requested.min((batch / 4).max(1))
 }
 
+/// The data-parallel side of one [`train`] call: shard `k` of a multi-shard
+/// step runs on `replicas[k]`, and `grads` stages a replica's gradients on
+/// their way into the primary. Both live until `train` returns.
+struct Shards<M> {
+    replicas: Vec<M>,
+    grads: Vec<f32>,
+}
+
+impl<M> Default for Shards<M> {
+    fn default() -> Self {
+        Shards {
+            replicas: Vec::new(),
+            grads: Vec::new(),
+        }
+    }
+}
+
+/// Forward, loss and backward of one shard on `model`, its gradient scaled
+/// by `scale`. Returns `(summed loss, correct predictions)`.
+fn shard_gradient<M: Model>(model: &mut M, x: &Tensor, y: &[usize], scale: f32) -> (f32, usize) {
+    let logits = model.forward(x, true);
+    let (loss, dlogits) = cross_entropy(&logits, y);
+    if scale == 1.0 {
+        model.backward(&dlogits);
+    } else {
+        // Rescale so the summed shard gradients equal the full-batch mean
+        // gradient.
+        model.backward(&dlogits.scale(scale));
+    }
+    let correct = logits
+        .argmax_rows()
+        .iter()
+        .zip(y.iter())
+        .filter(|(p, l)| p == l)
+        .count();
+    (loss * y.len() as f32, correct)
+}
+
 /// Computes the full-batch gradient of `model` on `(bx, by)` using `shards`
 /// data-parallel workers; gradients end up accumulated in `model`.
 /// Returns `(summed loss, correct predictions)`.
 fn batch_gradient<M: Model>(
     model: &mut M,
+    pool: &mut Shards<M>,
     bx: &Tensor,
     by: &[usize],
     shards: usize,
 ) -> (f32, usize) {
     let batch = by.len();
     if shards <= 1 {
-        let logits = model.forward(bx, true);
-        let (loss, dlogits) = cross_entropy(&logits, by);
-        model.backward(&dlogits);
-        let correct = logits
-            .argmax_rows()
-            .iter()
-            .zip(by.iter())
-            .filter(|(p, l)| p == l)
-            .count();
-        return (loss * batch as f32, correct);
+        return shard_gradient(model, bx, by, 1.0);
     }
 
     let per = batch.div_ceil(shards);
+    let used = batch.div_ceil(per);
+    while pool.replicas.len() < used {
+        let mut replica = model.clone();
+        replica.clear_cache();
+        pool.replicas.push(replica);
+    }
     let (c, l) = (bx.dims()[1], bx.dims()[2]);
     let sample = c * l;
-    let mut results: Vec<(Vec<Tensor>, f32, usize)> = Vec::new();
+    let mut results = vec![(0.0f32, 0usize); used];
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
-        let mut start = 0usize;
-        while start < batch {
-            let end = (start + per).min(batch);
-            let mut worker = model.clone();
-            worker.clear_cache();
+        let mut first = None;
+        for (k, (replica, result)) in pool.replicas[..used]
+            .iter_mut()
+            .zip(results.iter_mut())
+            .enumerate()
+        {
+            replica.sync_from(model);
+            replica.zero_grad();
+            let (start, end) = (k * per, ((k + 1) * per).min(batch));
             let shard_x = Tensor::from_vec(
                 bx.data()[start * sample..end * sample].to_vec(),
                 &[end - start, c, l],
             );
             let shard_y = &by[start..end];
             let scale = (end - start) as f32 / batch as f32;
-            handles.push(scope.spawn(move || {
-                let logits = worker.forward(&shard_x, true);
-                let (loss, dlogits) = cross_entropy(&logits, shard_y);
-                // Rescale so the summed shard gradients equal the full-batch
-                // mean gradient.
-                worker.backward(&dlogits.scale(scale));
-                let correct = logits
-                    .argmax_rows()
-                    .iter()
-                    .zip(shard_y.iter())
-                    .filter(|(p, l)| p == l)
-                    .count();
-                (worker.grads(), loss * (end - start) as f32, correct)
-            }));
-            start = end;
+            let run = move || *result = shard_gradient(replica, &shard_x, shard_y, scale);
+            if k == 0 {
+                first = Some(run);
+            } else {
+                handles.push(scope.spawn(run));
+            }
+        }
+        if let Some(mut run) = first {
+            run();
         }
         for h in handles {
-            results.push(h.join().expect("training shard panicked"));
+            h.join().expect("training shard panicked");
         }
     });
 
     let mut loss_sum = 0.0f32;
     let mut correct = 0usize;
-    for (grads, loss, corr) in &results {
-        model.accumulate_grads(grads);
+    for (replica, (loss, corr)) in pool.replicas[..used].iter_mut().zip(&results) {
+        pool.grads.clear();
+        replica.visit_params(&mut |p| pool.grads.extend_from_slice(p.grad.data()));
+        let mut offset = 0;
+        model.visit_params(&mut |p| {
+            p.accumulate_slice(&pool.grads[offset..offset + p.len()]);
+            offset += p.len();
+        });
         loss_sum += loss;
         correct += corr;
     }
@@ -241,6 +290,10 @@ fn clip_grad_norm<M: Model>(model: &mut M, max_norm: f32) {
 /// Trains `model` for `cfg.epochs` epochs on windows `x` (`[N, C, L]`) with
 /// integer `labels`, using Adam. Returns per-epoch training statistics.
 ///
+/// The model comes back with its forward caches cleared
+/// ([`Model::clear_cache`]): no activations of the last mini-batch travel
+/// into the converted or served model.
+///
 /// # Panics
 ///
 /// Panics if `x` and `labels` disagree in length or the dataset is empty.
@@ -256,6 +309,7 @@ pub fn train<M: Model>(
     assert!(n > 0, "train: empty dataset");
     let mut stats = Vec::with_capacity(cfg.epochs);
     let mut step = opt.steps() as usize;
+    let mut pool = Shards::default();
     for epoch in 0..cfg.epochs {
         let mut order: Vec<usize> = (0..n).collect();
         let mut rng =
@@ -273,7 +327,7 @@ pub fn train<M: Model>(
             let by: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
             let shards = effective_shards(cfg.shards, by.len());
             model.zero_grad();
-            let (l, c) = batch_gradient(model, &bx, &by, shards);
+            let (l, c) = batch_gradient(model, &mut pool, &bx, &by, shards);
             if let Some(max_norm) = cfg.max_grad_norm {
                 clip_grad_norm(model, max_norm);
             }
@@ -288,6 +342,7 @@ pub fn train<M: Model>(
             accuracy: correct as f32 / n as f32,
         });
     }
+    model.clear_cache();
     stats
 }
 
@@ -451,8 +506,8 @@ mod tests {
         m1.zero_grad();
         m2.zero_grad();
         let by: Vec<usize> = labels.clone();
-        let (l1, c1) = batch_gradient(&mut m1, &x, &by, 1);
-        let (l2, c2) = batch_gradient(&mut m2, &x, &by, 4);
+        let (l1, c1) = batch_gradient(&mut m1, &mut Shards::default(), &x, &by, 1);
+        let (l2, c2) = batch_gradient(&mut m2, &mut Shards::default(), &x, &by, 4);
         assert!((l1 - l2).abs() < 1e-3, "loss {l1} vs {l2}");
         assert_eq!(c1, c2);
         let g1 = m1.grads();
@@ -547,6 +602,50 @@ mod tests {
         assert_eq!(threads.len(), 8, "one forward per batch of 8");
         threads.dedup();
         assert_eq!(threads.len(), 1, "forwards ran on {threads:?}");
+    }
+
+    /// A [`Toy`] that knows whether it holds a training forward's caches.
+    #[derive(Clone)]
+    struct Cached {
+        toy: Toy,
+        cached: bool,
+    }
+
+    impl Model for Cached {
+        fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+            self.cached |= train;
+            self.toy.forward(x, train)
+        }
+        fn backward(&mut self, d: &Tensor) {
+            self.toy.backward(d);
+        }
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+            self.toy.visit_params(f);
+        }
+        fn clear_cache(&mut self) {
+            self.cached = false;
+            self.toy.clear_cache();
+        }
+    }
+
+    /// On one shard the primary runs every forward itself; `train` still
+    /// hands it back without the last mini-batch's activations.
+    #[test]
+    fn train_returns_a_model_without_forward_caches() {
+        let (x, labels) = toy_dataset(20, 11);
+        let mut model = Cached {
+            toy: toy_model(12),
+            cached: false,
+        };
+        let cfg = TrainConfig {
+            batch_size: 8,
+            epochs: 1,
+            shards: 1,
+            augment: None,
+            ..TrainConfig::default()
+        };
+        let _ = train(&mut model, &mut Adam::default(), &x, &labels, &cfg);
+        assert!(!model.cached, "train left forward caches in the model");
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! TEMPONet baseline additionally needs `dilation > 1` and symmetric zero
 //! padding, so the general form is implemented once here.
 
+use crate::matmul::matmul_tn_into;
+use crate::pack::{gemm_packed, pack_b_t, packed_len, Epilogue};
 use crate::tensor::Tensor;
 
 /// Hyper-parameters of a 1-D convolution.
@@ -182,19 +184,62 @@ pub fn conv1d_forward(x: &Tensor, w: &Tensor, b: &Tensor, spec: Conv1dSpec) -> T
 /// the lowering once and reuses it in the backward pass).
 pub fn conv1d_forward_cols(cols: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
     let (c_out, c_in, kernel) = (w.dims()[0], w.dims()[1], w.dims()[2]);
-    let out_len = cols.dims()[0];
-    let w2d = w.reshape(&[c_out, c_in * kernel]);
-    // [out_len, ck] · [c_out, ck]ᵀ = [out_len, c_out]
-    let y_t = cols.matmul_nt(&w2d);
+    let (out_len, ck) = (cols.dims()[0], c_in * kernel);
+    let mut packed = vec![0.0f32; packed_len(ck, c_out)];
+    pack_b_t(w.data(), c_out, ck, &mut packed);
+    let mut y_t = vec![0.0f32; out_len * c_out];
     let mut y = Tensor::zeros(&[c_out, out_len]);
-    let yd = y.data_mut();
-    let ytd = y_t.data();
-    for ot in 0..out_len {
-        for oc in 0..c_out {
-            yd[oc * out_len + ot] = ytd[ot * c_out + oc] + b.data()[oc];
+    conv1d_forward_cols_into(
+        cols.data(),
+        out_len,
+        ck,
+        &packed,
+        b.data(),
+        &mut y_t,
+        y.data_mut(),
+    );
+    y
+}
+
+/// Slice-level [`conv1d_forward_cols`] over a batch: `cols` holds whole
+/// samples' `[out_len, ck]` im2col rows back to back, `packed` is the
+/// flattened `[c_out, ck]` weight packed by [`pack_b_t`], and `y` receives
+/// `[batch, c_out, out_len]`; `y_t` (one `c_out`-wide row per im2col row)
+/// is scratch for the token-major product. One GEMM covers the batch, and
+/// each of its rows is the chain a per-sample product computes.
+///
+/// # Panics
+///
+/// Panics if a buffer length disagrees with the others.
+pub fn conv1d_forward_cols_into(
+    cols: &[f32],
+    out_len: usize,
+    ck: usize,
+    packed: &[f32],
+    bias: &[f32],
+    y_t: &mut [f32],
+    y: &mut [f32],
+) {
+    let c_out = bias.len();
+    assert!(
+        ck > 0 && cols.len().is_multiple_of(ck),
+        "conv1d: im2col rows"
+    );
+    let rows = cols.len() / ck;
+    assert_eq!(y_t.len(), rows * c_out, "conv1d: product size");
+    assert_eq!(y.len(), rows * c_out, "conv1d: output size");
+    // [rows, ck] · [c_out, ck]ᵀ = [rows, c_out]
+    gemm_packed(cols, rows, ck, packed, c_out, y_t, Epilogue::None);
+    for (yi, ti) in y
+        .chunks_exact_mut(c_out * out_len)
+        .zip(y_t.chunks_exact(out_len * c_out))
+    {
+        for ot in 0..out_len {
+            for oc in 0..c_out {
+                yi[oc * out_len + ot] = ti[ot * c_out + oc] + bias[oc];
+            }
         }
     }
-    y
 }
 
 /// Direct (nested-loop) forward convolution — reference implementation used
@@ -306,15 +351,54 @@ pub fn conv1d_backward_params_cols(
 ) -> (Tensor, Tensor) {
     let (c_out, out_len) = (dy.dims()[0], dy.dims()[1]);
     assert_eq!(cols.dims()[0], out_len, "conv1d params: out_len mismatch");
-    let dy_t = transpose_cl(dy); // [out_len, c_out]
-                                 // dW2d = dy_tᵀ · cols → [c_out, ck]
-    let dw2d = dy_t.matmul_tn(cols);
-    let dw = dw2d.reshape(&[c_out, c_in, kernel]);
+    let mut dw = Tensor::zeros(&[c_out, c_in, kernel]);
     let mut db = Tensor::zeros(&[c_out]);
-    for oc in 0..c_out {
-        db.data_mut()[oc] = dy.data()[oc * out_len..(oc + 1) * out_len].iter().sum();
-    }
+    let mut dy_t = vec![0.0f32; out_len * c_out];
+    conv1d_backward_params_into(
+        dy.data(),
+        cols.data(),
+        &mut dy_t,
+        dw.data_mut(),
+        db.data_mut(),
+    );
     (dw, db)
+}
+
+/// Slice-level [`conv1d_backward_params_cols`] for one sample: `dy` is its
+/// `[c_out, out_len]` output gradient and `cols` its `[out_len, ck]`
+/// im2col rows; `dw` (`[c_out, ck]`) and `db` (`[c_out]`) are overwritten,
+/// and `dy_t` (`out_len · c_out` floats) is scratch for `dy`'s transpose.
+///
+/// # Panics
+///
+/// Panics if a buffer length disagrees with the others.
+pub fn conv1d_backward_params_into(
+    dy: &[f32],
+    cols: &[f32],
+    dy_t: &mut [f32],
+    dw: &mut [f32],
+    db: &mut [f32],
+) {
+    let c_out = db.len();
+    assert!(
+        c_out > 0 && dy.len().is_multiple_of(c_out),
+        "conv1d params: dy size"
+    );
+    let out_len = dy.len() / c_out;
+    let ck = dw.len() / c_out;
+    assert_eq!(dw.len(), c_out * ck, "conv1d params: dw size");
+    assert_eq!(cols.len(), out_len * ck, "conv1d params: out_len mismatch");
+    assert_eq!(dy_t.len(), out_len * c_out, "conv1d params: scratch size");
+    for oc in 0..c_out {
+        for ot in 0..out_len {
+            dy_t[ot * c_out + oc] = dy[oc * out_len + ot];
+        }
+    }
+    // dW2d = dy_tᵀ · cols → [c_out, ck]
+    matmul_tn_into(dy_t, out_len, c_out, cols, ck, dw);
+    for (oc, d) in db.iter_mut().enumerate() {
+        *d = dy[oc * out_len..(oc + 1) * out_len].iter().sum();
+    }
 }
 
 /// Average pooling over the time axis of a `[channels, len]` tensor.

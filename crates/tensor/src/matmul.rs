@@ -175,27 +175,44 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
         b.shape()
     );
     let mut out = vec![0.0f32; k * n];
+    matmul_tn_into(a.data(), m, k, b.data(), n, &mut out);
+    Tensor::from_vec(out, &[k, n])
+}
+
+/// Slice-level [`matmul_tn`] into a caller-provided `out` (`k·n` floats,
+/// overwritten): `out = aᵀ · b` for row-major `a[m,k]` and `b[m,n]`.
+///
+/// Each output element sums its `m` products in ascending row order and
+/// skips rows whose `a` entry is zero, so rows of `a` that are zero
+/// throughout contribute nothing: dropping them gives the same bits.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with `(m, k, n)`.
+pub fn matmul_tn_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    assert_eq!(a.len(), m * k, "matmul_tn: lhs size");
+    assert_eq!(b.len(), m * n, "matmul_tn: rhs size");
+    assert_eq!(out.len(), k * n, "matmul_tn: out size");
+    out.fill(0.0);
     if k == 0 || n == 0 {
         // Latent-bug guard: `chunks_mut(0)` panics for empty outputs.
-        return Tensor::from_vec(out, &[k, n]);
+        return;
     }
-    let (ad, bd) = (a.data(), b.data());
-    parallel_rows(&mut out, n, gemm_work(m, n, k), |row0, rows| {
+    parallel_rows(out, n, gemm_work(m, n, k), |row0, rows| {
         for (local_kk, out_row) in rows.chunks_mut(n).enumerate() {
             let kk = row0 + local_kk;
             for mm in 0..m {
-                let a_val = ad[mm * k + kk];
+                let a_val = a[mm * k + kk];
                 if a_val == 0.0 {
                     continue;
                 }
-                let b_row = &bd[mm * n..(mm + 1) * n];
+                let b_row = &b[mm * n..(mm + 1) * n];
                 for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
                     *o += a_val * bv;
                 }
             }
         }
     });
-    Tensor::from_vec(out, &[k, n])
 }
 
 /// Unrolled dot product with four partial sums, breaking the sequential FP

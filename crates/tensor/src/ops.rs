@@ -82,18 +82,33 @@ pub fn softmax_rows_slice(data: &mut [f32], n: usize) {
 /// Panics on shape mismatch.
 pub fn softmax_rows_backward(y: &Tensor, dy: &Tensor) -> Tensor {
     assert_eq!(y.shape(), dy.shape(), "softmax backward shape mismatch");
-    let (m, n) = (y.dims()[0], y.dims()[1]);
-    let mut dx = Tensor::zeros(&[m, n]);
-    for r in 0..m {
-        let yr = &y.data()[r * n..(r + 1) * n];
-        let dyr = &dy.data()[r * n..(r + 1) * n];
-        let dot: f32 = yr.iter().zip(dyr.iter()).map(|(a, b)| a * b).sum();
-        let dxr = &mut dx.data_mut()[r * n..(r + 1) * n];
-        for i in 0..n {
-            dxr[i] = yr[i] * (dyr[i] - dot);
+    let mut dx = dy.clone();
+    softmax_rows_backward_slice(y.data(), dx.data_mut(), y.dims()[1]);
+    dx
+}
+
+/// Slice-level [`softmax_rows_backward`], in place: `g` holds the upstream
+/// gradient of the `n`-wide rows of `y = softmax(x)` and is overwritten
+/// with the gradient w.r.t. `x`.
+///
+/// # Panics
+///
+/// Panics if the lengths differ or are not whole `n`-wide rows.
+pub fn softmax_rows_backward_slice(y: &[f32], g: &mut [f32], n: usize) {
+    assert_eq!(y.len(), g.len(), "softmax backward shape mismatch");
+    if y.is_empty() {
+        return;
+    }
+    assert!(
+        n > 0 && y.len().is_multiple_of(n),
+        "softmax: rows must be n-wide"
+    );
+    for (yr, gr) in y.chunks(n).zip(g.chunks_mut(n)) {
+        let dot: f32 = yr.iter().zip(gr.iter()).map(|(a, b)| a * b).sum();
+        for (gv, &yv) in gr.iter_mut().zip(yr) {
+            *gv = yv * (*gv - dot);
         }
     }
-    dx
 }
 
 /// Row-wise log-softmax (numerically stable), used by the cross-entropy
@@ -168,21 +183,60 @@ pub fn layernorm_forward(x: &Tensor, gamma: &Tensor, beta: &Tensor) -> (Tensor, 
     assert_eq!(gamma.dims(), &[n], "layernorm: gamma must be [features]");
     assert_eq!(beta.dims(), &[n], "layernorm: beta must be [features]");
     let mut y = Tensor::zeros(&[m, n]);
-    let mut xhat = Tensor::zeros(&[m, n]);
-    let mut inv_std = vec![0.0f32; m];
-    for (r, inv_std_row) in inv_std.iter_mut().enumerate() {
-        let row = &x.data()[r * n..(r + 1) * n];
+    let mut cache = LayerNormCache {
+        xhat: Tensor::zeros(&[m, n]),
+        inv_std: vec![0.0f32; m],
+    };
+    layernorm_train_into(
+        x.data(),
+        gamma.data(),
+        beta.data(),
+        y.data_mut(),
+        &mut cache,
+    );
+    (y, cache)
+}
+
+/// Slice-level training [`layernorm_forward`]: normalises the
+/// `gamma`-width rows of `x` into `y` and refreshes `cache` for
+/// [`layernorm_backward`], reusing its buffers (`cache.xhat` takes `x`'s
+/// row count as `[rows, features]`). Bit-identical to
+/// [`layernorm_forward`], which is this over fresh buffers.
+///
+/// # Panics
+///
+/// Panics if `x` is not whole `gamma`-width rows, or if `beta` or `y`
+/// disagree with it.
+pub fn layernorm_train_into(
+    x: &[f32],
+    gamma: &[f32],
+    beta: &[f32],
+    y: &mut [f32],
+    cache: &mut LayerNormCache,
+) {
+    let n = gamma.len();
+    assert_eq!(beta.len(), n, "layernorm: beta must match gamma");
+    assert!(n > 0, "layernorm: zero feature width");
+    assert_eq!(x.len() % n, 0, "layernorm: rows must be gamma-width");
+    assert_eq!(y.len(), x.len(), "layernorm: out size mismatch");
+    let m = x.len() / n;
+    if cache.xhat.dims() != [m, n] {
+        cache.xhat = Tensor::zeros(&[m, n]);
+    }
+    cache.inv_std.resize(m, 0.0);
+    let xhat = cache.xhat.data_mut();
+    for (r, inv_std_row) in cache.inv_std.iter_mut().enumerate() {
+        let row = &x[r * n..(r + 1) * n];
         let mean = row.iter().sum::<f32>() / n as f32;
         let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n as f32;
         let istd = 1.0 / (var + LAYERNORM_EPS).sqrt();
         *inv_std_row = istd;
         for (i, &xv) in row.iter().enumerate() {
             let xh = (xv - mean) * istd;
-            xhat.data_mut()[r * n + i] = xh;
-            y.data_mut()[r * n + i] = gamma.data()[i] * xh + beta.data()[i];
+            xhat[r * n + i] = xh;
+            y[r * n + i] = gamma[i] * xh + beta[i];
         }
     }
-    (y, LayerNormCache { xhat, inv_std })
 }
 
 /// Inference-only LayerNorm into a caller-provided buffer: computes the

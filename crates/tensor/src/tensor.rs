@@ -18,10 +18,27 @@ use std::fmt;
 /// assert_eq!(t.shape().dims(), &[2, 3]);
 /// assert_eq!(t.data().len(), 6);
 /// ```
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
+}
+
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        Tensor {
+            shape: self.shape.clone(),
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies `src` into this tensor's buffer, which is reused when it is
+    /// large enough: layers refresh their training caches this way every
+    /// step without allocating.
+    fn clone_from(&mut self, src: &Self) {
+        self.shape.clone_from(&src.shape);
+        self.data.clone_from(&src.data);
+    }
 }
 
 /// Error returned by [`Tensor::try_from_vec`] when the buffer length does not

@@ -17,7 +17,7 @@ mod common;
 
 use bioformers::core::{Bioformer, BioformerConfig};
 use bioformers::nn::serialize::state_dict;
-use bioformers::nn::InferForward;
+use bioformers::nn::{cross_entropy, InferForward, Model};
 use bioformers::quant::QuantBioformer;
 use bioformers::serve::proto::{encode_frame, Frame, FrameDecoder};
 use bioformers::serve::{
@@ -560,4 +560,33 @@ fn decoding_a_samples_frame_allocates_only_the_samples() {
     });
     assert_eq!(allocations, 1, "one allocation per decoded Samples frame");
     assert_eq!(frame, Some(Frame::Samples(samples)));
+}
+
+/// Heap allocations of one warmed bio1 training step (forward, loss and
+/// backward) at batch 16 on one thread: each layer's output and input
+/// gradient, the loss's two tensors and the LayerNorm parameter blocks.
+/// Packed panels, per-head products, weight-gradient blocks and forward
+/// caches come from buffers the previous step left, so no per-GEMM or
+/// per-head allocation can come back unnoticed (the full-row step made
+/// 2 795 here).
+const TRAIN_STEP_ALLOCATIONS: u64 = 39;
+
+#[test]
+fn warmed_training_step_allocates_only_layer_outputs() {
+    let _serial = serial_kernels();
+    let mut model = Bioformer::new(&BioformerConfig::bio1());
+    let x = window(16, 21);
+    let labels: Vec<usize> = (0..16).map(|i| i % 8).collect();
+    let mut step = || {
+        let logits = model.forward(&x, true);
+        let (_, dlogits) = cross_entropy(&logits, &labels);
+        model.backward(&dlogits);
+    };
+    step();
+    step();
+    let allocations = count_allocations(step);
+    assert!(
+        allocations <= TRAIN_STEP_ALLOCATIONS,
+        "a warmed training step made {allocations} heap allocations"
+    );
 }
