@@ -18,13 +18,11 @@ use crate::config::BioformerConfig;
 use crate::descriptor::bioformer_descriptor;
 use bioformer_nn::linear::FusedActivation;
 use bioformer_nn::{Conv1d, InferForward, LayerNorm, Linear, Model, Param, TransformerBlock};
-use bioformer_tensor::backend::{default_backend, ComputeBackend};
 use bioformer_tensor::conv::Conv1dSpec;
 use bioformer_tensor::parallel::{plan_threads, ScratchPool};
-use bioformer_tensor::{Tensor, TensorArena};
+use bioformer_tensor::{Fp32Kernel, Tensor, TensorArena};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 
 /// The Bioformer tiny transformer for sEMG gesture recognition.
 ///
@@ -49,7 +47,6 @@ pub struct Bioformer {
     ln_final: LayerNorm,
     head: Linear,
     fwd_batch: Option<usize>,
-    backend: Arc<dyn ComputeBackend>,
     /// Work of one window in FLOPs (2 per MAC of the network descriptor):
     /// the unit [`plan_threads`] sizes a batch's fan-out in. Computed once,
     /// because building the descriptor allocates.
@@ -110,7 +107,6 @@ impl Bioformer {
             ln_final,
             head,
             fwd_batch: None,
-            backend: default_backend(),
             window_work: 2 * bioformer_descriptor(cfg).macs() as usize,
             scratch: ScratchPool::default(),
         }
@@ -121,21 +117,14 @@ impl Bioformer {
         &self.cfg
     }
 
-    /// Installs a compute backend on every GEMM-bearing layer (patch conv,
-    /// all encoder blocks, the classifier head). Packed weights are re-built
-    /// for the new backend's kernel on next use.
-    pub fn set_backend(&mut self, backend: Arc<dyn ComputeBackend>) {
-        self.patch.set_backend(backend.clone());
+    /// Pins the SIMD tier of every GEMM-bearing layer (patch conv, all
+    /// encoder blocks, the classifier head).
+    pub fn set_kernel(&mut self, kernel: Fp32Kernel) {
+        self.patch.set_kernel(kernel);
         for blk in &mut self.blocks {
-            blk.set_backend(backend.clone());
+            blk.set_kernel(kernel);
         }
-        self.head.set_backend(backend.clone());
-        self.backend = backend;
-    }
-
-    /// The compute backend the inference path routes through.
-    pub fn backend(&self) -> &Arc<dyn ComputeBackend> {
-        &self.backend
+        self.head.set_kernel(kernel);
     }
 
     /// The patch-embedding convolution.
@@ -164,10 +153,11 @@ impl Bioformer {
         &self.head
     }
 
-    /// One-line description of the installed backend — surfaced per
-    /// replica through the serving engines' `compute_report`.
+    /// One-line description of the compute path (packed fp32 GEMMs on the
+    /// CPU) — surfaced per replica through the serving engines'
+    /// `compute_report`.
     pub fn compute_report(&self) -> String {
-        self.backend.name().to_string()
+        "packed-cpu".to_string()
     }
 
     /// Transposes conv output `[B, E, N]` into token-major `[B, N, E]` and

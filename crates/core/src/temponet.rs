@@ -22,12 +22,10 @@ use bioformer_nn::{
     AvgPool1d, Conv1d, Dropout, GroupNorm1d, InferForward, Linear, Model, Param, Relu,
 };
 use bioformer_semg::{CHANNELS, GESTURE_CLASSES, WINDOW};
-use bioformer_tensor::backend::{default_backend, ComputeBackend};
 use bioformer_tensor::conv::Conv1dSpec;
-use bioformer_tensor::Tensor;
+use bioformer_tensor::{Fp32Kernel, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 /// One TCN block: two dilated same-length convolutions and a strided
 /// down-sampling convolution, each followed by normalisation and ReLU.
@@ -123,10 +121,10 @@ impl TcnBlock {
         self.relu2.clear_cache();
     }
 
-    fn set_backend(&mut self, backend: &Arc<dyn ComputeBackend>) {
-        self.conv0.set_backend(backend.clone());
-        self.conv1.set_backend(backend.clone());
-        self.down.set_backend(backend.clone());
+    fn set_kernel(&mut self, kernel: Fp32Kernel) {
+        self.conv0.set_kernel(kernel);
+        self.conv1.set_kernel(kernel);
+        self.down.set_kernel(kernel);
     }
 }
 
@@ -155,7 +153,6 @@ pub struct TempoNet {
     drop2: Dropout,
     head: Linear,
     fwd_shape: Option<(usize, usize, usize)>,
-    backend: Arc<dyn ComputeBackend>,
 }
 
 /// Flattened feature width entering the classifier: 128 channels × 19
@@ -184,32 +181,25 @@ impl TempoNet {
             drop2: Dropout::new(0.3, drop_seed.wrapping_add(1)),
             head: Linear::new("head", 48, GESTURE_CLASSES, &mut rng),
             fwd_shape: None,
-            backend: default_backend(),
         }
     }
 
-    /// Installs a compute backend on every GEMM-bearing layer (all nine
-    /// convolutions and the three classifier linears). Packed weights are
-    /// re-built for the new backend's kernel on next use.
-    pub fn set_backend(&mut self, backend: Arc<dyn ComputeBackend>) {
+    /// Pins the SIMD tier of every GEMM-bearing layer (all nine
+    /// convolutions and the three classifier linears).
+    pub fn set_kernel(&mut self, kernel: Fp32Kernel) {
         for blk in &mut self.blocks {
-            blk.set_backend(&backend);
+            blk.set_kernel(kernel);
         }
-        self.fc1.set_backend(backend.clone());
-        self.fc2.set_backend(backend.clone());
-        self.head.set_backend(backend.clone());
-        self.backend = backend;
+        self.fc1.set_kernel(kernel);
+        self.fc2.set_kernel(kernel);
+        self.head.set_kernel(kernel);
     }
 
-    /// The compute backend the inference path routes through.
-    pub fn backend(&self) -> &Arc<dyn ComputeBackend> {
-        &self.backend
-    }
-
-    /// One-line description of the installed backend — surfaced per
-    /// replica through the serving engines' `compute_report`.
+    /// One-line description of the compute path (packed fp32 GEMMs on the
+    /// CPU) — surfaced per replica through the serving engines'
+    /// `compute_report`.
     pub fn compute_report(&self) -> String {
-        self.backend.name().to_string()
+        "packed-cpu".to_string()
     }
 }
 

@@ -25,12 +25,10 @@ use bioformer_nn::{
     HaarWavelet1d, InferForward, LayerNorm, Linear, Model, Param, TransformerBlock,
 };
 use bioformer_semg::{CHANNELS, GESTURE_CLASSES, WINDOW};
-use bioformer_tensor::backend::{default_backend, ComputeBackend};
 use bioformer_tensor::conv::Conv1dSpec;
-use bioformer_tensor::Tensor;
+use bioformer_tensor::{Fp32Kernel, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 
 /// Wavelet-packet depth: `[14, 300] → [56, 75]`.
 pub const WAVEFORMER_LEVELS: usize = 2;
@@ -66,7 +64,6 @@ pub struct WaveFormer {
     ln_final: LayerNorm,
     head: Linear,
     fwd_shape: Option<(usize, usize)>,
-    backend: Arc<dyn ComputeBackend>,
 }
 
 impl WaveFormer {
@@ -96,27 +93,21 @@ impl WaveFormer {
             ln_final: LayerNorm::new("wf.ln_final", WAVEFORMER_EMBED),
             head: Linear::new("wf.head", WAVEFORMER_EMBED, GESTURE_CLASSES, &mut rng),
             fwd_shape: None,
-            backend: default_backend(),
         }
     }
 
-    /// Installs a compute backend on every GEMM-bearing layer.
-    pub fn set_backend(&mut self, backend: Arc<dyn ComputeBackend>) {
-        self.patch.set_backend(backend.clone());
-        self.block.set_backend(backend.clone());
-        self.head.set_backend(backend.clone());
-        self.backend = backend;
+    /// Pins the SIMD tier of every GEMM-bearing layer.
+    pub fn set_kernel(&mut self, kernel: Fp32Kernel) {
+        self.patch.set_kernel(kernel);
+        self.block.set_kernel(kernel);
+        self.head.set_kernel(kernel);
     }
 
-    /// The compute backend the inference path routes through.
-    pub fn backend(&self) -> &Arc<dyn ComputeBackend> {
-        &self.backend
-    }
-
-    /// One-line description of the installed backend — surfaced per
-    /// replica through the serving engines' `compute_report`.
+    /// One-line description of the compute path (packed fp32 GEMMs on the
+    /// CPU) — surfaced per replica through the serving engines'
+    /// `compute_report`.
     pub fn compute_report(&self) -> String {
-        self.backend.name().to_string()
+        "packed-cpu".to_string()
     }
 
     /// Transposes conv output `[B, E, N]` into token-major `[B, N, E]`.

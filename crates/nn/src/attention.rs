@@ -9,13 +9,14 @@
 use crate::linear::{FusedActivation, Linear};
 use crate::param::Param;
 use crate::scratch::TrainScratch;
-use bioformer_tensor::backend::{default_backend, ComputeBackend};
 use bioformer_tensor::matmul::matmul_tn_into;
 use bioformer_tensor::ops::{softmax_rows_backward_slice, softmax_rows_slice};
-use bioformer_tensor::pack::{gemm_packed, pack_b_strided, pack_b_t_strided, packed_len, Epilogue};
+use bioformer_tensor::pack::{
+    gemm_packed, gemm_packed_with, pack_b_strided, pack_b_t_strided, packed_len, Epilogue,
+    Fp32Kernel,
+};
 use bioformer_tensor::{Tensor, TensorArena};
 use rand::Rng;
-use std::sync::Arc;
 
 /// Multi-head self-attention over `[batch, seq, embed]` tensors.
 #[derive(Debug, Clone)]
@@ -31,9 +32,9 @@ pub struct MultiHeadSelfAttention {
     /// Per-head packed panels, gathered heads and products of the training
     /// step.
     scratch: TrainScratch,
-    /// Backend for the per-head score/AV GEMMs (the projections route
-    /// through their own [`Linear`] layers' backends).
-    backend: Arc<dyn ComputeBackend>,
+    /// The SIMD tier of the per-head score/AV GEMMs (the projections run
+    /// their own [`Linear`] layers' kernels).
+    kernel: Fp32Kernel,
 }
 
 #[derive(Debug, Clone)]
@@ -109,18 +110,17 @@ impl MultiHeadSelfAttention {
             head_dim,
             cache: None,
             scratch: TrainScratch::default(),
-            backend: default_backend(),
+            kernel: Fp32Kernel::Dispatch,
         }
     }
 
-    /// Installs a compute backend on the per-head GEMMs and all four
-    /// projection layers.
-    pub fn set_backend(&mut self, backend: Arc<dyn ComputeBackend>) {
-        self.wq.set_backend(backend.clone());
-        self.wk.set_backend(backend.clone());
-        self.wv.set_backend(backend.clone());
-        self.wo.set_backend(backend.clone());
-        self.backend = backend;
+    /// Pins the SIMD tier of the per-head GEMMs and all four projection
+    /// layers.
+    pub fn set_kernel(&mut self, kernel: Fp32Kernel) {
+        for w in [&mut self.wq, &mut self.wk, &mut self.wv, &mut self.wo] {
+            w.set_kernel(kernel);
+        }
+        self.kernel = kernel;
     }
 
     /// Number of attention heads.
@@ -295,7 +295,7 @@ impl MultiHeadSelfAttention {
     /// per sample is read in place and its `A·V` row stored at the head's
     /// column offset; a taller query block is gathered per head and its
     /// product scattered back. Every output element is the same
-    /// ascending-`k` chain under the same plans whichever rows are
+    /// ascending-`k` chain on the same kernel tier whichever rows are
     /// selected, so a row's bits do not depend on `rows`.
     pub(crate) fn infer_rows_in(
         &self,
@@ -333,7 +333,7 @@ impl MultiHeadSelfAttention {
             }
         };
 
-        let bk = self.backend.as_ref();
+        let tile = self.kernel.tile();
 
         let mut concat = arena.alloc(batch * qs * inner);
         // Per-head scratch, reused across every (batch, head) pair.
@@ -361,7 +361,8 @@ impl MultiHeadSelfAttention {
                     &q_rows[col..col + p]
                 };
                 // scores[qs,s] = (q · Kᵀ) · scale, scale fused into store.
-                bk.gemm_with(qa, qs, p, &k_packed, s, &mut scores, Epilogue::Scale(scale));
+                let epi = Epilogue::Scale(scale);
+                gemm_packed_with(tile, qa, qs, p, &k_packed, s, &mut scores, epi);
                 softmax_rows_slice(&mut scores, s);
                 // [qs,p] = probs · V, into head h's columns of concat.
                 let av = if strided {
@@ -369,7 +370,7 @@ impl MultiHeadSelfAttention {
                 } else {
                     &mut dst[col..col + p]
                 };
-                bk.gemm_with(&scores, qs, s, &v_packed, p, av, Epilogue::None);
+                gemm_packed_with(tile, &scores, qs, s, &v_packed, p, av, Epilogue::None);
                 if strided {
                     scatter_cols(&oh, p, dst, inner, col);
                 }

@@ -6,10 +6,8 @@ use crate::dropout::Dropout;
 use crate::layernorm::LayerNorm;
 use crate::linear::{FusedActivation, Linear};
 use crate::param::Param;
-use bioformer_tensor::backend::ComputeBackend;
-use bioformer_tensor::{Tensor, TensorArena};
+use bioformer_tensor::{Fp32Kernel, Tensor, TensorArena};
 use rand::Rng;
-use std::sync::Arc;
 
 /// One transformer encoder block in the pre-LN arrangement used by ViT
 /// (which the Bioformer follows):
@@ -66,13 +64,12 @@ impl TransformerBlock {
         &self.attn
     }
 
-    /// Installs a compute backend on every GEMM-bearing sub-layer
-    /// (attention projections + both FFN linears); packed weights are
-    /// re-built under the new backend's plans on next use.
-    pub fn set_backend(&mut self, backend: Arc<dyn ComputeBackend>) {
-        self.attn.set_backend(backend.clone());
-        self.fc1.set_backend(backend.clone());
-        self.fc2.set_backend(backend);
+    /// Pins the SIMD tier of every GEMM-bearing sub-layer (attention and
+    /// both FFN linears).
+    pub fn set_kernel(&mut self, kernel: Fp32Kernel) {
+        self.attn.set_kernel(kernel);
+        self.fc1.set_kernel(kernel);
+        self.fc2.set_kernel(kernel);
     }
 
     /// FFN hidden width.

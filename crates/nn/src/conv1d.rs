@@ -3,15 +3,16 @@
 use crate::init;
 use crate::param::Param;
 use crate::scratch::TrainScratch;
-use bioformer_tensor::backend::{default_backend, ComputeBackend};
 use bioformer_tensor::conv::{
     conv1d_backward_input, conv1d_backward_params_into, conv1d_forward_cols_into, im2col_into,
     Conv1dSpec,
 };
-use bioformer_tensor::pack::{pack_b_t, packed_len, Epilogue, PackedB};
+use bioformer_tensor::pack::{
+    gemm_packed_with, pack_b_t, packed_len, Epilogue, Fp32Kernel, PackedB,
+};
 use bioformer_tensor::{Tensor, TensorArena};
 use rand::Rng;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// A batched 1-D convolution over `[batch, in_channels, length]` tensors.
 ///
@@ -38,8 +39,9 @@ pub struct Conv1d {
     scratch: TrainScratch,
     /// Lazily-built packed image of the flattened weight for inference.
     packed: OnceLock<PackedB>,
-    /// Compute backend the inference path routes its GEMMs through.
-    backend: Arc<dyn ComputeBackend>,
+    /// The SIMD tier of the inference GEMMs (`kernel` is the filter
+    /// width).
+    fp32_kernel: Fp32Kernel,
 }
 
 impl Conv1d {
@@ -68,20 +70,14 @@ impl Conv1d {
             cached_cols: None,
             scratch: TrainScratch::default(),
             packed: OnceLock::new(),
-            backend: default_backend(),
+            fp32_kernel: Fp32Kernel::Dispatch,
         }
     }
 
-    /// Installs a compute backend; the packed weight is re-built under the
-    /// new backend's plan on next use.
-    pub fn set_backend(&mut self, backend: Arc<dyn ComputeBackend>) {
-        self.packed.take();
-        self.backend = backend;
-    }
-
-    /// The compute backend the inference path routes through.
-    pub fn backend(&self) -> &Arc<dyn ComputeBackend> {
-        &self.backend
+    /// Pins the SIMD tier of the inference GEMMs. The packed weight
+    /// survives: every tier reads the same packed image.
+    pub fn set_kernel(&mut self, kernel: Fp32Kernel) {
+        self.fp32_kernel = kernel;
     }
 
     /// The convolution hyper-parameters.
@@ -195,7 +191,7 @@ impl Conv1d {
     /// on first use after any invalidation.
     fn packed_weight(&self) -> &PackedB {
         self.packed.get_or_init(|| {
-            self.backend.pack_weight(
+            PackedB::from_b_t(
                 self.weight.value.data(),
                 self.out_channels,
                 self.in_channels * self.kernel,
@@ -272,13 +268,17 @@ impl Conv1d {
             b == 0 || out.len() >= (b - 1) * sample_stride + rows,
             "Conv1d: output too short"
         );
+        let (tile, packed) = (self.fp32_kernel.tile(), self.packed_weight().as_slice());
         let mut cols = arena.alloc(out_len * ck);
         for (i, xi) in x.chunks_exact(sample).enumerate() {
             im2col_into(xi, c, len, self.kernel, self.spec, &mut cols);
-            self.backend.gemm(
+            gemm_packed_with(
+                tile,
                 &cols,
                 out_len,
-                self.packed_weight(),
+                ck,
+                packed,
+                c_out,
                 &mut out[i * sample_stride..i * sample_stride + rows],
                 Epilogue::Bias(self.bias.value.data()),
             );
@@ -479,6 +479,28 @@ mod tests {
         weights_only.backward_weights(&dy);
         assert_eq!(weights_only.weight.grad, full.weight.grad);
         assert_eq!(weights_only.bias.grad, full.bias.grad);
+    }
+
+    /// Every pinned tier reuses the cached pack and stays within fp32
+    /// kernel tolerance of the dispatched tile, on a dilated TEMPONet-style
+    /// convolution.
+    #[test]
+    fn set_kernel_reuses_the_pack_and_matches_default() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let spec = Conv1dSpec {
+            stride: 1,
+            padding: 2,
+            dilation: 2,
+        };
+        let mut conv = Conv1d::new("c", 6, 20, 3, spec, &mut rng);
+        let x = filled(&[2, 6, 33], 15);
+        let want = conv.forward_infer(&x); // packs on the dispatched kernel
+        for kernel in [Fp32Kernel::Portable, Fp32Kernel::Fma, Fp32Kernel::Avx512] {
+            conv.set_kernel(kernel);
+            assert!(conv.packed.get().is_some(), "{kernel:?} dropped the pack");
+            let got = conv.forward_infer(&x);
+            assert!(got.allclose(&want, 1e-4), "{kernel:?} diverges");
+        }
     }
 
     #[test]

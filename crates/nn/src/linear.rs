@@ -3,12 +3,13 @@
 use crate::init;
 use crate::param::Param;
 use crate::scratch::TrainScratch;
-use bioformer_tensor::backend::{default_backend, ComputeBackend};
 use bioformer_tensor::matmul::matmul_tn_into;
-use bioformer_tensor::pack::{gemm_packed, pack_b, pack_b_t, packed_len, Epilogue, PackedB};
+use bioformer_tensor::pack::{
+    gemm_packed, gemm_packed_with, pack_b, pack_b_t, packed_len, Epilogue, Fp32Kernel, PackedB,
+};
 use bioformer_tensor::{Tensor, TensorArena};
 use rand::Rng;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// An activation fused into a [`Linear`] forward's GEMM epilogue: the
 /// nonlinearity is applied as each output tile is stored, instead of in a
@@ -32,9 +33,8 @@ pub enum FusedActivation {
 ///
 /// # Weight packing
 ///
-/// The inference path runs through the layer's
-/// [`ComputeBackend`] (the process default unless
-/// [`Linear::set_backend`] installs another, e.g. one pinning a SIMD tier), and
+/// The inference path runs the layer's [`Fp32Kernel`] (the dispatched tile
+/// unless [`Linear::set_kernel`] pins a SIMD tier), and
 /// the packed image of `W` is cached inside
 /// the layer so serving packs each weight matrix **once**, not per call.
 /// The cache follows a simple freshness rule: any `&mut self` entry point
@@ -55,8 +55,8 @@ pub struct Linear {
     cached_input: Option<Tensor>,
     /// Lazily-built packed image of `weight` for the inference GEMM.
     packed: OnceLock<PackedB>,
-    /// The compute backend every GEMM of this layer routes through.
-    backend: Arc<dyn ComputeBackend>,
+    /// The SIMD tier every forward GEMM of this layer runs.
+    kernel: Fp32Kernel,
     /// Packed weights and gradient blocks of the training step.
     scratch: TrainScratch,
 }
@@ -76,22 +76,15 @@ impl Linear {
             out_features,
             cached_input: None,
             packed: OnceLock::new(),
-            backend: default_backend(),
+            kernel: Fp32Kernel::Dispatch,
             scratch: TrainScratch::default(),
         }
     }
 
-    /// Installs a compute backend for this layer's GEMMs, dropping the
-    /// packed-weight cache (a pack remembers the kernel of the backend that
-    /// built it).
-    pub fn set_backend(&mut self, backend: Arc<dyn ComputeBackend>) {
-        self.packed.take();
-        self.backend = backend;
-    }
-
-    /// The compute backend this layer routes through.
-    pub fn backend(&self) -> &Arc<dyn ComputeBackend> {
-        &self.backend
+    /// Pins the SIMD tier of this layer's forward GEMMs. The packed-weight
+    /// cache survives: every tier reads the same packed image.
+    pub fn set_kernel(&mut self, kernel: Fp32Kernel) {
+        self.kernel = kernel;
     }
 
     /// Input width.
@@ -124,7 +117,7 @@ impl Linear {
     /// concurrent first calls).
     fn packed_weight(&self) -> &PackedB {
         self.packed.get_or_init(|| {
-            self.backend.pack_weight(
+            PackedB::from_b_t(
                 self.weight.value.data(),
                 self.out_features,
                 self.in_features,
@@ -163,7 +156,7 @@ impl Linear {
     /// `x · Wᵀ + b` as `[rows, out_features]`, with `x` cached for
     /// [`Linear::backward`] in the buffer the previous step cached into.
     /// The weights are packed into the training scratch and multiplied
-    /// with the backend's tile, so the product is bit-identical to the
+    /// with the layer's tile, so the product is bit-identical to the
     /// inference path's.
     ///
     /// # Panics
@@ -180,7 +173,8 @@ impl Linear {
         let mut packed = self.scratch.alloc(packed_len(k, n));
         pack_b_t(self.weight.value.data(), n, k, &mut packed);
         let mut out = Tensor::zeros(&[rows, n]);
-        self.backend.gemm_with(
+        gemm_packed_with(
+            self.kernel.tile(),
             x,
             rows,
             k,
@@ -268,7 +262,9 @@ impl Linear {
             FusedActivation::Gelu => Epilogue::BiasGelu(bias),
             FusedActivation::Relu(slope) => Epilogue::BiasRelu(bias, slope),
         };
-        self.backend.gemm(x, rows, self.packed_weight(), out, epi);
+        let (k, n) = (self.in_features, self.out_features);
+        let packed = self.packed_weight().as_slice();
+        gemm_packed_with(self.kernel.tile(), x, rows, k, packed, n, out, epi);
     }
 
     /// Backward pass: accumulates `dW`, `db` and returns `dx`.
@@ -506,37 +502,18 @@ mod tests {
         assert!(half.allclose(&before, 1e-5), "forward served stale pack");
     }
 
-    /// Installing a backend drops the packed cache: the next inference
-    /// packs for the new backend's kernel and stays within fp32 kernel
-    /// tolerance of the default path.
+    /// Pinning a kernel reuses the cached pack (every tier reads the same
+    /// image) and stays within fp32 kernel tolerance of the dispatched tile.
     #[test]
-    fn installed_backend_repacks_and_matches_default() {
-        use bioformer_tensor::backend::Fp32Kernel;
-
-        #[derive(Debug)]
-        struct PinnedPortable;
-        impl ComputeBackend for PinnedPortable {
-            fn name(&self) -> &'static str {
-                "pinned-portable"
-            }
-            fn plan_fp32(&self) -> Fp32Kernel {
-                Fp32Kernel::Portable
-            }
-        }
-
+    fn set_kernel_reuses_the_pack_and_matches_default() {
         let mut rng = StdRng::seed_from_u64(15);
         let mut l = Linear::new("l", 6, 4, &mut rng);
         let x = filled(&[3, 6], 16);
-        let want = l.forward_infer(&x); // packs for the default backend
-        assert_eq!(l.packed_weight().kernel(), Fp32Kernel::Dispatch);
-        l.set_backend(Arc::new(PinnedPortable));
+        let want = l.forward_infer(&x); // packs on the dispatched kernel
+        l.set_kernel(Fp32Kernel::Portable);
+        assert!(l.packed.get().is_some(), "set_kernel dropped the pack");
         let got = l.forward_infer(&x);
-        assert_eq!(
-            l.packed_weight().kernel(),
-            Fp32Kernel::Portable,
-            "set_backend kept the stale pack"
-        );
-        assert!(got.allclose(&want, 1e-4), "pinned backend diverges");
+        assert!(got.allclose(&want, 1e-4), "portable kernel diverges");
     }
 
     #[test]

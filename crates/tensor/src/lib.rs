@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 
 pub mod arena;
-pub mod backend;
 pub mod conv;
 pub mod matmul;
 pub mod ops;
@@ -50,7 +49,7 @@ pub mod shape;
 pub mod tensor;
 
 pub use arena::TensorArena;
-pub use backend::{default_backend, ComputeBackend, Fp32Kernel, PackedCpuBackend};
+pub use pack::Fp32Kernel;
 pub use shape::Shape;
 pub use tensor::Tensor;
 

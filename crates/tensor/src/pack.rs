@@ -31,8 +31,16 @@
 //! Accumulation order within one output element is the plain `k`-ascending
 //! order, so results are deterministic and independent of threading (threads
 //! split output *rows*, never the `k` dimension).
+//!
+//! # Kernel tiers
+//!
+//! Every tile shares the one `MR×NR` geometry, so a packed image serves
+//! every SIMD tier; an [`Fp32Kernel`] only names which tier's tile
+//! multiplies it. The nn layers carry one (the dispatched tile by default),
+//! and tests pin the portable oracle, FMA or AVX-512 through the same
+//! field. FMA and AVX-512 tiles agree with the portable one within the
+//! usual 1e-4, each keeping per-element ascending-`k` accumulation.
 
-use crate::backend::Fp32Kernel;
 use crate::ops;
 use crate::tensor::Tensor;
 
@@ -41,6 +49,35 @@ pub const MR: usize = 4;
 
 /// Columns of `B` per packed panel (and per microkernel invocation).
 pub const NR: usize = 16;
+
+/// Which SIMD tier's fp32 tile a GEMM runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fp32Kernel {
+    /// The process-wide [`bioformer_simd::kernels`] dispatch.
+    Dispatch,
+    /// Pin the portable scalar tile.
+    Portable,
+    /// Pin the AVX2/FMA tile (clamped to the portable tile where
+    /// unsupported).
+    Fma,
+    /// Pin the AVX-512F tile (clamped to the best supported tile).
+    Avx512,
+}
+
+impl Fp32Kernel {
+    /// The `MR×NR` SIMD tile this kernel runs, for [`gemm_packed_with`].
+    /// Unsupported tiers clamp downward exactly as
+    /// [`bioformer_simd::select`] does.
+    pub fn tile(self) -> bioformer_simd::Fp32TileFn {
+        use bioformer_simd::{select, Tier};
+        match self {
+            Fp32Kernel::Dispatch => bioformer_simd::kernels().fp32_tile,
+            Fp32Kernel::Portable => select(Some(Tier::Portable)).fp32_tile,
+            Fp32Kernel::Fma => select(Some(Tier::Avx2)).fp32_tile,
+            Fp32Kernel::Avx512 => select(Some(Tier::Vnni)).fp32_tile,
+        }
+    }
+}
 
 /// Length in floats of the packed image of a `k×n` right-hand side: `n`
 /// rounded up to whole [`NR`] panels, each panel `k` deep.
@@ -180,43 +217,22 @@ pub fn pack_b_t_strided(bt: &[f32], ld: usize, n: usize, k: usize, dst: &mut [f3
 }
 
 /// A heap-owned packed right-hand side, for weight matrices that are packed
-/// once and reused across many GEMM calls.
+/// once and reused across many GEMM calls. The image is the same for every
+/// [`Fp32Kernel`].
 #[derive(Debug, Clone)]
 pub struct PackedB {
     buf: Vec<f32>,
     k: usize,
     n: usize,
-    kernel: Fp32Kernel,
 }
 
 impl PackedB {
-    /// Packs a row-major `B[k, n]` (`C = A·B` orientation) for the
-    /// dispatched kernel.
-    pub fn from_b(b: &[f32], k: usize, n: usize) -> Self {
-        let mut buf = vec![0.0f32; packed_len(k, n)];
-        pack_b(b, k, n, &mut buf);
-        PackedB {
-            buf,
-            k,
-            n,
-            kernel: Fp32Kernel::Dispatch,
-        }
-    }
-
     /// Packs a row-major `Bᵀ`-layout matrix `bt[n, k]`
-    /// (`C = A·Bᵀ` orientation — PyTorch `[out, in]` weights) for the
-    /// dispatched kernel.
+    /// (`C = A·Bᵀ` orientation — PyTorch `[out, in]` weights).
     pub fn from_b_t(bt: &[f32], n: usize, k: usize) -> Self {
-        Self::from_b_t_with(Fp32Kernel::Dispatch, bt, n, k)
-    }
-
-    /// Packs a row-major `Bᵀ`-layout matrix `bt[n, k]` and remembers
-    /// `kernel`, so later GEMMs through a
-    /// [`crate::backend::ComputeBackend`] run that tile.
-    pub fn from_b_t_with(kernel: Fp32Kernel, bt: &[f32], n: usize, k: usize) -> Self {
         let mut buf = vec![0.0f32; packed_len(k, n)];
         pack_b_t(bt, n, k, &mut buf);
-        PackedB { buf, k, n, kernel }
+        PackedB { buf, k, n }
     }
 
     /// Inner (contraction) dimension.
@@ -227,11 +243,6 @@ impl PackedB {
     /// Output columns.
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// The kernel this buffer was packed for.
-    pub fn kernel(&self) -> Fp32Kernel {
-        self.kernel
     }
 
     /// The packed storage (length [`packed_len`]`(k, n)`).
@@ -346,9 +357,10 @@ pub fn gemm_packed(
     );
 }
 
-/// [`gemm_packed`] with an explicitly chosen microkernel tile — the hook
-/// backends and tier-parity tests use to pin a [`bioformer_simd`] tier
-/// (e.g. the portable oracle) instead of the runtime-dispatched one.
+/// [`gemm_packed`] with an explicitly chosen microkernel tile — what the
+/// nn layers call with their [`Fp32Kernel::tile`], so a layer (or a
+/// tier-parity test) can pin a [`bioformer_simd`] tier, e.g. the portable
+/// oracle, instead of the runtime-dispatched one.
 ///
 /// # Panics
 ///
@@ -611,6 +623,30 @@ mod tests {
     fn stride_narrower_than_the_row_panics() {
         let mut dst = vec![0.0f32; packed_len(4, 8)];
         pack_b_strided(&[0.0; 32], 4, 4, 8, &mut dst);
+    }
+
+    /// Every pinned tier multiplies the one packed image to within 1e-4 of
+    /// the dispatched tile, bias epilogue included.
+    #[test]
+    fn every_kernel_matches_dispatch() {
+        let (m, k, n) = (5, 33, 19);
+        let a = filled(m * k, 3);
+        let wt = filled(n * k, 4); // [out, in] weight layout
+        let bias = filled(n, 5);
+        let packed = PackedB::from_b_t(&wt, n, k);
+        let run = |kernel: Fp32Kernel| {
+            let mut out = vec![f32::NAN; m * n];
+            let epi = Epilogue::Bias(&bias);
+            gemm_packed_with(kernel.tile(), &a, m, k, packed.as_slice(), n, &mut out, epi);
+            out
+        };
+        let reference = run(Fp32Kernel::Dispatch);
+        for kernel in [Fp32Kernel::Portable, Fp32Kernel::Fma, Fp32Kernel::Avx512] {
+            assert!(
+                close(&run(kernel), &reference, 1e-4),
+                "kernel {kernel:?} diverges"
+            );
+        }
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //! logits must be bit-identical to the full-row network assembled from the
 //! public layer APIs — every block over every token, then the class row,
 //! `ln_final` and the head — because every kept element is the same
-//! ascending-`k` chain under the same plans. Four checks:
+//! ascending-`k` chain on the same kernel tier. Four checks:
 //!
 //! * model ≡ full-row reference with `allclose(.., 0.0)`, for bio1, bio2
 //!   (one full block, then one class-row block), a tiny config and filter
-//!   30, at batch 1, 3, 12, 32 and 33, on the default backend and on a
-//!   backend pinning each fixed fp32 tile (so the CI `portable-fallback`
-//!   job covers the same ground with no extra step);
+//!   30, at batch 1, 3, 12, 32 and 33, on the dispatched kernel and on
+//!   each pinned fp32 tile (so the CI `portable-fallback` job covers the
+//!   same ground with no extra step);
 //! * batch `N` ≡ `N` batches of 1 through every batch entry point, on both
 //!   sides of the window fan-out threshold (bio1 fans out from 11 windows,
 //!   each shard running its windows one at a time);
@@ -27,11 +27,10 @@
 use bioformers::core::{Bioformer, BioformerConfig};
 use bioformers::nn::{InferForward, MultiHeadSelfAttention, TransformerBlock};
 use bioformers::serve::GestureClassifier;
-use bioformers::tensor::backend::{default_backend, ComputeBackend, Fp32Kernel};
-use bioformers::tensor::{parallel, Tensor, TensorArena};
+use bioformers::tensor::{parallel, Fp32Kernel, Tensor, TensorArena};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 /// Sets the process thread cap to 2 for as long as the guard lives; the
 /// tests that pin it are serialised on one lock.
@@ -48,36 +47,22 @@ fn two_threads() -> impl Drop {
     Guard(guard)
 }
 
-/// A backend whose every fp32 plan runs one fixed tile.
-#[derive(Debug)]
-struct Pinned(Fp32Kernel);
-
-impl ComputeBackend for Pinned {
-    fn name(&self) -> &'static str {
-        "pinned"
-    }
-
-    fn plan_fp32(&self) -> Fp32Kernel {
-        self.0
-    }
-}
-
-/// The backends under test, with whether their tile fuses its
+/// The kernels under test, with whether their tile fuses its
 /// multiply-adds on this host (pinned tiles clamp to what the CPU has).
-fn backends() -> Vec<(&'static str, Arc<dyn ComputeBackend>, bool)> {
+fn kernels() -> [(&'static str, Fp32Kernel, bool); 4] {
     use bioformers::simd::fp32::{avx512_supported, fma_supported};
     let dispatched = bioformers::simd::kernels().name;
-    vec![
+    [
         (
             "default",
-            default_backend(),
+            Fp32Kernel::Dispatch,
             dispatched.contains("fma") || dispatched.contains("avx512f"),
         ),
-        ("portable", Arc::new(Pinned(Fp32Kernel::Portable)), false),
-        ("fma", Arc::new(Pinned(Fp32Kernel::Fma)), fma_supported()),
+        ("portable", Fp32Kernel::Portable, false),
+        ("fma", Fp32Kernel::Fma, fma_supported()),
         (
             "avx512",
-            Arc::new(Pinned(Fp32Kernel::Avx512)),
+            Fp32Kernel::Avx512,
             avx512_supported() || fma_supported(),
         ),
     ]
@@ -155,10 +140,10 @@ fn class_row_forward_equals_the_full_row_network_bit_for_bit() {
         ("tiny", tiny_cfg()),
         ("filter30", BioformerConfig::bio1().with_filter(30)),
     ];
-    for (backend_name, backend, _) in backends() {
+    for (kernel_name, kernel, _) in kernels() {
         for (name, cfg) in &configs {
             let mut model = Bioformer::new(cfg);
-            model.set_backend(backend.clone());
+            model.set_kernel(kernel);
             for batch in [1, 3, 12, 32, 33] {
                 let x = noise(&[batch, cfg.channels, cfg.window], 40 + batch as u64);
                 let want = full_row_reference(&model, &x);
@@ -166,7 +151,7 @@ fn class_row_forward_equals_the_full_row_network_bit_for_bit() {
                 assert_eq!(got.dims(), &[batch, cfg.classes]);
                 assert!(
                     got.allclose(&want, 0.0),
-                    "{name} batch {batch} on {backend_name}: class-row forward diverges"
+                    "{name} batch {batch} on {kernel_name}: class-row forward diverges"
                 );
             }
         }
@@ -214,11 +199,11 @@ fn batch_n_equals_n_batches_of_one() {
 
 #[test]
 fn last_token_block_equals_the_last_row_of_the_full_block() {
-    for (backend_name, backend, _) in backends() {
+    for (kernel_name, kernel, _) in kernels() {
         for (embed, heads, p, seq) in [(64, 8, 32, 31), (24, 3, 12, 13), (8, 2, 4, 1)] {
             let mut rng = StdRng::seed_from_u64(5);
             let mut blk = TransformerBlock::new("blk", embed, heads, p, 2 * embed, 0.0, &mut rng);
-            blk.set_backend(backend.clone());
+            blk.set_kernel(kernel);
             let x = noise(&[3, seq, embed], 6);
             let mut arena = TensorArena::new();
             let full = blk.forward_infer_in(&x, &mut arena);
@@ -228,7 +213,7 @@ fn last_token_block_equals_the_last_row_of_the_full_block() {
                 assert_eq!(
                     last.data()[b * embed..(b + 1) * embed],
                     full.data()[((b + 1) * seq - 1) * embed..(b + 1) * seq * embed],
-                    "{embed}x{heads}x{p} seq {seq} sample {b} on {backend_name}"
+                    "{embed}x{heads}x{p} seq {seq} sample {b} on {kernel_name}"
                 );
             }
         }
@@ -274,15 +259,15 @@ fn bio1_and_bio2_logits_match_the_golden_checksums() {
             },
         ),
     ];
-    for (backend_name, backend, fused) in backends() {
+    for (kernel_name, kernel, fused) in kernels() {
         for (name, cfg, golden) in &cases {
             let mut model = Bioformer::new(cfg);
-            model.set_backend(backend.clone());
+            model.set_kernel(kernel);
             let logits = model.forward_infer(&noise(&[5, cfg.channels, cfg.window], 77));
             assert_eq!(
                 checksum(logits.data()),
                 golden.pick(fused),
-                "{name} on {backend_name}: fp32 logits moved"
+                "{name} on {kernel_name}: fp32 logits moved"
             );
         }
     }
@@ -318,26 +303,26 @@ fn full_row_attention_and_block_match_the_golden_checksums() {
             },
         ),
     ];
-    for (backend_name, backend, fused) in backends() {
+    for (kernel_name, kernel, fused) in kernels() {
         for ((embed, heads, p, seq, batch), attn_golden, block_golden) in &cases {
             let (embed, heads, p) = (*embed, *heads, *p);
             let mut rng = StdRng::seed_from_u64(3);
             let mut attn = MultiHeadSelfAttention::new("attn", embed, heads, p, &mut rng);
-            attn.set_backend(backend.clone());
+            attn.set_kernel(kernel);
             let x = noise(&[*batch, *seq, embed], 9);
             let y = attn.forward_infer_in(&x, &mut TensorArena::new());
             assert_eq!(
                 checksum(y.data()),
                 attn_golden.pick(fused),
-                "attention {embed}x{heads}x{p} on {backend_name}"
+                "attention {embed}x{heads}x{p} on {kernel_name}"
             );
             let mut blk = TransformerBlock::new("blk", embed, heads, p, 2 * embed, 0.0, &mut rng);
-            blk.set_backend(backend.clone());
+            blk.set_kernel(kernel);
             let y = blk.forward_infer_in(&x, &mut TensorArena::new());
             assert_eq!(
                 checksum(y.data()),
                 block_golden.pick(fused),
-                "block {embed}x{heads}x{p} on {backend_name}"
+                "block {embed}x{heads}x{p} on {kernel_name}"
             );
         }
     }

@@ -3,7 +3,7 @@
 //! pipeline, plus micro-batch splitting edge cases on real model backends.
 
 use bioformers::core::protocol::{run_standard, ProtocolConfig};
-use bioformers::core::{Bioformer, BioformerConfig, TempoNet};
+use bioformers::core::{Bioformer, BioformerConfig, TempoNet, WaveFormer};
 use bioformers::nn::serialize::state_dict;
 use bioformers::nn::Model;
 use bioformers::quant::QuantBioformer;
@@ -82,6 +82,23 @@ fn temponet_backend_serves_through_the_same_engine() {
     assert_eq!(out.logits.dims(), &[5, 8]);
     assert_eq!(engine.engine_stats().latency.micro_batches, 3);
     assert!(!out.logits.has_non_finite());
+}
+
+/// Every fp32 model names its compute path `packed-cpu`, directly and
+/// per replica through the engine.
+#[test]
+fn fp32_models_report_packed_cpu() {
+    let (bio, temponet, waveformer) = (small_bioformer(4), TempoNet::new(4), WaveFormer::new(4));
+    assert_eq!(bio.compute_report(), "packed-cpu");
+    assert_eq!(temponet.compute_report(), "packed-cpu");
+    assert_eq!(waveformer.compute_report(), "packed-cpu");
+    let models: [Box<dyn GestureClassifier>; 3] =
+        [Box::new(bio), Box::new(temponet), Box::new(waveformer)];
+    for model in models {
+        let name = model.name().to_string();
+        let engine = InferenceEngine::new(model);
+        assert_eq!(engine.compute_report(), "packed-cpu", "{name}");
+    }
 }
 
 /// The tentpole acceptance path: train → quantize → serve the same windows
