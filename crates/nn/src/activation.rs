@@ -88,7 +88,10 @@ impl Relu {
     /// Forward pass (any shape).
     pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         if train {
-            self.cached_input = Some(x.clone());
+            // Refresh the previous step's cache in place.
+            self.cached_input
+                .get_or_insert_with(|| Tensor::zeros(&[0]))
+                .clone_from(x);
         }
         self.forward_infer(x)
     }
@@ -117,7 +120,7 @@ impl Relu {
             .as_ref()
             .expect("Relu: backward before forward");
         let a = self.negative_slope;
-        dy.zip_with(&x.map(|v| if v > 0.0 { 1.0 } else { a }), |g, d| g * d)
+        dy.zip_with(x, |g, v| g * if v > 0.0 { 1.0 } else { a })
     }
 
     /// Drops the forward cache.

@@ -12,8 +12,7 @@ use crate::scratch::TrainScratch;
 use bioformer_tensor::matmul::matmul_tn_into;
 use bioformer_tensor::ops::{softmax_rows_backward_slice, softmax_rows_slice};
 use bioformer_tensor::pack::{
-    gemm_packed, gemm_packed_with, pack_b_strided, pack_b_t_strided, packed_len, Epilogue,
-    Fp32Kernel,
+    gemm_packed_with, pack_b_strided, pack_b_t_strided, packed_len, Epilogue, Fp32Kernel,
 };
 use bioformer_tensor::{Tensor, TensorArena};
 use rand::Rng;
@@ -32,8 +31,9 @@ pub struct MultiHeadSelfAttention {
     /// Per-head packed panels, gathered heads and products of the training
     /// step.
     scratch: TrainScratch,
-    /// The SIMD tier of the per-head score/AV GEMMs (the projections run
-    /// their own [`Linear`] layers' kernels).
+    /// The SIMD tier of the per-head score/AV GEMMs, training and
+    /// inference (the projections run their own [`Linear`] layers'
+    /// kernels).
     kernel: Fp32Kernel,
 }
 
@@ -194,6 +194,7 @@ impl MultiHeadSelfAttention {
             }
         };
 
+        let tile = self.kernel.tile();
         let arena = &mut *self.scratch;
         let mut probs = arena.alloc(batch * self.heads * qs * s);
         let mut concat = arena.alloc(batch * qs * inner);
@@ -221,7 +222,7 @@ impl MultiHeadSelfAttention {
                 };
                 let a = &mut probs[(b * self.heads + h) * qs * s..][..qs * s];
                 // A = softmax(Q·Kᵀ · scale)
-                gemm_packed(qa, qs, p, &k_packed, s, a, Epilogue::Scale(scale));
+                gemm_packed_with(tile, qa, qs, p, &k_packed, s, a, Epilogue::Scale(scale));
                 softmax_rows_slice(a, s);
                 // O = A·V, into head h's columns of concat.
                 let av = if strided {
@@ -229,7 +230,7 @@ impl MultiHeadSelfAttention {
                 } else {
                     &mut dst[col..col + p]
                 };
-                gemm_packed(a, qs, s, &v_packed, p, av, Epilogue::None);
+                gemm_packed_with(tile, a, qs, s, &v_packed, p, av, Epilogue::None);
                 if strided {
                     scatter_cols(&oh, p, dst, inner, col);
                 }
@@ -433,6 +434,7 @@ impl MultiHeadSelfAttention {
 
         let dconcat = self.wo.backward(dy);
 
+        let tile = self.kernel.tile();
         let arena = &mut *self.scratch;
         let mut dq = arena.tensor(&[batch * qs, inner]);
         let mut dk = arena.tensor(&[batch * s, inner]);
@@ -467,12 +469,13 @@ impl MultiHeadSelfAttention {
                 };
                 // O = A·V: dA = dO·Vᵀ, dV = Aᵀ·dO.
                 pack_b_t_strided(&v.data()[kv + col..], inner, s, p, &mut vt_packed);
-                gemm_packed(doh, qs, p, &vt_packed, s, &mut dz, Epilogue::None);
+                gemm_packed_with(tile, doh, qs, p, &vt_packed, s, &mut dz, Epilogue::None);
                 matmul_tn_into(a, qs, s, doh, p, &mut dvh);
                 // A = softmax(Z), Z = Q·Kᵀ·scale.
                 softmax_rows_backward_slice(a, &mut dz, s);
                 pack_b_strided(&k.data()[kv + col..], inner, s, p, &mut k_packed);
-                gemm_packed(&dz, qs, s, &k_packed, p, &mut dqh, Epilogue::Scale(scale));
+                let dq_epi = Epilogue::Scale(scale);
+                gemm_packed_with(tile, &dz, qs, s, &k_packed, p, &mut dqh, dq_epi);
                 matmul_tn_into(&dz, qs, s, qh, p, &mut dkh);
                 for g in &mut dkh {
                     *g *= scale;

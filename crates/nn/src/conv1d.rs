@@ -39,8 +39,8 @@ pub struct Conv1d {
     scratch: TrainScratch,
     /// Lazily-built packed image of the flattened weight for inference.
     packed: OnceLock<PackedB>,
-    /// The SIMD tier of the inference GEMMs (`kernel` is the filter
-    /// width).
+    /// The SIMD tier of every GEMM, training and inference (`kernel` is
+    /// the filter width).
     fp32_kernel: Fp32Kernel,
 }
 
@@ -74,8 +74,8 @@ impl Conv1d {
         }
     }
 
-    /// Pins the SIMD tier of the inference GEMMs. The packed weight
-    /// survives: every tier reads the same packed image.
+    /// Pins the SIMD tier of every GEMM. The packed weight survives:
+    /// every tier reads the same packed image.
     pub fn set_kernel(&mut self, kernel: Fp32Kernel) {
         self.fp32_kernel = kernel;
     }
@@ -162,6 +162,7 @@ impl Conv1d {
         let mut yt = self.scratch.alloc(b * out_len * c_out);
         let mut y = Tensor::zeros(&[b, c_out, out_len]);
         conv1d_forward_cols_into(
+            self.fp32_kernel.tile(),
             cols.data(),
             out_len,
             ck,
@@ -300,6 +301,7 @@ impl Conv1d {
         let len = *len;
         let (b, c) = (dy.dims()[0], self.in_channels);
         let (out_c, out_len) = (dy.dims()[1], dy.dims()[2]);
+        let tile = self.fp32_kernel.tile();
         let mut dx = Tensor::zeros(&[b, c, len]);
         for (dyi, dxi) in dy
             .data()
@@ -308,7 +310,7 @@ impl Conv1d {
         {
             let dyi = Tensor::from_vec(dyi.to_vec(), &[out_c, out_len]);
             dxi.copy_from_slice(
-                conv1d_backward_input(&dyi, &self.weight.value, self.spec, len).data(),
+                conv1d_backward_input(tile, &dyi, &self.weight.value, self.spec, len).data(),
             );
         }
         dx
@@ -335,7 +337,6 @@ impl Conv1d {
             "Conv1d backward: batch mismatch"
         );
         assert_eq!(dy.dims()[1], c_out, "Conv1d backward: channel mismatch");
-        let mut dyt = self.scratch.alloc(out_len * c_out);
         let mut dw = self.scratch.alloc(c_out * ck);
         let mut db = self.scratch.alloc(c_out);
         for (dyi, ci) in dy
@@ -343,11 +344,11 @@ impl Conv1d {
             .chunks_exact(c_out * out_len)
             .zip(cols.data().chunks_exact(out_len * ck))
         {
-            conv1d_backward_params_into(dyi, ci, &mut dyt, &mut dw, &mut db);
+            conv1d_backward_params_into(dyi, ci, &mut dw, &mut db);
             self.weight.accumulate_slice(&dw);
             self.bias.accumulate_slice(&db);
         }
-        for buf in [dyt, dw, db] {
+        for buf in [dw, db] {
             self.scratch.recycle_vec(buf);
         }
     }

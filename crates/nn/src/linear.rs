@@ -5,7 +5,7 @@ use crate::param::Param;
 use crate::scratch::TrainScratch;
 use bioformer_tensor::matmul::matmul_tn_into;
 use bioformer_tensor::pack::{
-    gemm_packed, gemm_packed_with, pack_b, pack_b_t, packed_len, Epilogue, Fp32Kernel, PackedB,
+    gemm_packed_with, pack_b, pack_b_t, packed_len, Epilogue, Fp32Kernel, PackedB,
 };
 use bioformer_tensor::{Tensor, TensorArena};
 use rand::Rng;
@@ -55,7 +55,8 @@ pub struct Linear {
     cached_input: Option<Tensor>,
     /// Lazily-built packed image of `weight` for the inference GEMM.
     packed: OnceLock<PackedB>,
-    /// The SIMD tier every forward GEMM of this layer runs.
+    /// The SIMD tier every GEMM of this layer runs, forward and backward
+    /// (`dW` runs the weight-gradient kernel, whose bits no tier changes).
     kernel: Fp32Kernel,
     /// Packed weights and gradient blocks of the training step.
     scratch: TrainScratch,
@@ -310,7 +311,8 @@ impl Linear {
         let mut packed = self.scratch.alloc(packed_len(n, k));
         pack_b(self.weight.value.data(), n, k, &mut packed);
         let mut dx = Tensor::zeros(&[rows, k]);
-        gemm_packed(
+        gemm_packed_with(
+            self.kernel.tile(),
             dy.data(),
             rows,
             n,

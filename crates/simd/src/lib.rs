@@ -36,6 +36,9 @@
 //! * **fp32**: the [`MR`]`×`[`NR`] register tile of the packed GEMM as a
 //!   dense run of broadcast-FMAs — 8 `ymm` accumulators on AVX2/FMA, 4
 //!   `zmm` accumulators on AVX-512F.
+//! * **fp32 weight gradients** ([`tn`]): `dW = dyᵀ · x` as `4×64`
+//!   register tiles of separate multiplies and adds, so every tier
+//!   returns the same bits as the portable loop.
 //!
 //! # Dispatch
 //!
@@ -54,9 +57,10 @@
 //! | `vnni` / `avx512` / `auto` / unset | best detected tier |
 //!
 //! Unknown values fall back to `auto` (library initialisation must not
-//! panic). Contracts: int8 tiles are bit-identical across every tier;
-//! fp32 tiles agree within normal FMA reassociation error (the parity
-//! suite pins 1e-4 at workload shapes).
+//! panic). Contracts: int8 tiles and the fp32 weight-gradient kernels
+//! are bit-identical across every tier; fp32 GEMM tiles agree within
+//! normal FMA reassociation error (the parity suite pins 1e-4 at
+//! workload shapes).
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -66,10 +70,12 @@ pub mod ibert;
 pub mod int8;
 pub mod packed;
 pub mod qout;
+pub mod tn;
 
 pub use ibert::{ExpLanes, NormLanes};
 pub use packed::{qgemm_nt_fits, PackedQB};
 pub use qout::{QMat, QOut, Requant};
+pub use tn::TnLhs;
 
 use std::sync::OnceLock;
 
@@ -89,6 +95,13 @@ pub const QNR: usize = 4;
 /// `acc[r][j] = Σ_kk a[r·k+kk] · panel[kk·NR+j]` (rows `mr..MR` are left
 /// untouched).
 pub type Fp32TileFn = fn(a: &[f32], k: usize, panel: &[f32], mr: usize, acc: &mut [[f32; NR]; MR]);
+
+/// fp32 weight-gradient kernel ([`tn`]): overwrites `out`'s rows
+/// `kk0..kk0 + out.len()/n` with `Σ_mm a(mm, kk) · b[mm, j]` for a
+/// row-major `b[m, n]`; `exact` must be set when `b` holds a non-finite
+/// value.
+pub type Fp32TnFn =
+    fn(lhs: TnLhs<'_>, kk0: usize, b: &[f32], n: usize, exact: bool, out: &mut [f32]);
 
 /// int8 microkernel: given one `A` row (`a.len() == k`) and `jw ≤ QNR`
 /// consecutive `B` rows packed back-to-back (`b_tile.len() == jw·k`),
@@ -144,6 +157,8 @@ pub struct Kernels {
     pub name: &'static str,
     /// fp32 `MR×NR` accumulator tile.
     pub fp32_tile: Fp32TileFn,
+    /// fp32 weight-gradient kernel (bit-identical on every tier).
+    pub fp32_tn: Fp32TnFn,
     /// int8 `1×QNR` dot tile.
     pub qdot_tile: QdotTileFn,
     /// Whole-GEMM int8 kernel over row-major operands, present on the
@@ -201,6 +216,11 @@ pub fn select(cap: Option<Tier>) -> Kernels {
     } else {
         ("portable", fp32::tile_portable)
     };
+    let fp32_tn: Fp32TnFn = if fp32_avx512 {
+        tn::tn_avx512
+    } else {
+        tn::tn_portable
+    };
     let (int8_name, qdot_tile): (&'static str, QdotTileFn) = if int8_vnni {
         ("vnni", int8::tile_vnni)
     } else if int8_avx2 {
@@ -238,6 +258,7 @@ pub fn select(cap: Option<Tier>) -> Kernels {
     Kernels {
         name,
         fp32_tile,
+        fp32_tn,
         qdot_tile,
         qgemm_nt,
         qgemm_packed,

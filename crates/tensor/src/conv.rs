@@ -13,9 +13,10 @@
 //! TEMPONet baseline additionally needs `dilation > 1` and symmetric zero
 //! padding, so the general form is implemented once here.
 
-use crate::matmul::matmul_tn_into;
-use crate::pack::{gemm_packed, pack_b_t, packed_len, Epilogue};
+use crate::matmul::matmul_tn_strided_into;
+use crate::pack::{gemm_packed_with, pack_b, pack_b_t, packed_len, Epilogue};
 use crate::tensor::Tensor;
+use bioformer_simd::Fp32TileFn;
 
 /// Hyper-parameters of a 1-D convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,6 +191,7 @@ pub fn conv1d_forward_cols(cols: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
     let mut y_t = vec![0.0f32; out_len * c_out];
     let mut y = Tensor::zeros(&[c_out, out_len]);
     conv1d_forward_cols_into(
+        bioformer_simd::kernels().fp32_tile,
         cols.data(),
         out_len,
         ck,
@@ -205,13 +207,16 @@ pub fn conv1d_forward_cols(cols: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
 /// samples' `[out_len, ck]` im2col rows back to back, `packed` is the
 /// flattened `[c_out, ck]` weight packed by [`pack_b_t`], and `y` receives
 /// `[batch, c_out, out_len]`; `y_t` (one `c_out`-wide row per im2col row)
-/// is scratch for the token-major product. One GEMM covers the batch, and
-/// each of its rows is the chain a per-sample product computes.
+/// is scratch for the token-major product. One GEMM covers the batch on
+/// the SIMD `tile` (see [`gemm_packed_with`]), and each of its rows is the
+/// chain a per-sample product computes.
 ///
 /// # Panics
 ///
 /// Panics if a buffer length disagrees with the others.
+#[allow(clippy::too_many_arguments)] // slice-level twin of gemm_packed_with
 pub fn conv1d_forward_cols_into(
+    tile: Fp32TileFn,
     cols: &[f32],
     out_len: usize,
     ck: usize,
@@ -229,7 +234,7 @@ pub fn conv1d_forward_cols_into(
     assert_eq!(y_t.len(), rows * c_out, "conv1d: product size");
     assert_eq!(y.len(), rows * c_out, "conv1d: output size");
     // [rows, ck] · [c_out, ck]ᵀ = [rows, c_out]
-    gemm_packed(cols, rows, ck, packed, c_out, y_t, Epilogue::None);
+    gemm_packed_with(tile, cols, rows, ck, packed, c_out, y_t, Epilogue::None);
     for (yi, ti) in y
         .chunks_exact_mut(c_out * out_len)
         .zip(y_t.chunks_exact(out_len * c_out))
@@ -310,18 +315,38 @@ fn transpose_cl(dy: &Tensor) -> Tensor {
 /// Gradient of the convolution output w.r.t. its input.
 ///
 /// `dy` is `[out_ch, out_len]`; returns `dx` of shape `[in_ch, len]`.
-/// Lowered to GEMM + [`col2im`].
+/// Lowered to a GEMM on the SIMD `tile` (see [`gemm_packed_with`]) +
+/// [`col2im`].
 ///
 /// # Panics
 ///
 /// Panics on shape inconsistencies.
-pub fn conv1d_backward_input(dy: &Tensor, w: &Tensor, spec: Conv1dSpec, len: usize) -> Tensor {
-    let (c_out, _out_len) = (dy.dims()[0], dy.dims()[1]);
+pub fn conv1d_backward_input(
+    tile: Fp32TileFn,
+    dy: &Tensor,
+    w: &Tensor,
+    spec: Conv1dSpec,
+    len: usize,
+) -> Tensor {
+    let (c_out, out_len) = (dy.dims()[0], dy.dims()[1]);
     let (w_cout, c_in, kernel) = (w.dims()[0], w.dims()[1], w.dims()[2]);
     assert_eq!(c_out, w_cout, "conv1d_backward_input: channel mismatch");
+    let ck = c_in * kernel;
     let dy_t = transpose_cl(dy); // [out_len, c_out]
-    let w2d = w.reshape(&[c_out, c_in * kernel]);
-    let dcols = dy_t.matmul(&w2d); // [out_len, ck]
+    let mut packed = vec![0.0f32; packed_len(c_out, ck)];
+    pack_b(w.data(), c_out, ck, &mut packed);
+    // [out_len, c_out] · [c_out, ck] = [out_len, ck]
+    let mut dcols = Tensor::zeros(&[out_len, ck]);
+    gemm_packed_with(
+        tile,
+        dy_t.data(),
+        out_len,
+        c_out,
+        &packed,
+        ck,
+        dcols.data_mut(),
+        Epilogue::None,
+    );
     col2im(&dcols, c_in, len, kernel, spec)
 }
 
@@ -353,32 +378,20 @@ pub fn conv1d_backward_params_cols(
     assert_eq!(cols.dims()[0], out_len, "conv1d params: out_len mismatch");
     let mut dw = Tensor::zeros(&[c_out, c_in, kernel]);
     let mut db = Tensor::zeros(&[c_out]);
-    let mut dy_t = vec![0.0f32; out_len * c_out];
-    conv1d_backward_params_into(
-        dy.data(),
-        cols.data(),
-        &mut dy_t,
-        dw.data_mut(),
-        db.data_mut(),
-    );
+    conv1d_backward_params_into(dy.data(), cols.data(), dw.data_mut(), db.data_mut());
     (dw, db)
 }
 
 /// Slice-level [`conv1d_backward_params_cols`] for one sample: `dy` is its
 /// `[c_out, out_len]` output gradient and `cols` its `[out_len, ck]`
-/// im2col rows; `dw` (`[c_out, ck]`) and `db` (`[c_out]`) are overwritten,
-/// and `dy_t` (`out_len · c_out` floats) is scratch for `dy`'s transpose.
+/// im2col rows; `dw` (`[c_out, ck]`) and `db` (`[c_out]`) are overwritten.
+/// `dW = dy · cols` reads `dy` in place as the weight-gradient kernel's
+/// `[k, m]` multipliers ([`matmul_tn_strided_into`]).
 ///
 /// # Panics
 ///
 /// Panics if a buffer length disagrees with the others.
-pub fn conv1d_backward_params_into(
-    dy: &[f32],
-    cols: &[f32],
-    dy_t: &mut [f32],
-    dw: &mut [f32],
-    db: &mut [f32],
-) {
+pub fn conv1d_backward_params_into(dy: &[f32], cols: &[f32], dw: &mut [f32], db: &mut [f32]) {
     let c_out = db.len();
     assert!(
         c_out > 0 && dy.len().is_multiple_of(c_out),
@@ -388,14 +401,8 @@ pub fn conv1d_backward_params_into(
     let ck = dw.len() / c_out;
     assert_eq!(dw.len(), c_out * ck, "conv1d params: dw size");
     assert_eq!(cols.len(), out_len * ck, "conv1d params: out_len mismatch");
-    assert_eq!(dy_t.len(), out_len * c_out, "conv1d params: scratch size");
-    for oc in 0..c_out {
-        for ot in 0..out_len {
-            dy_t[ot * c_out + oc] = dy[oc * out_len + ot];
-        }
-    }
-    // dW2d = dy_tᵀ · cols → [c_out, ck]
-    matmul_tn_into(dy_t, out_len, c_out, cols, ck, dw);
+    // dW2d = dy · cols → [c_out, ck]
+    matmul_tn_strided_into(dy, (1, out_len), out_len, c_out, cols, ck, dw);
     for (oc, d) in db.iter_mut().enumerate() {
         *d = dy[oc * out_len..(oc + 1) * out_len].iter().sum();
     }
@@ -573,7 +580,7 @@ mod tests {
             conv1d_forward(x, w, b, spec).mul(&dy).sum()
         };
 
-        let dx = conv1d_backward_input(&dy, &w, spec, len);
+        let dx = conv1d_backward_input(bioformer_simd::kernels().fp32_tile, &dy, &w, spec, len);
         let (dw, db) = conv1d_backward_params(&dy, &x, spec, kernel);
 
         let eps = 1e-3;

@@ -16,14 +16,14 @@
 //! [`crate::pack::PackedB`]), and an `MR×NR` microkernel with unrolled FMA
 //! accumulators produces each output tile.
 //!
-//! [`matmul_tn`] is backward-only (weight gradients) and keeps the original
-//! `i-k-j` kernel, including its skip-zero branch — gradients flowing
-//! through ReLU/dropout are sparse enough that skipping zero multipliers
-//! wins there, while on the inference path the branch only cost
-//! mispredictions. The original kernels remain available as
-//! [`matmul_naive`] / [`matmul_nt_naive`] — they are the reference oracles
-//! for the packed kernels' property tests and the baseline for the
-//! `inference` benchmark's speedup claim.
+//! [`matmul_tn`] is backward-only (weight gradients) and needs no packing:
+//! the [`bioformer_simd::tn`] kernel keeps a 4-row register tile for the
+//! whole reduction and returns the bits of the original `i-k-j` loop,
+//! skip-zero rule included, on every SIMD tier — the trained weights do
+//! not depend on the machine's vector width. The original kernels remain
+//! available as [`matmul_naive`] / [`matmul_nt_naive`] /
+//! [`matmul_tn_naive`] — they are the reference oracles for the tiled
+//! kernels' property tests and the baselines of their speed figures.
 //!
 //! All kernels split output rows across scoped threads when the problem is
 //! large enough (see [`crate::parallel::plan_threads`]); the per-element
@@ -32,6 +32,7 @@
 use crate::pack::{self, Epilogue};
 use crate::parallel::parallel_rows;
 use crate::tensor::Tensor;
+use bioformer_simd::TnLhs;
 
 /// `C = A · B` for 2-D tensors `A[m,k]`, `B[k,n]`, via the packed kernel.
 ///
@@ -155,9 +156,9 @@ pub fn matmul_nt_naive(a: &Tensor, b: &Tensor) -> Tensor {
 /// `C = Aᵀ · B` for `A[m,k]`, `B[m,n]`, producing `C[k,n]` — the weight
 /// gradient `dW = dyᵀ · x` of a linear layer.
 ///
-/// Backward-only, so it keeps the `i-k-j` kernel with the skip-zero branch:
-/// gradients arriving through ReLU/dropout masks carry exact zeros that are
-/// worth skipping, a property inference activations do not have.
+/// Backward-only, so it keeps the skip-zero rule of the original `i-k-j`
+/// kernel (see [`matmul_tn_into`]): gradients arriving through ReLU/dropout
+/// masks carry exact zeros, a property inference activations do not have.
 ///
 /// # Panics
 ///
@@ -182,17 +183,81 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
 /// Slice-level [`matmul_tn`] into a caller-provided `out` (`k·n` floats,
 /// overwritten): `out = aᵀ · b` for row-major `a[m,k]` and `b[m,n]`.
 ///
-/// Each output element sums its `m` products in ascending row order and
-/// skips rows whose `a` entry is zero, so rows of `a` that are zero
-/// throughout contribute nothing: dropping them gives the same bits.
+/// Each output element starts at `+0` and adds its `m` products in
+/// ascending row order, one rounded multiply then one rounded add per
+/// term (no fused multiply-add), skipping the terms whose `a` entry is
+/// `±0`: rows of `a` that are zero throughout contribute nothing, so
+/// dropping them gives the same bits. [`matmul_tn_naive`] is that loop
+/// written out; this register-tiled kernel returns its bits on every
+/// input (see [`matmul_tn_strided_into`]).
 ///
 /// # Panics
 ///
 /// Panics if a slice length disagrees with `(m, k, n)`.
 pub fn matmul_tn_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     assert_eq!(a.len(), m * k, "matmul_tn: lhs size");
+    matmul_tn_strided_into(a, (k, 1), m, k, b, n, out);
+}
+
+/// [`matmul_tn_into`] with the multipliers read through strides:
+/// `out[kk, j] = Σ_mm a[mm·s_m + kk·s_k] · b[mm, j]` for `b[m,n]` and
+/// `out[k,n]` row-major, where `(s_m, s_k) = strides`. `(k, 1)` is `aᵀ·b`
+/// for `a[m,k]`; `(1, m)` is `a·b` for `a[k,m]`, the layout of a
+/// convolution's `[c_out, out_len]` output gradient.
+///
+/// The per-element arithmetic is [`matmul_tn_into`]'s, computed by the
+/// dispatched [`bioformer_simd::tn`] kernel: register tiles of 4 output
+/// rows that keep their accumulators for the whole `m` loop. Every tier
+/// returns the same bits, so the kernel reads the process dispatch
+/// whatever tier a layer pins.
+///
+/// # Panics
+///
+/// Panics if `b` or `out` disagrees with `(m, k, n)`, or a multiplier
+/// index falls outside `a`.
+pub fn matmul_tn_strided_into(
+    a: &[f32],
+    strides: (usize, usize),
+    m: usize,
+    k: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
     assert_eq!(b.len(), m * n, "matmul_tn: rhs size");
     assert_eq!(out.len(), k * n, "matmul_tn: out size");
+    if k == 0 || n == 0 {
+        // Latent-bug guard: `chunks_mut(0)` panics for empty outputs.
+        return;
+    }
+    let lhs = TnLhs {
+        a,
+        s_m: strides.0,
+        s_k: strides.1,
+        m,
+    };
+    // `0 · ∞` is NaN, so only a finite `b` lets a zero multiplier ride
+    // along unskipped (see `bioformer_simd::tn`).
+    let exact = !b.iter().fold(true, |ok, v| ok & v.is_finite());
+    let tn = bioformer_simd::kernels().fp32_tn;
+    parallel_rows(out, n, gemm_work(m, n, k), |row0, rows| {
+        tn(lhs, row0, b, n, exact, rows);
+    });
+}
+
+/// Reference loop for [`matmul_tn_into`] (the kernel before register
+/// tiling): `out = aᵀ · b`, one output row at a time, re-reading and
+/// re-writing that row for every `mm`. Kept as the bit-exact oracle of
+/// the tiled kernel's tests and as the baseline of its speed figures; not
+/// used on any hot path.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with `(m, k, n)`.
+pub fn matmul_tn_naive(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    assert_eq!(a.len(), m * k, "matmul_tn_naive: lhs size");
+    assert_eq!(b.len(), m * n, "matmul_tn_naive: rhs size");
+    assert_eq!(out.len(), k * n, "matmul_tn_naive: out size");
     out.fill(0.0);
     if k == 0 || n == 0 {
         // Latent-bug guard: `chunks_mut(0)` panics for empty outputs.

@@ -15,7 +15,7 @@
 
 mod common;
 
-use bioformers::core::{Bioformer, BioformerConfig};
+use bioformers::core::{Bioformer, BioformerConfig, TempoNet};
 use bioformers::nn::serialize::state_dict;
 use bioformers::nn::{cross_entropy, InferForward, Model};
 use bioformers::quant::QuantBioformer;
@@ -588,5 +588,33 @@ fn warmed_training_step_allocates_only_layer_outputs() {
     assert!(
         allocations <= TRAIN_STEP_ALLOCATIONS,
         "a warmed training step made {allocations} heap allocations"
+    );
+}
+
+/// Heap allocations of one warmed TEMPONet training step at batch 8 on one
+/// thread (678 before the ReLUs refreshed their caches in place and the
+/// convolutions' per-sample input gradients stopped copying the weight).
+/// What is left is each layer's output and input gradient and the
+/// per-sample input-gradient products of the convolutions, which a
+/// batched `dx` GEMM would remove.
+const TEMPONET_STEP_ALLOCATIONS: u64 = 584;
+
+#[test]
+fn warmed_temponet_training_step_allocations_stay_bounded() {
+    let _serial = serial_kernels();
+    let mut model = TempoNet::new(3);
+    let x = window(8, 23);
+    let labels: Vec<usize> = (0..8).map(|i| i % 8).collect();
+    let mut step = || {
+        let logits = model.forward(&x, true);
+        let (_, dlogits) = cross_entropy(&logits, &labels);
+        model.backward(&dlogits);
+    };
+    step();
+    step();
+    let allocations = count_allocations(step);
+    assert!(
+        allocations <= TEMPONET_STEP_ALLOCATIONS,
+        "a warmed TEMPONet training step made {allocations} heap allocations"
     );
 }

@@ -11,6 +11,9 @@
 //!   including 0/1/non-tile-multiple dims;
 //! * blocked int8 == naive triple loop **bit-for-bit** (integer arithmetic
 //!   is associative);
+//! * the register-tiled weight-gradient kernel == its old one-row loop
+//!   **bit-for-bit** on every tier, through ±0, subnormal and non-finite
+//!   values and across thread splits;
 //! * arena forwards == plain forwards bit-for-bit, including across arena
 //!   reuse (no buffer contamination between calls).
 
@@ -18,8 +21,13 @@ use bioformers::core::{Bioformer, BioformerConfig};
 use bioformers::nn::InferForward;
 use bioformers::quant::kernels::{qgemm_i32, qgemm_i32_zp, qgemm_requant_into, requantize_vec};
 use bioformers::quant::requant::FixedMultiplier;
-use bioformers::tensor::matmul::{matmul, matmul_naive, matmul_nt, matmul_nt_naive, matvec};
-use bioformers::tensor::{Tensor, TensorArena};
+use bioformers::simd::tn::{tn_avx512, tn_portable};
+use bioformers::simd::TnLhs;
+use bioformers::tensor::matmul::{
+    matmul, matmul_naive, matmul_nt, matmul_nt_naive, matmul_tn_into, matmul_tn_naive,
+    matmul_tn_strided_into, matvec,
+};
+use bioformers::tensor::{parallel, Tensor, TensorArena};
 use proptest::prelude::*;
 
 fn filled(dims: &[usize], seed: u64) -> Tensor {
@@ -154,6 +162,214 @@ proptest! {
             }
         }
     }
+}
+
+/// A 64-bit mix of `(seed, i)` (splitmix64's finaliser).
+fn mix(seed: u64, i: usize) -> u64 {
+    let mut z = seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// `len` floats for the weight-gradient tests: ordinary values with about
+/// `zeros` in 8 replaced by `+0` or `−0`, and one in 16 by a subnormal.
+fn grad_filled(len: usize, seed: u64, zeros: u64) -> Vec<f32> {
+    let base = filled(&[len], seed);
+    (0..len)
+        .map(|i| {
+            let h = mix(seed, i);
+            let sign = if h & (1 << 40) == 0 { 1.0f32 } else { -1.0 };
+            if h % 8 < zeros {
+                0.0 * sign
+            } else if (h >> 8).is_multiple_of(16) {
+                sign * f32::from_bits(1 + ((h >> 16) as u32 & 0x007f_ffff))
+            } else {
+                base.data()[i]
+            }
+        })
+        .collect()
+}
+
+/// Zeroes whole `mm` rows (every multiplier of one step) and whole `kk`
+/// columns (every term of one output row) of a row-major `a[m, k]`.
+fn zero_lines(a: &mut [f32], m: usize, k: usize, seed: u64) {
+    for mm in 0..m {
+        if mix(seed, mm).is_multiple_of(5) {
+            a[mm * k..(mm + 1) * k].fill(0.0);
+        }
+    }
+    for kk in 0..k {
+        if mix(seed ^ 0xC0FFEE, kk).is_multiple_of(7) {
+            for mm in 0..m {
+                a[mm * k + kk] = -0.0;
+            }
+        }
+    }
+}
+
+/// Bit equality, except that two NaNs match whatever their payloads (Rust
+/// leaves the payload of an operation on NaNs unspecified).
+fn same_bits(x: f32, y: f32) -> bool {
+    x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+}
+
+/// Runs every way of computing `out = aᵀ·b` — the dispatched kernel, the
+/// strided entry on a transposed copy of `a`, and each tier's kernel with
+/// and without per-term skipping (`exact` is mandatory only for a
+/// non-finite `b`) — and checks each against the old loop.
+fn assert_tn_matches_naive(a: &[f32], m: usize, k: usize, b: &[f32], n: usize) {
+    let mut want = vec![0.0f32; k * n];
+    matmul_tn_naive(a, m, k, b, n, &mut want);
+    let check = |got: &[f32], what: &str| {
+        for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+            assert!(
+                same_bits(g, w),
+                "{what} ({m},{k},{n}) out[{}, {}]: {g:e} ({:#010x}) vs {w:e} ({:#010x})",
+                i / n.max(1),
+                i % n.max(1),
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    };
+    let mut got = vec![f32::NAN; k * n];
+    matmul_tn_into(a, m, k, b, n, &mut got);
+    check(&got, "matmul_tn_into");
+
+    let mut a_t = vec![0.0f32; m * k];
+    for mm in 0..m {
+        for kk in 0..k {
+            a_t[kk * m + mm] = a[mm * k + kk];
+        }
+    }
+    let mut got = vec![f32::NAN; k * n];
+    matmul_tn_strided_into(&a_t, (1, m), m, k, b, n, &mut got);
+    check(&got, "strided [k, m]");
+
+    if n == 0 {
+        return;
+    }
+    let finite = b.iter().all(|v| v.is_finite());
+    let lhs = TnLhs {
+        a,
+        s_m: k,
+        s_k: 1,
+        m,
+    };
+    for (tn, name) in [
+        (tn_portable as bioformers::simd::Fp32TnFn, "portable"),
+        (tn_avx512, "avx512"),
+    ] {
+        for exact in [true, false] {
+            if !exact && !finite {
+                continue;
+            }
+            let mut got = vec![f32::NAN; k * n];
+            tn(lhs, 0, b, n, exact, &mut got);
+            check(&got, &format!("{name} exact={exact}"));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The tiled weight-gradient kernel returns the old loop's bits over
+    /// random shapes (row and column tails of every width), with ±0 and
+    /// subnormal values in both operands, zeroed steps and zeroed output
+    /// rows.
+    #[test]
+    fn tiled_matmul_tn_is_the_naive_loop_bit_for_bit(
+        m in 0usize..70, k in 0usize..40, n in 0usize..150, zeros in 0u64..8, seed in 0u64..1000,
+    ) {
+        let mut a = grad_filled(m * k, seed, zeros);
+        zero_lines(&mut a, m, k, seed);
+        let b = grad_filled(m * n, seed.wrapping_add(7), zeros / 2);
+        assert_tn_matches_naive(&a, m, k, &b, n);
+    }
+
+    /// Infinities and NaNs in `b` behind zero multipliers stay skipped
+    /// (`0·∞` would be NaN), and those behind live multipliers reach the
+    /// same outputs as in the old loop.
+    #[test]
+    fn non_finite_rhs_keeps_the_naive_bits(
+        m in 1usize..40, k in 1usize..24, n in 1usize..90, seed in 0u64..1000,
+    ) {
+        let mut a = grad_filled(m * k, seed, 2);
+        let mut b = grad_filled(m * n, seed.wrapping_add(9), 1);
+        let specials = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        for mm in 0..m {
+            let h = mix(seed, mm);
+            if !h.is_multiple_of(3) {
+                continue;
+            }
+            b[mm * n + (h >> 8) as usize % n] = specials[(h >> 16) as usize % 3];
+            // Mostly zero multipliers at this step; one in four live.
+            for kk in 0..k {
+                if !mix(h, kk).is_multiple_of(4) {
+                    a[mm * k + kk] = if kk % 2 == 0 { 0.0 } else { -0.0 };
+                }
+            }
+        }
+        assert_tn_matches_naive(&a, m, k, &b, n);
+    }
+}
+
+/// The training shapes, `m = 1` (a class-row head) and `m = 30` (a patch
+/// `dW`), and `n`/`k` on both sides of the 4 × 64 tile, on dense and sparse
+/// gradients.
+#[test]
+fn matmul_tn_training_shapes_are_bit_exact() {
+    let shapes = [
+        (1, 31, 8),
+        (1, 64, 64),
+        (1, 8, 48),
+        (30, 64, 140),
+        (30, 3, 17),
+        (248, 256, 64),
+        (248, 64, 256),
+        (150, 32, 42),
+        (75, 128, 192),
+        (16, 8, 2432),
+        (5, 37, 63),
+        (9, 5, 65),
+    ];
+    for (i, &(m, k, n)) in shapes.iter().enumerate() {
+        for zeros in [0, 3, 8] {
+            let seed = 100 + i as u64;
+            let mut a = grad_filled(m * k, seed, zeros);
+            if zeros == 3 {
+                zero_lines(&mut a, m, k, seed);
+            }
+            let b = grad_filled(m * n, seed + 1, 1);
+            assert_tn_matches_naive(&a, m, k, &b, n);
+        }
+    }
+}
+
+/// Split across threads, output rows start mid-tile (37 rows in shards of
+/// 13): each shard's bits are still the old loop's, and the same as on one
+/// thread.
+#[test]
+fn matmul_tn_thread_splits_are_bit_exact() {
+    let (m, k, n) = (700, 37, 1300);
+    let mut a = grad_filled(m * k, 3, 2);
+    zero_lines(&mut a, m, k, 3);
+    let b = grad_filled(m * n, 4, 1);
+    let mut serial = vec![0.0f32; k * n];
+    parallel::set_max_threads(1);
+    matmul_tn_into(&a, m, k, &b, n, &mut serial);
+    parallel::set_max_threads(3);
+    assert!(parallel::plan_threads(2 * m * k * n) == 3);
+    assert_tn_matches_naive(&a, m, k, &b, n);
+    let mut split = vec![0.0f32; k * n];
+    matmul_tn_into(&a, m, k, &b, n, &mut split);
+    parallel::set_max_threads(0);
+    assert!(serial
+        .iter()
+        .zip(&split)
+        .all(|(x, y)| x.to_bits() == y.to_bits()));
 }
 
 fn tiny_cfg() -> BioformerConfig {

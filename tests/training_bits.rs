@@ -18,10 +18,11 @@
 //! binary take in turn.
 
 use bioformers::core::protocol::{run_standard, ProtocolConfig};
-use bioformers::core::{Bioformer, BioformerConfig};
+use bioformers::core::{Bioformer, BioformerConfig, TempoNet};
 use bioformers::nn::serialize::state_dict;
+use bioformers::nn::Model;
 use bioformers::semg::{DatasetSpec, NinaproDb6};
-use bioformers::tensor::parallel;
+use bioformers::tensor::{parallel, Fp32Kernel};
 use std::sync::{Mutex, MutexGuard};
 
 /// Sets the process thread cap (and with it the trainer's shard count)
@@ -40,7 +41,7 @@ fn thread_cap(cap: usize) -> impl Drop {
 }
 
 /// FNV-1a over the bit patterns of every parameter, in visit order.
-fn weights_checksum(model: &mut Bioformer) -> u64 {
+fn weights_checksum<M: Model>(model: &mut M) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for (_, t) in state_dict(model) {
         for x in t.data() {
@@ -58,18 +59,22 @@ fn fused() -> bool {
     name.contains("fma") || name.contains("avx512f")
 }
 
-/// Trains `cfg` on subject 0 of the tiny DB6 for `epochs` epochs under a
-/// thread cap of `cap` and returns the weights' checksum.
-fn trained_checksum(cfg: BioformerConfig, epochs: usize, cap: usize) -> u64 {
+/// Trains `model` on subject 0 of the tiny DB6 for `epochs` epochs under
+/// a thread cap of `cap` and returns the weights' checksum.
+fn trained_model_checksum<M: Model>(mut model: M, epochs: usize, cap: usize) -> u64 {
     let _cap = thread_cap(cap);
     let db = NinaproDb6::generate(&DatasetSpec::tiny());
-    let mut model = Bioformer::new(&cfg);
     let protocol = ProtocolConfig {
         standard_epochs: epochs,
         ..ProtocolConfig::quick()
     };
     let _ = run_standard(&mut model, &db, 0, &protocol);
     weights_checksum(&mut model)
+}
+
+/// [`trained_model_checksum`] of a fresh Bioformer built from `cfg`.
+fn trained_checksum(cfg: BioformerConfig, epochs: usize, cap: usize) -> u64 {
+    trained_model_checksum(Bioformer::new(&cfg), epochs, cap)
 }
 
 /// Two blocks (one full-row, then the class-row last block), dropout on.
@@ -100,16 +105,30 @@ impl Golden {
             "{what}: trained weights moved (checksum {got:#018x})"
         );
     }
+
+    /// Checks a run whose layers were all pinned to the portable tile.
+    fn check_portable(&self, got: u64, what: &str) {
+        assert_eq!(
+            got, self.portable,
+            "{what}: pinned portable run left the portable weights (checksum {got:#018x})"
+        );
+    }
 }
+
+const TWO_BLOCK_ONE_SHARD: Golden = Golden {
+    fused: 0x6386_f774_ae24_af94,
+    portable: 0xedfe_a504_3326_667b,
+};
+
+const TEMPONET_ONE_SHARD: Golden = Golden {
+    fused: 0x8b8c_e6ea_0725_657c,
+    portable: 0x1310_4e76_1e0b_8c0a,
+};
 
 #[test]
 fn two_block_model_on_one_shard_trains_the_golden_weights() {
     let got = trained_checksum(two_block_cfg(), 2, 1);
-    Golden {
-        fused: 0x6386_f774_ae24_af94,
-        portable: 0xedfe_a504_3326_667b,
-    }
-    .check(got, "two blocks, one shard");
+    TWO_BLOCK_ONE_SHARD.check(got, "two blocks, one shard");
 }
 
 #[test]
@@ -130,4 +149,29 @@ fn bio1_on_two_shards_trains_the_golden_weights() {
         portable: 0x985d_19b8_6c6e_6c8c,
     }
     .check(got, "bio1, two shards");
+}
+
+/// TEMPONet's nine convolutions and three linears: per-sample conv `dW`,
+/// the classifier's `dW`, ReLU-sparse gradients and dropout, one shard.
+#[test]
+fn temponet_on_one_shard_trains_the_golden_weights() {
+    let got = trained_model_checksum(TempoNet::new(5), 1, 1);
+    TEMPONET_ONE_SHARD.check(got, "TEMPONet, one shard");
+}
+
+/// `set_kernel` governs training too: with every layer pinned to the
+/// portable tile, any build trains the portable flavour's weights. (The
+/// weight gradients' kernel has no flavour: its bits are the same on
+/// every tier.)
+#[test]
+fn pinned_portable_kernel_trains_the_portable_weights() {
+    let mut bioformer = Bioformer::new(&two_block_cfg());
+    bioformer.set_kernel(Fp32Kernel::Portable);
+    let got = trained_model_checksum(bioformer, 2, 1);
+    TWO_BLOCK_ONE_SHARD.check_portable(got, "two blocks, one shard");
+
+    let mut temponet = TempoNet::new(5);
+    temponet.set_kernel(Fp32Kernel::Portable);
+    let got = trained_model_checksum(temponet, 1, 1);
+    TEMPONET_ONE_SHARD.check_portable(got, "TEMPONet, one shard");
 }
